@@ -31,6 +31,7 @@ from .model import (
     SpaceShape,
     direct_sum,
     flow_to_dict,
+    guarantee_window,
     load_flow,
     make_bernoulli,
     make_identity,
@@ -198,8 +199,7 @@ def cmd_oracle(args) -> int:
             u = GoodSubspace.principal(m)
             trace = codim_sequence(flow, u, args.max_n)
             for n in range(1, args.max_n + 1):
-                base = max(u.extent, flow.endo.cd.cols, 1)
-                window = base + n * flow.endo.bandwidth + flow.endo.extent
+                window = guarantee_window(flow, u.extent, n)
                 if args.window is not None:
                     window = max(window, args.window)
                 enumerated = brute_force_codim(flow, u, n, window)

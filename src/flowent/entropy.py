@@ -5,8 +5,16 @@ vector v in the n-step cotrajectory is the vanishing of the discrete part
 and the S-coordinates of v, phi(v), ..., phi^(n-1)(v).  Those constraints
 are rows of powers of the window matrix, so the codimension trace is the
 rank growth of an accumulating constraint stack: each step multiplies the
-previous constraint block by the window matrix once and inserts the new
-rows into a running echelon form.
+previous constraint block by the window matrix once.
+
+Ranks are tracked over the prime field.  Restricting scalars along
+GF(p) <= GF(p^d) multiplies every codimension by d, so the GF(p^d) rank of
+a block of rows is the GF(p) rank of its restricted rows divided by d.
+That leaves one exact core per characteristic: bit-packed XOR elimination
+for p = 2, and a fully reduced basis that absorbs each step's block with
+one float64 product reduced mod p for odd p.  Cotrajectories themselves
+are kernels of one reduced row-echelon form over the flow's own field,
+carried from step to step.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.
@@ -21,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotInvertible, TooLarge, WindowTooSmall
-from .linalg import Matrix, Subspace, inverse, kernel
+from .fields import _prime_rref, check_float_exact
+from .linalg import Matrix, Subspace, _rref_array, inverse, kernel
 from .model import (
     Flow,
     GoodSubspace,
@@ -96,197 +105,79 @@ class CodimTrace:
         )
 
 
-class _EchelonStack:
-    """Row-echelon rank tracker with cheap scalar-row inserts.
-
-    Pivot rows are kept normalized but not mutually reduced; the final
-    kernel computation canonicalizes, so this never leaks non-canonical
-    data.  Insert cost is one vector operation per pivot the incoming row
-    touches.
-    """
-
-    def __init__(self, field, dim: int):
-        self.field = field
-        self.dim = dim
-        self.rows = np.zeros((min(dim, 64), dim), dtype=np.int64)
-        self.pivot_row: dict[int, int] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_row)
-
-    def insert(self, row: np.ndarray) -> None:
-        field = self.field
-        row = row.astype(np.int64, copy=True)
-        while True:
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                return
-            lead = int(nz[0])
-            holder = self.pivot_row.get(lead)
-            if holder is None:
-                pv = int(row[lead])
-                if pv != 1:
-                    row = field.arr_mul(np.int64(field.inv(pv)), row)
-                r = self.rank
-                if r == self.rows.shape[0]:
-                    self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)], axis=0)
-                self.rows[r] = row
-                self.pivot_row[lead] = r
-                return
-            row[lead:] = field.arr_sub(
-                row[lead:], field.arr_mul(row[lead], self.rows[holder, lead:])
-            )
-
-    def matrix(self) -> Matrix:
-        return Matrix(self.field, self.rows[: self.rank].copy())
-
-
-class _PackedStack:
-    """Characteristic-2 echelon tracker on bit-packed digit planes.
-
-    A row is one Python integer per prime-field digit, bit j holding the
-    digit at coordinate j, so an elimination is a handful of wide XORs and
-    the per-pivot loop runs at integer speed.
-    """
-
-    def __init__(self, field, dim: int):
-        assert field.p == 2
-        self.field = field
-        self.dim = dim
-        self.d = field.d
-        self.pivot_row: dict[int, tuple[int, ...]] = {}
-        # cached nonzero scalar multiples of pivot rows, keyed by coefficient
-        self._multiples: dict[int, dict[int, tuple[int, ...]]] = {}
-        # positions where x^(d+t) reduces to, per overflow degree t
-        if field.d > 1:
-            self._red_bits = [
-                tuple(int(s) for s in np.nonzero(field._red[t])[0])
-                for t in range(field.d - 1)
-            ]
-        else:
-            self._red_bits = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_row)
-
-    def pack(self, row: np.ndarray) -> tuple[int, ...]:
-        return tuple(
-            int.from_bytes(
-                np.packbits((row >> i) & 1, bitorder="little").tobytes(), "little"
-            )
-            for i in range(self.d)
-        )
-
-    def _scale(self, coeff_bits: tuple[int, ...], planes: tuple[int, ...]) -> tuple[int, ...]:
-        d = self.d
-        raw = [0] * (2 * d - 1)
-        for i, bit in enumerate(coeff_bits):
-            if bit:
-                for j in range(d):
-                    raw[i + j] ^= planes[j]
-        out = raw[:d]
-        for t, targets in enumerate(self._red_bits):
-            hi = raw[d + t]
-            if hi:
-                for s in targets:
-                    out[s] ^= hi
-        return tuple(out)
-
-    def insert(self, row: np.ndarray) -> None:
-        self.insert_packed(self.pack(row))
-
-    def insert_packed(self, planes: tuple[int, ...]) -> None:
-        field = self.field
-        d = self.d
-        while True:
-            mask = 0
-            for p in planes:
-                mask |= p
-            if not mask:
-                return
-            lead = (mask & -mask).bit_length() - 1
-            holder = self.pivot_row.get(lead)
-            code = 0
-            for i, p in enumerate(planes):
-                code |= ((p >> lead) & 1) << i
-            if holder is None:
-                if code != 1:
-                    inv_bits = tuple((field.inv(code) >> i) & 1 for i in range(d))
-                    planes = self._scale(inv_bits, planes)
-                self.pivot_row[lead] = planes
-                self._multiples[lead] = {1: planes}
-                return
-            cache = self._multiples[lead]
-            delta = cache.get(code)
-            if delta is None:
-                coeff = tuple((code >> i) & 1 for i in range(d))
-                delta = self._scale(coeff, holder)
-                cache[code] = delta
-            planes = tuple(p ^ q for p, q in zip(planes, delta))
-
-    def matrix(self) -> Matrix:
-        rows = []
-        nbytes = (self.dim + 7) // 8
-        for _, planes in sorted(self.pivot_row.items()):
-            code = np.zeros(self.dim, dtype=np.int64)
-            for i, plane in enumerate(planes):
-                bits = np.unpackbits(
-                    np.frombuffer(plane.to_bytes(nbytes, "little"), dtype=np.uint8),
-                    bitorder="little",
-                )[: self.dim]
-                code += bits.astype(np.int64) << i
-            rows.append(code)
-        if not rows:
-            return Matrix.zeros(self.field, 0, self.dim)
-        return Matrix(self.field, np.stack(rows))
-
-
 class _PackedStackPrime:
     """GF(2) echelon tracker: one bit-packed integer per row, XOR inserts."""
 
-    def __init__(self, field, dim: int):
-        assert field.p == 2 and field.d == 1
-        self.field = field
-        self.dim = dim
+    def __init__(self):
         self.pivot_row: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_row)
 
-    def insert(self, row: np.ndarray) -> None:
-        packed = int.from_bytes(
-            np.packbits(row.astype(np.uint8), bitorder="little").tobytes(), "little"
-        )
+    def insert(self, rows: np.ndarray) -> None:
         pivot_row = self.pivot_row
-        while packed:
-            lead = (packed & -packed).bit_length() - 1
-            holder = pivot_row.get(lead)
-            if holder is None:
-                pivot_row[lead] = packed
-                return
-            packed ^= holder
-
-    def matrix(self) -> Matrix:
-        nbytes = (self.dim + 7) // 8
-        rows = [
-            np.unpackbits(
-                np.frombuffer(packed.to_bytes(nbytes, "little"), dtype=np.uint8),
-                bitorder="little",
-            )[: self.dim].astype(np.int64)
-            for _, packed in sorted(self.pivot_row.items())
-        ]
-        if not rows:
-            return Matrix.zeros(self.field, 0, self.dim)
-        return Matrix(self.field, np.stack(rows))
+        for packed_row in np.packbits(rows.astype(np.uint8), axis=1, bitorder="little"):
+            packed = int.from_bytes(packed_row.tobytes(), "little")
+            while packed:
+                lead = (packed & -packed).bit_length() - 1
+                holder = pivot_row.get(lead)
+                if holder is None:
+                    pivot_row[lead] = packed
+                    break
+                packed ^= holder
 
 
-def _make_stack(field, dim: int):
-    if field.p == 2:
-        return _PackedStackPrime(field, dim) if field.d == 1 else _PackedStack(field, dim)
-    return _EchelonStack(field, dim)
+class _BlockStackOdd:
+    """Odd-characteristic echelon tracker that reduces a row block at once.
+
+    The basis is fully reduced (each pivot column is zero outside its pivot
+    row) and holds only the columns the rows so far reach.  So a row's
+    entries in the pivot columns are its coefficients on the basis, and a
+    block is reduced with one float64 product, exact while
+    ``rank * (p-1)^2 + p < 2^53``, and an exact reduction mod p.  The few
+    residue rows are row-reduced among themselves, and only the basis rows
+    with nonzero entries in the new pivot columns are updated.  The basis
+    is stored in the smallest integer type that holds p - 1.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.basis = np.zeros((0, 0), dtype=np.min_scalar_type(p - 1))
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, rows: np.ndarray) -> None:
+        if not rows.shape[0]:
+            return
+        p = self.p
+        basis = self.basis
+        rank, width = basis.shape
+        check_float_exact((rank + rows.shape[0]) * (p - 1) ** 2 + p, f"rank tracker over GF({p})")
+        if rows.shape[1] > width:
+            basis = np.zeros((rank, rows.shape[1]), dtype=basis.dtype)
+            basis[:, :width] = self.basis
+        resid = rows.astype(np.float64)
+        if rank:
+            resid -= resid[:, self.pivots] @ basis.astype(np.float64)
+        resid = resid.astype(np.int64) % p
+        resid = resid[resid.any(axis=1)]
+        if resid.shape[0]:
+            red, new = _prime_rref(resid, p)
+            red = red[: len(new)]
+            coeff = basis[:, new]
+            hit = np.flatnonzero(coeff.any(axis=1))
+            if hit.size:
+                cols = np.flatnonzero(red.any(axis=0))
+                block = np.ix_(hit, cols)
+                delta = (coeff[hit].astype(np.float64) @ red[:, cols]).astype(np.int64)
+                basis[block] = (basis[block] - delta) % p
+            basis = np.concatenate([basis, red.astype(basis.dtype)])
+            self.pivots += new
+        self.basis = basis
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
@@ -306,32 +197,64 @@ def _resolve_window(flow: Flow, u: GoodSubspace, n: int, cfg: EngineConfig) -> i
     return cfg.window
 
 
-def _trace_steps(flow: Flow, u: GoodSubspace, n_max: int, window: int):
-    """Yield (n, codim of C_n, constraint stack) for n = 1..n_max.
+def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
+    """Yield the constraint rows of step n = 1..n_max over their support.
 
-    Constraint rows at step n read at most ``n * bandwidth`` past the dead
-    coordinates, so each step multiplies only the supported column block.
+    Step n's rows are the dead coordinates of phi^(n-1) inside the window,
+    one row per dead coordinate.  They read at most ``n * bandwidth`` past
+    the dead coordinates, so each block holds only that leading column
+    block (it is zero beyond) and each step multiplies only that block.
     """
     mat, _ = truncate(flow, window)
     field = flow.field
     prepared = field.prepare_right(mat.data)
-    dead = _dead_indices(flow, u)
     dim = mat.rows
     reach = flow.endo.bandwidth
-    stack = _make_stack(field, dim)
-    block = np.zeros((len(dead), dim), dtype=np.int64)
+    block = np.zeros((len(dead), min(dim, max(dead) + 1 if dead else 0)), dtype=np.int64)
     block[np.arange(len(dead)), dead] = 1
-    support = min(dim, (max(dead) + 1 if dead else 0))
     for n in range(1, n_max + 1):
-        for row in block:
-            stack.insert(row)
-        yield n, stack.rank - len(dead), stack
+        yield block
         if n < n_max:
-            grown = min(dim, support + reach)
-            nxt = np.zeros((len(dead), dim), dtype=np.int64)
-            nxt[:, :grown] = field.matmul_prepared(block[:, :support], prepared, grown)
-            block = nxt
-            support = grown
+            block = field.matmul_prepared(block, prepared, min(dim, block.shape[1] + reach))
+
+
+def _restrict(field, block: np.ndarray) -> np.ndarray:
+    """The rows of a GF(p^d)-block restricted to GF(p).
+
+    Row v becomes the d rows of prime-field coordinates of x^t * v for
+    t < d, coordinate k of entry j in column j*d + k; they span the same
+    GF(p)-space as the GF(p^d)-span of v.  Hence the GF(p) rank of the
+    restricted rows is d times the GF(p^d) rank of the block.
+    """
+    if field.d == 1:
+        return block
+    powers = np.asarray([field.power(field.generator, t) for t in range(field.d)], dtype=np.int64)
+    prods = field.arr_mul(powers[None, :, None], block[:, None, :])
+    rows, cols = block.shape
+    return field.coords_array(prods).reshape(rows * field.d, cols * field.d)
+
+
+def _rank_traces(
+    flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int
+) -> list[list[int]]:
+    """Codimension traces of the first ``count`` constraint rows per step,
+    for each count in ``counts``, tracked over the prime field.
+
+    The codimension at step n is the rank of the rows so far less
+    ``count``, the codimension of the good subspace itself.
+    """
+    field = flow.field
+    deg = field.d
+    stacks = [
+        _PackedStackPrime() if field.p == 2 else _BlockStackOdd(field.p) for _ in counts
+    ]
+    values: list[list[int]] = [[] for _ in counts]
+    for block in _constraint_blocks(flow, dead, n_max, window):
+        rows = _restrict(field, block)
+        for count, stack, vals in zip(counts, stacks, values):
+            stack.insert(rows[: count * deg])
+            vals.append(stack.rank // deg - count)
+    return values
 
 
 def codim_sequence(
@@ -339,7 +262,8 @@ def codim_sequence(
 ) -> CodimTrace:
     """Trace of codim_U(C_n) for n = 1..n_max, computed in one window."""
     window = _resolve_window(flow, u, n_max, cfg)
-    values = [c for _, c, _ in _trace_steps(flow, u, n_max, window)]
+    dead = _dead_indices(flow, u)
+    (values,) = _rank_traces(flow, dead, [len(dead)], n_max, window)
     return CodimTrace(u, tuple(values), (window,) * n_max)
 
 
@@ -353,29 +277,9 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     """
     top = GoodSubspace.principal(cfg.m_max)
     window = _resolve_window(flow, top, n_max, cfg)
-    mat, _ = truncate(flow, window)
-    field = flow.field
-    prepared = field.prepare_right(mat.data)
     d = flow.discrete_dim
-    dead_top = _dead_indices(flow, top)
-    dim = mat.rows
-    reach = flow.endo.bandwidth
-    stacks = [_make_stack(field, dim) for _ in range(cfg.m_max + 1)]
-    values: list[list[int]] = [[] for _ in range(cfg.m_max + 1)]
-    block = np.zeros((len(dead_top), dim), dtype=np.int64)
-    block[np.arange(len(dead_top)), dead_top] = 1
-    support = min(dim, (max(dead_top) + 1 if dead_top else 0))
-    for n in range(1, n_max + 1):
-        for m, stack in enumerate(stacks):
-            for row in block[: d + m]:
-                stack.insert(row)
-            values[m].append(stack.rank - (d + m))
-        if n < n_max:
-            grown = min(dim, support + reach)
-            nxt = np.zeros((len(dead_top), dim), dtype=np.int64)
-            nxt[:, :grown] = field.matmul_prepared(block[:, :support], prepared, grown)
-            block = nxt
-            support = grown
+    counts = [d + m for m in range(cfg.m_max + 1)]
+    values = _rank_traces(flow, _dead_indices(flow, top), counts, n_max, window)
     return [
         CodimTrace(GoodSubspace.principal(m), tuple(vals), (window,) * n_max)
         for m, vals in enumerate(values)
@@ -393,10 +297,21 @@ def cotrajectory(
 
 
 def cotrajectory_run(flow: Flow, u: GoodSubspace, n_max: int, window: int) -> list[Subspace]:
-    """Cotrajectories for every n = 1..n_max at a pinned window."""
+    """Cotrajectories for every n = 1..n_max at a pinned window.
+
+    One reduced row-echelon form of the constraint rows is carried from n
+    to n + 1; the cotrajectory is its kernel.
+    """
+    field = flow.field
+    dim = flow.discrete_dim + window
+    red = np.zeros((0, dim), dtype=np.int64)
     out = []
-    for _, _, stack in _trace_steps(flow, u, n_max, window):
-        out.append(kernel(stack.matrix()))
+    for block in _constraint_blocks(flow, _dead_indices(flow, u), n_max, window):
+        rows = np.zeros((block.shape[0], dim), dtype=np.int64)
+        rows[:, : block.shape[1]] = block
+        red, pivots = _rref_array(field, np.concatenate([red, rows]))
+        red = red[: len(pivots)]
+        out.append(kernel(Matrix(field, red)))
     return out
 
 

@@ -34,7 +34,8 @@ class WindowTooSmall(FlowentError):
 
 
 class TooLarge(FlowentError):
-    """A brute-force enumeration would exceed its size cap."""
+    """An input exceeds a size cap: a brute-force enumeration, or a float64
+    product whose values would no longer be exact."""
 
 
 class NotInvertible(FlowentError):

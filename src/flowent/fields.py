@@ -17,12 +17,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import Mismatch, NotPrime, Reducible
+from .errors import Mismatch, NotPrime, Reducible, TooLarge
 
 # Largest extension-field order that gets dense multiplication tables.
 _TABLE_CAP = 1024
 # Desk-scale cap on prime characteristics.
 _PRIME_CAP = 1 << 16
+# float64 holds every integer of magnitude below this exactly.
+_FLOAT_EXACT = 1 << 53
 
 
 def _is_prime(n: int) -> bool:
@@ -45,13 +47,16 @@ def _prime_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = a.astype(np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
+    r = c = 0
+    while r < rows and c < cols:
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
-            continue
+            # jump to the next column that is nonzero below the pivot rows
+            live = np.flatnonzero(a[r:, c:].any(axis=0))
+            if live.size == 0:
+                break
+            c += int(live[0])
+            nz = np.flatnonzero(a[r:, c])
         k = r + int(nz[0])
         if k != r:
             a[[r, k]] = a[[k, r]]
@@ -63,7 +68,15 @@ def _prime_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
         pivots.append(c)
         r += 1
+        c += 1
     return a, pivots
+
+
+def check_float_exact(largest: int, what: str) -> None:
+    """Raise TooLarge unless integers up to ``largest`` in magnitude, the
+    largest intermediate value of a float64 product, are exact in float64."""
+    if largest >= _FLOAT_EXACT:
+        raise TooLarge(f"{what}: values up to {largest} are not exact in float64")
 
 
 def _prime_rank(a: np.ndarray, p: int) -> int:
@@ -287,7 +300,7 @@ class FiniteField:
         if inner == 0:
             return np.zeros((a.shape[0], cols), dtype=np.int64)
         # float64 BLAS stays exact while products fit in 53 bits
-        assert inner * (self.p - 1) ** 2 < 2**53
+        check_float_exact(inner * (self.p - 1) ** 2, f"inner dimension {inner} over GF({self.p})")
         if self.d == 1:
             return (a.astype(np.float64) @ right[:inner, :cols]).astype(np.int64) % self.p
         da = np.moveaxis(self.coords_array(a), -1, 0).astype(np.float64)

@@ -125,10 +125,10 @@ class EndoSpec:
             stencil = (stencil,)
         phases = []
         for phase in stencil:
-            clean = {int(k): int(v) % field.q for k, v in phase.items()}
-            clean = {k: v for k, v in clean.items() if v != 0}
+            clean = {int(k): int(v) for k, v in phase.items()}
             if any(not 0 <= v < field.q for v in clean.values()):
                 raise ValueError("stencil coefficients must be field codes")
+            clean = {k: v for k, v in clean.items() if v != 0}
             phases.append(tuple(sorted(clean.items())))
         if not phases:
             phases = [()]

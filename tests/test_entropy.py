@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flowent.entropy import (
     EngineConfig,
     brute_force_codim,
+    chain_traces,
     codim_sequence,
     conjugate_flow,
     cotrajectory,
@@ -18,7 +19,8 @@ from flowent.entropy import (
     power_flow,
 )
 from flowent.errors import NotInvertible, TooLarge, WindowTooSmall
-from flowent.linalg import Matrix, Subspace, intersect, preimage, random_invertible
+from flowent.fields import least_irreducible, make_extension, make_prime_field
+from flowent.linalg import Matrix, Subspace, intersect, preimage, random_invertible, rank, vstack
 from flowent.model import (
     EndoSpec,
     Flow,
@@ -138,6 +140,64 @@ class TestCodimSequence:
             flow, U(m), 8, EngineConfig(n_max=8, window_slack=4 + extra)
         )
         assert widened.values == reference.values
+
+
+def _reference_codims(flow, dead, counts, n_max, window):
+    """Codimension traces straight from the definition: the rank of the
+    stacked constraint rows (the dead rows of M^0, ..., M^(n-1)), keeping
+    the first ``count`` dead rows of each power, less ``count``."""
+    mat, _ = truncate(flow, window)
+    field = flow.field
+    power = Matrix(field, np.eye(mat.rows, dtype=np.int64)[dead])
+    blocks = []
+    for _ in range(n_max):
+        blocks.append(power)
+        power = power @ mat
+    return [
+        [
+            rank(vstack([Matrix(field, b.data[:count]) for b in blocks[:n]])) - count
+            for n in range(1, n_max + 1)
+        ]
+        for count in counts
+    ]
+
+
+def _reference_fields():
+    gf2, gf3 = make_prime_field(2), make_prime_field(3)
+    return [
+        gf2,
+        gf3,
+        make_extension(gf2, least_irreducible(gf2, 2))[0],
+        make_prime_field(5),
+        make_extension(gf3, least_irreducible(gf3, 2))[0],
+        make_extension(gf2, least_irreducible(gf2, 4))[0],
+        make_prime_field(65521),
+    ]
+
+
+class TestTracesAgainstReference:
+    """The prime-field rank trackers against linalg.rank over the flow's
+    own field, on 210 seeded random flows over seven fields."""
+
+    @pytest.mark.parametrize("field", _reference_fields(), ids=repr)
+    def test_random_flows(self, field):
+        rng = np.random.default_rng(field.q)
+        for seed in range(30):
+            flow = random_stencil_flow(field, seed)
+            n_max = int(rng.integers(6, 13))
+            cfg = EngineConfig(n_max=n_max, m_max=int(rng.integers(1, 5)))
+            traces = chain_traces(flow, n_max, cfg)
+            d = flow.discrete_dim
+            dead = list(range(d)) + [d + i for i in range(cfg.m_max)]
+            counts = [d + m for m in range(cfg.m_max + 1)]
+            expected = _reference_codims(flow, dead, counts, n_max, traces[0].windows[0])
+            assert [list(t.values) for t in traces] == expected, (field, seed)
+
+            u = GoodSubspace(frozenset(int(i) for i in rng.choice(5, size=2, replace=False)))
+            trace = codim_sequence(flow, u, n_max, cfg)
+            dead_u = list(range(d)) + [d + i for i in sorted(u.zero_set)]
+            (expected_u,) = _reference_codims(flow, dead_u, [len(dead_u)], n_max, trace.windows[0])
+            assert list(trace.values) == expected_u, (field, seed, u)
 
 
 class TestOracle:

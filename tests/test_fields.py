@@ -1,12 +1,19 @@
 """Field and embedding layer: construction, arithmetic laws, towers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowent.errors import Mismatch, NotPrime, Reducible
+import flowent
+from flowent.errors import Mismatch, NotPrime, Reducible, TooLarge
 from flowent.fields import (
+    check_float_exact,
     compose,
     field_from_descriptor,
     identity_embedding,
@@ -238,3 +245,50 @@ class TestDescriptors:
     def test_integer_coefficients_accepted(self):
         tower = tower_from_descriptor({"p": 2, "tower": [[1, 1, 1]]})
         assert tower.top.q == 4
+
+
+# Runs the two float64 exactness guards one past their bound over
+# GF(65521): the block product, and the odd-characteristic rank tracker
+# holding a (zero-width) basis of that rank.  Prints one line per guard.
+_GUARD_SCRIPT = """
+import numpy as np
+from flowent.entropy import _BlockStackOdd
+from flowent.errors import TooLarge
+from flowent.fields import make_prime_field
+
+p = 65521
+inner = (1 << 53) // (p - 1) ** 2 + 1
+field = make_prime_field(p)
+zeros = np.broadcast_to(np.int64(0), (inner, 1))
+stack = _BlockStackOdd(p)
+stack.basis = np.zeros((inner, 0), dtype=np.uint16)
+checks = {
+    "matmul": lambda: field.matmul_prepared(zeros.T, field.prepare_right(zeros)),
+    "tracker": lambda: stack.insert(np.zeros((1, 1), dtype=np.int64)),
+}
+for name, call in checks.items():
+    try:
+        call()
+    except TooLarge:
+        print(name, "raised")
+    else:
+        print(name, "passed")
+"""
+
+
+class TestFloatExactness:
+    def test_bound(self):
+        check_float_exact(2**53 - 1, "largest exact value")
+        with pytest.raises(TooLarge):
+            check_float_exact(2**53, "first inexact value")
+
+    def test_guards_raise_under_optimize(self):
+        """The guards are typed errors, not asserts that ``python -O`` strips."""
+        src = str(Path(flowent.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _GUARD_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines() == ["matmul raised", "tracker raised"]

@@ -78,6 +78,15 @@ class TestTruncate:
         with pytest.raises(WindowTooSmall):
             truncate(flow, 3)
 
+    @pytest.mark.parametrize("code", [2, 3, -1])
+    def test_stencil_codes_out_of_range_raise(self, gf2, code):
+        with pytest.raises(ValueError):
+            EndoSpec(gf2, {1: code})
+
+    def test_spec_integers_read_mod_p(self):
+        flow = flow_from_dict({"field": {"p": 2, "tower": []}, "stencil": {"1": 3, "2": [2]}})
+        assert flow.endo.stencil == (((1, 1),),)
+
     def test_negative_offsets_need_prefix(self, gf2):
         with pytest.raises(WindowTooSmall):
             EndoSpec(gf2, {-1: 1})
