@@ -12,9 +12,10 @@ GF(p) <= GF(p^d) multiplies every codimension by d, so the GF(p^d) rank of
 a block of rows is the GF(p) rank of its restricted rows divided by d.
 That leaves one exact core per characteristic: bit-packed XOR elimination
 for p = 2, and a fully reduced basis that absorbs each step's block with
-one float64 product reduced mod p for odd p.  Cotrajectories themselves
-are kernels of one reduced row-echelon form over the flow's own field,
-carried from step to step.
+one float64 product reduced mod p for odd p.  Cotrajectories are carried
+as their constraint forms: one reduced row-echelon form over the flow's
+own field, extended from step to step, whose kernel is the cotrajectory.
+Every row reduction, over any field, runs through ``fields._rref_array``.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.
@@ -28,16 +29,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotInvertible, TooLarge, WindowTooSmall
-from .fields import _prime_rref, check_float_exact
-from .linalg import Matrix, Subspace, _rref_array, inverse, kernel
+from .errors import NotInvertible, TooLarge
+from .fields import _rref_array, check_float_exact, make_prime_field
+from .linalg import Matrix, Subspace, inverse, kernel
 from .model import (
     Flow,
     GoodSubspace,
     _flow_from_window,
     compose_flow,
     default_window,
-    guarantee_window,
     truncate,
 )
 
@@ -67,7 +67,6 @@ class EngineConfig:
     streak: int = 5
     m_max: int = 8
     window_slack: int = 4
-    window: int | None = None
 
     def __post_init__(self):
         if self.n_max < self.streak + 1:
@@ -142,7 +141,7 @@ class _BlockStackOdd:
     """
 
     def __init__(self, p: int):
-        self.p = p
+        self.prime = make_prime_field(p)
         self.basis = np.zeros((0, 0), dtype=np.min_scalar_type(p - 1))
         self.pivots: list[int] = []
 
@@ -153,7 +152,7 @@ class _BlockStackOdd:
     def insert(self, rows: np.ndarray) -> None:
         if not rows.shape[0]:
             return
-        p = self.p
+        p = self.prime.p
         basis = self.basis
         rank, width = basis.shape
         check_float_exact((rank + rows.shape[0]) * (p - 1) ** 2 + p, f"rank tracker over GF({p})")
@@ -166,7 +165,7 @@ class _BlockStackOdd:
         resid = resid.astype(np.int64) % p
         resid = resid[resid.any(axis=1)]
         if resid.shape[0]:
-            red, new = _prime_rref(resid, p)
+            red, new = _rref_array(self.prime, resid)
             red = red[: len(new)]
             coeff = basis[:, new]
             hit = np.flatnonzero(coeff.any(axis=1))
@@ -183,18 +182,6 @@ class _BlockStackOdd:
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
     d = flow.discrete_dim
     return list(range(d)) + [d + i for i in sorted(u.zero_set)]
-
-
-def _resolve_window(flow: Flow, u: GoodSubspace, n: int, cfg: EngineConfig) -> int:
-    if cfg.window is None:
-        return default_window(flow, u, n, cfg.window_slack)
-    need = guarantee_window(flow, u.extent, n)
-    if cfg.window < need:
-        raise WindowTooSmall(
-            f"pinned window {cfg.window} is below the exactness bound {need} "
-            f"for zero extent {u.extent} and depth {n}"
-        )
-    return cfg.window
 
 
 def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
@@ -261,7 +248,7 @@ def codim_sequence(
     flow: Flow, u: GoodSubspace, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG
 ) -> CodimTrace:
     """Trace of codim_U(C_n) for n = 1..n_max, computed in one window."""
-    window = _resolve_window(flow, u, n_max, cfg)
+    window = default_window(flow, u, n_max, cfg.window_slack)
     dead = _dead_indices(flow, u)
     (values,) = _rank_traces(flow, dead, [len(dead)], n_max, window)
     return CodimTrace(u, tuple(values), (window,) * n_max)
@@ -276,7 +263,7 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     for the largest, which is sound by window independence.
     """
     top = GoodSubspace.principal(cfg.m_max)
-    window = _resolve_window(flow, top, n_max, cfg)
+    window = default_window(flow, top, n_max, cfg.window_slack)
     d = flow.discrete_dim
     counts = [d + m for m in range(cfg.m_max + 1)]
     values = _rank_traces(flow, _dead_indices(flow, top), counts, n_max, window)
@@ -292,15 +279,18 @@ def cotrajectory(
     """The n-step cotrajectory inside its certified window, canonical."""
     if n < 1:
         raise ValueError("cotrajectory depth must be at least 1")
-    window = _resolve_window(flow, u, n, cfg)
-    return cotrajectory_run(flow, u, n, window)[-1]
+    window = default_window(flow, u, n, cfg.window_slack)
+    return kernel(cotrajectory_run(flow, u, n, window)[-1])
 
 
-def cotrajectory_run(flow: Flow, u: GoodSubspace, n_max: int, window: int) -> list[Subspace]:
-    """Cotrajectories for every n = 1..n_max at a pinned window.
+def cotrajectory_run(flow: Flow, u: GoodSubspace, n_max: int, window: int) -> list[Matrix]:
+    """Constraint forms of the cotrajectories for n = 1..n_max at a given
+    window.
 
-    One reduced row-echelon form of the constraint rows is carried from n
-    to n + 1; the cotrajectory is its kernel.
+    Form n is the reduced row-echelon form, without zero rows, of the
+    constraint rows of steps 1..n; the n-step cotrajectory is its kernel.
+    Each form is the previous one extended by step n's rows and reduced
+    again.  Both are canonical: equal forms mean equal cotrajectories.
     """
     field = flow.field
     dim = flow.discrete_dim + window
@@ -311,7 +301,7 @@ def cotrajectory_run(flow: Flow, u: GoodSubspace, n_max: int, window: int) -> li
         rows[:, : block.shape[1]] = block
         red, pivots = _rref_array(field, np.concatenate([red, rows]))
         red = red[: len(pivots)]
-        out.append(kernel(Matrix(field, red)))
+        out.append(Matrix(field, red))
     return out
 
 

@@ -39,36 +39,39 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# small dense Gaussian elimination over GF(p), used while building towers
+# row reduction
 # ---------------------------------------------------------------------------
 
 
-def _prime_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = a.astype(np.int64) % p
-    rows, cols = a.shape
+def _rref_array(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """In-place reduced row echelon form of an int64 code array over
+    ``field``; returns (array, pivot columns).
+
+    Only the columns that are nonzero in the input are visited: row
+    operations never make a zero column nonzero.
+    """
+    rows = a.shape[0]
     pivots: list[int] = []
-    r = c = 0
-    while r < rows and c < cols:
+    r = 0
+    for c in np.flatnonzero(a.any(axis=0)):
+        if r == rows:
+            break
         nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
-            # jump to the next column that is nonzero below the pivot rows
-            live = np.flatnonzero(a[r:, c:].any(axis=0))
-            if live.size == 0:
-                break
-            c += int(live[0])
-            nz = np.flatnonzero(a[r:, c])
+            continue
         k = r + int(nz[0])
         if k != r:
             a[[r, k]] = a[[k, r]]
-        inv = pow(int(a[r, c]), p - 2, p) if p > 2 else 1
-        a[r] = (a[r] * inv) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        pivots.append(c)
+        pv = int(a[r, c])
+        if pv != 1:
+            a[r] = field.arr_mul(np.int64(field.inv(pv)), a[r])
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        if hit.size:
+            a[hit] = field.arr_sub(a[hit], field.arr_mul(col[hit, None], a[r][None, :]))
+        pivots.append(int(c))
         r += 1
-        c += 1
     return a, pivots
 
 
@@ -80,13 +83,13 @@ def check_float_exact(largest: int, what: str) -> None:
 
 
 def _prime_rank(a: np.ndarray, p: int) -> int:
-    return len(_prime_rref(a, p)[1])
+    return len(_rref_array(FiniteField(p, (0, 1)), np.asarray(a, dtype=np.int64) % p)[1])
 
 
 def _prime_inv(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
-    aug = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = _prime_rref(aug, p)
+    aug = np.concatenate([np.asarray(a, dtype=np.int64) % p, np.eye(n, dtype=np.int64)], axis=1)
+    red, pivots = _rref_array(FiniteField(p, (0, 1)), aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular over the prime field")
     return red[:, n:]

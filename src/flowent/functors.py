@@ -6,7 +6,10 @@ multiplication matrix; induction along K -> L keeps the coordinate layout
 and pushes entries through the embedding.  Entropy scales by the degree
 under restriction and is unchanged under induction; ``verify_theorem``
 checks both formulas together with the per-depth identities that drive
-them.
+them.  The identities are checked on constraint forms, dual to the
+cotrajectories: restriction and induction of a cotrajectory are the
+kernels of ``block_expand`` and ``entry_embed`` of its reduced
+row-echelon constraint form, and both maps keep that form reduced.
 """
 
 from __future__ import annotations
@@ -248,31 +251,52 @@ def _identity_checks(
     n_max: int,
     ms: tuple[int, ...],
     slack: int,
-) -> dict[int, bool]:
-    """Per-depth identities: restriction scales codimensions by the degree
-    and commutes with cotrajectories; induction preserves cotrajectories."""
+) -> dict[tuple[int, int], tuple[bool, bool, bool, bool]]:
+    """Per-depth identities for each chain member m in ``ms`` and depth n:
+    restriction scales the codimension by the degree and commutes with the
+    cotrajectory; induction commutes with the cotrajectory and keeps its
+    codimension.  Returns ``{(m, n): (res_codim, res, ind, ind_codim)}``.
+
+    Each cotrajectory is checked through its constraint form, the reduced
+    row-echelon form R (without zero rows) whose kernel it is; forms R_K,
+    R_F and R_L come from ``cotrajectory_run`` over K, F and L.
+
+    - ``res(ker R) = ker(block_expand R)``: ``block_expand`` realizes the
+      same map on re-blocked coordinates.  ``ind(ker R) = ker(entry_embed
+      R)``: the embedded kernel basis lies in the right side, and both have
+      the same dimension because ``entry_embed`` keeps rank.
+    - Both maps send a reduced row-echelon form to one: a pivot 1 becomes
+      the identity block I_deg, or stays 1, and zeros stay zero, so the
+      leading entries keep their staircase and each pivot column stays
+      zero outside its pivot row.
+    - Two subspaces are equal iff their annihilators are, and a row space
+      has exactly one reduced row-echelon form.  So ``res(C_K) = C_F`` iff
+      ``block_expand(R_K) == R_F``, and ``ind(C_K) = C_L`` iff
+      ``entry_embed(R_K) == R_L``, entry for entry.
+    - The codimension of C_n in U is the rank of R less the dead
+      coordinates, so the codimension identities compare row counts.
+
+    No row reduction runs beyond the ones that build the forms.
+    """
     deg = e_fk.degree
-    out = {n: True for n in range(1, n_max + 1)}
+    out = {}
     for m in ms:
         u = GoodSubspace.principal(m)
         w_k = default_window(flow, u, n_max, slack)
-        c_k = cotrajectory_run(flow, u, n_max, w_k)
-
-        u_f = res_good(e_fk, u)
-        c_f = cotrajectory_run(flow_f, u_f, n_max, deg * w_k)
-        dead_f = deg * (flow.discrete_dim + m)
+        r_k = cotrajectory_run(flow, u, n_max, w_k)
+        r_f = cotrajectory_run(flow_f, res_good(e_fk, u), n_max, deg * w_k)
+        r_l = cotrajectory_run(flow_l, u, n_max, w_k)
         dead_k = flow.discrete_dim + m
-
-        c_l = cotrajectory_run(flow_l, u, n_max, w_k)
-        for n in range(1, n_max + 1):
-            codim_k = (flow.discrete_dim + w_k) - dead_k - c_k[n - 1].dim
-            codim_f = deg * (flow.discrete_dim + w_k) - dead_f - c_f[n - 1].dim
-            codim_l = (flow.discrete_dim + w_k) - dead_k - c_l[n - 1].dim
-            ok = codim_f == deg * codim_k
-            ok = ok and res_subspace(e_fk, c_k[n - 1]) == c_f[n - 1]
-            ok = ok and ind_subspace(e_kl, c_k[n - 1]) == c_l[n - 1]
-            ok = ok and codim_l == codim_k
-            out[n] = out[n] and ok
+        for n, (form_k, form_f, form_l) in enumerate(zip(r_k, r_f, r_l), start=1):
+            codim_k = form_k.rows - dead_k
+            codim_f = form_f.rows - deg * dead_k
+            codim_l = form_l.rows - dead_k
+            out[m, n] = (
+                codim_f == deg * codim_k,
+                block_expand(form_k, e_fk) == form_f,
+                entry_embed(form_k, e_kl) == form_l,
+                codim_l == codim_k,
+            )
     return out
 
 
@@ -298,9 +322,12 @@ def verify_theorem(
     ent_k = ent_star(flow, cfg)
     ent_f = ent_star(flow_f, cfg)
     ent_l = ent_star(flow_l, cfg)
-    identities = _identity_checks(
+    cells = _identity_checks(
         e_fk, e_kl, flow, flow_f, flow_l, identity_n_max, identity_ms, cfg.window_slack
     )
+    identities = {
+        n: all(all(cells[m, n]) for m in identity_ms) for n in range(1, identity_n_max + 1)
+    }
 
     identities_ok = all(identities.values())
     formulas_known = ent_k.resolved and ent_f.resolved and ent_l.resolved

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, NotContained, NotInvertible
-from .fields import FieldEmbedding, FiniteField
+from .fields import FieldEmbedding, FiniteField, _rref_array
 
 
 class Matrix:
@@ -129,33 +129,6 @@ def vstack(blocks: Sequence[Matrix]) -> Matrix:
 # ---------------------------------------------------------------------------
 # row reduction
 # ---------------------------------------------------------------------------
-
-
-def _rref_array(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """In-place reduced row echelon form; returns (array, pivot columns)."""
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        pv = int(a[r, c])
-        if pv != 1:
-            a[r] = field.arr_mul(np.int64(field.inv(pv)), a[r])
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit] = field.arr_sub(a[hit], field.arr_mul(col[hit, None], a[r][None, :]))
-        pivots.append(c)
-        r += 1
-    return a, pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

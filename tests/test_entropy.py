@@ -14,13 +14,23 @@ from flowent.entropy import (
     codim_sequence,
     conjugate_flow,
     cotrajectory,
+    cotrajectory_run,
     ent_star,
     h_star,
     power_flow,
 )
-from flowent.errors import NotInvertible, TooLarge, WindowTooSmall
+from flowent.errors import NotInvertible, TooLarge
 from flowent.fields import least_irreducible, make_extension, make_prime_field
-from flowent.linalg import Matrix, Subspace, intersect, preimage, random_invertible, rank, vstack
+from flowent.linalg import (
+    Matrix,
+    Subspace,
+    intersect,
+    kernel,
+    preimage,
+    random_invertible,
+    rank,
+    vstack,
+)
 from flowent.model import (
     EndoSpec,
     Flow,
@@ -52,10 +62,10 @@ class TestCotrajectory:
 
     def test_identity_fixed(self, gf4):
         flow = make_identity(SpaceShape(gf4, 0))
-        cfg = EngineConfig(window=12)
-        ref = cotrajectory(flow, U(2), 1, cfg)
+        forms = cotrajectory_run(flow, U(2), 5, 12)
+        ref = kernel(forms[0])
         for n in (1, 3, 5):
-            assert cotrajectory(flow, U(2), n, cfg) == ref
+            assert kernel(forms[n - 1]) == ref
 
     @pytest.mark.parametrize("m,n", [(1, 3), (2, 4), (3, 2)])
     def test_bernoulli_vanishing_coordinates(self, gf2, m, n):
@@ -74,20 +84,12 @@ class TestCotrajectory:
         flow = random_stencil_flow(gf4, 7, discrete=False)
         u = U(2)
         window = cotrajectory(flow, u, 4).ambient
-        cfg = EngineConfig(window=window)
         mat, _ = truncate(flow, window)
-        u_win = cotrajectory(flow, u, 1, cfg)
-        prev = u_win
+        cots = [kernel(form) for form in cotrajectory_run(flow, u, 4, window)]
+        u_win = cots[0]
         for n in range(2, 5):
-            stepped = intersect(u_win, preimage(mat, prev))
-            direct = cotrajectory(flow, u, n, cfg)
-            assert stepped == direct
-            prev = direct
-
-    def test_pinned_window_too_small(self, gf2):
-        flow = make_bernoulli(gf2, 1)
-        with pytest.raises(WindowTooSmall):
-            cotrajectory(flow, U(3), 6, EngineConfig(window=5))
+            stepped = intersect(u_win, preimage(mat, cots[n - 2]))
+            assert stepped == cots[n - 1]
 
 
 class TestCodimSequence:

@@ -6,7 +6,9 @@ import pytest
 from flowent.entropy import EngineConfig, brute_force_codim, codim_sequence
 from flowent.errors import FieldMismatch
 from flowent.fields import compose, identity_embedding
+from flowent import functors
 from flowent.functors import (
+    _identity_checks,
     adjunction_dim_check,
     complete_tensor_finite,
     ind_flow,
@@ -23,6 +25,7 @@ from flowent.linalg import (
     Subspace,
     block_expand,
     entry_embed,
+    kernel,
     kronecker,
     random_matrix,
 )
@@ -146,7 +149,7 @@ class TestSubspaceMaps:
             ck = cotrajectory_run(flow, u, n_max, w)
             cf = cotrajectory_run(flow_f, res_good(emb, u), n_max, 2 * w)
             for n in range(n_max):
-                assert res_subspace(emb, ck[n]) == cf[n]
+                assert res_subspace(emb, kernel(ck[n])) == kernel(cf[n])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ind_preserves_codim(self, gf4_pair, gf16_pair, seed):
@@ -361,3 +364,100 @@ class TestVerifyTheorem:
             "verdict",
         }
         assert list(d["identities"]) == ["1", "2", "3", "4"]
+
+
+def _kernel_route(e_fk, e_kl, flow, flow_f, flow_l, n_max, ms, slack):
+    """Reference for ``_identity_checks``: take the kernel of every
+    constraint form and compare the mapped subspaces and their dimensions."""
+    deg = e_fk.degree
+    cells = {}
+    for m in ms:
+        u = U(m)
+        w = default_window(flow, u, n_max, slack)
+        c_k = [kernel(r) for r in cotrajectory_run(flow, u, n_max, w)]
+        c_f = [kernel(r) for r in cotrajectory_run(flow_f, res_good(e_fk, u), n_max, deg * w)]
+        c_l = [kernel(r) for r in cotrajectory_run(flow_l, u, n_max, w)]
+        dead = flow.discrete_dim + m
+        for n in range(1, n_max + 1):
+            sub_k, sub_f, sub_l = c_k[n - 1], c_f[n - 1], c_l[n - 1]
+            codim_k = sub_k.ambient - dead - sub_k.dim
+            cells[m, n] = (
+                sub_f.ambient - deg * dead - sub_f.dim == deg * codim_k,
+                res_subspace(e_fk, sub_k) == sub_f,
+                ind_subspace(e_kl, sub_k) == sub_l,
+                sub_l.ambient - dead - sub_l.dim == codim_k,
+            )
+    return cells
+
+
+def _perturb(flow):
+    """The flow with 1 added to one stencil coefficient of phase 0."""
+    endo, field = flow.endo, flow.field
+    stencil = [dict(endo.phase(rho)) for rho in range(endo.period)]
+    k = min(stencil[0]) if stencil[0] else 0
+    stencil[0][k] = field.add(stencil[0].get(k, 0), 1)
+    spec = EndoSpec(field, stencil, prefix=endo.prefix, dd=endo.dd, cd=endo.cd, dc=endo.dc)
+    return Flow(flow.shape, spec, label=flow.label)
+
+
+@pytest.fixture(scope="module")
+def towers(gf2, gf4_pair, gf16_pair):
+    """(F <= K, K <= L) for GF(2) <= GF(4) <= GF(16), GF(3) <= GF(9) <=
+    GF(81), and GF(2) <= GF(16) <= GF(256) along the composed embedding."""
+    from flowent.fields import least_irreducible, make_extension, make_prime_field
+
+    gf3 = make_prime_field(3)
+    gf9, e39 = make_extension(gf3, least_irreducible(gf3, 2))
+    _, e981 = make_extension(gf9, least_irreducible(gf9, 2))
+    gf16 = gf16_pair[0]
+    _, e16_256 = make_extension(gf16, least_irreducible(gf16, 2))
+    return {
+        4: (gf4_pair[1], gf16_pair[1]),
+        9: (e39, e981),
+        16: (compose(gf4_pair[1], gf16_pair[1]), e16_256),
+    }
+
+
+FLOWS = [(4, s) for s in range(12)] + [(9, s) for s in range(10)] + [(16, s) for s in range(10)]
+
+
+class TestIdentityChecks:
+    n_max = 6
+    ms = (0, 1, 2)
+
+    def cells(self, route, e_fk, e_kl, flow, flow_f, flow_l):
+        return route(e_fk, e_kl, flow, flow_f, flow_l, self.n_max, self.ms, 4)
+
+    @pytest.mark.parametrize("q,seed", FLOWS)
+    def test_forms_match_kernel_route(self, towers, q, seed):
+        e_fk, e_kl = towers[q]
+        flow = random_stencil_flow(e_fk.target, seed)
+        args = (e_fk, e_kl, flow, res_flow(e_fk, flow), ind_flow(e_kl, flow))
+        got = self.cells(_identity_checks, *args)
+        assert got == self.cells(_kernel_route, *args)
+        assert all(all(c) for c in got.values())
+
+    @pytest.mark.parametrize("side", ["res", "ind"])
+    @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (9, 1), (16, 2)])
+    def test_perturbed_flow_fails(self, towers, monkeypatch, side, q, seed):
+        e_fk, e_kl = towers[q]
+        flow = random_stencil_flow(e_fk.target, seed)
+        flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+        if side == "res":
+            flow_f = _perturb(flow_f)
+        else:
+            flow_l = _perturb(flow_l)
+        args = (e_fk, e_kl, flow, flow_f, flow_l)
+        ref = self.cells(_kernel_route, *args)
+        assert self.cells(_identity_checks, *args) == ref
+        failing = sorted({n for (m, n), c in ref.items() if not all(c)})
+        assert failing
+
+        # the same fault injected into verify_theorem
+        name = "res_flow" if side == "res" else "ind_flow"
+        original = getattr(functors, name)
+        monkeypatch.setattr(functors, name, lambda e, fl: _perturb(original(e, fl)))
+        cfg = EngineConfig(n_max=12, m_max=2)
+        report = verify_theorem(e_fk, e_kl, flow, cfg, self.n_max, self.ms)
+        assert report.verdict == "FAIL"
+        assert sorted(n for n, ok in report.identities.items() if not ok) == failing
