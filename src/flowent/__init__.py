@@ -31,6 +31,7 @@ from .errors import (
     NotContained,
     NotInvertible,
     NotPrime,
+    NotSubspace,
     Reducible,
     TooLarge,
     WindowTooSmall,

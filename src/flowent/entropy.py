@@ -10,12 +10,20 @@ previous constraint block by the window matrix once.
 Ranks are tracked over the prime field.  Restricting scalars along
 GF(p) <= GF(p^d) multiplies every codimension by d, so the GF(p^d) rank of
 a block of rows is the GF(p) rank of its restricted rows divided by d.
-That leaves one exact core per characteristic: bit-packed XOR elimination
-for p = 2, and a fully reduced basis that absorbs each step's block with
-one float64 product reduced mod p for odd p.  Cotrajectories are carried
-as their constraint forms: one reduced row-echelon form over the flow's
-own field, extended from step to step, whose kernel is the cotrajectory.
-Every row reduction, over any field, runs through ``fields._rref_array``.
+The constraint spans of the principal chain U_0, ..., U_M form a flag
+V_0 <= ... <= V_M: member m's rows are a prefix of member M's.  So one
+tracker per chain holds a basis adapted to that flag, each restricted row
+is inserted once at the level of the smallest member it belongs to, and
+member m's rank is the number of basis rows of level <= m.  That leaves
+one exact core per characteristic: bit-packed XOR elimination with level
+exchanges for p = 2, and for odd p one reduced row-echelon block per
+level, each absorbing the step's rows with a float64 product reduced
+mod p.
+
+Cotrajectories are carried as their constraint forms: one reduced
+row-echelon form over the flow's own field, extended from step to step,
+whose kernel is the cotrajectory.  Every row reduction, over any field,
+runs through ``fields._rref_array``.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.
@@ -25,11 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NotInvertible, TooLarge
+from .errors import NotInvertible, NotSubspace, TooLarge
 from .fields import _rref_array, check_float_exact, make_prime_field
 from .linalg import Matrix, Subspace, inverse, kernel
 from .model import (
@@ -104,79 +113,138 @@ class CodimTrace:
         )
 
 
-class _PackedStackPrime:
-    """GF(2) echelon tracker: one bit-packed integer per row, XOR inserts."""
+class _FlagStack2:
+    """GF(2) rank tracker for a flag of row spans ``V_0 <= ... <= V_M``.
 
-    def __init__(self):
-        self.pivot_row: dict[int, int] = {}
+    ``bounds`` is non-decreasing.  Row j of each inserted block, which has
+    at most ``bounds[-1]`` rows, has level ``#{b in bounds : b <= j}``, and
+    ``V_m`` is the span of all rows inserted so far at level <= m.
+    Rows are bit-packed integers whose lowest set bit is the lead.  Each
+    lead has at most one holder, stored with a level.  Row w enters at its
+    level l and, while w is nonzero, looks up the holder h of its lead:
+
+    - none: w becomes the holder, at level l;
+    - h at a level <= l: w becomes ``w ^ h``;
+    - h at a level above l: w becomes the holder at level l, and the
+      displaced h goes on as ``h ^ w`` at its own level.
+
+    The holders of level <= m are a basis of ``V_m`` for every m, so
+    ``ranks[m]`` counts them.  Proof: every step adds to the row it changes
+    a row of no higher level (``h`` to ``w`` when h's level is <= l, ``w``
+    to ``h`` when it is above), so no ``V_m`` changes except that w joins
+    it for m >= l; each holder of level <= m lies in ``V_m``; and holders
+    have distinct leads, so they are independent.  Each step ends the loop
+    or moves the lead strictly up (``x ^ y`` of two rows with the same lead
+    clears it), so an insert ends after at most one step per column.
+    """
+
+    def __init__(self, bounds: Sequence[int]):
+        self.levels = np.searchsorted(bounds, np.arange(bounds[-1]), side="right").tolist()
+        self.holders: dict[int, tuple[int, int]] = {}
+        self.per_level = [0] * len(bounds)
 
     @property
-    def rank(self) -> int:
-        return len(self.pivot_row)
+    def ranks(self) -> list[int]:
+        return list(accumulate(self.per_level))
 
     def insert(self, rows: np.ndarray) -> None:
-        pivot_row = self.pivot_row
-        for packed_row in np.packbits(rows.astype(np.uint8), axis=1, bitorder="little"):
+        holders = self.holders
+        per_level = self.per_level
+        packed_rows = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+        for packed_row, level in zip(packed_rows, self.levels):
             packed = int.from_bytes(packed_row.tobytes(), "little")
             while packed:
                 lead = (packed & -packed).bit_length() - 1
-                holder = pivot_row.get(lead)
-                if holder is None:
-                    pivot_row[lead] = packed
+                held = holders.get(lead)
+                if held is None:
+                    holders[lead] = (packed, level)
+                    per_level[level] += 1
                     break
-                packed ^= holder
+                holder, held_level = held
+                if held_level <= level:
+                    packed ^= holder
+                else:
+                    holders[lead] = (packed, level)
+                    per_level[level] += 1
+                    per_level[held_level] -= 1
+                    packed, level = holder ^ packed, held_level
 
 
-class _BlockStackOdd:
-    """Odd-characteristic echelon tracker that reduces a row block at once.
+class _FlagStackOdd:
+    """Odd-characteristic rank tracker for a flag of row spans
+    ``V_0 <= ... <= V_M``, with the row levels of ``_FlagStack2``.
 
-    The basis is fully reduced (each pivot column is zero outside its pivot
-    row) and holds only the columns the rows so far reach.  So a row's
-    entries in the pivot columns are its coefficients on the basis, and a
-    block is reduced with one float64 product, exact while
-    ``rank * (p-1)^2 + p < 2^53``, and an exact reduction mod p.  The few
-    residue rows are row-reduced among themselves, and only the basis rows
-    with nonzero entries in the new pivot columns are updated.  The basis
-    is stored in the smallest integer type that holds p - 1.
+    Level m holds the rows of the reduced row-echelon form of ``V_m`` whose
+    pivots are not pivots of ``V_{m-1}``.  So the rows of level <= m have
+    distinct pivots, lie in ``V_m`` and number ``dim V_m``: they are a
+    basis of ``V_m``, and ``ranks[m]`` counts them.  A block goes through
+    the levels m = 0..M in turn:
+
+    - it is reduced by level m's rows.  Those vanish at the pivots of
+      ``V_{m-1}``, so after levels 0..m every block row vanishes at every
+      pivot of ``V_m``: it is its unique residue modulo ``V_m``;
+    - the residues of the rows of level <= m are row-reduced; their pivots
+      ``Q_m`` are the pivots the new ``V_m`` adds;
+    - level m's rows are cleared at ``Q_m``.  With the reduced residues
+      they are the rows of the new form of ``V_m`` at pivots outside
+      ``V_{m-1}``'s old ones;
+    - of those, the rows at ``Q_{m-1}`` are dropped: the new ``V_{m-1}``
+      has exactly the pivots of the old one and ``Q_{m-1}``.
+
+    Products run in float64 on entries and coefficients in 0..p-1, so every
+    value stays below ``rank * (p-1)^2 + p``, checked against 2^53, and is
+    reduced exactly mod p in int64.  Only the rows hit by the new pivots
+    are updated, and only in the columns where the reduced residues are
+    nonzero.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, bounds: Sequence[int]):
         self.prime = make_prime_field(p)
-        self.basis = np.zeros((0, 0), dtype=np.min_scalar_type(p - 1))
-        self.pivots: list[int] = []
+        self.bounds = list(bounds)
+        self.width = 0
+        self.bases = [np.zeros((0, 0)) for _ in bounds]
+        self.pivots: list[list[int]] = [[] for _ in bounds]
 
     @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def ranks(self) -> list[int]:
+        return list(accumulate(len(pivots) for pivots in self.pivots))
 
     def insert(self, rows: np.ndarray) -> None:
-        if not rows.shape[0]:
-            return
         p = self.prime.p
-        basis = self.basis
-        rank, width = basis.shape
-        check_float_exact((rank + rows.shape[0]) * (p - 1) ** 2 + p, f"rank tracker over GF({p})")
-        if rows.shape[1] > width:
-            basis = np.zeros((rank, rows.shape[1]), dtype=basis.dtype)
-            basis[:, :width] = self.basis
-        resid = rows.astype(np.float64)
-        if rank:
-            resid -= resid[:, self.pivots] @ basis.astype(np.float64)
-        resid = resid.astype(np.int64) % p
-        resid = resid[resid.any(axis=1)]
-        if resid.shape[0]:
-            red, new = _rref_array(self.prime, resid)
+        largest = (self.ranks[-1] + rows.shape[0]) * (p - 1) ** 2 + p
+        check_float_exact(largest, f"rank tracker over GF({p})")
+        self.width = width = max(self.width, rows.shape[1])
+        block = np.zeros((rows.shape[0], width))
+        block[:, : rows.shape[1]] = rows
+        claimed: list[int] = []
+        for level, bound in enumerate(self.bounds):
+            basis, pivots = self.bases[level], self.pivots[level]
+            if pivots:
+                coeff = block[:, pivots].astype(np.int64) % p
+                block[:, : basis.shape[1]] -= coeff @ basis
+            resid = block[:bound].astype(np.int64) % p
+            resid = resid[resid.any(axis=1)]
+            red, new = _rref_array(self.prime, resid) if resid.shape[0] else (resid, [])
             red = red[: len(new)]
+            if new and basis.shape[1] < width:
+                wide = np.zeros((len(pivots), width))
+                wide[:, : basis.shape[1]] = basis
+                basis = wide
             coeff = basis[:, new]
             hit = np.flatnonzero(coeff.any(axis=1))
             if hit.size:
                 cols = np.flatnonzero(red.any(axis=0))
-                block = np.ix_(hit, cols)
-                delta = (coeff[hit].astype(np.float64) @ red[:, cols]).astype(np.int64)
-                basis[block] = (basis[block] - delta) % p
-            basis = np.concatenate([basis, red.astype(basis.dtype)])
-            self.pivots += new
-        self.basis = basis
+                part = np.ix_(hit, cols)
+                basis[part] = (basis[part] - coeff[hit] @ red[:, cols]) % p
+            keep = [i for i, c in enumerate(pivots) if c not in claimed]
+            if len(keep) < len(pivots):
+                basis, pivots = basis[keep], [pivots[i] for i in keep]
+            add = [i for i, c in enumerate(new) if c not in claimed]
+            if add:
+                basis = np.concatenate([basis, red[add]])
+                pivots = pivots + [new[i] for i in add]
+            self.bases[level], self.pivots[level] = basis, pivots
+            claimed = new
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
@@ -225,22 +293,24 @@ def _rank_traces(
     flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int
 ) -> list[list[int]]:
     """Codimension traces of the first ``count`` constraint rows per step,
-    for each count in ``counts``, tracked over the prime field.
+    for each count in ``counts`` (non-decreasing), tracked over the prime
+    field in one flag tracker.
 
-    The codimension at step n is the rank of the rows so far less
-    ``count``, the codimension of the good subspace itself.
+    Restricted row j has level ``#{c in counts : c * deg <= j}``, so it
+    belongs to the span of count c exactly when ``j < c * deg``.  Each
+    step's restricted rows are inserted once, and the codimension at step
+    n is the rank at the count's level over ``deg``, less ``count``, the
+    codimension of the good subspace itself.
     """
     field = flow.field
     deg = field.d
-    stacks = [
-        _PackedStackPrime() if field.p == 2 else _BlockStackOdd(field.p) for _ in counts
-    ]
+    bounds = [count * deg for count in counts]
+    stack = _FlagStack2(bounds) if field.p == 2 else _FlagStackOdd(field.p, bounds)
     values: list[list[int]] = [[] for _ in counts]
     for block in _constraint_blocks(flow, dead, n_max, window):
-        rows = _restrict(field, block)
-        for count, stack, vals in zip(counts, stacks, values):
-            stack.insert(rows[: count * deg])
-            vals.append(stack.rank // deg - count)
+        stack.insert(_restrict(field, block)[: bounds[-1]])
+        for count, rank, vals in zip(counts, stack.ranks, values):
+            vals.append(rank // deg - count)
     return values
 
 
@@ -258,9 +328,12 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     """Traces for the whole chain U_0, ..., U_{m_max} in one pass.
 
     The constraint rows of a smaller chain member are a prefix of the rows
-    of the largest one, so a single sequence of row-block products feeds
-    one rank tracker per member.  All members share the window certified
-    for the largest, which is sound by window independence.
+    of the largest one, so the constraint spans of the members form a flag.
+    A single sequence of row-block products feeds one tracker that holds a
+    basis adapted to that flag: each row enters once, at the level of the
+    smallest member it belongs to, and every member's rank is read from
+    that basis.  All members share the window certified for the largest,
+    which is sound by window independence.
     """
     top = GoodSubspace.principal(cfg.m_max)
     window = default_window(flow, top, n_max, cfg.window_slack)
@@ -444,7 +517,8 @@ def brute_force_codim(flow: Flow, u: GoodSubspace, n: int, window: int) -> int:
     members_c = int(alive.sum())
     dim_u = members_u.bit_length() - 1
     dim_c = members_c.bit_length() - 1
-    assert members_u == 1 << dim_u and members_c == 1 << dim_c
+    if members_u != 1 << dim_u or members_c != 1 << dim_c:
+        raise NotSubspace(f"{members_u} and {members_c} window vectors are not both powers of 2")
     return dim_u - dim_c
 
 

@@ -33,6 +33,11 @@ class WindowTooSmall(FlowentError):
     """A truncation window cannot satisfy its exactness bound."""
 
 
+class NotSubspace(FlowentError):
+    """An enumerated set that must be a subspace has a size that is not a
+    power of the field order."""
+
+
 class TooLarge(FlowentError):
     """An input exceeds a size cap: a brute-force enumeration, or a float64
     product whose values would no longer be exact."""

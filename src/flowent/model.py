@@ -317,7 +317,8 @@ def direct_sum(f: Flow, g: Flow) -> Flow:
         for u in range(r):
             row_f, spill_f = ef.compact_row(u, width // 2)
             row_g, spill_g = eg.compact_row(u, width // 2)
-            assert not spill_f and not spill_g
+            if spill_f or spill_g:
+                raise WindowTooSmall(f"prefix row {u} reads past the prefix width {width // 2}")
             pref[2 * u, 0::2] = row_f
             pref[2 * u + 1, 1::2] = row_g
         prefix = Matrix(field, pref)
@@ -529,7 +530,8 @@ def _flow_from_window(
     rows below ``boundary`` (and all discrete rows) are trusted."""
     field = shape.field
     d = shape.discrete_dim
-    assert boundary + 1 < window
+    if boundary + 1 >= window:
+        raise WindowTooSmall(f"window {window} does not exceed the trusted rows {boundary} by 2")
     dd = Matrix(field, window_matrix[:d, :d])
     cd_block = window_matrix[:d, d:]
     cd_width = int(np.nonzero(cd_block.any(axis=0))[0].max() + 1) if cd_block.any() else 0

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowent.entropy import (
+    DEFAULT_CONFIG,
     EngineConfig,
+    _FlagStack2,
+    _FlagStackOdd,
     brute_force_codim,
     chain_traces,
     codim_sequence,
@@ -20,7 +23,7 @@ from flowent.entropy import (
     power_flow,
 )
 from flowent.errors import NotInvertible, TooLarge
-from flowent.fields import least_irreducible, make_extension, make_prime_field
+from flowent.fields import _prime_rank, least_irreducible, make_extension, make_prime_field
 from flowent.linalg import (
     Matrix,
     Subspace,
@@ -200,6 +203,95 @@ class TestTracesAgainstReference:
             dead_u = list(range(d)) + [d + i for i in sorted(u.zero_set)]
             (expected_u,) = _reference_codims(flow, dead_u, [len(dead_u)], n_max, trace.windows[0])
             assert list(trace.values) == expected_u, (field, seed, u)
+
+
+def _flag_stack(p, bounds):
+    return _FlagStack2(bounds) if p == 2 else _FlagStackOdd(p, bounds)
+
+
+def _level_row(bounds, level, row):
+    """A block whose only nonzero row is ``row``, at the first index of
+    ``level``."""
+    block = np.zeros((bounds[-1], len(row)), dtype=np.int64)
+    block[bounds[level - 1] if level else 0] = row
+    return block
+
+
+class TestFlagTrackers:
+    """The flag-adapted rank trackers against the rank of the stacked rows
+    of each level, computed from scratch."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_late_low_level_row_takes_the_lead(self, p):
+        # a level-1 row, then an equal level-0 row: both spans have rank 1
+        bounds = [1, 2]
+        stack = _flag_stack(p, bounds)
+        stack.insert(_level_row(bounds, 1, [1, 0]))
+        assert stack.ranks == [0, 1]
+        stack.insert(_level_row(bounds, 0, [1, 0]))
+        assert stack.ranks == [1, 1]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_insert_displaces_across_three_levels(self, p):
+        # y = e1 + e2 at level 2, x = e0 + e1 at level 1, then w = e0 at
+        # level 0: w displaces x, x + w = e1 displaces y, and y + e1 = e2
+        # settles at level 2
+        bounds = [1, 2, 3]
+        stack = _flag_stack(p, bounds)
+        stack.insert(_level_row(bounds, 2, [0, 1, 1]))
+        stack.insert(_level_row(bounds, 1, [1, 1, 0]))
+        assert stack.ranks == [0, 1, 2]
+        stack.insert(_level_row(bounds, 0, [1, 0, 0]))
+        assert stack.ranks == [1, 2, 3]
+        if p == 2:
+            assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 1, 2: 2}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_row_streams(self, p):
+        rng = np.random.default_rng(p)
+        for trial in range(40):
+            sizes = rng.integers(0, 4, size=int(rng.integers(1, 6)))  # rows per level
+            if trial % 4 == 0:
+                sizes[0] = 0  # level 0 with no rows, as for d = 0
+            bounds = np.cumsum(sizes).tolist()
+            if not bounds[-1]:
+                continue
+            stack = _flag_stack(p, bounds)
+            width = int(rng.integers(1, 4))
+            inserted = []
+            for _ in range(int(rng.integers(1, 12))):
+                width += int(rng.integers(0, 3))
+                rows = rng.integers(0, p, size=(bounds[-1], width))
+                rows *= rng.random((bounds[-1], 1)) < 0.7  # some zero rows
+                if inserted and rng.random() < 0.3:
+                    old = inserted[int(rng.integers(len(inserted)))]
+                    rows[:, : old.shape[1]] = old  # the same rows again
+                stack.insert(rows)
+                inserted.append(rows)
+                want = []
+                for bound in bounds:
+                    stacked = np.zeros((len(inserted) * bound, width), dtype=np.int64)
+                    for i, block in enumerate(inserted):
+                        stacked[i * bound : (i + 1) * bound, : block.shape[1]] = block[:bound]
+                    want.append(_prime_rank(stacked, p) if stacked.size else 0)
+                assert stack.ranks == want, (p, trial, bounds)
+
+    @pytest.mark.parametrize("q", [2, 4, 16])
+    def test_default_chain_char2(self, q):
+        # the default nine members, where exchanges between levels are most
+        # frequent, against the per-member reference
+        gf2 = make_prime_field(2)
+        degree = q.bit_length() - 1
+        field = gf2 if q == 2 else make_extension(gf2, least_irreducible(gf2, degree))[0]
+        n_max = 20
+        for seed in range(4):
+            flow = random_stencil_flow(field, seed)
+            traces = chain_traces(flow, n_max, DEFAULT_CONFIG)
+            d = flow.discrete_dim
+            dead = list(range(d)) + [d + i for i in range(DEFAULT_CONFIG.m_max)]
+            counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
+            expected = _reference_codims(flow, dead, counts, n_max, traces[0].windows[0])
+            assert [list(t.values) for t in traces] == expected, (q, seed)
 
 
 class TestOracle:

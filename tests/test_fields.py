@@ -249,27 +249,33 @@ class TestDescriptors:
 
 # Runs the two float64 exactness guards one past their bound over
 # GF(65521): the block product, and the odd-characteristic rank tracker
-# holding a (zero-width) basis of that rank.  Prints one line per guard.
+# holding that many pivots.  Then assembles a flow from a window one
+# coordinate past its trusted rows.  Prints one line per guard.
 _GUARD_SCRIPT = """
 import numpy as np
-from flowent.entropy import _BlockStackOdd
-from flowent.errors import TooLarge
+from flowent.entropy import _FlagStackOdd
+from flowent.errors import TooLarge, WindowTooSmall
 from flowent.fields import make_prime_field
+from flowent.model import SpaceShape, _flow_from_window
 
 p = 65521
 inner = (1 << 53) // (p - 1) ** 2 + 1
 field = make_prime_field(p)
 zeros = np.broadcast_to(np.int64(0), (inner, 1))
-stack = _BlockStackOdd(p)
-stack.basis = np.zeros((inner, 0), dtype=np.uint16)
+stack = _FlagStackOdd(p, [1])
+stack.pivots = [range(inner)]
+gf2 = make_prime_field(2)
 checks = {
-    "matmul": lambda: field.matmul_prepared(zeros.T, field.prepare_right(zeros)),
-    "tracker": lambda: stack.insert(np.zeros((1, 1), dtype=np.int64)),
+    "matmul": (TooLarge, lambda: field.matmul_prepared(zeros.T, field.prepare_right(zeros))),
+    "tracker": (TooLarge, lambda: stack.insert(np.zeros((1, 1), dtype=np.int64))),
+    "window": (WindowTooSmall, lambda: _flow_from_window(
+        SpaceShape(gf2, 0), [{1: 1}], 3, np.zeros((4, 4), dtype=np.int64), 4, "w"
+    )),
 }
-for name, call in checks.items():
+for name, (error, call) in checks.items():
     try:
         call()
-    except TooLarge:
+    except error:
         print(name, "raised")
     else:
         print(name, "passed")
@@ -291,4 +297,4 @@ class TestFloatExactness:
             [sys.executable, "-O", "-c", _GUARD_SCRIPT],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert out.stdout.splitlines() == ["matmul raised", "tracker raised"]
+        assert out.stdout.splitlines() == ["matmul raised", "tracker raised", "window raised"]

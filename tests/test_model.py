@@ -12,6 +12,7 @@ from flowent.model import (
     Flow,
     GoodSubspace,
     SpaceShape,
+    _flow_from_window,
     compose_flow,
     decompose,
     default_window,
@@ -219,6 +220,15 @@ class TestCompose:
     def test_field_mismatch(self, gf2, gf4):
         with pytest.raises(FieldMismatch):
             compose_flow(make_bernoulli(gf2, 1), make_bernoulli(gf4, 1))
+
+    def test_window_must_pass_trusted_rows(self, gf2):
+        # a window of boundary + 1 coordinates leaves no untrusted row
+        shape = SpaceShape(gf2, 0)
+        mat = np.zeros((4, 4), dtype=np.int64)
+        with pytest.raises(WindowTooSmall):
+            _flow_from_window(shape, [{1: 1}], 3, mat, 4, "w")
+        wider = np.zeros((5, 5), dtype=np.int64)
+        assert _flow_from_window(shape, [{1: 1}], 3, wider, 5, "w").discrete_dim == 0
 
 
 class TestFlowSpecJson:
