@@ -24,7 +24,14 @@ from .entropy import (
     report_csv_rows,
 )
 from .errors import FlowentError, TooLarge
-from .fields import FiniteField, least_irreducible, make_extension, make_prime_field, tower_from_descriptor
+from .fields import (
+    FiniteField,
+    check_order,
+    least_irreducible,
+    make_extension,
+    make_prime_field,
+    tower_from_descriptor,
+)
 from .functors import make_entropy_n, verify_theorem
 from .model import (
     GoodSubspace,
@@ -91,6 +98,7 @@ def _parse_field(text: str) -> FiniteField:
     if isinstance(spec, dict):
         return tower_from_descriptor(spec).top
     if isinstance(spec, int) and spec >= 2:
+        check_order(spec, f"GF({spec})")
         q = spec
         p = next(f for f in range(2, q + 1) if q % f == 0)
         d = 0

@@ -3,11 +3,13 @@
 Every field is presented over its prime field: an element of GF(p^d) is a
 length-d coefficient vector over GF(p), packed into an integer code in
 ``range(p**d)`` whose base-p digits run from the constant term upward.
-Bulk operations act on numpy arrays of codes; matrix products route
-through per-digit integer BLAS so that everything stays exact.
+Element products in a proper extension look up O(q) int32 tables of the
+powers and logarithms of a generator; matrix products route through
+per-digit float64 BLAS, exact below 2^53.
 
-All values here are immutable after construction and every operation is a
-pure function, so unrestricted concurrent use is safe.
+A field is immutable after construction.  An embedding computes its table
+of regular representations, a pure function of it, on first use, so
+unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 
 from .errors import Mismatch, NotPrime, Reducible, TooLarge
 
-# Largest extension-field order that gets dense multiplication tables.
-_TABLE_CAP = 1024
 # Desk-scale cap on prime characteristics.
 _PRIME_CAP = 1 << 16
+# Desk-scale cap on field orders: irreducible scans and the tables grow with q.
+_ORDER_CAP = 1 << 16
 # float64 holds every integer of magnitude below this exactly.
 _FLOAT_EXACT = 1 << 53
 
@@ -82,6 +84,14 @@ def check_float_exact(largest: int, what: str) -> None:
         raise TooLarge(f"{what}: values up to {largest} are not exact in float64")
 
 
+def check_order(q: int, what: str, degree: int = 1) -> None:
+    """Raise TooLarge when a field of order ``q**degree`` exceeds the
+    desk-scale cap.  As q >= 2, a degree of the cap's bit length or more
+    exceeds it, and the power is not built."""
+    if degree >= _ORDER_CAP.bit_length() or q**degree > _ORDER_CAP:
+        raise TooLarge(f"{what} exceeds the order cap {_ORDER_CAP}")
+
+
 def _prime_rank(a: np.ndarray, p: int) -> int:
     return len(_rref_array(FiniteField(p, (0, 1)), np.asarray(a, dtype=np.int64) % p)[1])
 
@@ -112,15 +122,16 @@ class FiniteField:
     """
 
     def __init__(self, p: int, modulus: Sequence[int], descriptor: dict | None = None):
-        if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if p >= _PRIME_CAP:
             raise ValueError(f"characteristic {p} exceeds the desk-scale cap {_PRIME_CAP}")
+        if not _is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) < 2 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
         self.p = p
         self.d = len(modulus) - 1
+        check_order(p, f"GF({p}^{self.d})", self.d)
         self.q = p**self.d
         self.modulus = modulus
         self.zero = 0
@@ -128,16 +139,15 @@ class FiniteField:
         # x itself when the field is a proper extension, else 1
         self.generator = p if self.d > 1 else 1
         self.descriptor = descriptor if descriptor is not None else {"p": p, "tower": []}
-        self._mul_table: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
         if self.d > 1:
+            if not _poly_is_irreducible(FiniteField(p, (0, 1)), modulus):
+                raise Reducible(f"modulus {modulus} is reducible over GF({p})")
             ppow = p ** np.arange(self.d, dtype=np.int64)
             self._ppow = ppow
             codes = np.arange(self.q, dtype=np.int64)
             self._digits = (codes[:, None] // ppow[None, :]) % p
             self._red = self._reduction_rows()
-            if not _poly_is_irreducible(FiniteField(p, (0, 1)), modulus):
-                raise Reducible(f"modulus {modulus} is reducible over GF({p})")
+            self._exp, self._log = self._log_tables()
 
     # -- identity ----------------------------------------------------------
 
@@ -211,32 +221,24 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if self.d == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
-        return int(self.arr_mul(np.int64(a), np.int64(b)))
+        return self._exp.item(self._log.item(a) + self._log.item(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self.d == 1:
             return pow(a, self.p - 2, self.p)
-        self._ensure_tables()
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
-        # square-and-multiply a**(q-2) without tables
-        acc, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return self._exp.item(self.q - 1 - self._log.item(a))
 
     def power(self, a: int, k: int) -> int:
-        acc = 1
-        for _ in range(k):
-            acc = self.mul(acc, a)
-        return acc
+        """``a`` to the power ``k >= 0``; ``power(0, 0)`` is 1."""
+        if k < 0:
+            raise ValueError(f"exponent {k} is negative")
+        if self.d == 1:
+            return pow(a, k, self.p)
+        if a == 0:
+            return int(k == 0)
+        return self._exp.item(k * self._log.item(a) % (self.q - 1))
 
     # -- array arithmetic ----------------------------------------------------
 
@@ -266,18 +268,8 @@ class FiniteField:
         b = np.asarray(b, dtype=np.int64)
         if self.d == 1:
             return (a * b) % self.p
-        if self.q <= _TABLE_CAP:
-            self._ensure_tables()
-        if self._mul_table is not None:
-            return self._mul_table[a, b].astype(np.int64)
-        da = self.coords_array(a)
-        db = self.coords_array(b)
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        planes = np.zeros(shape + (2 * self.d - 1,), dtype=np.int64)
-        for i in range(self.d):
-            for j in range(self.d):
-                planes[..., i + j] += da[..., i] * db[..., j]
-        return self.encode_array(self._reduce_planes(planes % self.p))
+        # a gather casts int32 indices to intp slowly; one cast of the sum is faster
+        return self._exp[(self._log[a] + self._log[b]).astype(np.intp)].astype(np.int64)
 
     def prepare_right(self, b: np.ndarray):
         """Pre-decode a matrix for repeated use as a right matmul operand."""
@@ -347,21 +339,35 @@ class FiniteField:
             low += np.tensordot(high, self._red[: high.shape[-1]], axes=([-1], [0]))
         return low % self.p
 
-    def _ensure_tables(self) -> None:
-        if self._mul_table is not None or self.d == 1 or self.q > _TABLE_CAP:
-            return
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """int32 antilog and log tables of the first code g that generates
+        the multiplicative group (one does: the group is cyclic).
+
+        ``exp[i]`` is g^i below 2(q-1) and 0 from there to 4(q-1), and
+        ``log[0]`` is 2(q-1), so ``exp[log a + log b]`` is a*b for every
+        pair, zero included.  The powers are built by doubling: the digit
+        rows of g^0 .. g^(k-1) times the multiplication matrix of g^k are
+        those of g^k .. g^(2k-1).
+        """
         d, q = self.d, self.q
-        dig = self._digits
-        planes = np.zeros((q, q, 2 * d - 1), dtype=np.int64)
-        for i in range(d):
+        for g in range(self.p, q):
+            planes = np.zeros((d, 2 * d - 1), dtype=np.int64)
             for j in range(d):
-                planes[:, :, i + j] += np.multiply.outer(dig[:, i], dig[:, j])
-        table = self.encode_array(self._reduce_planes(planes % self.p)).astype(np.int32)
-        self._mul_table = table
-        inv = np.zeros(q, dtype=np.int32)
-        rows, cols = np.nonzero(table == 1)
-        inv[rows] = cols
-        self._inv_table = inv
+                planes[j, j : j + d] = self._digits[g]
+            step = self._reduce_planes(planes)  # row j: digits of x^j * g
+            rows = np.eye(1, d, dtype=np.int64)
+            while len(rows) < q - 1:
+                rows = np.concatenate([rows, rows @ step % self.p])
+                step = step @ step % self.p
+            cycle = self.encode_array(rows[: q - 1]).astype(np.int32)
+            if np.count_nonzero(cycle == 1) == 1:
+                break
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int32)
+        exp[: 2 * (q - 1)] = np.tile(cycle, 2)
+        log = np.empty(q, dtype=np.int32)
+        log[cycle] = np.arange(q - 1, dtype=np.int32)
+        log[0] = 2 * (q - 1)
+        return exp, log
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +442,7 @@ def least_irreducible(field: FiniteField, degree: int) -> tuple[int, ...]:
     """
     if degree < 1:
         raise ValueError("degree must be positive")
+    check_order(field.q, f"a degree-{degree} extension of {field!r}", degree)
     for lower in itertools.product(field.elements(), repeat=degree):
         cand = list(lower) + [1]
         if _poly_is_irreducible(field, cand):
@@ -519,23 +526,25 @@ class FieldEmbedding:
         Column j holds the source coordinates of ``alpha * basis[j]``, so
         ``coords(alpha * beta) = rep(alpha) @ coords(beta)`` for every beta.
         """
-        cols = [self.coords_in_basis(self.target.mul(alpha, b)) for b in self.basis]
-        return np.stack(cols, axis=1)
+        return self._reps(np.array([alpha]))[0]
 
     def rep_table(self) -> np.ndarray:
         """All regular-representation matrices, shape (target.q, deg, deg)."""
         if self._rep_all is None:
-            tgt, src = self.target, self.source
-            codes = np.arange(tgt.q, dtype=np.int64)
-            prods = tgt.arr_mul(codes[:, None], np.asarray(self.basis, dtype=np.int64)[None, :])
-            digits = tgt.coords_array(prods)  # (q, deg, target.d)
-            flat = np.tensordot(digits, self._spread_inv, axes=([-1], [1])) % src.p
-            coords = src.encode_array(flat.reshape(tgt.q, self.degree, self.degree, src.d))
-            self._rep_all = np.ascontiguousarray(np.swapaxes(coords, 1, 2))
+            self._rep_all = self._reps(np.arange(self.target.q))
             self._rep_all.setflags(write=False)
         return self._rep_all
 
     # -- internals -------------------------------------------------------------
+
+    def _reps(self, codes: np.ndarray) -> np.ndarray:
+        """Regular-representation matrices of the given target codes."""
+        tgt, src = self.target, self.source
+        prods = tgt.arr_mul(codes[:, None], np.asarray(self.basis, dtype=np.int64)[None, :])
+        digits = tgt.coords_array(prods)  # (codes, deg, target.d)
+        flat = np.tensordot(digits, self._spread_inv, axes=([-1], [1])) % src.p
+        coords = src.encode_array(flat.reshape(len(codes), self.degree, self.degree, src.d))
+        return np.ascontiguousarray(np.swapaxes(coords, 1, 2))
 
     def _source_power_code(self, i: int) -> int:
         return self.source.p**i if self.source.d > 1 else 1
@@ -607,8 +616,6 @@ def compose(inner: FieldEmbedding, outer: FieldEmbedding) -> FieldEmbedding:
 
 def make_prime_field(p: int) -> FiniteField:
     """The field of p elements, presented with modulus x."""
-    if not _is_prime(int(p)):
-        raise NotPrime(f"{p} is not prime")
     return FiniteField(int(p), (0, 1))
 
 
@@ -627,6 +634,7 @@ def make_extension(base: FiniteField, modulus: Sequence[int]) -> tuple[FiniteFie
         raise ValueError("extension degree must be at least 2")
     if coeffs[-1] != base.one:
         raise ValueError("modulus must be monic")
+    check_order(base.q, f"a degree-{deg} extension of {base!r}", deg)
     if not _poly_is_irreducible(base, coeffs):
         raise Reducible(f"modulus {tuple(coeffs)} is reducible over {base!r}")
 

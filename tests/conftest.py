@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import flowent
 from flowent.fields import make_extension, make_prime_field
 
 settings.register_profile(
@@ -47,3 +53,19 @@ def gf16(gf16_pair):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Runs the interpreter with the given arguments in a fresh process that
+    imports this package's sources; returns the completed process."""
+    src = str(Path(flowent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+
+    def run(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+        )
+
+    return run

@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, report formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +231,39 @@ class TestSeededRandomFlows:
         assert code in (0, 2)
         assert json.loads(out)["verdict"] in ("PASS", "INCONCLUSIVE")
         assert all(json.loads(out)["identities"].values())
+
+
+class TestOversizedFields:
+    """Fields of order above 2^16 exit 1 at once.  Each case runs in a
+    fresh process under a timeout, since an unchecked one runs for minutes:
+    a linear factoring scan, an irreducible scan over 2^40 polynomials, or
+    trial division of a 61-bit prime."""
+
+    CASES = {
+        "order-2^32": ["example", "bernoulli", "--field", "4294967296"],
+        "prime-2^61-1": ["example", "bernoulli", "--field", "2305843009213693951"],
+        "prime-descriptor": ["example", "bernoulli", "--field", '{"p": 2305843009213693951}'],
+        "entropy-n-40": ["example", "entropy-n", "--n", "40"],
+        "tower-degree-40": ["compute", "<tower40>"],
+        "ext-degree-40": ["verify", "<gf2>", "--ext-degree", "40"],
+    }
+
+    SCRIPT = "import sys; from flowent.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_one(self, case, tmp_path, gf2_bernoulli_spec, run_python):
+        spec = json.loads(Path(gf2_bernoulli_spec).read_text())
+        # x^40 + x^5 + x^4 + x^3 + 1 over GF(2)
+        spec["field"]["tower"] = [[1, 0, 0, 1, 1, 1] + [0] * 34 + [1]]
+        tower40 = tmp_path / "tower40.json"
+        tower40.write_text(json.dumps(spec))
+        paths = {"<tower40>": str(tower40), "<gf2>": gf2_bernoulli_spec}
+        argv = [paths.get(a, a) for a in self.CASES[case]]
+        out = run_python("-c", self.SCRIPT, *argv, timeout=20)
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("error: ")
+
+    def test_largest_order_runs(self, run_python):
+        out = run_python("-c", self.SCRIPT, "example", "bernoulli", "--field", "65536", timeout=20)
+        assert out.returncode == 0, out.stderr
+        assert len(json.loads(out.stdout)["field"]["tower"][0]) == 17

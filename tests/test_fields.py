@@ -1,8 +1,5 @@
 """Field and embedding layer: construction, arithmetic laws, towers."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import flowent
 from flowent.errors import Mismatch, NotPrime, Reducible, TooLarge
 from flowent.fields import (
+    FiniteField,
     check_float_exact,
     compose,
     field_from_descriptor,
@@ -114,6 +111,111 @@ class TestExtensions:
                 assert acc == prod[i, j]
 
 
+def _prime_extension(p: int, d: int):
+    base = make_prime_field(p)
+    return make_extension(base, least_irreducible(base, d))[0]
+
+
+def _ref_mul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a*b by the digit-plane product: each entry is the
+    diagonal of an outer product of 50 pairs, a matrix product with inner
+    dimension 1."""
+    out = np.empty(len(a), dtype=np.int64)
+    for i in range(0, len(a), 50):
+        out[i : i + 50] = np.diagonal(field.arr_matmul(a[i : i + 50, None], b[None, i : i + 50]))
+    return out
+
+
+class TestLogTables:
+    """Element products, inverses and powers from the log tables against
+    the digit-plane product of ``arr_matmul``."""
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (3, 4), (2, 8)])
+    def test_all_pairs(self, p, d):
+        field = _prime_extension(p, d)
+        q = field.q
+        codes = np.arange(q, dtype=np.int64)
+        # inner dimension 1: entry (a, b) is the single product a*b
+        ref = field.arr_matmul(codes[:, None], codes[None, :])
+        assert np.array_equal(field.arr_mul(codes[:, None], codes[None, :]), ref)
+        assert [[field.mul(a, b) for b in range(q)] for a in range(q)] == ref.tolist()
+        for a in range(1, q):
+            assert ref[a, field.inv(a)] == 1
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
+        acc = np.ones(q, dtype=np.int64)
+        for k in range(q + 2):  # past a^(q-1) = 1 and a^q = a
+            assert [field.power(a, k) for a in range(q)] == acc.tolist()
+            acc = ref[acc, codes]
+        with pytest.raises(ValueError):
+            field.power(field.generator, -1)
+
+    @pytest.mark.parametrize("p,d", [(2, 10), (3, 7), (2, 16)])
+    def test_random_pairs(self, p, d):
+        field = _prime_extension(p, d)
+        rng = np.random.default_rng(d)
+        a = field.random_codes(rng, 2000)
+        b = field.random_codes(rng, 2000)
+        a[:40] = 0
+        b[20:60] = 0
+        ref = _ref_mul(field, a, b)
+        assert np.array_equal(field.arr_mul(a, b), ref)
+        assert [field.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == ref.tolist()
+        nonzero = a[a != 0]
+        inverses = np.array([field.inv(x) for x in nonzero.tolist()])
+        assert (_ref_mul(field, nonzero, inverses) == 1).all()
+        # square-and-multiply with digit-plane products, on 200 bases
+        k = rng.integers(0, 3 * field.q, 200)
+        acc, base, e = np.ones(200, dtype=np.int64), a[:200].copy(), k.copy()
+        while e.any():
+            acc = np.where(e & 1, _ref_mul(field, acc, base), acc)
+            base = _ref_mul(field, base, base)
+            e >>= 1
+        assert [field.power(x, int(n)) for x, n in zip(a[:200].tolist(), k)] == acc.tolist()
+
+
+class TestOrderCap:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda gf2: make_extension(gf2, (1,) + (0,) * 16 + (1,)),
+            lambda gf2: least_irreducible(gf2, 17),
+            lambda gf2: least_irreducible(make_extension(gf2, (1, 1, 1))[0], 9),
+            lambda gf2: least_irreducible(gf2, 10**9),
+            lambda gf2: FiniteField(2, (1,) + (0,) * 16 + (1,)),
+        ],
+        ids=["make_extension", "least_irreducible", "least_irreducible_gf4", "huge_degree", "FiniteField"],
+    )
+    def test_larger_orders_raise(self, gf2, build):
+        with pytest.raises(TooLarge):
+            build(gf2)
+
+
+# Builds GF(2^10) and GF(2^16) and takes one product in each; prints the
+# peak resident set size in MB.  That is VmHWM, the peak of this process
+# image: ru_maxrss also counts the peak of the process that started it,
+# carried over the exec.
+_BUILD_SCRIPT = """
+import re
+from flowent.fields import least_irreducible, make_extension, make_prime_field
+
+gf2 = make_prime_field(2)
+for d in (10, 16):
+    field, _ = make_extension(gf2, least_irreducible(gf2, d))
+    assert field.mul(3, field.q - 1) != 0
+with open("/proc/self/status") as fh:
+    print(int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1)) / 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux /proc")
+def test_build_cost(run_python):
+    """The tables of GF(2^16) are O(q): a fresh process stays under 100 MB."""
+    out = run_python("-c", _BUILD_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 100
+
+
 class TestEmbeddings:
     def test_power_basis_starts_with_one(self, gf4_pair, gf16_pair):
         for _, emb in (gf4_pair, gf16_pair):
@@ -168,6 +270,24 @@ class TestRegularRepresentation:
                 lhs = emb.coords_in_basis(gf4.mul(alpha, beta))
                 rhs = (m @ emb.coords_in_basis(beta)) % 2
                 assert np.array_equal(lhs, rhs)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("which", ["inner", "outer", "composite"])
+    def test_rep_columns(self, p, which):
+        """Column j of rep(alpha) and of rep_table()[alpha] holds the
+        coordinates of alpha * basis[j], along GF(p) <= GF(p^2) <= GF(p^4)
+        and the composite."""
+        base = make_prime_field(p)
+        mid, inner = make_extension(base, least_irreducible(base, 2))
+        _, outer = make_extension(mid, least_irreducible(mid, 2))
+        emb = {"inner": inner, "outer": outer, "composite": compose(inner, outer)}[which]
+        for alpha in emb.target.elements():
+            cols = [emb.coords_in_basis(emb.target.mul(alpha, b)) for b in emb.basis]
+            m = emb.rep(alpha)
+            assert np.array_equal(m, np.stack(cols, axis=1))
+            assert np.array_equal(m, emb.rep_table()[alpha])
+            m[...] = 0  # a copy: the shared table stays intact
+        assert np.array_equal(emb.rep(1), np.eye(emb.degree, dtype=np.int64))
 
     @pytest.mark.parametrize("tower", ["gf4_over_gf2", "gf16_over_gf4", "gf16_over_gf2"])
     def test_rep_is_ring_homomorphism(self, tower, gf2, gf4_pair, gf16_pair):
@@ -288,13 +408,8 @@ class TestFloatExactness:
         with pytest.raises(TooLarge):
             check_float_exact(2**53, "first inexact value")
 
-    def test_guards_raise_under_optimize(self):
+    def test_guards_raise_under_optimize(self, run_python):
         """The guards are typed errors, not asserts that ``python -O`` strips."""
-        src = str(Path(flowent.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", _GUARD_SCRIPT],
-            env=env, capture_output=True, text=True, check=True,
-        )
+        out = run_python("-O", "-c", _GUARD_SCRIPT)
+        assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["matmul raised", "tracker raised", "window raised"]
