@@ -4,8 +4,11 @@ For a good subspace U with zeroed coordinate set S, membership of a window
 vector v in the n-step cotrajectory is the vanishing of the discrete part
 and the S-coordinates of v, phi(v), ..., phi^(n-1)(v).  Those constraints
 are rows of powers of the window matrix, so the codimension trace is the
-rank growth of an accumulating constraint stack: each step multiplies the
-previous constraint block by the window matrix once.
+rank growth of an accumulating constraint stack: each step applies the
+flow once to the previous constraint block.  The flow is row-finite, so
+it is applied as the list of its window's nonzeros: a gather of the
+block's columns, a field multiply and a sum by column.  The dense window
+matrix is never built.
 
 Ranks are tracked over the prime field.  Restricting scalars along
 GF(p) <= GF(p^d) multiplies every codimension by d, so the GF(p^d) rank of
@@ -48,6 +51,7 @@ from .model import (
     compose_flow,
     default_window,
     truncate,
+    window_nonzeros,
 )
 
 __all__ = [
@@ -106,11 +110,11 @@ class CodimTrace:
         a_0 = 0), which is what makes the limit of c_n / n exist.  The
         unshifted values are not subadditive: the one-dimensional shift has
         c_n = n - 1, and c_{n+m} = n + m - 1 > c_n + c_m."""
-        a = self.values  # a[i] = c_{i+1}, a[0] = 0
-        n = len(a)
-        return all(
-            a[i + j] <= a[i] + a[j] for i in range(1, n) for j in range(1, n - i)
-        )
+        a = np.asarray(self.values, dtype=np.int64)  # a[i] = c_{i+1}, a[0] = 0
+        i = np.arange(1, len(a))
+        k = i[:, None] + i[None, :]  # every pair i, j >= 1 with i + j < len(a)
+        inside = k < len(a)
+        return bool(np.all(a[k[inside]] <= (a[i, None] + a[None, i])[inside]))
 
 
 class _FlagStack2:
@@ -256,21 +260,61 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     """Yield the constraint rows of step n = 1..n_max over their support.
 
     Step n's rows are the dead coordinates of phi^(n-1) inside the window,
-    one row per dead coordinate.  They read at most ``n * bandwidth`` past
-    the dead coordinates, so each block holds only that leading column
-    block (it is zero beyond) and each step multiplies only that block.
+    one row per dead coordinate.  A row of width w times the window matrix
+    reads only the matrix rows below w, and those read at most
+    ``bandwidth`` columns past w, so each block holds only its leading
+    ``w + bandwidth`` columns (it is zero beyond).  The window matrix is
+    given by its nonzeros, built once by ``window_nonzeros``; a step costs
+    O(rows * nnz), not O(rows * cols * w) as a dense product would.
     """
-    mat, _ = truncate(flow, window)
     field = flow.field
-    prepared = field.prepare_right(mat.data)
-    dim = mat.rows
+    nonzeros = window_nonzeros(flow, window)
+    # the largest int64 sum in ``_times_nonzeros``
+    if nonzeros[0].size * (field.p - 1) ** 2 >= 1 << 63:
+        raise TooLarge(f"{nonzeros[0].size} window entries over GF({field.p}) overflow int64 sums")
+    dim = flow.discrete_dim + window
     reach = flow.endo.bandwidth
     block = np.zeros((len(dead), min(dim, max(dead) + 1 if dead else 0)), dtype=np.int64)
     block[np.arange(len(dead)), dead] = 1
     for n in range(1, n_max + 1):
         yield block
         if n < n_max:
-            block = field.matmul_prepared(block, prepared, min(dim, block.shape[1] + reach))
+            block = _times_nonzeros(field, block, nonzeros, min(dim, block.shape[1] + reach))
+
+
+def _times_nonzeros(field, block: np.ndarray, nonzeros, out_cols: int) -> np.ndarray:
+    """The leading ``out_cols`` columns of ``block @ W``, where W is given
+    by its nonzeros ``(rows, cols, codes)`` sorted by column.
+
+    Only the entries with row below the block's width and column below
+    ``out_cols`` count.  Column c of the product is the sum, over the
+    entries (r, c, code), of block column r times code: the block's columns
+    are gathered by row, multiplied by the codes, and summed over each run
+    of equal columns by ``reduceat``.  Sums are XOR when p = 2, int64 sums
+    reduced mod p over a prime field, and int64 sums of digits encoded
+    again over an odd extension.  A term is at most (p-1)^2 and a sum has
+    at most nnz terms, so every int64 sum is at most nnz * (p-1)^2, which
+    ``_constraint_blocks`` checks is below 2^63: the sums are exact.
+    """
+    rows, cols, codes = nonzeros
+    keep = (rows < block.shape[1]) & (cols < out_cols)
+    rows, cols, codes = rows[keep], cols[keep], codes[keep]
+    out = np.zeros((block.shape[0], out_cols), dtype=np.int64)
+    if not cols.size:
+        return out
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    if field.d == 1:
+        terms = block[:, rows] * codes
+    else:
+        terms = field.arr_mul(block[:, rows], codes)
+    if field.p == 2:
+        sums = np.bitwise_xor.reduceat(terms, starts, axis=1)
+    elif field.d == 1:
+        sums = np.add.reduceat(terms, starts, axis=1) % field.p
+    else:
+        sums = field.encode_array(np.add.reduceat(field.coords_array(terms), starts, axis=1))
+    out[:, cols[starts]] = sums
+    return out
 
 
 def _restrict(field, block: np.ndarray) -> np.ndarray:

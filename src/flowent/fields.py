@@ -279,30 +279,24 @@ class FiniteField:
         planes = np.moveaxis(self.coords_array(b), -1, 0).astype(np.float64)
         return (b.shape, planes)
 
-    def matmul_prepared(self, a: np.ndarray, prepared, out_cols: int | None = None) -> np.ndarray:
-        """Product against a prepared right operand.
-
-        ``a`` may have fewer columns than the prepared matrix has rows; the
-        missing rows are treated as multiplied by zero.  ``out_cols`` trims
-        the result to a leading column block.
-        """
+    def matmul_prepared(self, a: np.ndarray, prepared) -> np.ndarray:
+        """Product against a prepared right operand."""
         shape, right = prepared
         a = np.asarray(a, dtype=np.int64)
         inner = a.shape[-1]
-        if inner > shape[0]:
+        if inner != shape[0]:
             raise ValueError(f"matmul shape mismatch {a.shape} @ {shape}")
-        cols = shape[1] if out_cols is None else min(out_cols, shape[1])
         if inner == 0:
-            return np.zeros((a.shape[0], cols), dtype=np.int64)
+            return np.zeros((a.shape[0], shape[1]), dtype=np.int64)
         # float64 BLAS stays exact while products fit in 53 bits
         check_float_exact(inner * (self.p - 1) ** 2, f"inner dimension {inner} over GF({self.p})")
         if self.d == 1:
-            return (a.astype(np.float64) @ right[:inner, :cols]).astype(np.int64) % self.p
+            return (a.astype(np.float64) @ right).astype(np.int64) % self.p
         da = np.moveaxis(self.coords_array(a), -1, 0).astype(np.float64)
-        planes = np.zeros((2 * self.d - 1, a.shape[0], cols), dtype=np.int64)
+        planes = np.zeros((2 * self.d - 1, a.shape[0], shape[1]), dtype=np.int64)
         for i in range(self.d):
             for j in range(self.d):
-                planes[i + j] += (da[i] @ right[j][:inner, :cols]).astype(np.int64)
+                planes[i + j] += (da[i] @ right[j]).astype(np.int64)
         planes %= self.p
         low = self._reduce_planes(np.moveaxis(planes, 0, -1))
         return self.encode_array(low)
@@ -438,12 +432,16 @@ def least_irreducible(field: FiniteField, degree: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of the given degree.
 
     Coefficient tuples (constant term first, codes ordered as integers)
-    are scanned in ascending lexicographic order; deterministic.
+    are scanned in ascending lexicographic order; deterministic.  From
+    degree 2 on, x divides every candidate with constant term 0; the
+    constant term varies slowest, so those come first, and the scan skips
+    them by starting at constant term 1.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
     check_order(field.q, f"a degree-{degree} extension of {field!r}", degree)
-    for lower in itertools.product(field.elements(), repeat=degree):
+    constants = field.elements() if degree == 1 else range(1, field.q)
+    for lower in itertools.product(constants, *[field.elements()] * (degree - 1)):
         cand = list(lower) + [1]
         if _poly_is_irreducible(field, cand):
             return tuple(cand)

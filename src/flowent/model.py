@@ -38,6 +38,7 @@ __all__ = [
     "good_direct_sum",
     "compose_flow",
     "truncate",
+    "window_nonzeros",
     "decompose",
     "guarantee_window",
     "default_window",
@@ -368,6 +369,11 @@ def _min_window(endo: EndoSpec) -> int:
     return max(1, endo.prefix_rows, endo.prefix_cols, endo.dc.rows, endo.cd.cols)
 
 
+def _check_window(endo: EndoSpec, window: int) -> None:
+    if window < _min_window(endo):
+        raise WindowTooSmall(f"window {window} is below the block extent {_min_window(endo)}")
+
+
 def truncate(flow: Flow, window: int) -> tuple[Matrix, TruncationMeta]:
     """Matrix of the flow on the discrete part plus the first ``window``
     compact coordinates.
@@ -378,10 +384,7 @@ def truncate(flow: Flow, window: int) -> tuple[Matrix, TruncationMeta]:
     ``window >= guarantee_window(flow, m, n)``.
     """
     endo = flow.endo
-    if window < _min_window(endo):
-        raise WindowTooSmall(
-            f"window {window} is below the block extent {_min_window(endo)}"
-        )
+    _check_window(endo, window)
     d = flow.discrete_dim
     size = d + window
     mat = np.zeros((size, size), dtype=np.int64)
@@ -400,6 +403,35 @@ def truncate(flow: Flow, window: int) -> tuple[Matrix, TruncationMeta]:
             spill_cols.update(spill)
     meta = TruncationMeta(window, tuple(spill_rows), tuple(sorted(spill_cols)))
     return Matrix(flow.field, mat), meta
+
+
+def window_nonzeros(flow: Flow, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of ``truncate(flow, window)``, without building it.
+
+    Returns int64 arrays ``(rows, cols, codes)`` sorted by column.  The
+    discrete blocks and the prefix give their nonzeros directly; every
+    stencil phase and offset gives one arithmetic run of rows, from the
+    first row at or past the prefix with that phase, with step the period.
+    A row never reads below 0 (``EndoSpec`` checks it), and reads past the
+    window are dropped, as in ``truncate``.  So the count of entries is at
+    most the blocks' nonzeros plus ``window`` times the terms per phase.
+    """
+    endo = flow.endo
+    _check_window(endo, window)
+    d = flow.discrete_dim
+    parts = []
+    for mat, row0, col0 in ((endo.dd, 0, 0), (endo.cd, 0, d), (endo.dc, d, 0), (endo.prefix, d, d)):
+        r, c = np.nonzero(mat.data)
+        parts.append((r + row0, c + col0, mat.data[r, c]))
+    start, period = endo.prefix_rows, endo.period
+    for rho, phase in enumerate(endo.stencil):
+        rows = np.arange(start + (rho - start) % period, window, period)
+        for k, c in phase:
+            run = rows[: np.searchsorted(rows, window - k)]
+            parts.append((run + d, run + (d + k), np.full(run.size, c)))
+    rows, cols, codes = (np.concatenate(arrays).astype(np.int64) for arrays in zip(*parts))
+    order = np.argsort(cols, kind="stable")
+    return rows[order], cols[order], codes[order]
 
 
 def guarantee_window(flow: Flow, zero_extent: int, n: int) -> int:
@@ -610,12 +642,32 @@ def _matrix_to_json(m: Matrix) -> list[list[list[int]]]:
 
 
 def _matrix_from_json(field: FiniteField, rows, what: str) -> Matrix:
-    if not isinstance(rows, list):
+    """Read a matrix of JSON elements as ``_element_from_json`` reads each.
+
+    A rectangular array of integers (prime fields) or of equal-length
+    integer coordinate lists is read at once by numpy.  Anything else, such
+    as mixed element forms, floats or integers past int64, is read element
+    by element.
+    """
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{what} must be a list of rows")
-    data = [[_element_from_json(field, v) for v in row] for row in rows]
-    if not data:
+    if not rows:
         return Matrix.zeros(field, 0, 0)
-    return Matrix(field, data)
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is not None and arr.dtype.kind in "bi":
+        arr = arr.astype(np.int64)
+        if arr.ndim == 3:
+            if (arr[..., field.d :] % field.p).any():
+                raise ValueError("coefficient vector longer than field degree")
+            digits = np.zeros(arr.shape[:2] + (field.d,), dtype=np.int64)
+            digits[..., : arr.shape[2]] = arr[..., : field.d]
+            return Matrix(field, field.encode_array(digits))
+        if arr.ndim == 2 and field.d == 1:
+            return Matrix(field, arr % field.p)
+    return Matrix(field, [[_element_from_json(field, v) for v in row] for row in rows])
 
 
 def flow_to_dict(flow: Flow) -> dict:

@@ -1,6 +1,7 @@
 """Entropy engine: traces, estimator, oracle equivalence, entropy laws."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 
 from flowent.entropy import (
     DEFAULT_CONFIG,
+    CodimTrace,
     EngineConfig,
+    _constraint_blocks,
+    _dead_indices,
     _FlagStack2,
     _FlagStackOdd,
     brute_force_codim,
@@ -39,6 +43,7 @@ from flowent.model import (
     Flow,
     GoodSubspace,
     SpaceShape,
+    default_window,
     direct_sum,
     good_direct_sum,
     make_bernoulli,
@@ -147,6 +152,49 @@ class TestCodimSequence:
         assert widened.values == reference.values
 
 
+
+def _subadditive_by_loops(values):
+    """``CodimTrace.is_subadditive`` as the double loop of its definition."""
+    n = len(values)
+    return all(values[i + j] <= values[i] + values[j] for i in range(1, n) for j in range(1, n - i))
+
+
+class TestSubadditivity:
+    @staticmethod
+    def trace(values):
+        return CodimTrace(U(0), tuple(values), (1,) * len(values))
+
+    def test_short_traces(self):
+        for length in range(4):
+            for values in np.ndindex(*(4,) * length):
+                assert self.trace(values).is_subadditive() == _subadditive_by_loops(values), values
+
+    def test_random_concave_traces(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            steps = np.sort(rng.integers(0, 6, size=int(rng.integers(1, 65))))[::-1]
+            values = [0] + np.cumsum(steps).tolist()  # non-increasing steps: concave
+            assert self.trace(values).is_subadditive() and _subadditive_by_loops(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0, 1, 3),
+            (0, 1, 2, 4),
+            (0, 2, 4, 7),
+            (0, 0, 0, 0, 1),
+            (0, 1, 2, 3, 4, 5, 6, 7, 9),
+            tuple(range(60)) + (61,),  # a jump at the end of a linear trace
+        ],
+    )
+    def test_violations(self, values):
+        assert not _subadditive_by_loops(values)
+        assert not self.trace(values).is_subadditive()
+        # the same violation at the start of a long trace
+        long = list(values) + [values[-1] + t for t in range(1, 60)]
+        assert not self.trace(long).is_subadditive() and not _subadditive_by_loops(long)
+
+
 def _reference_codims(flow, dead, counts, n_max, window):
     """Codimension traces straight from the definition: the rank of the
     stacked constraint rows (the dead rows of M^0, ..., M^(n-1)), keeping
@@ -203,6 +251,146 @@ class TestTracesAgainstReference:
             dead_u = list(range(d)) + [d + i for i in sorted(u.zero_set)]
             (expected_u,) = _reference_codims(flow, dead_u, [len(dead_u)], n_max, trace.windows[0])
             assert list(trace.values) == expected_u, (field, seed, u)
+
+
+
+def _dense_blocks(flow, dead, n_max, window):
+    """The constraint blocks of ``_constraint_blocks`` from the dense window
+    matrix: each block of width w times the matrix's first w rows, trimmed
+    to its first w + bandwidth columns."""
+    field = flow.field
+    mat = truncate(flow, window)[0].data
+    dim, reach = mat.shape[0], flow.endo.bandwidth
+    block = np.zeros((len(dead), min(dim, max(dead) + 1 if dead else 0)), dtype=np.int64)
+    block[np.arange(len(dead)), dead] = 1
+    for n in range(1, n_max + 1):
+        yield block
+        if n < n_max:
+            width = block.shape[1]
+            block = field.arr_matmul(block, mat[:width, : min(dim, width + reach)])
+
+
+def _random_phase_flow(field, seed):
+    """A seeded flow with 1-3 stencil phases, a prefix that covers every
+    negative read, and random discrete blocks."""
+    rng = np.random.default_rng(seed)
+    codes = lambda shape: field.random_codes(rng, shape)  # noqa: E731
+    stencil = []
+    for _ in range(int(rng.integers(1, 4))):
+        offsets = rng.choice(np.arange(-2, 4), size=int(rng.integers(0, 4)), replace=False)
+        stencil.append({int(k): int(rng.integers(1, field.q)) for k in offsets})
+    offsets = [k for phase in stencil for k in phase] or [0]
+    rows = max(-min(offsets), 0) + int(rng.integers(0, 3))
+    prefix = Matrix(field, codes((rows, rows + max(max(offsets), 0) + 1))) if rows else None
+    d = int(rng.integers(0, 3))
+    dd = Matrix(field, codes((d, d))) if d else None
+    cd = Matrix(field, codes((d, int(rng.integers(1, 4))))) if d and rng.random() < 0.6 else None
+    dc = Matrix(field, codes((int(rng.integers(1, 4)), d))) if d and rng.random() < 0.6 else None
+    endo = EndoSpec(field, stencil, prefix=prefix, dd=dd, cd=cd, dc=dc)
+    return Flow(SpaceShape(field, d), endo, label=f"phases[{seed}]")
+
+
+def _prefix_shift_flow(r):
+    """Compact rows 0..r-1 read the next coordinate; every later row reads
+    itself."""
+    gf2 = make_prime_field(2)
+    prefix = np.zeros((r, r + 1), dtype=np.int64)
+    prefix[np.arange(r), np.arange(r) + 1] = 1
+    endo = EndoSpec(gf2, {0: 1}, prefix=Matrix(gf2, prefix))
+    return Flow(SpaceShape(gf2, 0), endo, label=f"prefix-shift[{r}]")
+
+
+def _sparse_fields():
+    gf2, gf3, gf5 = (make_prime_field(p) for p in (2, 3, 5))
+    return [
+        gf2,
+        make_extension(gf2, least_irreducible(gf2, 2))[0],
+        make_extension(gf2, least_irreducible(gf2, 4))[0],
+        gf3,
+        make_extension(gf3, least_irreducible(gf3, 2))[0],
+        gf5,
+        make_extension(gf5, least_irreducible(gf5, 2))[0],
+    ]
+
+
+class TestConstraintBlocks:
+    """The blocks built from the window's nonzeros against the dense
+    product, on 196 seeded flows over seven fields and the 13 prefix-shift
+    flows of the wide-window benchmark."""
+
+    @staticmethod
+    def assert_blocks_match_dense(flow, u, n_max):
+        window = default_window(flow, u, n_max)
+        dead = _dead_indices(flow, u)
+        pairs = zip(_constraint_blocks(flow, dead, n_max, window), _dense_blocks(flow, dead, n_max, window))
+        for n, (got, want) in enumerate(pairs, start=1):
+            assert got.shape == want.shape and np.array_equal(got, want), (flow.label, u, n)
+
+    @pytest.mark.parametrize("field", _sparse_fields(), ids=repr)
+    def test_random_flows(self, field):
+        rng = np.random.default_rng(field.q)
+        flows = [_random_phase_flow(field, seed) for seed in range(24)]
+        flows += [
+            direct_sum(random_stencil_flow(field, seed), random_stencil_flow(field, seed + 50))
+            for seed in range(4)
+        ]
+        assert any(flow.endo.period > 1 for flow in flows)
+        assert any(flow.endo.cd.cols and flow.endo.dc.rows for flow in flows)
+        for flow in flows:
+            self.assert_blocks_match_dense(flow, U(8), 24)
+            zero_set = rng.choice(10, size=int(rng.integers(0, 4)), replace=False)
+            self.assert_blocks_match_dense(flow, GoodSubspace(frozenset(zero_set.tolist())), 12)
+
+    def test_prefix_shift_flows(self):
+        for r in range(8, 81, 6):
+            self.assert_blocks_match_dense(_prefix_shift_flow(r), U(8), 24)
+
+    def test_int64_guard(self, monkeypatch):
+        # 2^32 entries over GF(65521) could sum past 2^63; broadcast arrays
+        # stand in for them without the memory
+        import flowent.entropy as entropy
+
+        def huge(flow, window):
+            return (np.broadcast_to(np.int64(0), (1 << 32,)),) * 3
+
+        monkeypatch.setattr(entropy, "window_nonzeros", huge)
+        flow = make_bernoulli(make_prime_field(65521), 1)
+        with pytest.raises(TooLarge):
+            next(_constraint_blocks(flow, [0], 2, 4))
+
+
+# Runs ``compute`` on prefix-shift[80], whose windows reach 5,276
+# coordinates, and prints the peak resident set size in MB (VmHWM; see
+# tests/test_fields.py for why not ru_maxrss).
+_WIDE_SCRIPT = """
+import contextlib, io, re, sys
+import numpy as np
+from flowent.cli import main
+from flowent.fields import make_prime_field
+from flowent.linalg import Matrix
+from flowent.model import EndoSpec, Flow, SpaceShape, save_flow
+
+r = 80
+gf2 = make_prime_field(2)
+prefix = np.zeros((r, r + 1), dtype=np.int64)
+prefix[np.arange(r), np.arange(r) + 1] = 1
+flow = Flow(SpaceShape(gf2, 0), EndoSpec(gf2, {0: 1}, prefix=Matrix(gf2, prefix)), "prefix-shift")
+save_flow(flow, sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["compute", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    print(code, int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1)) / 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux /proc")
+def test_wide_window_memory(run_python, tmp_path):
+    """No dense window matrix: the widest benchmark flow stays under 100 MB."""
+    out = run_python("-c", _WIDE_SCRIPT, str(tmp_path / "flow.json"))
+    assert out.returncode == 0, out.stderr
+    code, peak = out.stdout.split()
+    assert code == "0"
+    assert float(peak) < 100
 
 
 def _flag_stack(p, bounds):

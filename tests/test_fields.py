@@ -1,5 +1,6 @@
 """Field and embedding layer: construction, arithmetic laws, towers."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,18 @@ class TestIrreducibles:
                 assert val != 0
             assert is_irreducible(gf2, coeffs)
         assert not is_irreducible(gf2, (0, 0, 0, 1))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_least_irreducible_matches_full_scan(self, q):
+        base = make_prime_field(2 if q == 4 else q)
+        field = base if q == base.p else make_extension(base, least_irreducible(base, 2))[0]
+        for degree in range(1, 7):
+            full = next(
+                cand
+                for lower in itertools.product(field.elements(), repeat=degree)
+                if is_irreducible(field, cand := tuple(lower) + (1,))
+            )
+            assert least_irreducible(field, degree) == full, (q, degree)
 
     def test_least_irreducible_over_gf4(self, gf4):
         coeffs = least_irreducible(gf4, 2)

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from flowent.errors import FieldMismatch, WindowTooSmall
+from flowent.fields import least_irreducible, make_extension, make_prime_field
 from flowent.linalg import Matrix
 from flowent.model import (
     EndoSpec,
     Flow,
     GoodSubspace,
     SpaceShape,
+    _element_from_json,
     _flow_from_window,
+    _matrix_from_json,
     compose_flow,
     decompose,
     default_window,
@@ -26,6 +29,7 @@ from flowent.model import (
     random_stencil_flow,
     save_flow,
     truncate,
+    window_nonzeros,
 )
 
 
@@ -99,6 +103,42 @@ class TestTruncate:
         expected = np.zeros((4, 4), dtype=np.int64)
         expected[1, 0] = expected[2, 1] = expected[3, 2] = 1
         assert np.array_equal(mat.data, expected)
+
+
+
+class TestWindowNonzeros:
+    """The nonzeros against the dense truncation they describe."""
+
+    @staticmethod
+    def assert_matches_truncate(flow, window):
+        rows, cols, codes = window_nonzeros(flow, window)
+        assert np.all(np.diff(cols) >= 0)
+        assert codes.all()
+        dense = np.zeros_like(truncate(flow, window)[0].data)
+        np.add.at(dense, (rows, cols), codes)  # a repeated entry would show as a sum
+        assert np.array_equal(dense, truncate(flow, window)[0].data), (flow.label, window)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_flows(self, gf4, seed):
+        flow = random_stencil_flow(gf4, seed)
+        pair = direct_sum(flow, random_stencil_flow(gf4, seed + 40))
+        for f in (flow, pair):
+            low = max(1, f.endo.prefix_rows, f.endo.prefix_cols, f.endo.dc.rows, f.endo.cd.cols)
+            for window in (low, low + 1, low + 7):
+                self.assert_matches_truncate(f, window)
+
+    def test_phase_cyclic_stencil_with_prefix(self, gf2):
+        # phases {-1, 2}, {}, {0}: the runs start past the 2 prefix rows
+        prefix = Matrix(gf2, [[0, 1, 1, 0], [1, 0, 0, 1]])
+        endo = EndoSpec(gf2, [{-1: 1, 2: 1}, {}, {0: 1}], prefix=prefix)
+        flow = Flow(SpaceShape(gf2, 0), endo)
+        for window in range(4, 12):
+            self.assert_matches_truncate(flow, window)
+
+    def test_window_below_blocks(self, gf2):
+        endo = EndoSpec(gf2, {1: 1}, prefix=Matrix(gf2, [[1, 0, 1, 1, 0, 1]]))
+        with pytest.raises(WindowTooSmall):
+            window_nonzeros(Flow(SpaceShape(gf2, 0), endo), 3)
 
 
 class TestDecompose:
@@ -259,6 +299,56 @@ class TestFlowSpecJson:
     def test_rejects_bare_ints_for_extension_fields(self, gf4):
         spec = {"field": gf4.descriptor, "discrete_dim": 0, "stencil": {"1": 2}}
         with pytest.raises(ValueError):
+            flow_from_dict(spec)
+
+    @pytest.mark.parametrize("q", [2, 4, 9])
+    def test_spec_file_roundtrip(self, q, tmp_path):
+        p = 3 if q == 9 else 2
+        base = make_prime_field(p)
+        field = base if q == p else make_extension(base, least_irreducible(base, 2))[0]
+        for seed in range(8):
+            flow = direct_sum(random_stencil_flow(field, seed), random_stencil_flow(field, seed + 20))
+            path = tmp_path / f"flow-{seed}.json"
+            save_flow(flow, path)
+            again = load_flow(path)
+            for name in ("prefix", "dd", "cd", "dc"):
+                assert getattr(again.endo, name) == getattr(flow.endo, name), (q, seed, name)
+            assert again.endo.stencil == flow.endo.stencil
+            assert flow_to_dict(again) == flow_to_dict(flow)
+
+    def test_matrix_elements_read_as_one_by_one(self, gf4):
+        # coordinate lists of any length with zeros past the degree, negative
+        # digits, integers and lists mixed over a prime field, and integers
+        # past int64
+        cases = [
+            (gf4, [[[1], [0, 1, 0], [-1, -1]], [[], [1, 1, 0, 0], [3, 2]]]),
+            (make_prime_field(3), [[1, [2], -1], [[1, 0], 5, 7]]),
+            (make_prime_field(3), [[2**70, 1], [4, -2**65]]),
+            (make_prime_field(5), [[[1, 0], [4]], [[7], [-1, 5]]]),
+        ]
+        for field, rows in cases:
+            want = [[_element_from_json(field, v) for v in row] for row in rows]
+            assert _matrix_from_json(field, rows, "prefix") == Matrix(field, want), rows
+
+    def test_matrix_rejects_ints_in_extension_fields(self, gf4):
+        spec = flow_to_dict(make_bernoulli(gf4, 1))
+        spec["prefix"] = [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="coordinate lists"):
+            flow_from_dict(spec)
+
+    @pytest.mark.parametrize("digits", [[1, 0, 1], [0, 0, 0, 1]])
+    @pytest.mark.parametrize("first", [None, [1, 0]], ids=["equal-lengths", "mixed-lengths"])
+    def test_matrix_rejects_digits_past_the_degree(self, gf4, digits, first):
+        spec = flow_to_dict(make_bernoulli(gf4, 1))
+        spec["prefix"] = [[first or [0] * len(digits), digits]]
+        with pytest.raises(ValueError, match="longer than field degree"):
+            flow_from_dict(spec)
+
+    @pytest.mark.parametrize("rows", [[1, 0], [[1, 0], 1], [[1], "01"], {"0": [1]}])
+    def test_matrix_rejects_rows_that_are_not_lists(self, gf2, rows):
+        spec = flow_to_dict(make_bernoulli(gf2, 1))
+        spec["prefix"] = rows
+        with pytest.raises(ValueError, match="list of rows"):
             flow_from_dict(spec)
 
     def test_period_two_stencil_roundtrips(self, gf2):
