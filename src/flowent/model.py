@@ -638,7 +638,7 @@ def _element_from_json(field: FiniteField, value) -> int:
 
 
 def _matrix_to_json(m: Matrix) -> list[list[list[int]]]:
-    return [[_element_to_json(m.field, int(v)) for v in row] for row in m.data]
+    return m.field.coords_array(m.data).tolist()
 
 
 def _matrix_from_json(field: FiniteField, rows, what: str) -> Matrix:

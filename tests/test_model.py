@@ -105,7 +105,6 @@ class TestTruncate:
         assert np.array_equal(mat.data, expected)
 
 
-
 class TestWindowNonzeros:
     """The nonzeros against the dense truncation they describe."""
 
@@ -114,9 +113,10 @@ class TestWindowNonzeros:
         rows, cols, codes = window_nonzeros(flow, window)
         assert np.all(np.diff(cols) >= 0)
         assert codes.all()
-        dense = np.zeros_like(truncate(flow, window)[0].data)
-        np.add.at(dense, (rows, cols), codes)  # a repeated entry would show as a sum
-        assert np.array_equal(dense, truncate(flow, window)[0].data), (flow.label, window)
+        want = truncate(flow, window)[0].data
+        got = np.zeros_like(want)
+        np.add.at(got, (rows, cols), codes)  # a repeated entry would show as a sum
+        assert np.array_equal(got, want), (flow.label, window)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_flows(self, gf4, seed):
