@@ -24,9 +24,12 @@ level, each absorbing the step's rows with a float64 product reduced
 mod p.
 
 Cotrajectories are carried as their constraint forms: one reduced
-row-echelon form over the flow's own field, extended from step to step,
-whose kernel is the cotrajectory.  Every row reduction, over any field,
-runs through ``fields._rref_array``.
+row-echelon form over the flow's own field, whose kernel is the
+cotrajectory.  ``fields._rref_extend`` extends it from step to step: the
+step's rows are reduced by the form, only their residues are row-reduced,
+and the form is cleared at the new pivots, so step n walks only its new
+pivots.  Every row reduction, over any field, runs through
+``fields._rref_array``, on whole arrays or on such residues.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.
@@ -42,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotInvertible, NotSubspace, TooLarge
-from .fields import _rref_array, check_float_exact, make_prime_field
+from .fields import _rref_array, _rref_extend, check_float_exact, make_prime_field
 from .linalg import Matrix, Subspace, inverse, kernel
 from .model import (
     Flow,
@@ -406,18 +409,18 @@ def cotrajectory_run(flow: Flow, u: GoodSubspace, n_max: int, window: int) -> li
 
     Form n is the reduced row-echelon form, without zero rows, of the
     constraint rows of steps 1..n; the n-step cotrajectory is its kernel.
-    Each form is the previous one extended by step n's rows and reduced
-    again.  Both are canonical: equal forms mean equal cotrajectories.
+    Each form is the previous one, with its pivots, extended by step n's
+    rows through ``_rref_extend``, which walks only the new pivots.  A row
+    space has exactly one such form, so it is the one a reduction of all
+    the rows from scratch gives, and equal forms mean equal
+    cotrajectories.
     """
     field = flow.field
-    dim = flow.discrete_dim + window
-    red = np.zeros((0, dim), dtype=np.int64)
+    red = np.zeros((0, flow.discrete_dim + window), dtype=np.int64)
+    pivots: list[int] = []
     out = []
     for block in _constraint_blocks(flow, _dead_indices(flow, u), n_max, window):
-        rows = np.zeros((block.shape[0], dim), dtype=np.int64)
-        rows[:, : block.shape[1]] = block
-        red, pivots = _rref_array(field, np.concatenate([red, rows]))
-        red = red[: len(pivots)]
+        red, pivots = _rref_extend(field, red, pivots, block)
         out.append(Matrix(field, red))
     return out
 

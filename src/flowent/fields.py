@@ -5,10 +5,12 @@ length-d coefficient vector over GF(p), packed into an integer code in
 ``range(p**d)`` whose base-p digits run from the constant term upward.
 Element products in a proper extension look up O(q) int32 tables of the
 powers and logarithms of a generator; matrix products route through
-per-digit float64 BLAS, exact below 2^53.
+per-digit float64 BLAS, exact below 2^53, except in the incremental
+echelon step, which sums table lookups over an extension field.
 
-A field is immutable after construction.  An embedding computes its table
-of regular representations, a pure function of it, on first use, so
+A field is immutable after construction.  An embedding builds the table
+of the images of the source codes in its constructor, and computes its
+table of regular representations, a pure function of it, on first use, so
 unrestricted concurrent use is safe.
 """
 
@@ -75,6 +77,102 @@ def _rref_array(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int
         pivots.append(int(c))
         r += 1
     return a, pivots
+
+
+def _rref_extend(
+    field: FiniteField, red: np.ndarray, pivots: list[int], rows: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form, without zero rows, of ``red`` stacked on
+    ``rows``; returns (array, pivot columns).
+
+    ``red`` must be a reduced row-echelon form without zero rows whose
+    pivot columns are ``pivots``.  The narrower operand is read as padded
+    with zero columns to the wider.  Neither operand is modified.
+
+    - The new rows are reduced by ``red`` at its pivots, with one product.
+      Their residues vanish at every old pivot, and with ``red`` they span
+      the stacked rows.
+    - The nonzero residues are row-reduced by ``_rref_array``.  A zero
+      column stays zero, so the new pivots are not old ones and the
+      reduced residues still vanish at the old pivots.
+    - The old rows are cleared at the new pivots, with one product.  An
+      old row is zero before its pivot, so it is nonzero at a new pivot
+      only after its own pivot, and the reduced residues it takes away are
+      zero up to that new pivot: the row keeps its pivot, its 1 there and
+      its zeros before it and at the other old pivots.
+    - The rows are merged in pivot order.
+
+    Every row is then zero before its pivot and 1 at it, and every pivot
+    column is zero outside its row: the result is the reduced row-echelon
+    form of the stacked rows.  A row space has exactly one, so the result
+    equals the nonzero rows of ``_rref_array`` of the stack, entry for
+    entry, while only the new pivots are walked in Python.
+    """
+    width = max(red.shape[1], rows.shape[1])
+    red, rows = _widen(red, width), _widen(rows, width)
+    if pivots:
+        rows = field.arr_sub(rows, _matmul_codes(field, rows[:, pivots], red))
+    resid, new = _rref_array(field, rows[rows.any(axis=1)])
+    if not new:
+        return red, pivots
+    resid = resid[: len(new)]
+    everyone = pivots + new
+    order = np.argsort(everyone, kind="stable")
+    # each row's place in pivot order: the rows go straight to their
+    # places, so that no second array of the form's size is allocated
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    out = np.empty((order.size, width), dtype=np.int64)
+    out[place[: len(pivots)]] = red
+    out[place[len(pivots) :]] = resid
+    coeff = red[:, new]
+    hit = np.flatnonzero(coeff.any(axis=1))
+    if hit.size:
+        out[place[hit]] = field.arr_sub(red[hit], _matmul_codes(field, coeff[hit], resid))
+    return out, [everyone[i] for i in order]
+
+
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    """``a`` padded on the right with zero columns to ``width``."""
+    if a.shape[1] == width:
+        return a
+    out = np.zeros((a.shape[0], width), dtype=np.int64)
+    out[:, : a.shape[1]] = a
+    return out
+
+
+# elements of one broadcast product in ``_matmul_codes``
+_PRODUCT_CHUNK = 1 << 18
+
+
+def _matmul_codes(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two code arrays, for ``_rref_extend``.
+
+    Over a prime field it is ``arr_matmul``, under its float64 exactness
+    guard.  Over an extension field the terms ``a[i, j] * b[j, k]`` are
+    looked up in the log/antilog tables and summed over j: by XOR when
+    p = 2, else as digit sums of at most ``inner * (p-1)`` encoded once.
+    Only the inner indices where ``a`` has a nonzero column take part, a
+    chunk of them at a time, so that no broadcast term array holds more
+    than about ``_PRODUCT_CHUNK`` elements.
+    """
+    if field.d == 1:
+        return field.arr_matmul(a, b)
+    rows, cols = a.shape[0], b.shape[1]
+    inner = np.flatnonzero(a.any(axis=0))
+    step = max(1, _PRODUCT_CHUNK // max(1, rows * cols))
+    if field.p == 2:
+        out = np.zeros((rows, cols), dtype=np.int64)
+    else:
+        out = np.zeros((rows, cols, field.d), dtype=np.int64)
+    for lo in range(0, inner.size, step):
+        part = inner[lo : lo + step]
+        terms = field.arr_mul(a[:, part, None], b[None, part, :])
+        if field.p == 2:
+            out ^= np.bitwise_xor.reduce(terms, axis=1)
+        else:
+            out += field.coords_array(terms).sum(axis=1)
+    return out if field.p == 2 else field.encode_array(out)
 
 
 def check_float_exact(largest: int, what: str) -> None:
@@ -453,6 +551,10 @@ def least_irreducible(field: FiniteField, degree: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+# entries of one intermediate array while ``FieldEmbedding.rep_table`` is built
+_REP_CHUNK = 1 << 20
+
+
 class FieldEmbedding:
     """An arithmetic-preserving inclusion of one finite field in another.
 
@@ -485,6 +587,8 @@ class FieldEmbedding:
         self.gen_image = self.apply(source.generator)
         self._spread_inv = self._build_spread_inverse()
         self._rep_all: np.ndarray | None = None
+        self._image = self._apply_digits(np.arange(source.q, dtype=np.int64))
+        self._image.setflags(write=False)
         self._validate_hom()
 
     def __eq__(self, other: object) -> bool:
@@ -509,9 +613,9 @@ class FieldEmbedding:
         return int(self.target.encode_array(vec))
 
     def apply_array(self, a: np.ndarray) -> np.ndarray:
-        digits = self.source.coords_array(np.asarray(a, dtype=np.int64))
-        out = np.tensordot(digits, self.matrix, axes=([-1], [1])) % self.source.p
-        return self.target.encode_array(out)
+        """Images of an array of source codes, gathered from the table of
+        the images of all ``source.q`` codes."""
+        return self._image[np.asarray(a, dtype=np.int64)]
 
     def coords_in_basis(self, alpha: int) -> np.ndarray:
         """Source-field coordinates of a target element in ``self.basis``."""
@@ -527,13 +631,29 @@ class FieldEmbedding:
         return self._reps(np.array([alpha]))[0]
 
     def rep_table(self) -> np.ndarray:
-        """All regular-representation matrices, shape (target.q, deg, deg)."""
+        """All regular-representation matrices, shape (target.q, deg, deg).
+
+        It is built on first use, a chunk of codes at a time, so that
+        besides the table only one chunk's intermediates, of about
+        ``_REP_CHUNK`` entries each, are live.
+        """
         if self._rep_all is None:
-            self._rep_all = self._reps(np.arange(self.target.q))
-            self._rep_all.setflags(write=False)
+            q = self.target.q
+            table = np.empty((q, self.degree, self.degree), dtype=np.int64)
+            step = max(1, _REP_CHUNK // (self.degree * self.target.d))
+            for lo in range(0, q, step):
+                table[lo : lo + step] = self._reps(np.arange(lo, min(q, lo + step)))
+            table.setflags(write=False)
+            self._rep_all = table
         return self._rep_all
 
     # -- internals -------------------------------------------------------------
+
+    def _apply_digits(self, a: np.ndarray) -> np.ndarray:
+        """Images of source codes through the digit map ``matrix``."""
+        digits = self.source.coords_array(a)
+        out = np.tensordot(digits, self.matrix, axes=([-1], [1])) % self.source.p
+        return self.target.encode_array(out)
 
     def _reps(self, codes: np.ndarray) -> np.ndarray:
         """Regular-representation matrices of the given target codes."""
@@ -684,7 +804,8 @@ def _relative_extension(
         if _prime_rank(power_matrix(cand, d), p) == d:
             gamma = cand
             break
-    assert gamma is not None  # a primitive element always exists
+    if gamma is None:  # unreachable: a field has a primitive element
+        raise Reducible(f"modulus {tuple(coeffs)} has no root generating a field over {base!r}")
     g_mat = power_matrix(gamma, d)
     # flat coordinates of gamma**d
     cur = (base.one,) + (base.zero,) * (deg - 1)

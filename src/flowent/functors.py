@@ -221,6 +221,7 @@ class TheoremReport:
     ent_l: EntropyEstimate
     identities: dict[int, bool]
     verdict: str
+    first_failure: dict | None = None
 
     def to_dict(self) -> dict:
         def ent(v: EntropyEstimate):
@@ -230,7 +231,7 @@ class TheoremReport:
                 "lower_bound": [v.lower_bound.numerator, v.lower_bound.denominator],
             }
 
-        return {
+        out = {
             "flow": self.flow_label,
             "tower": list(self.tower),
             "degree_FK": self.degree_fk,
@@ -240,6 +241,26 @@ class TheoremReport:
             "identities": {str(n): bool(ok) for n, ok in sorted(self.identities.items())},
             "verdict": self.verdict,
         }
+        if self.first_failure is not None:
+            out["first_failure"] = dict(self.first_failure)
+        return out
+
+
+# the four per-depth identities, in the order of ``_identity_checks``' cells
+_IDENTITY_CHECKS = ("res_codim", "res", "ind", "ind_codim")
+
+
+def _first_failure(
+    cells: dict[tuple[int, int], tuple[bool, ...]], n_max: int, ms: tuple[int, ...]
+) -> dict | None:
+    """The first failing identity cell, in order of depth n, then of the
+    chain members ``ms``, then of the checks; None when all hold."""
+    for n in range(1, n_max + 1):
+        for m in ms:
+            for check, ok in zip(_IDENTITY_CHECKS, cells[m, n]):
+                if not ok:
+                    return {"check": check, "m": m, "n": n}
+    return None
 
 
 def _identity_checks(
@@ -313,7 +334,9 @@ def verify_theorem(
     Restriction multiplies entropy by [K:F]; induction preserves it.  The
     verdict is PASS only when every estimate resolves and both formulas and
     all per-depth identities hold; unresolved estimates give INCONCLUSIVE,
-    never a false pass.
+    never a false pass.  A FAIL names what broke in ``first_failure``: the
+    first failing identity cell (``_first_failure``) or, when every
+    identity holds, the restriction formula, else the induction formula.
     """
     if flow.field != e_fk.target or flow.field != e_kl.source:
         raise FieldMismatch("flow field must be the middle of the tower")
@@ -329,16 +352,18 @@ def verify_theorem(
         n: all(all(cells[m, n]) for m in identity_ms) for n in range(1, identity_n_max + 1)
     }
 
-    identities_ok = all(identities.values())
+    first_failure = _first_failure(cells, identity_n_max, identity_ms)
     formulas_known = ent_k.resolved and ent_f.resolved and ent_l.resolved
-    if not identities_ok:
+    if first_failure is not None:
         verdict = "FAIL"
     elif not formulas_known:
         verdict = "INCONCLUSIVE"
-    elif ent_f.value == e_fk.degree * ent_k.value and ent_l.value == ent_k.value:
-        verdict = "PASS"
+    elif ent_f.value != e_fk.degree * ent_k.value:
+        verdict, first_failure = "FAIL", {"check": "restriction_formula"}
+    elif ent_l.value != ent_k.value:
+        verdict, first_failure = "FAIL", {"check": "induction_formula"}
     else:
-        verdict = "FAIL"
+        verdict = "PASS"
 
     return TheoremReport(
         flow_label=flow.label,
@@ -349,4 +374,5 @@ def verify_theorem(
         ent_l=ent_l,
         identities=identities,
         verdict=verdict,
+        first_failure=first_failure,
     )

@@ -720,9 +720,14 @@ def flow_from_dict(spec: dict) -> Flow:
 
 
 def save_flow(flow: Flow, path) -> None:
+    """Write a flow's spec file: sorted keys, indent 2, a final newline.
+
+    The text is built as one string and written at once; the bytes are
+    those of ``json.dump`` with the same options, which streams its chunks
+    through the slower pure-Python encoder.
+    """
     with open(path, "w", newline="\n") as fh:
-        json.dump(flow_to_dict(flow), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(flow_to_dict(flow), indent=2, sort_keys=True) + "\n")
 
 
 def load_flow(path) -> Flow:

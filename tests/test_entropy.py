@@ -27,7 +27,7 @@ from flowent.entropy import (
     power_flow,
 )
 from flowent.errors import NotInvertible, TooLarge
-from flowent.fields import _prime_rank, least_irreducible, make_extension, make_prime_field
+from flowent.fields import _prime_rank, _rref_array, least_irreducible, make_extension, make_prime_field
 from flowent.linalg import (
     Matrix,
     Subspace,
@@ -98,6 +98,62 @@ class TestCotrajectory:
         for n in range(2, 5):
             stepped = intersect(u_win, preimage(mat, cots[n - 2]))
             assert stepped == cots[n - 1]
+
+
+def _stacked_forms(flow, u, n_max, window):
+    """Constraint forms the direct way: at every step all constraint rows
+    so far are stacked and row-reduced from scratch."""
+    dim = flow.discrete_dim + window
+    stack = np.zeros((0, dim), dtype=np.int64)
+    forms = []
+    for block in _constraint_blocks(flow, _dead_indices(flow, u), n_max, window):
+        rows = np.zeros((block.shape[0], dim), dtype=np.int64)
+        rows[:, : block.shape[1]] = block
+        stack = np.concatenate([stack, rows])
+        red, pivots = _rref_array(flow.field, stack.copy())
+        forms.append(red[: len(pivots)])
+    return forms
+
+
+def _scalar_towers():
+    """(F <= K, K <= L) for GF(2) <= GF(4) <= GF(16) and GF(3) <= GF(9) <= GF(81)."""
+    out = []
+    for p in (2, 3):
+        base = make_prime_field(p)
+        mid, inner = make_extension(base, least_irreducible(base, 2))
+        _, outer = make_extension(mid, least_irreducible(mid, 2))
+        out.append((inner, outer))
+    return out
+
+
+class TestCotrajectoryRunIncremental:
+    """``cotrajectory_run`` extends each form by the step's rows; its forms
+    equal those of the stacked rows reduced from scratch, entry for entry,
+    on seeded flows over K and their images over F and L."""
+
+    @pytest.mark.parametrize("tower", _scalar_towers(), ids=lambda t: repr(t[0].target))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_stacked_reduction(self, tower, seed):
+        from flowent.functors import ind_flow, res_flow, res_good
+
+        e_fk, e_kl = tower
+        flow = random_stencil_flow(e_fk.target, seed)
+        for m in (0, 2):
+            u = U(m)
+            window = default_window(flow, u, 10)
+            cases = [
+                (flow, u, window),
+                (res_flow(e_fk, flow), res_good(e_fk, u), e_fk.degree * window),
+                (ind_flow(e_kl, flow), u, window),
+            ]
+            for fl, fu, w in cases:
+                got = cotrajectory_run(fl, fu, 10, w)
+                want = _stacked_forms(fl, fu, 10, w)
+                assert len(got) == len(want) == 10
+                for n, (form, ref) in enumerate(zip(got, want), start=1):
+                    assert form.field == fl.field
+                    assert form.data.shape == ref.shape, (fl.label, m, n)
+                    assert np.array_equal(form.data, ref), (fl.label, m, n)
 
 
 class TestCodimSequence:

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from flowent.errors import Mismatch, NotPrime, Reducible, TooLarge
 from flowent.fields import (
     FiniteField,
+    _matmul_codes,
+    _rref_array,
+    _rref_extend,
     check_float_exact,
     compose,
     field_from_descriptor,
@@ -426,3 +429,181 @@ class TestFloatExactness:
         out = run_python("-O", "-c", _GUARD_SCRIPT)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["matmul raised", "tracker raised", "window raised"]
+
+
+def _rref_fields():
+    gf2, gf3, gf5 = (make_prime_field(p) for p in (2, 3, 5))
+    return [
+        gf2,
+        gf3,
+        make_extension(gf2, least_irreducible(gf2, 2))[0],
+        gf5,
+        make_extension(gf3, least_irreducible(gf3, 2))[0],
+        make_extension(gf2, least_irreducible(gf2, 4))[0],
+        make_extension(gf5, least_irreducible(gf5, 2))[0],
+    ]
+
+
+def _stacked_rref(field, red, rows):
+    """The reference: ``_rref_array`` of the two operands stacked, padded
+    to a common width, without zero rows."""
+    width = max(red.shape[1], rows.shape[1])
+    stack = np.zeros((red.shape[0] + rows.shape[0], width), dtype=np.int64)
+    stack[: red.shape[0], : red.shape[1]] = red
+    stack[red.shape[0] :, : rows.shape[1]] = rows
+    out, pivots = _rref_array(field, stack)
+    return out[: len(pivots)], pivots
+
+
+def _row_stream(field, rng, steps=14):
+    """Blocks of growing width: random rows, sparse rows, zero rows,
+    repeats of earlier rows and combinations of rows already sent."""
+    sent = np.zeros((0, 0), dtype=np.int64)
+    width = int(rng.integers(1, 4))
+    for _ in range(steps):
+        width += int(rng.integers(0, 4))
+        count = int(rng.integers(0, 5))
+        block = field.random_codes(rng, (count, width))
+        block[rng.random((count, width)) < 0.5] = 0
+        extra = [np.zeros((1, width), dtype=np.int64)]
+        if sent.shape[0]:
+            old = np.zeros((sent.shape[0], width), dtype=np.int64)
+            old[:, : sent.shape[1]] = sent
+            pick = old[rng.integers(0, old.shape[0], 2)]
+            coeffs = field.random_codes(rng, (2, old.shape[0]))
+            extra += [pick, field.arr_matmul(coeffs, old)]
+        block = np.concatenate([block] + extra)
+        block = block[rng.permutation(block.shape[0])]
+        if rng.random() < 0.25:  # a block narrower than the rows so far
+            block = block[:, : int(rng.integers(1, width + 1))]
+        yield block
+        grown = np.zeros((sent.shape[0] + block.shape[0], width), dtype=np.int64)
+        grown[: sent.shape[0], : sent.shape[1]] = sent
+        grown[sent.shape[0] :, : block.shape[1]] = block
+        sent = grown
+
+
+class TestRrefExtend:
+    """The incremental echelon step against ``_rref_array`` of the stacked
+    rows, entry for entry."""
+
+    @pytest.mark.parametrize("field", _rref_fields(), ids=repr)
+    def test_row_streams(self, field):
+        rng = np.random.default_rng(field.q)
+        for trial in range(12):
+            red = np.zeros((0, int(rng.integers(0, 3))), dtype=np.int64)
+            pivots: list[int] = []
+            for block in _row_stream(field, rng):
+                prev, frozen_red, frozen_block = red, red.copy(), block.copy()
+                want, want_pivots = _stacked_rref(field, red, block)
+                red, pivots = _rref_extend(field, red, pivots, block)
+                assert pivots == want_pivots, (field, trial)
+                assert red.dtype == want.dtype and red.shape == want.shape
+                assert np.array_equal(red, want), (field, trial)
+                assert np.array_equal(prev, frozen_red) and np.array_equal(block, frozen_block)
+
+    @pytest.mark.parametrize("field", _rref_fields(), ids=repr)
+    def test_operands_left_intact(self, field):
+        rng = np.random.default_rng(7)
+        start = field.random_codes(rng, (4, 9))
+        red, pivots = _stacked_rref(field, start[:0], start)
+        red.setflags(write=False)
+        rows = field.random_codes(rng, (3, 12))
+        rows.setflags(write=False)
+        out, out_pivots = _rref_extend(field, red, pivots, rows)
+        want, want_pivots = _stacked_rref(field, red, rows)
+        assert out_pivots == want_pivots and np.array_equal(out, want)
+
+    def test_empty_start_and_empty_block(self, gf4):
+        rows = np.array([[0, 2, 3], [0, 1, 1], [0, 0, 0]], dtype=np.int64)
+        red, pivots = _rref_extend(gf4, np.zeros((0, 0), dtype=np.int64), [], rows)
+        want, want_pivots = _stacked_rref(gf4, rows[:0], rows)
+        assert pivots == want_pivots == [1, 2] and np.array_equal(red, want)
+        again, again_pivots = _rref_extend(gf4, red, pivots, np.zeros((0, 5), dtype=np.int64))
+        assert again.shape == (red.shape[0], 5) and again_pivots == pivots
+        assert np.array_equal(again[:, :3], red) and not again[:, 3:].any()
+
+    @pytest.mark.parametrize("field", _rref_fields()[2:], ids=repr)
+    def test_chunked_products(self, field, monkeypatch):
+        """Extension-field products, one inner index per chunk and in one
+        chunk, against the digit-plane product of ``arr_matmul``."""
+        from flowent import fields
+
+        rng = np.random.default_rng(field.q)
+        a = field.random_codes(rng, (5, 30))
+        a[:, rng.random(30) < 0.3] = 0
+        b = field.random_codes(rng, (30, 17))
+        want = field.arr_matmul(a, b)
+        assert np.array_equal(_matmul_codes(field, a, b), want)
+        monkeypatch.setattr(fields, "_PRODUCT_CHUNK", 1)
+        assert np.array_equal(_matmul_codes(field, a, b), want)
+
+
+class TestEmbeddingTable:
+    """``apply_array`` gathers from a table of the images of all source
+    codes; the table agrees with the digit map on every code."""
+
+    @pytest.mark.parametrize("tower", ["2<=4", "4<=16", "3<=9", "2<=65536"])
+    def test_table_matches_digit_route(self, tower, gf2, gf3, gf4_pair, gf16_pair):
+        emb = {
+            "2<=4": lambda: gf4_pair[1],
+            "4<=16": lambda: gf16_pair[1],
+            "3<=9": lambda: make_extension(gf3, least_irreducible(gf3, 2))[1],
+            "2<=65536": lambda: make_extension(gf2, least_irreducible(gf2, 16))[1],
+        }[tower]()
+        codes = np.arange(emb.source.q, dtype=np.int64)
+        table = emb.apply_array(codes)
+        assert np.array_equal(table, emb._apply_digits(codes))
+        assert table.tolist() == [emb.apply(int(a)) for a in codes]
+        grid = np.random.default_rng(0).integers(0, emb.source.q, (6, 11))
+        assert np.array_equal(emb.apply_array(grid), emb._apply_digits(grid))
+        emb.apply_array(codes)[...] = 0  # a copy: the shared table stays intact
+        assert np.array_equal(emb.apply_array(codes), table)
+
+
+# Builds the table of regular representations of GF(2) <= GF(2^16), 2^16
+# matrices of 16 x 16 entries (128 MiB of int64), and prints its peak
+# resident set size in MB (VmHWM, as in _BUILD_SCRIPT), then whether the
+# table agrees with ``rep`` and with the definition of ``rep`` on 64
+# sampled codes: coords(alpha * beta) = rep(alpha) @ coords(beta).
+_REP_TABLE_SCRIPT = """
+import re
+import numpy as np
+from flowent.fields import least_irreducible, make_extension, make_prime_field
+
+gf2 = make_prime_field(2)
+field, emb = make_extension(gf2, least_irreducible(gf2, 16))
+table = emb.rep_table()
+with open("/proc/self/status") as fh:
+    print(int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1)) / 1024)
+rng = np.random.default_rng(16)
+ok = table.shape == (field.q, 16, 16)
+for alpha in [0, 1, field.q - 1] + rng.integers(0, field.q, 61).tolist():
+    ok &= np.array_equal(table[alpha], emb.rep(alpha))
+    beta = int(rng.integers(0, field.q))
+    lhs = emb.coords_in_basis(field.mul(alpha, beta))
+    ok &= np.array_equal(lhs, table[alpha] @ emb.coords_in_basis(beta) % 2)
+print(bool(ok))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux /proc")
+def test_rep_table_memory(run_python):
+    """The table is built in chunks: a fresh process building the 128 MiB
+    table of GF(2) <= GF(2^16) stays under 250 MB."""
+    out = run_python("-c", _REP_TABLE_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    peak, ok = out.stdout.split()
+    assert float(peak) < 250
+    assert ok == "True"
+
+
+def test_no_primitive_element_raises_typed_error(gf4, monkeypatch):
+    """The search for a field generator ends in a typed error, not an
+    assert that ``python -O`` strips, if no candidate were found."""
+    from flowent import fields
+
+    modulus = least_irreducible(gf4, 2)
+    monkeypatch.setattr(fields, "_prime_rank", lambda a, p: 0)
+    with pytest.raises(Reducible):
+        make_extension(gf4, modulus)

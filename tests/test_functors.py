@@ -461,3 +461,67 @@ class TestIdentityChecks:
         report = verify_theorem(e_fk, e_kl, flow, cfg, self.n_max, self.ms)
         assert report.verdict == "FAIL"
         assert sorted(n for n, ok in report.identities.items() if not ok) == failing
+
+    @pytest.mark.parametrize("side", ["res", "ind"])
+    @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (9, 1), (16, 2)])
+    def test_fail_names_first_failing_cell(self, towers, monkeypatch, side, q, seed):
+        """The fault of ``test_perturbed_flow_fails``: the FAIL report names
+        the reference's first failing cell, by depth, then member, then
+        check."""
+        e_fk, e_kl = towers[q]
+        flow = random_stencil_flow(e_fk.target, seed)
+        flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+        if side == "res":
+            flow_f = _perturb(flow_f)
+        else:
+            flow_l = _perturb(flow_l)
+        ref = self.cells(_kernel_route, e_fk, e_kl, flow, flow_f, flow_l)
+        names = ("res_codim", "res", "ind", "ind_codim")
+        first = next(
+            {"check": check, "m": m, "n": n}
+            for n in range(1, self.n_max + 1)
+            for m in self.ms
+            for check, ok in zip(names, ref[m, n])
+            if not ok
+        )
+        name = "res_flow" if side == "res" else "ind_flow"
+        original = getattr(functors, name)
+        monkeypatch.setattr(functors, name, lambda e, fl: _perturb(original(e, fl)))
+        cfg = EngineConfig(n_max=12, m_max=2)
+        report = verify_theorem(e_fk, e_kl, flow, cfg, self.n_max, self.ms)
+        assert report.verdict == "FAIL"
+        assert report.to_dict()["first_failure"] == first
+
+
+class TestFirstFailure:
+    """A FAIL on the formulas alone names the formula; PASS and
+    INCONCLUSIVE reports carry no ``first_failure`` key."""
+
+    @pytest.mark.parametrize("side,check", [("F", "restriction_formula"), ("L", "induction_formula")])
+    def test_formula_failure_is_named(self, gf4_pair, gf16_pair, monkeypatch, side, check):
+        import dataclasses
+
+        gf4, e_fk = gf4_pair
+        _, e_kl = gf16_pair
+        wrong = e_fk.source if side == "F" else e_kl.target
+        original = functors.ent_star
+
+        def shifted(fl, cfg):
+            est = original(fl, cfg)
+            return dataclasses.replace(est, value=est.value + 1) if fl.field == wrong else est
+
+        monkeypatch.setattr(functors, "ent_star", shifted)
+        report = verify_theorem(e_fk, e_kl, make_bernoulli(gf4, 1), FAST, identity_n_max=4)
+        assert report.verdict == "FAIL" and all(report.identities.values())
+        assert report.to_dict()["first_failure"] == {"check": check}
+
+    def test_pass_and_inconclusive_have_no_key(self, gf4_pair, gf16_pair):
+        gf4, e_fk = gf4_pair
+        _, e_kl = gf16_pair
+        passed = verify_theorem(e_fk, e_kl, make_bernoulli(gf4, 1), FAST, identity_n_max=4)
+        # ent_F of this flow stays unresolved at the default config
+        unsure = verify_theorem(e_fk, e_kl, random_stencil_flow(gf4, 2), identity_n_max=4)
+        assert (passed.verdict, unsure.verdict) == ("PASS", "INCONCLUSIVE")
+        for report in (passed, unsure):
+            assert report.first_failure is None
+            assert "first_failure" not in report.to_dict()

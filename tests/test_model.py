@@ -316,6 +316,34 @@ class TestFlowSpecJson:
             assert again.endo.stencil == flow.endo.stencil
             assert flow_to_dict(again) == flow_to_dict(flow)
 
+    def test_spec_bytes_match_streamed_dump(self, tmp_path):
+        """``save_flow`` writes one string with the bytes of ``json.dump``
+        streamed to the file: the 13 prefix-shift flows and random flows
+        over GF(2), GF(4) and GF(9)."""
+        import io
+
+        gf2, gf3 = make_prime_field(2), make_prime_field(3)
+        flows = []
+        for r in range(8, 81, 6):
+            prefix = np.zeros((r, r + 1), dtype=np.int64)
+            prefix[np.arange(r), np.arange(r) + 1] = 1
+            endo = EndoSpec(gf2, {0: 1}, prefix=Matrix(gf2, prefix))
+            flows.append(Flow(SpaceShape(gf2, 0), endo, label=f"prefix-shift[{r}]"))
+        for field in (
+            gf2,
+            make_extension(gf2, least_irreducible(gf2, 2))[0],
+            make_extension(gf3, least_irreducible(gf3, 2))[0],
+        ):
+            flows += [random_stencil_flow(field, seed) for seed in range(6)]
+            flows.append(direct_sum(random_stencil_flow(field, 1), random_stencil_flow(field, 2)))
+        for i, flow in enumerate(flows):
+            buf = io.StringIO()
+            json.dump(flow_to_dict(flow), buf, indent=2, sort_keys=True)
+            buf.write("\n")
+            path = tmp_path / f"flow-{i}.json"
+            save_flow(flow, path)
+            assert path.read_bytes() == buf.getvalue().encode(), flow.label
+
     def test_matrix_elements_read_as_one_by_one(self, gf4):
         # coordinate lists of any length with zeros past the degree, negative
         # digits, integers and lists mixed over a prime field, and integers
