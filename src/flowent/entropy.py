@@ -23,13 +23,24 @@ exchanges for p = 2, and for odd p one reduced row-echelon block per
 level, each absorbing the step's rows with a float64 product reduced
 mod p.
 
+The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
+consumer of a step's block has made of them: since
+``S_{n+1} = S_1 + phi* S_n``, a row may be carried into the next step
+reduced by the constraint span of the steps before and by the step's
+earlier rows, at its level or below, and every rank and form stays the
+same (``_constraint_blocks`` has the proof).  In characteristic 2 the
+tracker hands back each row's value where it first settled, so the next
+step's rows mostly skip the holders their rows climbed through before;
+odd characteristic carries its raw rows.
+
 Cotrajectories are carried as their constraint forms: one reduced
 row-echelon form over the flow's own field, whose kernel is the
 cotrajectory.  ``fields._rref_extend`` extends it from step to step: the
 step's rows are reduced by the form, only their residues are row-reduced,
 and the form is cleared at the new pivots, so step n walks only its new
-pivots.  Every row reduction, over any field, runs through
-``fields._rref_array``, on whole arrays or on such residues.
+pivots.  The reduced residues are what step n carries, so the next block
+has one row per new pivot.  Every row reduction, over any field, runs
+through ``fields._rref_array``, on whole arrays or on such residues.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.
@@ -143,6 +154,14 @@ class _FlagStack2:
     have distinct leads, so they are independent.  Each step ends the loop
     or moves the lead strictly up (``x ^ y`` of two rows with the same lead
     clears it), so an insert ends after at most one step per column.
+
+    ``insert`` also returns, for each row, its value at the moment it first
+    becomes a holder at its own level l, or 0 when it reduces to 0 there:
+    the row plus holders of level <= l, a row ``_constraint_blocks`` may
+    carry.  Recording it costs no reduction step.  A raw row starts at low
+    columns and climbs through the holders there at every step; a carried
+    value starts where it settled, and its image in the next step mostly
+    starts past the holders it has climbed through already.
     """
 
     def __init__(self, bounds: Sequence[int]):
@@ -154,18 +173,29 @@ class _FlagStack2:
     def ranks(self) -> list[int]:
         return list(accumulate(self.per_level))
 
-    def insert(self, rows: np.ndarray) -> None:
+    def insert(self, rows: np.ndarray) -> np.ndarray:
+        """Insert a block; return each row's value when it was first
+        placed at its own level (0 when it reduced to 0 there), as a 0/1
+        uint8 array of the block's shape.  A placed value is the row plus
+        holders of its level or below, so it differs from the row by an
+        element of ``V_l`` as it stood before the row came in.  Blocks
+        come no narrower than the ones before, so every value fits the
+        block's width."""
         holders = self.holders
         per_level = self.per_level
-        packed_rows = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+        packed_rows = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
+        size = packed_rows.shape[1]
+        placed = []
         for packed_row, level in zip(packed_rows, self.levels):
             packed = int.from_bytes(packed_row.tobytes(), "little")
+            own = 0
             while packed:
                 lead = (packed & -packed).bit_length() - 1
                 held = holders.get(lead)
                 if held is None:
                     holders[lead] = (packed, level)
                     per_level[level] += 1
+                    own = own or packed
                     break
                 holder, held_level = held
                 if held_level <= level:
@@ -174,7 +204,11 @@ class _FlagStack2:
                     holders[lead] = (packed, level)
                     per_level[level] += 1
                     per_level[held_level] -= 1
+                    own = own or packed
                     packed, level = holder ^ packed, held_level
+            placed.append(own.to_bytes(size, "little"))
+        packed_out = np.frombuffer(b"".join(placed), dtype=np.uint8).reshape(len(placed), size)
+        return np.unpackbits(packed_out, axis=1, count=rows.shape[1], bitorder="little")
 
 
 class _FlagStackOdd:
@@ -203,6 +237,9 @@ class _FlagStackOdd:
     reduced exactly mod p in int64.  Only the rows hit by the new pivots
     are updated, and only in the columns where the reduced residues are
     nonzero.
+
+    ``insert`` returns None, so the next step multiplies out the raw rows:
+    carrying this tracker's own-level residues instead measured no faster.
     """
 
     def __init__(self, p: int, bounds: Sequence[int]):
@@ -260,15 +297,46 @@ def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
 
 
 def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
-    """Yield the constraint rows of step n = 1..n_max over their support.
+    """Yield a block of constraint rows for each step n = 1..n_max over
+    their support, and take back through ``send`` the rows to carry into
+    the next step: the block itself when None is sent.
 
-    Step n's rows are the dead coordinates of phi^(n-1) inside the window,
-    one row per dead coordinate.  A row of width w times the window matrix
-    reads only the matrix rows below w, and those read at most
-    ``bandwidth`` columns past w, so each block holds only its leading
-    ``w + bandwidth`` columns (it is zero beyond).  The window matrix is
-    given by its nonzeros, built once by ``window_nonzeros``; a step costs
-    O(rows * nnz), not O(rows * cols * w) as a dense product would.
+    Raw step n rows are the dead coordinates of phi^(n-1) inside the
+    window, one row per dead coordinate, and each block is the carried
+    rows of the step before times the window matrix.  A row of width w
+    times that matrix reads only the matrix rows below w, and those read
+    at most ``bandwidth`` columns past w, so each block holds only its
+    leading ``w + bandwidth`` columns (it is zero beyond), and carried rows
+    must be zero past the width of the block they were taken from.  The
+    window matrix is given by its nonzeros, built once by
+    ``window_nonzeros``; a step costs O(rows * nnz), not O(rows * cols * w)
+    as a dense product would.  GF(2) blocks are uint8, other blocks int64
+    codes.
+
+    Carried rows.  Give row i of every block a level l(i), non-decreasing
+    in i, and let ``V_l(n)`` be the span of the raw rows of level <= l of
+    steps 1..n.  The consumer may carry any rows C such that, for every l,
+    C's rows of level <= l span ``V_l(n)`` together with ``V_l(n-1)``.
+    Every rank and every constraint form then stays what the raw rows
+    give, because every block has that property too.  Proof, by induction
+    on n: step 1's block is raw.  If C has it at step n, applying phi* to
+    both sides of ``C_{<=l} + V_l(n-1) = R_{<=l} + V_l(n-1)``, with R the
+    raw rows of step n, gives the same for the next block and the raw rows
+    of step n+1, modulo ``phi* V_l(n-1)``.  That space is spanned by the
+    raw rows of level <= l of steps 2..n, so it lies in ``V_l(n)``; this is
+    ``S_{n+1} = S_1 + phi* S_n``.  Adding ``V_l(n)`` to both sides, the
+    next block spans ``V_l(n+1)`` together with ``V_l(n)``.
+
+    Two ways to get such rows C from a block B that has the property:
+
+    - keep the row levels and replace row i of level l by ``g + a``, where
+      g is B's row i and a lies in ``V_l(n-1)`` plus the span of B's
+      earlier rows.  The change is unitriangular modulo ``V_l(n-1)`` on
+      every prefix of the rows, so it keeps the spans.  By induction, row
+      i of every block then differs from the raw row ``phi*^(n-1) e_i`` by
+      an element of ``V_l(n-1)`` plus the span of the raw rows j < i of
+      step n;
+    - with a single level, take any basis of ``V(n)`` modulo ``V(n-1)``.
     """
     field = flow.field
     nonzeros = window_nonzeros(flow, window)
@@ -277,12 +345,14 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
         raise TooLarge(f"{nonzeros[0].size} window entries over GF({field.p}) overflow int64 sums")
     dim = flow.discrete_dim + window
     reach = flow.endo.bandwidth
-    block = np.zeros((len(dead), min(dim, max(dead) + 1 if dead else 0)), dtype=np.int64)
+    width = min(dim, max(dead) + 1 if dead else 0)
+    block = np.zeros((len(dead), width), dtype=np.uint8 if field.q == 2 else np.int64)
     block[np.arange(len(dead)), dead] = 1
     for n in range(1, n_max + 1):
-        yield block
+        carried = yield block
         if n < n_max:
-            block = _times_nonzeros(field, block, nonzeros, min(dim, block.shape[1] + reach))
+            rows = block if carried is None else carried
+            block = _times_nonzeros(field, rows, nonzeros, min(dim, block.shape[1] + reach))
 
 
 def _times_nonzeros(field, block: np.ndarray, nonzeros, out_cols: int) -> np.ndarray:
@@ -298,15 +368,19 @@ def _times_nonzeros(field, block: np.ndarray, nonzeros, out_cols: int) -> np.nda
     again over an odd extension.  A term is at most (p-1)^2 and a sum has
     at most nnz terms, so every int64 sum is at most nnz * (p-1)^2, which
     ``_constraint_blocks`` checks is below 2^63: the sums are exact.
+    Over GF(2) every code is 1, so the gathered columns are the terms, and
+    the product is uint8.
     """
     rows, cols, codes = nonzeros
     keep = (rows < block.shape[1]) & (cols < out_cols)
     rows, cols, codes = rows[keep], cols[keep], codes[keep]
-    out = np.zeros((block.shape[0], out_cols), dtype=np.int64)
+    out = np.zeros((block.shape[0], out_cols), dtype=np.uint8 if field.q == 2 else np.int64)
     if not cols.size:
         return out
     starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    if field.d == 1:
+    if field.q == 2:
+        terms = block[:, rows]
+    elif field.d == 1:
         terms = block[:, rows] * codes
     else:
         terms = field.arr_mul(block[:, rows], codes)
@@ -336,6 +410,15 @@ def _restrict(field, block: np.ndarray) -> np.ndarray:
     return field.coords_array(prods).reshape(rows * field.d, cols * field.d)
 
 
+def _unrestrict(field, rows: np.ndarray) -> np.ndarray:
+    """The GF(p^d)-rows whose restrictions' first rows (t = 0) are every
+    d-th of ``rows``: coordinate k of entry j is read from column j*d + k."""
+    if field.d == 1:
+        return rows
+    first = rows[:: field.d]
+    return field.encode_array(first.reshape(first.shape[0], first.shape[1] // field.d, field.d))
+
+
 def _rank_traces(
     flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int
 ) -> list[list[int]]:
@@ -348,14 +431,27 @@ def _rank_traces(
     step's restricted rows are inserted once, and the codimension at step
     n is the rank at the count's level over ``deg``, less ``count``, the
     codimension of the good subspace itself.
+
+    In characteristic 2 the next step multiplies out the values the
+    tracker placed, not the raw rows.  The value of the first restricted
+    row of a GF(2^d)-row g differs from it by an element of the tracker's
+    span of level <= l, which is the restriction of ``V_l(n-1)`` plus the
+    GF(2^d)-span of the rows before g: both are GF(2^d)-spaces, and the
+    earlier rows came in with all d of their restricted rows.  So the row
+    read back by ``_unrestrict`` is g plus an element of that GF(2^d)-space,
+    which is what ``_constraint_blocks`` allows to carry.  Odd
+    characteristic carries its raw rows.
     """
     field = flow.field
     deg = field.d
     bounds = [count * deg for count in counts]
     stack = _FlagStack2(bounds) if field.p == 2 else _FlagStackOdd(field.p, bounds)
     values: list[list[int]] = [[] for _ in counts]
-    for block in _constraint_blocks(flow, dead, n_max, window):
-        stack.insert(_restrict(field, block)[: bounds[-1]])
+    blocks = _constraint_blocks(flow, dead, n_max, window)
+    carried = None
+    for _ in range(n_max):
+        placed = stack.insert(_restrict(field, blocks.send(carried)))
+        carried = None if placed is None else _unrestrict(field, placed)
         for count, rank, vals in zip(counts, stack.ranks, values):
             vals.append(rank // deg - count)
     return values
@@ -414,14 +510,31 @@ def cotrajectory_run(flow: Flow, u: GoodSubspace, n_max: int, window: int) -> li
     space has exactly one such form, so it is the one a reduction of all
     the rows from scratch gives, and equal forms mean equal
     cotrajectories.
+
+    Step n carries into the next step the rows of form n at its new
+    pivots, the reduced residues of its block, so the next block has
+    ``delta_n`` rows.  They vanish at the old pivots and have distinct new
+    pivots, so no nonzero combination of them lies in the span ``V(n-1)``
+    of form n-1, whose only vector vanishing at all its pivots is 0.  There
+    are ``dim V(n) - dim V(n-1)`` of them, so they are a basis of ``V(n)``
+    modulo ``V(n-1)``, which ``_constraint_blocks`` allows to carry.
+    Every raw row of steps 1..n is zero past step n's block width, so form
+    n is too, and trimming the rows to that width drops only zeros.
     """
     field = flow.field
     red = np.zeros((0, flow.discrete_dim + window), dtype=np.int64)
     pivots: list[int] = []
     out = []
-    for block in _constraint_blocks(flow, _dead_indices(flow, u), n_max, window):
-        red, pivots = _rref_extend(field, red, pivots, block)
+    blocks = _constraint_blocks(flow, _dead_indices(flow, u), n_max, window)
+    carried = None
+    for _ in range(n_max):
+        block = blocks.send(carried)
+        old = pivots
+        red, pivots = _rref_extend(field, red, pivots, block.astype(np.int64, copy=False))
         out.append(Matrix(field, red))
+        new = np.ones(len(pivots), dtype=bool)
+        new[np.searchsorted(pivots, old)] = False  # pivots come sorted
+        carried = red[new, : block.shape[1]].astype(block.dtype, copy=False)
     return out
 
 

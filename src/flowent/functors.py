@@ -337,9 +337,13 @@ def verify_theorem(
     never a false pass.  A FAIL names what broke in ``first_failure``: the
     first failing identity cell (``_first_failure``) or, when every
     identity holds, the restriction formula, else the induction formula.
+    An ``identity_n_max`` below 1 would check no identity and could pass
+    on the formulas alone, so it raises ValueError.
     """
     if flow.field != e_fk.target or flow.field != e_kl.source:
         raise FieldMismatch("flow field must be the middle of the tower")
+    if identity_n_max < 1:
+        raise ValueError(f"identity depth {identity_n_max} checks no identity; it must be at least 1")
     flow_f = res_flow(e_fk, flow)
     flow_l = ind_flow(e_kl, flow)
     ent_k = ent_star(flow, cfg)

@@ -136,6 +136,14 @@ class TestVerify:
         code, _ = run(capsys, "verify", bernoulli_spec, "--base-depth", "5")
         assert code == 1
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_identity_depth_below_one_exits_one(self, capsys, bernoulli_spec, depth):
+        # such a depth checks no identity, so it must not pass on the formulas alone
+        code = main(["verify", bernoulli_spec, "--max-n", "24", "--max-m", "4", "--identity-n", depth])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert f"identity depth {depth}" in err
+
     def test_reducible_extension_rejected(self, capsys, gf2_bernoulli_spec):
         code, _ = run(
             capsys, "verify", gf2_bernoulli_spec, "--ext-modulus", "[1, 0, 1]"

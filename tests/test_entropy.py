@@ -16,6 +16,9 @@ from flowent.entropy import (
     _dead_indices,
     _FlagStack2,
     _FlagStackOdd,
+    _restrict,
+    _times_nonzeros,
+    _unrestrict,
     brute_force_codim,
     chain_traces,
     codim_sequence,
@@ -23,6 +26,7 @@ from flowent.entropy import (
     cotrajectory,
     cotrajectory_run,
     ent_star,
+    entropy_report,
     h_star,
     power_flow,
 )
@@ -50,6 +54,7 @@ from flowent.model import (
     make_identity,
     random_stencil_flow,
     truncate,
+    window_nonzeros,
 )
 
 U = GoodSubspace.principal
@@ -536,6 +541,196 @@ class TestFlagTrackers:
             counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
             expected = _reference_codims(flow, dead, counts, n_max, traces[0].windows[0])
             assert [list(t.values) for t in traces] == expected, (q, seed)
+
+
+
+def _raw_row_traces(flow, dead, counts, n_max, window):
+    """``_rank_traces`` on the raw rows: the blocks of ``_constraint_blocks``
+    iterated without carrying anything back, each inserted into a fresh
+    flag tracker."""
+    field = flow.field
+    stack = _flag_stack(field.p, [count * field.d for count in counts])
+    values = [[] for _ in counts]
+    for block in _constraint_blocks(flow, dead, n_max, window):
+        stack.insert(_restrict(field, block))
+        for count, rank_m, vals in zip(counts, stack.ranks, values):
+            vals.append(rank_m // field.d - count)
+    return values
+
+
+def _char2_fields():
+    gf2 = make_prime_field(2)
+    return [gf2] + [make_extension(gf2, least_irreducible(gf2, d))[0] for d in (2, 4)]
+
+
+class TestCarriedRows:
+    """Blocks multiplied out from carried rows, not raw ones, give the same
+    traces and constraint forms as the raw rows."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_insert_returns_placed_values(self, p):
+        # GF(2) hands back where each row settled; odd p carries raw rows
+        bounds = [1, 2, 3]
+        stack = _flag_stack(p, bounds)
+        placed = stack.insert(np.array([[1, 0, 0], [0, 1, 1], [1, 1, 1]]))
+        if p == 3:
+            assert placed is None
+            return
+        # row 2 climbs past e0 and e1 + e2 to 0: dependent at its level
+        assert placed.dtype == np.uint8
+        assert placed.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 0]]
+
+    def test_exchange_returns_the_row_where_it_displaced(self):
+        # level 1 holds e1 + e2 at lead 1; a level-0 row e0 + e1 climbs past
+        # the level-0 holder e0 and displaces it as e1, which is its value;
+        # the displaced e1 + e2 goes on as e2 at level 1
+        bounds = [1, 2]
+        stack = _FlagStack2(bounds)
+        stack.insert(_level_row(bounds, 1, [0, 1, 1]))
+        stack.insert(_level_row(bounds, 0, [1, 0, 0]))
+        placed = stack.insert(np.array([[1, 1, 0], [0, 0, 0]]))
+        assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
+        assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
+        assert stack.ranks == [2, 3]
+
+    def test_placed_values_on_random_streams(self):
+        # each placed value is its row plus an element of the span of the
+        # rows of no higher level inserted before it, and 0 exactly when the
+        # row lies in that span
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            bounds = np.cumsum(rng.integers(1, 4, size=int(rng.integers(1, 4)))).tolist()
+            stack = _FlagStack2(bounds)
+            levels = np.searchsorted(bounds, np.arange(bounds[-1]), side="right")
+            before: list[tuple[int, np.ndarray]] = []  # (level, row) in insertion order
+            width = int(rng.integers(2, 6))
+            for _ in range(int(rng.integers(1, 8))):
+                width += int(rng.integers(0, 2))
+                rows = rng.integers(0, 2, size=(bounds[-1], width))
+                placed = stack.insert(rows)
+                assert placed.shape == rows.shape
+                for row, value, level in zip(rows, placed, levels):
+                    span = [np.pad(r, (0, width - r.size)) for lv, r in before if lv <= level]
+                    base = _prime_rank(np.array(span), 2) if span else 0
+                    with_row = _prime_rank(np.array(span + [row]), 2)
+                    with_diff = _prime_rank(np.array(span + [(row + value) % 2]), 2)
+                    assert with_diff == base, trial
+                    assert (not value.any()) == (with_row == base), trial
+                    before.append((level, row))
+
+    @staticmethod
+    def record_inserts(monkeypatch):
+        """Counts, over every ``_FlagStack2.insert``, the nonzero rows that
+        came back 0 and the inserts in which a row displaced a holder of a
+        higher level."""
+        seen = {"dependent": 0, "exchanges": 0}
+        insert = _FlagStack2.insert
+
+        def counting(self, rows):
+            held = {lead: level for lead, (_, level) in self.holders.items()}
+            placed = insert(self, rows)
+            seen["dependent"] += int((rows.any(axis=1) & ~placed.any(axis=1)).sum())
+            seen["exchanges"] += any(
+                level < held.get(lead, level) for lead, (_, level) in self.holders.items()
+            )
+            return placed
+
+        monkeypatch.setattr(_FlagStack2, "insert", counting)
+        return seen
+
+    @pytest.mark.parametrize("field", _char2_fields() + [make_prime_field(3)], ids=repr)
+    def test_chain_traces_match_raw_rows(self, field, monkeypatch):
+        # phase flows with dd/cd/dc blocks, prefixes and negative offsets,
+        # on the default chain and on scattered zero sets
+        seen = self.record_inserts(monkeypatch)
+        rng = np.random.default_rng(field.q + 100)
+        flows = [_random_phase_flow(field, seed) for seed in range(16)]
+        flows.append(make_identity(SpaceShape(field, 2)))
+        assert any(flow.endo.dd.rows and flow.endo.cd.cols and flow.endo.dc.rows for flow in flows)
+        assert any(flow.endo.min_offset < 0 and flow.endo.prefix_rows for flow in flows)
+        for flow in flows:
+            n_max = 20
+            traces = chain_traces(flow, n_max, DEFAULT_CONFIG)
+            d = flow.discrete_dim
+            dead = list(range(d)) + [d + i for i in range(DEFAULT_CONFIG.m_max)]
+            counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
+            want = _raw_row_traces(flow, dead, counts, n_max, traces[0].windows[0])
+            assert [list(t.values) for t in traces] == want, flow.label
+            u = GoodSubspace(frozenset(rng.choice(8, size=int(rng.integers(1, 4)), replace=False).tolist()))
+            trace = codim_sequence(flow, u, n_max)
+            dead_u = _dead_indices(flow, u)
+            assert [list(trace.values)] == _raw_row_traces(flow, dead_u, [len(dead_u)], n_max, trace.windows[0])
+        if field.p == 2:
+            assert seen["dependent"] and seen["exchanges"], seen
+
+    def test_verify_sweep_images_match_raw_rows(self, gf4_pair, gf16_pair, monkeypatch):
+        # GF(4) flows with their GF(2) restrictions and GF(16) inductions,
+        # whose restricted rows come four to a GF(16) row
+        from flowent.functors import ind_flow, res_flow
+
+        seen = self.record_inserts(monkeypatch)
+        (gf4, e24), (_, e416) = gf4_pair, gf16_pair
+        for seed in range(3):
+            flow = random_stencil_flow(gf4, seed)
+            for image in (flow, res_flow(e24, flow), ind_flow(e416, flow)):
+                traces = chain_traces(image, 24, DEFAULT_CONFIG)
+                d = image.discrete_dim
+                dead = list(range(d)) + [d + i for i in range(DEFAULT_CONFIG.m_max)]
+                counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
+                want = _raw_row_traces(image, dead, counts, 24, traces[0].windows[0])
+                assert [list(t.values) for t in traces] == want, image.label
+        assert seen["dependent"] and seen["exchanges"], seen
+
+    def test_prefix_shift_reports_unchanged(self, monkeypatch):
+        # the reports of prefix-shift[r], wrong ones for r >= 70 included,
+        # are byte-identical to those computed from the raw rows
+        import json
+
+        import flowent.entropy as entropy
+
+        flows = [_prefix_shift_flow(r) for r in (8, 62, 74, 80)]
+        got = [json.dumps(entropy_report(f, ent_star(f), DEFAULT_CONFIG)) for f in flows]
+        monkeypatch.setattr(entropy, "_rank_traces", _raw_row_traces)
+        want = [json.dumps(entropy_report(f, ent_star(f), DEFAULT_CONFIG)) for f in flows]
+        assert got == want
+
+    @pytest.mark.parametrize("field", _char2_fields() + [make_prime_field(3)], ids=repr)
+    def test_forms_match_stacked_raw_rows(self, field):
+        # cotrajectory_run carries one reduced residue per new pivot; an
+        # identity flow adds none after step 1, so its blocks run empty
+        flows = [_random_phase_flow(field, seed) for seed in range(8)]
+        flows.append(make_identity(SpaceShape(field, 1)))
+        for flow in flows:
+            for u in (U(3), GoodSubspace(frozenset({0, 2}))):
+                window = default_window(flow, u, 10)
+                got = cotrajectory_run(flow, u, 10, window)
+                want = _stacked_forms(flow, u, 10, window)
+                for n, (form, ref) in enumerate(zip(got, want), start=1):
+                    assert np.array_equal(form.data, ref), (flow.label, u, n)
+
+    @pytest.mark.parametrize("field", _sparse_fields()[1:], ids=repr)
+    def test_unrestrict_reads_back_the_first_restricted_rows(self, field):
+        rng = np.random.default_rng(field.q)
+        block = field.random_codes(rng, (5, 7))
+        assert np.array_equal(_unrestrict(field, _restrict(field, block)), block)
+
+    def test_gf2_products_in_uint8(self, gf2):
+        # the uint8 product, which skips the multiply by codes, against the
+        # int64 dense product, from uint8 and from int64 rows
+        rng = np.random.default_rng(5)
+        for seed in range(12):
+            flow = _random_phase_flow(gf2, seed)
+            window = 30
+            dense = truncate(flow, window)[0].data
+            nonzeros = window_nonzeros(flow, window)
+            dim = dense.shape[0]
+            width = int(rng.integers(1, dim))
+            cols = min(dim, width + flow.endo.bandwidth)
+            rows = rng.integers(0, 2, size=(6, width))
+            want = gf2.arr_matmul(rows, dense[:width, :cols])
+            for block in (rows.astype(np.uint8), rows.astype(np.int64)):
+                got = _times_nonzeros(gf2, block, nonzeros, cols)
+                assert got.dtype == np.uint8 and np.array_equal(got, want), seed
 
 
 class TestOracle:
