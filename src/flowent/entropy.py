@@ -17,21 +17,18 @@ The constraint spans of the principal chain U_0, ..., U_M form a flag
 V_0 <= ... <= V_M: member m's rows are a prefix of member M's.  So one
 tracker per chain holds a basis adapted to that flag, each restricted row
 is inserted once at the level of the smallest member it belongs to, and
-member m's rank is the number of basis rows of level <= m.  That leaves
-one exact core per characteristic: bit-packed XOR elimination with level
-exchanges for p = 2, and for odd p one reduced row-echelon block per
-level, each absorbing the step's rows with a float64 product reduced
-mod p.
+member m's rank is the number of basis rows of level <= m.  One
+elimination with level exchanges serves every characteristic: on
+bit-packed XOR rows for p = 2, and on int64 rows mod p for odd p.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
 consumer of a step's block has made of them: since
 ``S_{n+1} = S_1 + phi* S_n``, a row may be carried into the next step
 reduced by the constraint span of the steps before and by the step's
 earlier rows, at its level or below, and every rank and form stays the
-same (``_constraint_blocks`` has the proof).  In characteristic 2 the
-tracker hands back each row's value where it first settled, so the next
-step's rows mostly skip the holders their rows climbed through before;
-odd characteristic carries its raw rows.
+same (``_constraint_blocks`` has the proof).  The tracker hands back
+each row's value where it first settled, so the next step's rows mostly
+skip the holders their rows climbed through before.
 
 Cotrajectories are carried as their constraint forms: one reduced
 row-echelon form over the flow's own field, whose kernel is the
@@ -39,8 +36,8 @@ cotrajectory.  ``fields._rref_extend`` extends it from step to step: the
 step's rows are reduced by the form, only their residues are row-reduced,
 and the form is cleared at the new pivots, so step n walks only its new
 pivots.  The reduced residues are what step n carries, so the next block
-has one row per new pivot.  Every row reduction, over any field, runs
-through ``fields._rref_array``, on whole arrays or on such residues.
+has one row per new pivot.  Every form, over any field, is row-reduced
+by ``fields._rref_array``, on whole arrays or on such residues.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.
@@ -56,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotInvertible, NotSubspace, TooLarge
-from .fields import _rref_array, _rref_extend, check_float_exact, make_prime_field
+from .fields import _rref_extend
 from .linalg import Matrix, Subspace, inverse, kernel
 from .model import (
     Flow,
@@ -96,10 +93,11 @@ class EngineConfig:
     window_slack: int = 4
 
     def __post_init__(self):
+        for name, least in (("n_max", 1), ("streak", 1), ("m_max", 0), ("window_slack", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.n_max < self.streak + 1:
             raise ValueError("n_max must exceed the required streak length")
-        if min(self.n_max, self.streak, self.m_max + 1, self.window_slack + 1) < 1:
-            raise ValueError("config values must be non-negative")
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -131,56 +129,60 @@ class CodimTrace:
         return bool(np.all(a[k[inside]] <= (a[i, None] + a[None, i])[inside]))
 
 
-class _FlagStack2:
-    """GF(2) rank tracker for a flag of row spans ``V_0 <= ... <= V_M``.
+class _FlagStack:
+    """Rank tracker over GF(p) for a flag of row spans ``V_0 <= ... <= V_M``.
 
     ``bounds`` is non-decreasing.  Row j of each inserted block, which has
     at most ``bounds[-1]`` rows, has level ``#{b in bounds : b <= j}``, and
-    ``V_m`` is the span of all rows inserted so far at level <= m.
-    Rows are bit-packed integers whose lowest set bit is the lead.  Each
-    lead has at most one holder, stored with a level.  Row w enters at its
-    level l and, while w is nonzero, looks up the holder h of its lead:
+    ``V_m`` is the span of all rows inserted so far at level <= m.  The
+    lead of a row is its first nonzero column.  Each lead has at most one
+    holder, stored with a level and scaled to 1 at its lead.  Row w enters
+    at its level l and, while w is nonzero, looks up the holder h of its
+    lead, where w has entry c:
 
-    - none: w becomes the holder, at level l;
-    - h at a level <= l: w becomes ``w ^ h``;
-    - h at a level above l: w becomes the holder at level l, and the
-      displaced h goes on as ``h ^ w`` at its own level.
+    - none: ``w/c`` becomes the holder, at level l;
+    - h at a level <= l: w becomes ``w - c*h``;
+    - h at a level above l: ``w/c`` becomes the holder at level l, and the
+      displaced h goes on as ``h - w/c`` at its own level.
 
     The holders of level <= m are a basis of ``V_m`` for every m, so
-    ``ranks[m]`` counts them.  Proof: every step adds to the row it changes
-    a row of no higher level (``h`` to ``w`` when h's level is <= l, ``w``
-    to ``h`` when it is above), so no ``V_m`` changes except that w joins
-    it for m >= l; each holder of level <= m lies in ``V_m``; and holders
-    have distinct leads, so they are independent.  Each step ends the loop
-    or moves the lead strictly up (``x ^ y`` of two rows with the same lead
-    clears it), so an insert ends after at most one step per column.
+    ``ranks[m]`` counts them.  Proof: every step scales the row it changes
+    by a unit or adds to it a multiple of a row of no higher level (``h``
+    to ``w`` when h's level is <= l, ``w`` to ``h`` when it is above), so
+    no ``V_m`` changes except that w joins it for m >= l; each holder of
+    level <= m lies in ``V_m``; and holders have distinct leads, so they
+    are independent.  Each step ends the loop or moves the lead strictly
+    up (both subtractions clear the lead), so an insert ends after at most
+    one step per column.
 
     ``insert`` also returns, for each row, its value at the moment it first
-    becomes a holder at its own level l, or 0 when it reduces to 0 there:
-    the row plus holders of level <= l, a row ``_constraint_blocks`` may
-    carry.  Recording it costs no reduction step.  A raw row starts at low
-    columns and climbs through the holders there at every step; a carried
-    value starts where it settled, and its image in the next step mostly
-    starts past the holders it has climbed through already.
+    becomes a holder at its own level l, before it is scaled, or 0 when it
+    reduces to 0 there: the row plus a combination of holders of level
+    <= l, a row ``_constraint_blocks`` may carry.  Recording it costs no
+    reduction step.  A raw row starts at low columns and climbs through the
+    holders there at every step; a carried value starts where it settled,
+    and its image in the next step mostly starts past the holders it has
+    climbed through already.  Blocks come no narrower than the ones
+    before, so every value fits the block's width.
     """
 
     def __init__(self, bounds: Sequence[int]):
         self.levels = np.searchsorted(bounds, np.arange(bounds[-1]), side="right").tolist()
-        self.holders: dict[int, tuple[int, int]] = {}
+        self.holders: dict = {}  # lead -> (holder, level)
         self.per_level = [0] * len(bounds)
 
     @property
     def ranks(self) -> list[int]:
         return list(accumulate(self.per_level))
 
+
+class _FlagStack2(_FlagStack):
+    """``_FlagStack`` over GF(2).  Rows are bit-packed integers whose
+    lowest set bit is the lead, so c = 1 and ``w - h`` is ``w ^ h``."""
+
     def insert(self, rows: np.ndarray) -> np.ndarray:
-        """Insert a block; return each row's value when it was first
-        placed at its own level (0 when it reduced to 0 there), as a 0/1
-        uint8 array of the block's shape.  A placed value is the row plus
-        holders of its level or below, so it differs from the row by an
-        element of ``V_l`` as it stood before the row came in.  Blocks
-        come no narrower than the ones before, so every value fits the
-        block's width."""
+        """Insert a block; return each row's placed value as a 0/1 uint8
+        array of the block's shape."""
         holders = self.holders
         per_level = self.per_level
         packed_rows = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
@@ -211,84 +213,54 @@ class _FlagStack2:
         return np.unpackbits(packed_out, axis=1, count=rows.shape[1], bitorder="little")
 
 
-class _FlagStackOdd:
-    """Odd-characteristic rank tracker for a flag of row spans
-    ``V_0 <= ... <= V_M``, with the row levels of ``_FlagStack2``.
+class _FlagStackOdd(_FlagStack):
+    """``_FlagStack`` over GF(p), p odd, on int64 rows of codes 0..p-1.
 
-    Level m holds the rows of the reduced row-echelon form of ``V_m`` whose
-    pivots are not pivots of ``V_{m-1}``.  So the rows of level <= m have
-    distinct pivots, lie in ``V_m`` and number ``dim V_m``: they are a
-    basis of ``V_m``, and ``ranks[m]`` counts them.  A block goes through
-    the levels m = 0..M in turn:
-
-    - it is reduced by level m's rows.  Those vanish at the pivots of
-      ``V_{m-1}``, so after levels 0..m every block row vanishes at every
-      pivot of ``V_m``: it is its unique residue modulo ``V_m``;
-    - the residues of the rows of level <= m are row-reduced; their pivots
-      ``Q_m`` are the pivots the new ``V_m`` adds;
-    - level m's rows are cleared at ``Q_m``.  With the reduced residues
-      they are the rows of the new form of ``V_m`` at pivots outside
-      ``V_{m-1}``'s old ones;
-    - of those, the rows at ``Q_{m-1}`` are dropped: the new ``V_{m-1}``
-      has exactly the pivots of the old one and ``Q_{m-1}``.
-
-    Products run in float64 on entries and coefficients in 0..p-1, so every
-    value stays below ``rank * (p-1)^2 + p``, checked against 2^53, and is
-    reduced exactly mod p in int64.  Only the rows hit by the new pivots
-    are updated, and only in the columns where the reduced residues are
-    nonzero.
-
-    ``insert`` returns None, so the next step multiplies out the raw rows:
-    carrying this tracker's own-level residues instead measured no faster.
+    Entries are reduced mod p after every step, so each value is at most
+    ``(p-1)^2`` in magnitude before it is reduced, which is below 2^32
+    since ``_PRIME_CAP`` keeps p below 2^16: int64 is exact.
     """
 
     def __init__(self, p: int, bounds: Sequence[int]):
-        self.prime = make_prime_field(p)
-        self.bounds = list(bounds)
-        self.width = 0
-        self.bases = [np.zeros((0, 0)) for _ in bounds]
-        self.pivots: list[list[int]] = [[] for _ in bounds]
+        super().__init__(bounds)
+        self.p = p
 
-    @property
-    def ranks(self) -> list[int]:
-        return list(accumulate(len(pivots) for pivots in self.pivots))
-
-    def insert(self, rows: np.ndarray) -> None:
-        p = self.prime.p
-        largest = (self.ranks[-1] + rows.shape[0]) * (p - 1) ** 2 + p
-        check_float_exact(largest, f"rank tracker over GF({p})")
-        self.width = width = max(self.width, rows.shape[1])
-        block = np.zeros((rows.shape[0], width))
-        block[:, : rows.shape[1]] = rows
-        claimed: list[int] = []
-        for level, bound in enumerate(self.bounds):
-            basis, pivots = self.bases[level], self.pivots[level]
-            if pivots:
-                coeff = block[:, pivots].astype(np.int64) % p
-                block[:, : basis.shape[1]] -= coeff @ basis
-            resid = block[:bound].astype(np.int64) % p
-            resid = resid[resid.any(axis=1)]
-            red, new = _rref_array(self.prime, resid) if resid.shape[0] else (resid, [])
-            red = red[: len(new)]
-            if new and basis.shape[1] < width:
-                wide = np.zeros((len(pivots), width))
-                wide[:, : basis.shape[1]] = basis
-                basis = wide
-            coeff = basis[:, new]
-            hit = np.flatnonzero(coeff.any(axis=1))
-            if hit.size:
-                cols = np.flatnonzero(red.any(axis=0))
-                part = np.ix_(hit, cols)
-                basis[part] = (basis[part] - coeff[hit] @ red[:, cols]) % p
-            keep = [i for i, c in enumerate(pivots) if c not in claimed]
-            if len(keep) < len(pivots):
-                basis, pivots = basis[keep], [pivots[i] for i in keep]
-            add = [i for i, c in enumerate(new) if c not in claimed]
-            if add:
-                basis = np.concatenate([basis, red[add]])
-                pivots = pivots + [new[i] for i in add]
-            self.bases[level], self.pivots[level] = basis, pivots
-            claimed = new
+    def insert(self, rows: np.ndarray) -> np.ndarray:
+        """Insert a block; return each row's placed value as an int64
+        array of the block's shape."""
+        p = self.p
+        holders = self.holders
+        per_level = self.per_level
+        block = np.array(rows, dtype=np.int64)
+        placed = np.zeros_like(block)
+        for row, out, level in zip(block, placed, self.levels):
+            own, lead = False, 0
+            while True:
+                nonzero = row[lead:].nonzero()[0]
+                if not nonzero.size:
+                    break
+                lead += int(nonzero[0])
+                c = int(row[lead])
+                held = holders.get(lead)
+                if held is not None and held[1] <= level:
+                    holder = held[0]
+                    part = row[lead : holder.size]
+                    part -= c * holder[lead:]
+                    part %= p
+                    continue
+                if not own:
+                    out[:], own = row, True
+                row = row * pow(c, -1, p) % p
+                holders[lead] = (row, level)
+                per_level[level] += 1
+                if held is None:
+                    break
+                holder, held_level = held
+                per_level[held_level] -= 1
+                row, level = -row, held_level
+                row[: holder.size] += holder
+                row %= p
+        return placed
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
@@ -377,7 +349,10 @@ def _times_nonzeros(field, block: np.ndarray, nonzeros, out_cols: int) -> np.nda
     out = np.zeros((block.shape[0], out_cols), dtype=np.uint8 if field.q == 2 else np.int64)
     if not cols.size:
         return out
-    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    first = np.empty(cols.size, dtype=bool)  # where a run of equal columns starts
+    first[0] = True
+    np.not_equal(cols[1:], cols[:-1], out=first[1:])
+    starts = first.nonzero()[0]
     if field.q == 2:
         terms = block[:, rows]
     elif field.d == 1:
@@ -432,15 +407,14 @@ def _rank_traces(
     n is the rank at the count's level over ``deg``, less ``count``, the
     codimension of the good subspace itself.
 
-    In characteristic 2 the next step multiplies out the values the
-    tracker placed, not the raw rows.  The value of the first restricted
-    row of a GF(2^d)-row g differs from it by an element of the tracker's
-    span of level <= l, which is the restriction of ``V_l(n-1)`` plus the
-    GF(2^d)-span of the rows before g: both are GF(2^d)-spaces, and the
-    earlier rows came in with all d of their restricted rows.  So the row
-    read back by ``_unrestrict`` is g plus an element of that GF(2^d)-space,
-    which is what ``_constraint_blocks`` allows to carry.  Odd
-    characteristic carries its raw rows.
+    The next step multiplies out the values the tracker placed, not the
+    raw rows.  The value of the first restricted row of a GF(p^d)-row g
+    differs from it by an element of the tracker's span of level <= l,
+    which is the restriction of ``V_l(n-1)`` plus the GF(p^d)-span of the
+    rows before g: both are GF(p^d)-spaces, and the earlier rows came in
+    with all d of their restricted rows.  So the row read back by
+    ``_unrestrict`` is g plus an element of that GF(p^d)-space, which is
+    what ``_constraint_blocks`` allows to carry.
     """
     field = flow.field
     deg = field.d
@@ -450,8 +424,7 @@ def _rank_traces(
     blocks = _constraint_blocks(flow, dead, n_max, window)
     carried = None
     for _ in range(n_max):
-        placed = stack.insert(_restrict(field, blocks.send(carried)))
-        carried = None if placed is None else _unrestrict(field, placed)
+        carried = _unrestrict(field, stack.insert(_restrict(field, blocks.send(carried))))
         for count, rank, vals in zip(counts, stack.ranks, values):
             vals.append(rank // deg - count)
     return values

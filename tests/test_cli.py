@@ -88,6 +88,13 @@ class TestCompute:
         code, _ = run(capsys, "compute", bernoulli_spec, "--max-n", "3", "--streak", "5")
         assert code == 1
 
+    def test_zero_streak_exits_one(self, capsys, bernoulli_spec):
+        code = main(["compute", bernoulli_spec, "--streak", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "streak must be at least 1, got 0" in captured.err
+
     def test_reducible_field_descriptor_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

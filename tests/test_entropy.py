@@ -492,10 +492,9 @@ class TestFlagTrackers:
         assert stack.ranks == [0, 1, 2]
         stack.insert(_level_row(bounds, 0, [1, 0, 0]))
         assert stack.ranks == [1, 2, 3]
-        if p == 2:
-            assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 1, 2: 2}
+        assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 1, 2: 2}
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 65521])
     def test_random_row_streams(self, p):
         rng = np.random.default_rng(p)
         for trial in range(40):
@@ -563,22 +562,53 @@ def _char2_fields():
     return [gf2] + [make_extension(gf2, least_irreducible(gf2, d))[0] for d in (2, 4)]
 
 
+def _odd_fields():
+    gf3, gf5 = make_prime_field(3), make_prime_field(5)
+    return [gf3, gf5] + [make_extension(f, least_irreducible(f, 2))[0] for f in (gf3, gf5)]
+
+
 class TestCarriedRows:
     """Blocks multiplied out from carried rows, not raw ones, give the same
     traces and constraint forms as the raw rows."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_insert_returns_placed_values(self, p):
-        # GF(2) hands back where each row settled; odd p carries raw rows
+        # each tracker hands back where each row settled
         bounds = [1, 2, 3]
         stack = _flag_stack(p, bounds)
         placed = stack.insert(np.array([[1, 0, 0], [0, 1, 1], [1, 1, 1]]))
-        if p == 3:
-            assert placed is None
-            return
         # row 2 climbs past e0 and e1 + e2 to 0: dependent at its level
-        assert placed.dtype == np.uint8
+        assert placed.dtype == (np.uint8 if p == 2 else np.int64)
         assert placed.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 0]]
+
+    def test_odd_values_are_recorded_before_scaling(self):
+        # over GF(3) the holders are 2*e0 / 2 = e0 and (2*e1 + e2) / 2 =
+        # e1 + 2*e2; row 2 climbs past both to e0 + e1 + e2 - e0 - (e1 + 2*e2)
+        # = 2*e2 and is handed back unscaled
+        bounds = [1, 2, 3]
+        stack = _FlagStackOdd(3, bounds)
+        placed = stack.insert(np.array([[2, 0, 0], [0, 2, 1], [1, 1, 1]]))
+        assert placed.tolist() == [[2, 0, 0], [0, 2, 1], [0, 0, 2]]
+        assert {lead: held.tolist() for lead, (held, _) in stack.holders.items()} == {
+            0: [1, 0, 0],
+            1: [0, 1, 2],
+            2: [0, 0, 1],
+        }
+        assert stack.ranks == [1, 2, 3]
+
+    def test_odd_exchange_returns_the_row_where_it_displaced(self):
+        # level 1 holds e1 + 2*e2 at lead 1; a level-0 row 2*e0 + e1 climbs
+        # past the level-0 holder e0 as e1 and displaces the level-1 holder,
+        # which goes on as (e1 + 2*e2) - e1 = 2*e2, scaled to e2, at level 1
+        bounds = [1, 2]
+        stack = _FlagStackOdd(5, bounds)
+        stack.insert(_level_row(bounds, 1, [0, 1, 2]))
+        stack.insert(_level_row(bounds, 0, [1, 0, 0]))
+        placed = stack.insert(np.array([[2, 1, 0], [0, 0, 0]]))
+        assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
+        assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
+        assert stack.holders[2][0].tolist() == [0, 0, 1]
+        assert stack.ranks == [2, 3]
 
     def test_exchange_returns_the_row_where_it_displaced(self):
         # level 1 holds e1 + e2 at lead 1; a level-0 row e0 + e1 climbs past
@@ -593,38 +623,46 @@ class TestCarriedRows:
         assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
         assert stack.ranks == [2, 3]
 
-    def test_placed_values_on_random_streams(self):
-        # each placed value is its row plus an element of the span of the
-        # rows of no higher level inserted before it, and 0 exactly when the
-        # row lies in that span
-        rng = np.random.default_rng(11)
+    @staticmethod
+    def check_placed_values(p, seed):
+        """Each placed value is its row plus an element of the span of the
+        rows of no higher level inserted before it, and 0 exactly when the
+        row lies in that span."""
+        rng = np.random.default_rng(seed)
         for trial in range(30):
             bounds = np.cumsum(rng.integers(1, 4, size=int(rng.integers(1, 4)))).tolist()
-            stack = _FlagStack2(bounds)
+            stack = _flag_stack(p, bounds)
             levels = np.searchsorted(bounds, np.arange(bounds[-1]), side="right")
             before: list[tuple[int, np.ndarray]] = []  # (level, row) in insertion order
             width = int(rng.integers(2, 6))
             for _ in range(int(rng.integers(1, 8))):
                 width += int(rng.integers(0, 2))
-                rows = rng.integers(0, 2, size=(bounds[-1], width))
+                rows = rng.integers(0, p, size=(bounds[-1], width))
                 placed = stack.insert(rows)
                 assert placed.shape == rows.shape
                 for row, value, level in zip(rows, placed, levels):
                     span = [np.pad(r, (0, width - r.size)) for lv, r in before if lv <= level]
-                    base = _prime_rank(np.array(span), 2) if span else 0
-                    with_row = _prime_rank(np.array(span + [row]), 2)
-                    with_diff = _prime_rank(np.array(span + [(row + value) % 2]), 2)
+                    base = _prime_rank(np.array(span), p) if span else 0
+                    with_row = _prime_rank(np.array(span + [row]), p)
+                    with_diff = _prime_rank(np.array(span + [(value - row) % p]), p)
                     assert with_diff == base, trial
                     assert (not value.any()) == (with_row == base), trial
                     before.append((level, row))
 
+    def test_placed_values_on_random_streams(self):
+        self.check_placed_values(2, 11)
+
+    @pytest.mark.parametrize("p", [3, 5, 65521])
+    def test_odd_placed_values_on_random_streams(self, p):
+        self.check_placed_values(p, p)
+
     @staticmethod
-    def record_inserts(monkeypatch):
-        """Counts, over every ``_FlagStack2.insert``, the nonzero rows that
-        came back 0 and the inserts in which a row displaced a holder of a
+    def record_inserts(monkeypatch, tracker=_FlagStack2):
+        """Counts, over every ``tracker.insert``, the nonzero rows that came
+        back 0 and the inserts in which a row displaced a holder of a
         higher level."""
         seen = {"dependent": 0, "exchanges": 0}
-        insert = _FlagStack2.insert
+        insert = tracker.insert
 
         def counting(self, rows):
             held = {lead: level for lead, (_, level) in self.holders.items()}
@@ -635,14 +673,14 @@ class TestCarriedRows:
             )
             return placed
 
-        monkeypatch.setattr(_FlagStack2, "insert", counting)
+        monkeypatch.setattr(tracker, "insert", counting)
         return seen
 
-    @pytest.mark.parametrize("field", _char2_fields() + [make_prime_field(3)], ids=repr)
+    @pytest.mark.parametrize("field", _char2_fields() + _odd_fields(), ids=repr)
     def test_chain_traces_match_raw_rows(self, field, monkeypatch):
         # phase flows with dd/cd/dc blocks, prefixes and negative offsets,
         # on the default chain and on scattered zero sets
-        seen = self.record_inserts(monkeypatch)
+        seen = self.record_inserts(monkeypatch, _FlagStack2 if field.p == 2 else _FlagStackOdd)
         rng = np.random.default_rng(field.q + 100)
         flows = [_random_phase_flow(field, seed) for seed in range(16)]
         flows.append(make_identity(SpaceShape(field, 2)))
@@ -660,8 +698,7 @@ class TestCarriedRows:
             trace = codim_sequence(flow, u, n_max)
             dead_u = _dead_indices(flow, u)
             assert [list(trace.values)] == _raw_row_traces(flow, dead_u, [len(dead_u)], n_max, trace.windows[0])
-        if field.p == 2:
-            assert seen["dependent"] and seen["exchanges"], seen
+        assert seen["dependent"] and seen["exchanges"], seen
 
     def test_verify_sweep_images_match_raw_rows(self, gf4_pair, gf16_pair, monkeypatch):
         # GF(4) flows with their GF(2) restrictions and GF(16) inductions,
@@ -959,3 +996,21 @@ class TestEntropyLaws:
     def test_sum_with_identity(self, gf2):
         s = direct_sum(make_bernoulli(gf2, 1), make_identity(SpaceShape(gf2, 1)))
         assert ent_star(s, FAST).value == 1
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize(
+        "field, least", [("n_max", 1), ("streak", 1), ("m_max", 0), ("window_slack", 0)]
+    )
+    def test_each_field_names_its_bound(self, field, least):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got {least - 1}$"):
+            EngineConfig(**{field: least - 1})
+
+    def test_bounds_are_allowed(self):
+        cfg = EngineConfig(n_max=2, streak=1, m_max=0, window_slack=0)
+        assert (cfg.n_max, cfg.streak, cfg.m_max, cfg.window_slack) == (2, 1, 0, 0)
+
+    def test_n_max_must_exceed_the_streak(self):
+        EngineConfig(n_max=6, streak=5)
+        with pytest.raises(ValueError, match="n_max must exceed the required streak length"):
+            EngineConfig(n_max=5, streak=5)

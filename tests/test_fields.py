@@ -391,19 +391,16 @@ _GUARD_SCRIPT = """
 import numpy as np
 from flowent.entropy import _FlagStackOdd
 from flowent.errors import TooLarge, WindowTooSmall
-from flowent.fields import make_prime_field
+from flowent.fields import _prime_rank, make_prime_field
 from flowent.model import SpaceShape, _flow_from_window
 
 p = 65521
 inner = (1 << 53) // (p - 1) ** 2 + 1
 field = make_prime_field(p)
 zeros = np.broadcast_to(np.int64(0), (inner, 1))
-stack = _FlagStackOdd(p, [1])
-stack.pivots = [range(inner)]
 gf2 = make_prime_field(2)
 checks = {
     "matmul": (TooLarge, lambda: field.matmul_prepared(zeros.T, field.prepare_right(zeros))),
-    "tracker": (TooLarge, lambda: stack.insert(np.zeros((1, 1), dtype=np.int64))),
     "window": (WindowTooSmall, lambda: _flow_from_window(
         SpaceShape(gf2, 0), [{1: 1}], 3, np.zeros((4, 4), dtype=np.int64), 4, "w"
     )),
@@ -415,6 +412,23 @@ for name, (error, call) in checks.items():
         print(name, "raised")
     else:
         print(name, "passed")
+
+# rows full of p - 1, with 1 on a diagonal, and combinations of them with
+# coefficients p - 1: the int64 tracker's products reach (p - 1)^2, and the
+# combinations are found dependent only when every step is exact
+bounds = [2, 4, 6]
+stack = _FlagStackOdd(p, bounds)
+inserted, got, want = [], [], []
+for width in (12, 16):
+    rows = np.full((bounds[-1], width), p - 1, dtype=np.int64)
+    rows[np.arange(4), np.arange(4) + width - 12] = 1
+    rows[4] = (p - 1) * rows[:4].sum(axis=0) % p
+    rows[5] = ((p - 1) * rows[0] + rows[3]) % p
+    stack.insert(rows)
+    inserted.append(np.pad(rows, ((0, 0), (0, 16 - width))))
+    got.append(stack.ranks)
+    want.append([_prime_rank(np.concatenate([r[:bound] for r in inserted]), p) for bound in bounds])
+print("tracker", "exact" if got == want else f"ranks {got} != {want}")
 """
 
 
@@ -425,10 +439,12 @@ class TestFloatExactness:
             check_float_exact(2**53, "first inexact value")
 
     def test_guards_raise_under_optimize(self, run_python):
-        """The guards are typed errors, not asserts that ``python -O`` strips."""
+        """The guards are typed errors, not asserts that ``python -O``
+        strips, and the int64 rank tracker stays exact there at the
+        largest prime."""
         out = run_python("-O", "-c", _GUARD_SCRIPT)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["matmul raised", "tracker raised", "window raised"]
+        assert out.stdout.splitlines() == ["matmul raised", "window raised", "tracker exact"]
 
 
 def _rref_fields():
