@@ -103,6 +103,18 @@ class TestExtensions:
                 rhs = gf9.add(gf9.power(a, 3), gf9.power(b, 3))
                 assert lhs == rhs
 
+    @pytest.mark.parametrize("p,m", [(2, 2), (2, 16), (3, 7), (251, 2)])
+    def test_prime_base_keeps_modulus_and_power_basis(self, p, m):
+        base = make_prime_field(p)
+        modulus = least_irreducible(base, m)
+        ext, emb = make_extension(base, modulus)
+        assert ext.modulus == tuple(modulus)
+        assert ext.descriptor == {"p": p, "tower": [[[c] for c in modulus]]}
+        assert emb.basis == tuple(p**j for j in range(m))
+        e0 = np.zeros((m, 1), dtype=np.int64)
+        e0[0, 0] = 1
+        assert np.array_equal(emb.matrix, e0)
+
     def test_matmul_matches_scalar_mul(self, gf16, rng):
         a = gf16.random_codes(rng, (5, 4))
         b = gf16.random_codes(rng, (4, 3))

@@ -1,21 +1,27 @@
-"""Report bytes of ``compute``, ``verify`` and ``oracle`` on fixed flows.
+"""Report bytes of ``compute``, ``verify`` and ``oracle`` on fixed flows,
+and the specs of flows derived from other flows.
 
 Each case writes a seeded ``random_stencil_flow`` to a spec file, runs one
 command on it and compares the report with the committed file of the same
-name under ``tests/golden/``, byte for byte.  A change that alters any of
-these bytes must be recorded as a schema change or a fix; the files are
-then rewritten with
+name under ``tests/golden/``, byte for byte.  ``derived-flows.json`` holds
+the ``flow_to_dict`` of direct sums, conjugates and powers of such flows.
+A change that alters any of these bytes must be recorded as a schema
+change or a fix; the files are then rewritten with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowent.cli import main
+from flowent.entropy import conjugate_flow, power_flow
 from flowent.fields import least_irreducible, make_extension, make_prime_field
-from flowent.model import random_stencil_flow, save_flow
+from flowent.linalg import random_invertible
+from flowent.model import direct_sum, flow_to_dict, random_stencil_flow, save_flow
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -48,9 +54,29 @@ def report_bytes(tmp: Path, q: int, seed: int, command: list[str]) -> bytes:
     return out.read_bytes()
 
 
+def derived_flows_bytes() -> bytes:
+    """Specs of 10 direct sums, 10 conjugates and 4 powers of seeded flows
+    over GF(4) and GF(9), as one JSON object keyed by construction."""
+    out = {}
+    for q in (4, 9):
+        field = _field(q)
+        for s in range(5):
+            f, g = random_stencil_flow(field, s), random_stencil_flow(field, s + 5)
+            out[f"gf{q}-sum-s{s}"] = flow_to_dict(direct_sum(f, g))
+            a = random_invertible(field, np.random.default_rng(s), f.discrete_dim + 2 + s % 3)
+            out[f"gf{q}-conj-s{s}"] = flow_to_dict(conjugate_flow(f, a))
+        for s, k in ((0, 2), (1, 3)):
+            out[f"gf{q}-pow{k}-s{s}"] = flow_to_dict(power_flow(random_stencil_flow(field, s), k))
+    return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode()
+
+
 @pytest.mark.parametrize("name,q,seed,command", CASES, ids=[c[0] for c in CASES])
 def test_report_bytes(tmp_path, name, q, seed, command):
     assert report_bytes(tmp_path, q, seed, command) == (GOLDEN / name).read_bytes()
+
+
+def test_derived_flows():
+    assert derived_flows_bytes() == (GOLDEN / "derived-flows.json").read_bytes()
 
 
 if __name__ == "__main__":
@@ -60,3 +86,4 @@ if __name__ == "__main__":
     for name, q, seed, command in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / name).write_bytes(report_bytes(Path(tmp), q, seed, command))
+    (GOLDEN / "derived-flows.json").write_bytes(derived_flows_bytes())
