@@ -16,12 +16,10 @@ from .entropy import (
     brute_force_codim,
     chain_traces,
     codim_sequence,
-    conjugate_flow,
     cotrajectory,
     ent_star,
     entropy_report,
     h_star,
-    power_flow,
 )
 from .errors import (
     DimensionMismatch,
@@ -86,6 +84,7 @@ from .model import (
     SpaceShape,
     TruncationMeta,
     compose_flow,
+    conjugate_flow,
     decompose,
     default_window,
     direct_sum,
@@ -96,6 +95,7 @@ from .model import (
     load_flow,
     make_bernoulli,
     make_identity,
+    power_flow,
     random_stencil_flow,
     save_flow,
     truncate,

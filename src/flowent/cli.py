@@ -23,13 +23,14 @@ from .entropy import (
     field_label,
     report_csv_rows,
 )
-from .errors import FlowentError, TooLarge
+from .errors import FlowentError
 from .fields import (
     FiniteField,
     check_order,
     least_irreducible,
     make_extension,
     make_prime_field,
+    modulus_codes,
     tower_from_descriptor,
 )
 from .functors import make_entropy_n, verify_theorem
@@ -124,7 +125,7 @@ def cmd_compute(args) -> int:
         flow = load_flow(args.spec)
         cfg = _config_from_args(args)
         estimate = ent_star(flow, cfg)
-    except (FlowentError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (FlowentError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "json":
@@ -146,11 +147,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--base-depth {depth} is outside the field's tower")
         e_fk = tower.embedding(depth, len(tower.fields) - 1)
         if args.ext_modulus is not None:
-            coeffs = json.loads(args.ext_modulus)
-            codes = [
-                flow.field.from_coords(c) if isinstance(c, list) else int(c) % flow.field.p
-                for c in coeffs
-            ]
+            codes = modulus_codes(flow.field, json.loads(args.ext_modulus))
         else:
             codes = list(least_irreducible(flow.field, args.ext_degree))
         _, e_kl = make_extension(flow.field, codes)
@@ -158,7 +155,7 @@ def cmd_verify(args) -> int:
         report = verify_theorem(
             e_fk, e_kl, flow, cfg, identity_n_max=args.identity_n
         )
-    except (FlowentError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (FlowentError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _emit(_json_text(report.to_dict()), args.out)
@@ -215,10 +212,7 @@ def cmd_oracle(args) -> int:
                 rows.append([flow.label, field_label(flow.field), m, n, structured, enumerated, window])
                 comparisons += 1
                 all_equal = all_equal and structured == enumerated
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FlowentError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (FlowentError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "json":

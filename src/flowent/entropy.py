@@ -40,7 +40,8 @@ has one row per new pivot.  Every form, over any field, is row-reduced
 by ``fields._rref_array``, on whole arrays or on such residues.
 
 The estimate is exact: values are integers, lower bounds are fractions,
-and there are no tolerances anywhere.
+and there are no tolerances anywhere.  The flows the entropy laws are
+checked on, such as powers and conjugates, are built in ``model``.
 """
 
 from __future__ import annotations
@@ -52,14 +53,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotInvertible, NotSubspace, TooLarge
+from .errors import NotSubspace, TooLarge
 from .fields import _rref_extend
-from .linalg import Matrix, Subspace, inverse, kernel
+from .linalg import Matrix, Subspace, kernel
 from .model import (
     Flow,
     GoodSubspace,
-    _flow_from_window,
-    compose_flow,
     default_window,
     truncate,
     window_nonzeros,
@@ -76,8 +75,6 @@ __all__ = [
     "h_star",
     "ent_star",
     "brute_force_codim",
-    "power_flow",
-    "conjugate_flow",
     "entropy_report",
     "report_csv_rows",
 ]
@@ -586,10 +583,6 @@ class EntropyEstimate:
     def h_top_pair(self) -> tuple[int | None, int]:
         return (self.value, self.field_order)
 
-    @property
-    def min_streak(self) -> int:
-        return min(res.streak for _, res in self.per_u)
-
 
 def ent_star(flow: Flow, cfg: EngineConfig = DEFAULT_CONFIG) -> EntropyEstimate:
     """Entropy estimate: supremum of per-subspace rates over U_0, ..., U_M.
@@ -653,59 +646,6 @@ def brute_force_codim(flow: Flow, u: GoodSubspace, n: int, window: int) -> int:
     if members_u != 1 << dim_u or members_c != 1 << dim_c:
         raise NotSubspace(f"{members_u} and {members_c} window vectors are not both powers of 2")
     return dim_u - dim_c
-
-
-# ---------------------------------------------------------------------------
-# flow algebra used by the entropy laws
-# ---------------------------------------------------------------------------
-
-
-def power_flow(flow: Flow, k: int) -> Flow:
-    """The flow iterating the endomorphism k times."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    if k == 1:
-        return flow
-    out = flow
-    for _ in range(k - 1):
-        out = compose_flow(flow, out)
-    return Flow(out.shape, out.endo, label=f"{flow.label}^{k}")
-
-
-def conjugate_flow(flow: Flow, a: Matrix) -> Flow:
-    """Conjugate by an invertible matrix acting on the discrete part plus a
-    leading compact window, extended by the identity elsewhere."""
-    if a.field != flow.field:
-        raise NotInvertible("conjugator lives over a different field")
-    if a.rows != a.cols or a.rows < flow.discrete_dim:
-        raise NotInvertible("conjugator must be square and cover the discrete part")
-    a_inv = inverse(a)  # raises NotInvertible when singular
-    d = flow.discrete_dim
-    w = a.rows - d
-    endo = flow.endo
-    boundary = max(
-        endo.prefix_rows,
-        endo.dc.rows,
-        w + max(0, -endo.min_offset),
-        -endo.min_offset,
-        1,
-    )
-    wide = boundary + max(endo.max_offset, 0) + max(endo.prefix_cols, endo.cd.cols, w) + 4
-    mat, _ = truncate(flow, wide)
-    size = d + wide
-    big = np.eye(size, dtype=np.int64)
-    big[: d + w, : d + w] = a.data
-    big_inv = np.eye(size, dtype=np.int64)
-    big_inv[: d + w, : d + w] = a_inv.data
-    prod = flow.field.arr_matmul(flow.field.arr_matmul(big, mat.data), big_inv)
-    return _flow_from_window(
-        flow.shape,
-        [dict(p) for p in endo.stencil],
-        boundary,
-        prod,
-        wide,
-        label=f"conj({flow.label})",
-    )
 
 
 # ---------------------------------------------------------------------------

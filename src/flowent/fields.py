@@ -203,10 +203,6 @@ def _prime_inv(a: np.ndarray, p: int) -> np.ndarray:
     return red[:, n:]
 
 
-def _prime_solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (_prime_inv(a, p) @ (b % p)) % p
-
-
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -271,6 +267,14 @@ class FiniteField:
         return tuple(int(v) for v in self._digits[a])
 
     def from_coords(self, coeffs: Iterable[int]) -> int:
+        """Code of the element with these prime-field coefficients, constant
+        term first.  Each is an integer, read mod p; anything else raises
+        ValueError rather than being truncated."""
+        if isinstance(coeffs, (str, bytes)) or not isinstance(coeffs, Iterable):
+            raise ValueError(f"element {coeffs!r} is not a list of prime-field coefficients")
+        coeffs = list(coeffs)
+        if not all(isinstance(c, (int, np.integer)) for c in coeffs):
+            raise ValueError(f"coefficients {coeffs!r} must be integers")
         coeffs = [int(c) % self.p for c in coeffs]
         if len(coeffs) > self.d:
             if any(coeffs[self.d :]):
@@ -760,19 +764,20 @@ def make_extension(base: FiniteField, modulus: Sequence[int]) -> tuple[FiniteFie
         "p": base.p,
         "tower": list(base.descriptor["tower"]) + [[list(base.coords(c)) for c in coeffs]],
     }
-    if base.d == 1:
-        ext = FiniteField(base.p, coeffs, descriptor)
-        matrix = np.zeros((deg, 1), dtype=np.int64)
-        matrix[0, 0] = 1
-        basis = tuple(base.p**j for j in range(deg))
-        return ext, FieldEmbedding(base, ext, matrix, basis)
     return _relative_extension(base, coeffs, descriptor)
 
 
 def _relative_extension(
     base: FiniteField, coeffs: list[int], descriptor: dict
 ) -> tuple[FiniteField, FieldEmbedding]:
-    """Extension over a non-prime base, rebuilt on a prime-field modulus."""
+    """Extension of any base, rebuilt on a prime-field modulus.
+
+    The extension is presented by the minimal polynomial over GF(p) of a
+    generator gamma: the modulus root y when its powers span the field over
+    GF(p), else the first element that does.  Over a prime base y always
+    does, its power matrix is the identity, and the result keeps the given
+    modulus, the power basis of y and the embedding matrix e_0.
+    """
     p = base.p
     deg = len(coeffs) - 1
     d = deg * base.d
@@ -811,10 +816,10 @@ def _relative_extension(
     cur = (base.one,) + (base.zero,) * (deg - 1)
     for _ in range(d):
         cur = kmul(cur, gamma)
-    c = _prime_solve(g_mat, flat(cur), p)
+    psi = _prime_inv(g_mat, p)  # flat base coords -> power-basis-of-gamma coords
+    c = psi @ flat(cur) % p
     minpoly = tuple(int((-v) % p) for v in c) + (1,)
     ext = FiniteField(p, minpoly, descriptor)
-    psi = _prime_inv(g_mat, p)  # flat base coords -> power-basis-of-gamma coords
     emb_matrix = psi[:, : base.d]
     basis = tuple(int(ext.encode_array(psi[:, j * base.d] % p)) for j in range(deg))
     return ext, FieldEmbedding(base, ext, emb_matrix, basis)
@@ -861,14 +866,17 @@ def tower_from_descriptor(desc: dict) -> Tower:
     lists (innermost first).  Coefficients are integers reduced mod p, or
     prime-field coordinate lists when the base of that step is non-prime.
     """
-    if "p" not in desc:
-        raise ValueError("field descriptor needs a key 'p'")
-    fields = [make_prime_field(int(desc["p"]))]
+    if not isinstance(desc, dict) or "p" not in desc:
+        raise ValueError("field descriptor must be an object with a key 'p'")
+    p, tower = desc["p"], desc.get("tower", [])
+    if not isinstance(p, (int, np.integer)):
+        raise ValueError(f"field characteristic {p!r} must be an integer")
+    if not isinstance(tower, list):
+        raise ValueError(f"field descriptor's tower {tower!r} must be a list of moduli")
+    fields = [make_prime_field(int(p))]
     steps: list[FieldEmbedding] = []
-    for coeffs in desc.get("tower", []):
-        base = fields[-1]
-        codes = [_coeff_to_code(base, c) for c in coeffs]
-        ext, emb = make_extension(base, codes)
+    for coeffs in tower:
+        ext, emb = make_extension(fields[-1], modulus_codes(fields[-1], coeffs))
         fields.append(ext)
         steps.append(emb)
     return Tower(fields, steps)
@@ -878,7 +886,9 @@ def field_from_descriptor(desc: dict) -> FiniteField:
     return tower_from_descriptor(desc).top
 
 
-def _coeff_to_code(base: FiniteField, c) -> int:
-    if isinstance(c, (int, np.integer)):
-        return int(c) % base.p
-    return base.from_coords(c)
+def modulus_codes(base: FiniteField, coeffs) -> list[int]:
+    """Base-field codes of a modulus read from JSON: a list whose entries
+    are integers reduced mod p, or prime-field coordinate lists."""
+    if not isinstance(coeffs, list):
+        raise ValueError(f"modulus {coeffs!r} must be a list of coefficients")
+    return [int(c) % base.p if isinstance(c, (int, np.integer)) else base.from_coords(c) for c in coeffs]

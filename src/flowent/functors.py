@@ -109,8 +109,6 @@ def res_subspace(e: FieldEmbedding, s: Subspace) -> Subspace:
         raise FieldMismatch("subspace is not over the embedding's target field")
     deg = e.degree
     reps = e.rep_table()[s.basis.data]  # (dim, ambient, deg_s, deg_t)
-    if s.dim == 0:
-        return Subspace.zero(e.source, deg * s.ambient)
     rows = reps.transpose(0, 3, 1, 2).reshape(s.dim * deg, s.ambient * deg)
     return Subspace.from_rows(e.source, rows)
 
@@ -149,8 +147,6 @@ def ind_subspace(e: FieldEmbedding, s: Subspace) -> Subspace:
     """Same basis with embedded entries; echelon structure is preserved."""
     if s.field != e.source:
         raise FieldMismatch("subspace is not over the embedding's source field")
-    if s.dim == 0:
-        return Subspace.zero(e.target, s.ambient)
     return Subspace.from_rows(e.target, entry_embed(s.basis, e))
 
 
@@ -248,6 +244,8 @@ class TheoremReport:
 
 # the four per-depth identities, in the order of ``_identity_checks``' cells
 _IDENTITY_CHECKS = ("res_codim", "res", "ind", "ind_codim")
+# the chain members U_m whose identities ``verify_theorem`` checks
+_IDENTITY_MS = (0, 1, 2)
 
 
 def _first_failure(
@@ -327,7 +325,6 @@ def verify_theorem(
     flow: Flow,
     cfg: EngineConfig = DEFAULT_CONFIG,
     identity_n_max: int = 8,
-    identity_ms: tuple[int, ...] = (0, 1, 2),
 ) -> TheoremReport:
     """Check the entropy change-of-fields formulas on one flow.
 
@@ -350,13 +347,13 @@ def verify_theorem(
     ent_f = ent_star(flow_f, cfg)
     ent_l = ent_star(flow_l, cfg)
     cells = _identity_checks(
-        e_fk, e_kl, flow, flow_f, flow_l, identity_n_max, identity_ms, cfg.window_slack
+        e_fk, e_kl, flow, flow_f, flow_l, identity_n_max, _IDENTITY_MS, cfg.window_slack
     )
     identities = {
-        n: all(all(cells[m, n]) for m in identity_ms) for n in range(1, identity_n_max + 1)
+        n: all(all(cells[m, n]) for m in _IDENTITY_MS) for n in range(1, identity_n_max + 1)
     }
 
-    first_failure = _first_failure(cells, identity_n_max, identity_ms)
+    first_failure = _first_failure(cells, identity_n_max, _IDENTITY_MS)
     formulas_known = ent_k.resolved and ent_f.resolved and ent_l.resolved
     if first_failure is not None:
         verdict = "FAIL"

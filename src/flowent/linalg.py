@@ -116,11 +116,6 @@ class Matrix:
         return self.field.arr_matmul(self.data, vec)[:, 0]
 
 
-def hstack(blocks: Sequence[Matrix]) -> Matrix:
-    field = blocks[0].field
-    return Matrix(field, np.concatenate([b.data for b in blocks], axis=1))
-
-
 def vstack(blocks: Sequence[Matrix]) -> Matrix:
     field = blocks[0].field
     return Matrix(field, np.concatenate([b.data for b in blocks], axis=0))

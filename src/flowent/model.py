@@ -10,6 +10,14 @@ with the compact part through finite blocks.
 Window coordinates are ordered discrete-first: index i < discrete_dim is
 the i-th discrete coordinate, index discrete_dim + j is compact
 coordinate j.
+
+Each flow derived from other flows has one construction.  A product of
+flows is ``compose_flow``: the stencils convolve exactly, phase by phase,
+and the boundary blocks are read from a product of truncations on one
+window wide enough that no spill reaches them.  Powers and conjugates are
+such products; a conjugator is itself a flow, the identity past a leading
+window.  A direct sum interleaves the summands' coordinates and reads its
+prefix rows from their truncations.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch, WindowTooSmall
+from .errors import DimensionMismatch, FieldMismatch, NotInvertible, WindowTooSmall
 from .fields import FiniteField, field_from_descriptor
-from .linalg import Matrix
+from .linalg import Matrix, inverse
 
 __all__ = [
     "SpaceShape",
@@ -37,6 +45,8 @@ __all__ = [
     "direct_sum",
     "good_direct_sum",
     "compose_flow",
+    "power_flow",
+    "conjugate_flow",
     "truncate",
     "window_nonzeros",
     "decompose",
@@ -212,30 +222,6 @@ class EndoSpec:
         """Size of the irregular boundary region."""
         return max(self.prefix_rows, self.dc.rows)
 
-    def compact_row(self, i: int, window: int) -> tuple[np.ndarray, list[int]]:
-        """Compact-column content of compact row i inside a window.
-
-        Returns the dense row and the list of out-of-window coordinates the
-        true row would read (spill).
-        """
-        row = np.zeros(window, dtype=np.int64)
-        spill: list[int] = []
-        if i < self.prefix_rows:
-            width = min(self.prefix_cols, window)
-            row[:width] = self.prefix.data[i, :width]
-            if self.prefix.data[i, width:].any():
-                spill.extend(int(j) for j in np.nonzero(self.prefix.data[i])[0] if j >= window)
-            return row, spill
-        for k, c in self.phase(i):
-            j = i + k
-            if j < 0:
-                raise AssertionError("negative read outside prefix; EndoSpec invariant broken")
-            if j < window:
-                row[j] = self.field.add(int(row[j]), c)
-            else:
-                spill.append(j)
-        return row, spill
-
 
 def _collapse_period(phases: tuple) -> tuple:
     """Reduce a phase tuple to its smallest cyclic period."""
@@ -309,19 +295,16 @@ def direct_sum(f: Flow, g: Flow) -> Flow:
 
     r = max(ef.prefix_rows, eg.prefix_rows)
     if r:
-        width = 2 * max(
-            ef.prefix_cols,
-            eg.prefix_cols,
-            r + max(ef.max_offset, eg.max_offset, 0),
-        )
-        pref = np.zeros((2 * r, width), dtype=np.int64)
-        for u in range(r):
-            row_f, spill_f = ef.compact_row(u, width // 2)
-            row_g, spill_g = eg.compact_row(u, width // 2)
-            if spill_f or spill_g:
-                raise WindowTooSmall(f"prefix row {u} reads past the prefix width {width // 2}")
-            pref[2 * u, 0::2] = row_f
-            pref[2 * u + 1, 1::2] = row_g
+        # Compact row u < r of a summand reads only columns below half: a
+        # prefix row reads below prefix_cols, a stencil row reads u + k <=
+        # r - 1 + max_offset.  So its truncation holds these rows whole, and
+        # no read spills past them.
+        half = max(ef.prefix_cols, eg.prefix_cols, r + max(ef.max_offset, eg.max_offset, 0))
+        pref = np.zeros((2 * r, 2 * half), dtype=np.int64)
+        for parity, summand in enumerate((f, g)):
+            d = summand.discrete_dim
+            mat, _ = truncate(summand, max(half, _min_window(summand.endo)))
+            pref[parity::2, parity::2] = mat.data[d : d + r, d : d + half]
         prefix = Matrix(field, pref)
     else:
         prefix = None
@@ -390,14 +373,22 @@ def truncate(flow: Flow, window: int) -> tuple[Matrix, TruncationMeta]:
     mat = np.zeros((size, size), dtype=np.int64)
     spill_rows: list[int] = []
     spill_cols: set[int] = set()
-    if d:
-        mat[:d, :d] = endo.dd.data
-        mat[:d, d : d + endo.cd.cols] = endo.cd.data
-    for i in range(window):
-        row, spill = endo.compact_row(i, window)
-        mat[d + i, d:] = row
-        if i < endo.dc.rows:
-            mat[d + i, :d] = endo.dc.data[i]
+    # the window covers every block (``_check_window``), so only stencil rows spill
+    mat[:d, :d] = endo.dd.data
+    mat[:d, d : d + endo.cd.cols] = endo.cd.data
+    mat[d : d + endo.dc.rows, :d] = endo.dc.data
+    mat[d : d + endo.prefix_rows, d : d + endo.prefix_cols] = endo.prefix.data
+    for i in range(endo.prefix_rows, window):
+        spill = []
+        for k, c in endo.phase(i):
+            j = i + k
+            if j < 0:
+                # ``EndoSpec`` checks this at construction; a stencil changed since can break it
+                raise WindowTooSmall(f"stencil row {i} reads coordinate {j} below 0 outside the prefix")
+            if j < window:
+                mat[d + i, d + j] = c
+            else:
+                spill.append(j)
         if spill:
             spill_rows.append(d + i)
             spill_cols.update(spill)
@@ -550,6 +541,46 @@ def compose_flow(f: Flow, g: Flow) -> Flow:
     )
 
 
+def power_flow(flow: Flow, k: int) -> Flow:
+    """The flow iterating the endomorphism k times."""
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    if k == 1:
+        return flow
+    out = flow
+    for _ in range(k - 1):
+        out = compose_flow(flow, out)
+    return Flow(out.shape, out.endo, label=f"{flow.label}^{k}")
+
+
+def conjugate_flow(flow: Flow, a: Matrix) -> Flow:
+    """Conjugate by an invertible matrix acting on the discrete part plus a
+    leading compact window, extended by the identity elsewhere.
+
+    That extension is itself a flow F_a: its ``dd``, ``cd``, ``dc`` and
+    ``prefix`` are a's blocks, and its stencil {0: 1} is the identity past
+    the first ``a.rows - discrete_dim`` compact coordinates.  The conjugate
+    is the product F_a * flow * F_(a^-1) of two compositions.
+    """
+    if a.field != flow.field:
+        raise NotInvertible("conjugator lives over a different field")
+    if a.rows != a.cols or a.rows < flow.discrete_dim:
+        raise NotInvertible("conjugator must be square and cover the discrete part")
+    a_inv = inverse(a)  # raises NotInvertible when singular
+    d = flow.discrete_dim
+
+    def as_flow(m: Matrix) -> Flow:
+        dd, cd, dc, prefix = (
+            Matrix(flow.field, block)
+            for block in (m.data[:d, :d], m.data[:d, d:], m.data[d:, :d], m.data[d:, d:])
+        )
+        endo = EndoSpec(flow.field, {0: flow.field.one}, prefix=prefix, dd=dd, cd=cd, dc=dc)
+        return Flow(flow.shape, endo)
+
+    out = compose_flow(compose_flow(as_flow(a), flow), as_flow(a_inv))
+    return Flow(out.shape, out.endo, label=f"conj({flow.label})")
+
+
 def _flow_from_window(
     shape: SpaceShape,
     stencil: Sequence[Mapping[int, int]],
@@ -699,7 +730,9 @@ def flow_from_dict(spec: dict) -> Flow:
         if key not in spec:
             raise ValueError(f"flow spec is missing key '{key}'")
     field = field_from_descriptor(spec["field"])
-    d = int(spec.get("discrete_dim", 0))
+    d = spec.get("discrete_dim", 0)
+    if not isinstance(d, (int, np.integer)):
+        raise ValueError(f"discrete_dim {d!r} must be an integer")
 
     raw = spec["stencil"]
     phases = raw if isinstance(raw, list) else [raw]

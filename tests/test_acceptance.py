@@ -15,9 +15,7 @@ from flowent.entropy import (
     brute_force_codim,
     chain_traces,
     codim_sequence,
-    conjugate_flow,
     ent_star,
-    power_flow,
 )
 from flowent.fields import compose, least_irreducible, make_extension, make_prime_field
 from flowent.functors import adjunction_dim_check, ind_flow, make_entropy_n, res_flow
@@ -27,9 +25,11 @@ from flowent.model import (
     Flow,
     GoodSubspace,
     SpaceShape,
+    conjugate_flow,
     direct_sum,
     make_bernoulli,
     make_identity,
+    power_flow,
     random_stencil_flow,
     save_flow,
 )

@@ -110,6 +110,36 @@ class TestCompute:
         assert code == 1
 
 
+class TestMalformedSpecs:
+    """Non-integer elements and malformed descriptors exit 1 with a message;
+    none is truncated to an integer or escapes as a TypeError."""
+
+    SPECS = {
+        "float-coordinate": {"field": {"p": 3}, "stencil": {"1": [1.7]}},
+        "float-element": {"field": {"p": 3}, "stencil": {"1": 1.5}},
+        "float-prefix-entry": {"field": {"p": 3}, "stencil": {"1": 1}, "prefix": [[0.5]]},
+        "tower-not-a-list": {"field": {"p": 3, "tower": 5}, "stencil": {"1": 1}},
+        "float-characteristic": {"field": {"p": 2.5}, "stencil": {"1": 1}},
+        "list-characteristic": {"field": {"p": [2]}, "stencil": {"1": 1}},
+        "float-discrete-dim": {"field": {"p": 2}, "discrete_dim": 1.5, "stencil": {"1": 1}},
+    }
+
+    @pytest.mark.parametrize("case", list(SPECS))
+    def test_compute_exits_one(self, capsys, tmp_path, case):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.SPECS[case]))
+        code = main(["compute", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_ext_modulus_not_a_list_exits_one(self, capsys, gf2_bernoulli_spec):
+        code = main(["verify", gf2_bernoulli_spec, "--ext-modulus", "5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+
 class TestVerify:
     def test_bernoulli_tower_passes(self, capsys, bernoulli_spec):
         code, out = run(capsys, "verify", bernoulli_spec, "--max-n", "24", "--max-m", "4")

@@ -22,13 +22,11 @@ from flowent.entropy import (
     brute_force_codim,
     chain_traces,
     codim_sequence,
-    conjugate_flow,
     cotrajectory,
     cotrajectory_run,
     ent_star,
     entropy_report,
     h_star,
-    power_flow,
 )
 from flowent.errors import NotInvertible, TooLarge
 from flowent.fields import _prime_rank, _rref_array, least_irreducible, make_extension, make_prime_field
@@ -47,11 +45,13 @@ from flowent.model import (
     Flow,
     GoodSubspace,
     SpaceShape,
+    conjugate_flow,
     default_window,
     direct_sum,
     good_direct_sum,
     make_bernoulli,
     make_identity,
+    power_flow,
     random_stencil_flow,
     truncate,
     window_nonzeros,

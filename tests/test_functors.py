@@ -137,6 +137,14 @@ class TestSubspaceMaps:
         assert out.dim == s.dim
         assert np.array_equal(out.basis.data, s.basis.data)
 
+    @pytest.mark.parametrize("ambient", [0, 1, 3])
+    def test_zero_subspace_maps_to_zero(self, gf4_pair, gf16_pair, ambient):
+        for emb in (gf4_pair[1], gf16_pair[1]):
+            res = res_subspace(emb, Subspace.zero(emb.target, ambient))
+            assert res == Subspace.zero(emb.source, emb.degree * ambient)
+            ind = ind_subspace(emb, Subspace.zero(emb.source, ambient))
+            assert ind == Subspace.zero(emb.target, ambient)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_res_commutes_with_cotrajectories(self, gf4_pair, seed):
         gf4, emb = gf4_pair
@@ -423,7 +431,7 @@ FLOWS = [(4, s) for s in range(12)] + [(9, s) for s in range(10)] + [(16, s) for
 
 class TestIdentityChecks:
     n_max = 6
-    ms = (0, 1, 2)
+    ms = functors._IDENTITY_MS  # the chain members verify_theorem checks
 
     def cells(self, route, e_fk, e_kl, flow, flow_f, flow_l):
         return route(e_fk, e_kl, flow, flow_f, flow_l, self.n_max, self.ms, 4)
@@ -458,7 +466,7 @@ class TestIdentityChecks:
         original = getattr(functors, name)
         monkeypatch.setattr(functors, name, lambda e, fl: _perturb(original(e, fl)))
         cfg = EngineConfig(n_max=12, m_max=2)
-        report = verify_theorem(e_fk, e_kl, flow, cfg, self.n_max, self.ms)
+        report = verify_theorem(e_fk, e_kl, flow, cfg, self.n_max)
         assert report.verdict == "FAIL"
         assert sorted(n for n, ok in report.identities.items() if not ok) == failing
 
@@ -488,7 +496,7 @@ class TestIdentityChecks:
         original = getattr(functors, name)
         monkeypatch.setattr(functors, name, lambda e, fl: _perturb(original(e, fl)))
         cfg = EngineConfig(n_max=12, m_max=2)
-        report = verify_theorem(e_fk, e_kl, flow, cfg, self.n_max, self.ms)
+        report = verify_theorem(e_fk, e_kl, flow, cfg, self.n_max)
         assert report.verdict == "FAIL"
         assert report.to_dict()["first_failure"] == first
 

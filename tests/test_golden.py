@@ -18,10 +18,16 @@ import numpy as np
 import pytest
 
 from flowent.cli import main
-from flowent.entropy import conjugate_flow, power_flow
 from flowent.fields import least_irreducible, make_extension, make_prime_field
 from flowent.linalg import random_invertible
-from flowent.model import direct_sum, flow_to_dict, random_stencil_flow, save_flow
+from flowent.model import (
+    conjugate_flow,
+    direct_sum,
+    flow_to_dict,
+    power_flow,
+    random_stencil_flow,
+    save_flow,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

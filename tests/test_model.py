@@ -96,6 +96,14 @@ class TestTruncate:
         with pytest.raises(WindowTooSmall):
             EndoSpec(gf2, {-1: 1})
 
+    def test_stencil_changed_to_read_below_zero_raises(self, gf2):
+        # EndoSpec checks reads at construction; truncate checks them again,
+        # with a typed error that python -O keeps
+        endo = EndoSpec(gf2, {1: 1})
+        endo.stencil = (((-1, 1),),)
+        with pytest.raises(WindowTooSmall):
+            truncate(Flow(SpaceShape(gf2, 0), endo), 4)
+
     def test_right_shift_with_prefix(self, gf2):
         endo = EndoSpec(gf2, {-1: 1}, prefix=Matrix.zeros(gf2, 1, 1))
         flow = Flow(SpaceShape(gf2, 0), endo)
