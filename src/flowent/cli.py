@@ -121,13 +121,9 @@ def _parse_field(text: str) -> FiniteField:
 
 
 def cmd_compute(args) -> int:
-    try:
-        flow = load_flow(args.spec)
-        cfg = _config_from_args(args)
-        estimate = ent_star(flow, cfg)
-    except (FlowentError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    flow = load_flow(args.spec)
+    cfg = _config_from_args(args)
+    estimate = ent_star(flow, cfg)
     if args.format == "json":
         payload = entropy_report(flow, estimate, cfg)
         payload["seed"] = args.seed
@@ -139,25 +135,19 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        flow = load_flow(args.spec)
-        tower = tower_from_descriptor(flow.field.descriptor)
-        depth = args.base_depth
-        if not 0 <= depth < len(tower.fields):
-            raise ValueError(f"--base-depth {depth} is outside the field's tower")
-        e_fk = tower.embedding(depth, len(tower.fields) - 1)
-        if args.ext_modulus is not None:
-            codes = modulus_codes(flow.field, json.loads(args.ext_modulus))
-        else:
-            codes = list(least_irreducible(flow.field, args.ext_degree))
-        _, e_kl = make_extension(flow.field, codes)
-        cfg = _config_from_args(args)
-        report = verify_theorem(
-            e_fk, e_kl, flow, cfg, identity_n_max=args.identity_n
-        )
-    except (FlowentError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    flow = load_flow(args.spec)
+    tower = tower_from_descriptor(flow.field.descriptor)
+    depth = args.base_depth
+    if not 0 <= depth < len(tower.fields):
+        raise ValueError(f"--base-depth {depth} is outside the field's tower")
+    e_fk = tower.embedding(depth, len(tower.fields) - 1)
+    if args.ext_modulus is not None:
+        codes = modulus_codes(flow.field, json.loads(args.ext_modulus))
+    else:
+        codes = list(least_irreducible(flow.field, args.ext_degree))
+    _, e_kl = make_extension(flow.field, codes)
+    cfg = _config_from_args(args)
+    report = verify_theorem(e_fk, e_kl, flow, cfg, identity_n_max=args.identity_n)
     _emit(_json_text(report.to_dict()), args.out)
     if report.verdict == "PASS":
         return EXIT_OK
@@ -167,54 +157,46 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    try:
-        field = _parse_field(args.field)
-        if args.name == "bernoulli":
-            flow = make_bernoulli(field, args.dim)
-        elif args.name == "identity":
-            flow = make_identity(SpaceShape(field, args.discrete))
-        elif args.name == "entropy-n":
-            flow = make_entropy_n(field, args.n)
-        elif args.name == "direct-sum":
-            dims = [int(v) for v in args.dims.split(",")]
-            if len(dims) < 2:
-                raise ValueError("--dims needs at least two comma-separated block sizes")
-            flow = make_bernoulli(field, dims[0])
-            for k in dims[1:]:
-                flow = direct_sum(flow, make_bernoulli(field, k))
-        else:
-            raise ValueError(
-                f"unknown example {args.name!r}; "
-                "names: bernoulli, identity, entropy-n, direct-sum"
-            )
-    except (FlowentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    field = _parse_field(args.field)
+    if args.name == "bernoulli":
+        flow = make_bernoulli(field, args.dim)
+    elif args.name == "identity":
+        flow = make_identity(SpaceShape(field, args.discrete))
+    elif args.name == "entropy-n":
+        flow = make_entropy_n(field, args.n)
+    elif args.name == "direct-sum":
+        dims = [int(v) for v in args.dims.split(",")]
+        if len(dims) < 2:
+            raise ValueError("--dims needs at least two comma-separated block sizes")
+        flow = make_bernoulli(field, dims[0])
+        for k in dims[1:]:
+            flow = direct_sum(flow, make_bernoulli(field, k))
+    else:
+        raise ValueError(
+            f"unknown example {args.name!r}; "
+            "names: bernoulli, identity, entropy-n, direct-sum"
+        )
     _emit(_json_text(flow_to_dict(flow)), args.out)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    try:
-        flow = load_flow(args.spec)
-        rows = []
-        all_equal = True
-        comparisons = 0
-        for m in range(args.max_m + 1):
-            u = GoodSubspace.principal(m)
-            trace = codim_sequence(flow, u, args.max_n)
-            for n in range(1, args.max_n + 1):
-                window = guarantee_window(flow, u.extent, n)
-                if args.window is not None:
-                    window = max(window, args.window)
-                enumerated = brute_force_codim(flow, u, n, window)
-                structured = trace.values[n - 1]
-                rows.append([flow.label, field_label(flow.field), m, n, structured, enumerated, window])
-                comparisons += 1
-                all_equal = all_equal and structured == enumerated
-    except (FlowentError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    flow = load_flow(args.spec)
+    rows = []
+    all_equal = True
+    comparisons = 0
+    for m in range(args.max_m + 1):
+        u = GoodSubspace.principal(m)
+        trace = codim_sequence(flow, u, args.max_n)
+        for n in range(1, args.max_n + 1):
+            window = guarantee_window(flow, u.extent, n)
+            if args.window is not None:
+                window = max(window, args.window)
+            enumerated = brute_force_codim(flow, u, n, window)
+            structured = trace.values[n - 1]
+            rows.append([flow.label, field_label(flow.field), m, n, structured, enumerated, window])
+            comparisons += 1
+            all_equal = all_equal and structured == enumerated
     if args.format == "json":
         payload = {
             "flow": flow.label,
@@ -302,8 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  An input error anywhere in it, writing the
+    report included, prints one ``error:`` line and exits 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FlowentError, ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:  # console-script wrapper

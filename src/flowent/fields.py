@@ -4,9 +4,9 @@ Every field is presented over its prime field: an element of GF(p^d) is a
 length-d coefficient vector over GF(p), packed into an integer code in
 ``range(p**d)`` whose base-p digits run from the constant term upward.
 Element products in a proper extension look up O(q) int32 tables of the
-powers and logarithms of a generator; matrix products route through
-per-digit float64 BLAS, exact below 2^53, except in the incremental
-echelon step, which sums table lookups over an extension field.
+powers and logarithms of a generator.  A matrix product over a prime
+field is one float64 product, exact below 2^53; over an extension field it
+sums the terms looked up in those tables.
 
 A field is immutable after construction.  An embedding builds the table
 of the images of the source codes in its constructor, and computes its
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import Mismatch, NotPrime, Reducible, TooLarge
+from .errors import Mismatch, NotInvertible, NotPrime, Reducible, TooLarge
 
 # Desk-scale cap on prime characteristics.
 _PRIME_CAP = 1 << 16
@@ -111,7 +111,7 @@ def _rref_extend(
     width = max(red.shape[1], rows.shape[1])
     red, rows = _widen(red, width), _widen(rows, width)
     if pivots:
-        rows = field.arr_sub(rows, _matmul_codes(field, rows[:, pivots], red))
+        rows = field.arr_sub(rows, field.arr_matmul(rows[:, pivots], red))
     resid, new = _rref_array(field, rows[rows.any(axis=1)])
     if not new:
         return red, pivots
@@ -128,7 +128,7 @@ def _rref_extend(
     coeff = red[:, new]
     hit = np.flatnonzero(coeff.any(axis=1))
     if hit.size:
-        out[place[hit]] = field.arr_sub(red[hit], _matmul_codes(field, coeff[hit], resid))
+        out[place[hit]] = field.arr_sub(red[hit], field.arr_matmul(coeff[hit], resid))
     return out, [everyone[i] for i in order]
 
 
@@ -141,38 +141,8 @@ def _widen(a: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-# elements of one broadcast product in ``_matmul_codes``
+# elements of one broadcast term array in ``FiniteField.matmul_prepared``
 _PRODUCT_CHUNK = 1 << 18
-
-
-def _matmul_codes(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two code arrays, for ``_rref_extend``.
-
-    Over a prime field it is ``arr_matmul``, under its float64 exactness
-    guard.  Over an extension field the terms ``a[i, j] * b[j, k]`` are
-    looked up in the log/antilog tables and summed over j: by XOR when
-    p = 2, else as digit sums of at most ``inner * (p-1)`` encoded once.
-    Only the inner indices where ``a`` has a nonzero column take part, a
-    chunk of them at a time, so that no broadcast term array holds more
-    than about ``_PRODUCT_CHUNK`` elements.
-    """
-    if field.d == 1:
-        return field.arr_matmul(a, b)
-    rows, cols = a.shape[0], b.shape[1]
-    inner = np.flatnonzero(a.any(axis=0))
-    step = max(1, _PRODUCT_CHUNK // max(1, rows * cols))
-    if field.p == 2:
-        out = np.zeros((rows, cols), dtype=np.int64)
-    else:
-        out = np.zeros((rows, cols, field.d), dtype=np.int64)
-    for lo in range(0, inner.size, step):
-        part = inner[lo : lo + step]
-        terms = field.arr_mul(a[:, part, None], b[None, part, :])
-        if field.p == 2:
-            out ^= np.bitwise_xor.reduce(terms, axis=1)
-        else:
-            out += field.coords_array(terms).sum(axis=1)
-    return out if field.p == 2 else field.encode_array(out)
 
 
 def check_float_exact(largest: int, what: str) -> None:
@@ -194,12 +164,17 @@ def _prime_rank(a: np.ndarray, p: int) -> int:
     return len(_rref_array(FiniteField(p, (0, 1)), np.asarray(a, dtype=np.int64) % p)[1])
 
 
-def _prime_inv(a: np.ndarray, p: int) -> np.ndarray:
+def _inverse_array(field: FiniteField, a: np.ndarray) -> np.ndarray:
+    """Inverse of a square code array over ``field``, read off the reduced
+    row-echelon form of ``[a | I]``; raises NotInvertible when ``a`` is
+    not square or singular.  ``a`` is not modified."""
+    a = np.asarray(a, dtype=np.int64)
     n = a.shape[0]
-    aug = np.concatenate([np.asarray(a, dtype=np.int64) % p, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = _rref_array(FiniteField(p, (0, 1)), aug)
+    if a.shape != (n, n):
+        raise NotInvertible("only square matrices can be inverted")
+    red, pivots = _rref_array(field, np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1))
     if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular over the prime field")
+        raise NotInvertible("matrix is singular")
     return red[:, n:]
 
 
@@ -240,7 +215,6 @@ class FiniteField:
             self._ppow = ppow
             codes = np.arange(self.q, dtype=np.int64)
             self._digits = (codes[:, None] // ppow[None, :]) % p
-            self._red = self._reduction_rows()
             self._exp, self._log = self._log_tables()
 
     # -- identity ----------------------------------------------------------
@@ -374,34 +348,43 @@ class FiniteField:
         return self._exp[(self._log[a] + self._log[b]).astype(np.intp)].astype(np.int64)
 
     def prepare_right(self, b: np.ndarray):
-        """Pre-decode a matrix for repeated use as a right matmul operand."""
+        """A right matmul operand as ``(shape, data)``, converted once for
+        repeated use: to float64 over a prime field, else kept as codes."""
         b = np.asarray(b, dtype=np.int64)
-        if self.d == 1:
-            return (b.shape, b.astype(np.float64))
-        planes = np.moveaxis(self.coords_array(b), -1, 0).astype(np.float64)
-        return (b.shape, planes)
+        return (b.shape, b.astype(np.float64) if self.d == 1 else b)
 
     def matmul_prepared(self, a: np.ndarray, prepared) -> np.ndarray:
-        """Product against a prepared right operand."""
+        """Exact product against a prepared right operand.
+
+        Over a prime field it is one float64 product, exact while its sums
+        of ``inner * (p-1)^2`` stay below 2^53, else TooLarge is raised.
+        Over an extension field the terms ``a[i, j] * b[j, k]`` are looked
+        up in the log/antilog tables and summed over j: by XOR when p = 2,
+        else as digit sums of at most ``inner * (p-1)`` encoded once.  Only
+        the inner indices where ``a`` has a nonzero column take part, a
+        chunk of them at a time, so that no broadcast term array holds more
+        than about ``_PRODUCT_CHUNK`` elements.
+        """
         shape, right = prepared
         a = np.asarray(a, dtype=np.int64)
         inner = a.shape[-1]
         if inner != shape[0]:
             raise ValueError(f"matmul shape mismatch {a.shape} @ {shape}")
-        if inner == 0:
-            return np.zeros((a.shape[0], shape[1]), dtype=np.int64)
-        # float64 BLAS stays exact while products fit in 53 bits
-        check_float_exact(inner * (self.p - 1) ** 2, f"inner dimension {inner} over GF({self.p})")
         if self.d == 1:
+            check_float_exact(inner * (self.p - 1) ** 2, f"inner dimension {inner} over GF({self.p})")
             return (a.astype(np.float64) @ right).astype(np.int64) % self.p
-        da = np.moveaxis(self.coords_array(a), -1, 0).astype(np.float64)
-        planes = np.zeros((2 * self.d - 1, a.shape[0], shape[1]), dtype=np.int64)
-        for i in range(self.d):
-            for j in range(self.d):
-                planes[i + j] += (da[i] @ right[j]).astype(np.int64)
-        planes %= self.p
-        low = self._reduce_planes(np.moveaxis(planes, 0, -1))
-        return self.encode_array(low)
+        rows, cols = a.shape[0], shape[1]
+        nonzero = np.flatnonzero(a.any(axis=0))
+        step = max(1, _PRODUCT_CHUNK // max(1, rows * cols))
+        out = np.zeros((rows, cols) if self.p == 2 else (rows, cols, self.d), dtype=np.int64)
+        for lo in range(0, nonzero.size, step):
+            part = nonzero[lo : lo + step]
+            terms = self.arr_mul(a[:, part, None], right[None, part, :])
+            if self.p == 2:
+                out ^= np.bitwise_xor.reduce(terms, axis=1)
+            else:
+                out += self.coords_array(terms).sum(axis=1)
+        return out if self.p == 2 else self.encode_array(out)
 
     def arr_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact matrix product of two code arrays."""
@@ -412,49 +395,30 @@ class FiniteField:
 
     # -- internals -----------------------------------------------------------
 
-    def _reduction_rows(self) -> np.ndarray:
-        """Digit rows of x^(d+t) mod modulus, for t = 0 .. d-2."""
-        p, d = self.p, self.d
-        rows = np.zeros((max(d - 1, 0), d), dtype=np.int64)
-        top = (-np.asarray(self.modulus[:d], dtype=np.int64)) % p  # x^d
-        cur = top
-        for t in range(d - 1):
-            rows[t] = cur
-            nxt = np.zeros(d, dtype=np.int64)
-            nxt[1:] = cur[:-1]
-            nxt = (nxt + cur[d - 1] * top) % p
-            cur = nxt
-        return rows
-
-    def _reduce_planes(self, planes: np.ndarray) -> np.ndarray:
-        """Fold digit planes of degree < 2d-1 down to degree < d."""
-        d = self.d
-        low = planes[..., :d].copy()
-        high = planes[..., d:]
-        if high.shape[-1]:
-            low += np.tensordot(high, self._red[: high.shape[-1]], axes=([-1], [0]))
-        return low % self.p
-
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """int32 antilog and log tables of the first code g that generates
         the multiplicative group (one does: the group is cyclic).
 
         ``exp[i]`` is g^i below 2(q-1) and 0 from there to 4(q-1), and
         ``log[0]`` is 2(q-1), so ``exp[log a + log b]`` is a*b for every
-        pair, zero included.  The powers are built by doubling: the digit
-        rows of g^0 .. g^(k-1) times the multiplication matrix of g^k are
-        those of g^k .. g^(2k-1).
+        pair, zero included.  Row j of the multiplication matrix of g holds
+        the digits of x^j * g, each row the one before shifted up a degree
+        and reduced by the modulus.  The powers are built by doubling: the
+        digit rows of g^0 .. g^(k-1) times the multiplication matrix of g^k
+        are those of g^k .. g^(2k-1).
         """
-        d, q = self.d, self.q
-        for g in range(self.p, q):
-            planes = np.zeros((d, 2 * d - 1), dtype=np.int64)
+        d, p, q = self.d, self.p, self.q
+        low = np.asarray(self.modulus[:d], dtype=np.int64)  # x^d = -low
+        for g in range(p, q):
+            step = np.empty((d, d), dtype=np.int64)  # row j: digits of x^j * g
+            row = self._digits[g]
             for j in range(d):
-                planes[j, j : j + d] = self._digits[g]
-            step = self._reduce_planes(planes)  # row j: digits of x^j * g
+                step[j] = row
+                row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p
             rows = np.eye(1, d, dtype=np.int64)
             while len(rows) < q - 1:
-                rows = np.concatenate([rows, rows @ step % self.p])
-                step = step @ step % self.p
+                rows = np.concatenate([rows, rows @ step % p])
+                step = step @ step % p
             cycle = self.encode_array(rows[: q - 1]).astype(np.int32)
             if np.count_nonzero(cycle == 1) == 1:
                 break
@@ -588,7 +552,6 @@ class FieldEmbedding:
         self.matrix.setflags(write=False)
         self.basis = tuple(int(b) for b in basis)
         self.degree = len(basis)
-        self.gen_image = self.apply(source.generator)
         self._spread_inv = self._build_spread_inverse()
         self._rep_all: np.ndarray | None = None
         self._image = self._apply_digits(np.arange(source.q, dtype=np.int64))
@@ -679,8 +642,8 @@ class FieldEmbedding:
                 elt = self.target.mul(b, self.apply(self._source_power_code(i)))
                 spread[:, j * d_s + i] = self.target.coords(elt)
         try:
-            return _prime_inv(spread, self.source.p)
-        except ValueError as exc:  # pragma: no cover - guarded by constructors
+            return _inverse_array(make_prime_field(self.source.p), spread)
+        except NotInvertible as exc:  # pragma: no cover - guarded by constructors
             raise Mismatch("basis is not free over the source field") from exc
 
     def _validate_hom(self) -> None:
@@ -816,7 +779,7 @@ def _relative_extension(
     cur = (base.one,) + (base.zero,) * (deg - 1)
     for _ in range(d):
         cur = kmul(cur, gamma)
-    psi = _prime_inv(g_mat, p)  # flat base coords -> power-basis-of-gamma coords
+    psi = _inverse_array(make_prime_field(p), g_mat)  # flat base coords -> power-basis-of-gamma coords
     c = psi @ flat(cur) % p
     minpoly = tuple(int((-v) % p) for v in c) + (1,)
     ext = FiniteField(p, minpoly, descriptor)

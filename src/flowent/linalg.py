@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch, NotContained, NotInvertible
-from .fields import FieldEmbedding, FiniteField, _rref_array
+from .errors import DimensionMismatch, FieldMismatch, NotContained
+from .fields import FieldEmbedding, FiniteField, _inverse_array, _rref_array
 
 
 class Matrix:
@@ -137,14 +137,8 @@ def rank(m: Matrix) -> int:
 
 
 def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise NotInvertible("only square matrices can be inverted")
-    n = m.rows
-    aug = np.concatenate([m.data.copy(), np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = _rref_array(m.field, aug)
-    if pivots[:n] != list(range(n)):
-        raise NotInvertible("matrix is singular")
-    return Matrix(m.field, red[:, n:])
+    """Inverse of a square matrix; raises NotInvertible when it is singular."""
+    return Matrix(m.field, _inverse_array(m.field, m.data))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,10 @@ class EndoSpec:
     cd: compact -> discrete block (rows = discrete dim, finitely many
         compact columns).
     dc: discrete -> compact block (finitely many compact rows).
+
+    An instance is frozen after construction, so the checks made there
+    (codes in range, block shapes, no stencil row reading below 0) hold
+    for every consumer.
     """
 
     __slots__ = ("field", "stencil", "prefix", "dd", "cd", "dc")
@@ -143,12 +147,17 @@ class EndoSpec:
             phases.append(tuple(sorted(clean.items())))
         if not phases:
             phases = [()]
-        self.field = field
-        self.stencil = _collapse_period(tuple(phases))
-        self.prefix = prefix if prefix is not None else Matrix.zeros(field, 0, 0)
-        self.dd = dd if dd is not None else Matrix.zeros(field, 0, 0)
-        self.cd = cd if cd is not None else Matrix.zeros(field, self.dd.rows, 0)
-        self.dc = dc if dc is not None else Matrix.zeros(field, 0, self.dd.rows)
+        dd = dd if dd is not None else Matrix.zeros(field, 0, 0)
+        slots = {
+            "field": field,
+            "stencil": _collapse_period(tuple(phases)),
+            "prefix": prefix if prefix is not None else Matrix.zeros(field, 0, 0),
+            "dd": dd,
+            "cd": cd if cd is not None else Matrix.zeros(field, dd.rows, 0),
+            "dc": dc if dc is not None else Matrix.zeros(field, 0, dd.rows),
+        }
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
         for name, mat in (("prefix", self.prefix), ("dd", self.dd), ("cd", self.cd), ("dc", self.dc)):
             if mat.field != field:
                 raise FieldMismatch(f"{name} block lives over a different field")
@@ -159,6 +168,12 @@ class EndoSpec:
         if self.dc.cols != self.dd.rows:
             raise DimensionMismatch("dc block must have one column per discrete coordinate")
         self._check_reads_stay_non_negative()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"EndoSpec is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"EndoSpec is frozen: cannot delete {name!r}")
 
     def _check_reads_stay_non_negative(self) -> None:
         # every stencil row i >= prefix_rows must read coordinates >= 0;
@@ -382,9 +397,6 @@ def truncate(flow: Flow, window: int) -> tuple[Matrix, TruncationMeta]:
         spill = []
         for k, c in endo.phase(i):
             j = i + k
-            if j < 0:
-                # ``EndoSpec`` checks this at construction; a stencil changed since can break it
-                raise WindowTooSmall(f"stencil row {i} reads coordinate {j} below 0 outside the prefix")
             if j < window:
                 mat[d + i, d + j] = c
             else:
@@ -403,9 +415,10 @@ def window_nonzeros(flow: Flow, window: int) -> tuple[np.ndarray, np.ndarray, np
     discrete blocks and the prefix give their nonzeros directly; every
     stencil phase and offset gives one arithmetic run of rows, from the
     first row at or past the prefix with that phase, with step the period.
-    A row never reads below 0 (``EndoSpec`` checks it), and reads past the
-    window are dropped, as in ``truncate``.  So the count of entries is at
-    most the blocks' nonzeros plus ``window`` times the terms per phase.
+    A row never reads below 0 (a frozen ``EndoSpec`` checks it), and reads
+    past the window are dropped, as in ``truncate``.  So the count of
+    entries is at most the blocks' nonzeros plus ``window`` times the terms
+    per phase.
     """
     endo = flow.endo
     _check_window(endo, window)

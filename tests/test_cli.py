@@ -312,3 +312,26 @@ class TestOversizedFields:
         out = run_python("-c", self.SCRIPT, "example", "bernoulli", "--field", "65536", timeout=20)
         assert out.returncode == 0, out.stderr
         assert len(json.loads(out.stdout)["field"]["tower"][0]) == 17
+
+
+class TestUnwritableOut:
+    """A report that cannot be written is an input error: each subcommand
+    exits 1 with one ``error:`` line, and no traceback escapes."""
+
+    ARGS = {
+        "compute": ["--max-n", "8", "--max-m", "1"],
+        "verify": ["--max-n", "8", "--max-m", "1", "--identity-n", "1"],
+        "example": [],
+        "oracle": ["--max-n", "2", "--max-m", "1"],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_missing_directory_exits_one(self, command, tmp_path, gf2_bernoulli_spec, run_python):
+        target = str(tmp_path / "missing" / "report.json")
+        subject = ["bernoulli"] if command == "example" else [gf2_bernoulli_spec]
+        argv = [command, *subject, *self.ARGS[command], "--out", target]
+        out = run_python("-c", TestOversizedFields.SCRIPT, *argv, timeout=30)
+        assert out.returncode == 1, out.stderr
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: "), out.stderr
+        assert target in out.stderr

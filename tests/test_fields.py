@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from flowent.errors import Mismatch, NotPrime, Reducible, TooLarge
 from flowent.fields import (
     FiniteField,
-    _matmul_codes,
     _rref_array,
     _rref_extend,
     check_float_exact,
@@ -553,18 +552,33 @@ class TestRrefExtend:
 
     @pytest.mark.parametrize("field", _rref_fields()[2:], ids=repr)
     def test_chunked_products(self, field, monkeypatch):
-        """Extension-field products, one inner index per chunk and in one
-        chunk, against the digit-plane product of ``arr_matmul``."""
+        """``arr_matmul`` against a scalar triple loop of ``add`` and ``mul``,
+        on a dense left operand and on one with zero columns, one inner
+        index per chunk and in one chunk."""
         from flowent import fields
 
         rng = np.random.default_rng(field.q)
-        a = field.random_codes(rng, (5, 30))
-        a[:, rng.random(30) < 0.3] = 0
+        dense = field.random_codes(rng, (5, 30))
+        sparse = dense.copy()
+        sparse[:, rng.random(30) < 0.3] = 0
+        assert not sparse.any(axis=0).all()
         b = field.random_codes(rng, (30, 17))
-        want = field.arr_matmul(a, b)
-        assert np.array_equal(_matmul_codes(field, a, b), want)
-        monkeypatch.setattr(fields, "_PRODUCT_CHUNK", 1)
-        assert np.array_equal(_matmul_codes(field, a, b), want)
+        cases = [(a, _scalar_matmul(field, a, b)) for a in (dense, sparse)]
+        for chunk in (fields._PRODUCT_CHUNK, 1):
+            monkeypatch.setattr(fields, "_PRODUCT_CHUNK", chunk)
+            for a, want in cases:
+                assert np.array_equal(field.arr_matmul(a, b), want), chunk
+
+
+def _scalar_matmul(field, a, b):
+    """The product of two code arrays, one scalar ``add`` and ``mul`` at a time."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i, k in itertools.product(range(a.shape[0]), range(b.shape[1])):
+        acc = field.zero
+        for j in range(a.shape[1]):
+            acc = field.add(acc, field.mul(int(a[i, j]), int(b[j, k])))
+        out[i, k] = acc
+    return out
 
 
 class TestEmbeddingTable:

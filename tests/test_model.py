@@ -97,12 +97,17 @@ class TestTruncate:
             EndoSpec(gf2, {-1: 1})
 
     def test_stencil_changed_to_read_below_zero_raises(self, gf2):
-        # EndoSpec checks reads at construction; truncate checks them again,
-        # with a typed error that python -O keeps
+        # EndoSpec checks reads at construction and is frozen after it, so
+        # no stencil reading below 0 reaches truncate or window_nonzeros
         endo = EndoSpec(gf2, {1: 1})
-        endo.stencil = (((-1, 1),),)
-        with pytest.raises(WindowTooSmall):
-            truncate(Flow(SpaceShape(gf2, 0), endo), 4)
+        with pytest.raises(AttributeError):
+            endo.stencil = (((-1, 1),),)
+        assert endo.stencil == (((1, 1),),)
+        for name in EndoSpec.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(endo, name, getattr(endo, name))
+            with pytest.raises(AttributeError):
+                delattr(endo, name)
 
     def test_right_shift_with_prefix(self, gf2):
         endo = EndoSpec(gf2, {-1: 1}, prefix=Matrix.zeros(gf2, 1, 1))
