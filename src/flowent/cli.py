@@ -183,8 +183,6 @@ def cmd_example(args) -> int:
 def cmd_oracle(args) -> int:
     flow = load_flow(args.spec)
     rows = []
-    all_equal = True
-    comparisons = 0
     for m in range(args.max_m + 1):
         u = GoodSubspace.principal(m)
         trace = codim_sequence(flow, u, args.max_n)
@@ -195,13 +193,12 @@ def cmd_oracle(args) -> int:
             enumerated = brute_force_codim(flow, u, n, window)
             structured = trace.values[n - 1]
             rows.append([flow.label, field_label(flow.field), m, n, structured, enumerated, window])
-            comparisons += 1
-            all_equal = all_equal and structured == enumerated
+    all_equal = all(structured == enumerated for *_, structured, enumerated, _ in rows)
     if args.format == "json":
         payload = {
             "flow": flow.label,
             "field": flow.field.descriptor,
-            "comparisons": comparisons,
+            "comparisons": len(rows),
             "all_equal": all_equal,
             "cells": [
                 {"m": m, "n": n, "structured": s, "enumerated": e, "window": w}

@@ -637,7 +637,7 @@ def brute_force_codim(flow: Flow, u: GoodSubspace, n: int, window: int) -> int:
         alive &= ~current[:, dead].any(axis=1)
     members_u = int(alive.sum())
     for _ in range(n - 1):
-        current = (current.astype(np.float64) @ mat.data.T.astype(np.float64)).astype(np.int64) % 2
+        current = field.arr_matmul(current, mat.data.T)
         if dead:
             alive &= ~current[:, dead].any(axis=1)
     members_c = int(alive.sum())

@@ -216,6 +216,9 @@ class FiniteField:
             codes = np.arange(self.q, dtype=np.int64)
             self._digits = (codes[:, None] // ppow[None, :]) % p
             self._exp, self._log = self._log_tables()
+            if p > 2:  # the antilogs with their digits packed ``62 // d`` bits apart
+                packing = 62 // self.d * np.arange(self.d)
+                self._exp_packed = (self._digits << packing).sum(axis=1)[self._exp]
 
     # -- identity ----------------------------------------------------------
 
@@ -360,10 +363,11 @@ class FiniteField:
         of ``inner * (p-1)^2`` stay below 2^53, else TooLarge is raised.
         Over an extension field the terms ``a[i, j] * b[j, k]`` are looked
         up in the log/antilog tables and summed over j: by XOR when p = 2,
-        else as digit sums of at most ``inner * (p-1)`` encoded once.  Only
-        the inner indices where ``a`` has a nonzero column take part, a
-        chunk of them at a time, so that no broadcast term array holds more
-        than about ``_PRODUCT_CHUNK`` elements.
+        else as integers whose digits are packed ``62 // d`` bits apart,
+        unpacked into digit sums before they could carry.  Only the inner
+        indices where ``a`` has a nonzero column take part, a chunk of them
+        at a time, so that no broadcast term array holds more than about
+        ``_PRODUCT_CHUNK`` elements.
         """
         shape, right = prepared
         a = np.asarray(a, dtype=np.int64)
@@ -376,14 +380,27 @@ class FiniteField:
         rows, cols = a.shape[0], shape[1]
         nonzero = np.flatnonzero(a.any(axis=0))
         step = max(1, _PRODUCT_CHUNK // max(1, rows * cols))
-        out = np.zeros((rows, cols) if self.p == 2 else (rows, cols, self.d), dtype=np.int64)
+        log_a, log_b = self._log[a[:, nonzero]], self._log[right[nonzero]]
+        if self.p == 2:
+            out = np.zeros((rows, cols), dtype=np.int64)
+        else:
+            # digit sums of up to ``room`` packed terms stay below 2^bits
+            bits = 62 // self.d
+            room = ((1 << bits) - 1) // (self.p - 1)
+            step = min(step, room)
+            out = np.zeros((rows, cols, self.d), dtype=np.int64)
+            packed, held = np.zeros((rows, cols), dtype=np.int64), 0
         for lo in range(0, nonzero.size, step):
-            part = nonzero[lo : lo + step]
-            terms = self.arr_mul(a[:, part, None], right[None, part, :])
+            index = (log_a[:, lo : lo + step, None] + log_b[None, lo : lo + step, :]).astype(np.intp)
             if self.p == 2:
-                out ^= np.bitwise_xor.reduce(terms, axis=1)
-            else:
-                out += self.coords_array(terms).sum(axis=1)
+                out ^= np.bitwise_xor.reduce(self._exp[index], axis=1)
+                continue
+            packed += self._exp_packed[index].sum(axis=1)
+            held += index.shape[1]
+            # unpack before the next chunk could carry, and after the last
+            if held + step > room or lo + step >= nonzero.size:
+                out += (packed[..., None] >> bits * np.arange(self.d)) & ((1 << bits) - 1)
+                packed[:], held = 0, 0
         return out if self.p == 2 else self.encode_array(out)
 
     def arr_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -465,8 +482,6 @@ def _poly_rem(field: FiniteField, f: Sequence[int], g: Sequence[int]) -> list[in
         for i, b in enumerate(g):
             f[shift + i] = field.sub(f[shift + i], field.mul(coeff, b))
         f = _poly_trim(f)
-        if not f:
-            break
     return f
 
 
@@ -476,8 +491,6 @@ def _poly_is_irreducible(field: FiniteField, coeffs: Sequence[int]) -> bool:
     deg = len(coeffs) - 1
     if deg < 1:
         return False
-    if deg == 1:
-        return True
     for e in range(1, deg // 2 + 1):
         for lower in itertools.product(field.elements(), repeat=e):
             divisor = list(lower) + [1]
@@ -631,15 +644,12 @@ class FieldEmbedding:
         coords = src.encode_array(flat.reshape(len(codes), self.degree, self.degree, src.d))
         return np.ascontiguousarray(np.swapaxes(coords, 1, 2))
 
-    def _source_power_code(self, i: int) -> int:
-        return self.source.p**i if self.source.d > 1 else 1
-
     def _build_spread_inverse(self) -> np.ndarray:
         d_t, d_s = self.target.d, self.source.d
         spread = np.zeros((d_t, d_t), dtype=np.int64)
         for j, b in enumerate(self.basis):
             for i in range(d_s):
-                elt = self.target.mul(b, self.apply(self._source_power_code(i)))
+                elt = self.target.mul(b, self.apply(self.source.p**i))
                 spread[:, j * d_s + i] = self.target.coords(elt)
         try:
             return _inverse_array(make_prime_field(self.source.p), spread)
@@ -766,21 +776,16 @@ def _relative_extension(
         return np.stack(rows, axis=1)  # columns are gamma powers
 
     y = tuple(base.one if j == 1 else base.zero for j in range(deg))
-    gamma = None
     candidates = itertools.chain([y], (_unflatten_codes(t, base, deg) for t in range(base.q**deg)))
-    for cand in candidates:
-        if _prime_rank(power_matrix(cand, d), p) == d:
-            gamma = cand
+    for gamma in candidates:
+        if _prime_rank(power_matrix(gamma, d), p) == d:
             break
-    if gamma is None:  # unreachable: a field has a primitive element
+    else:  # unreachable: a field has a primitive element
         raise Reducible(f"modulus {tuple(coeffs)} has no root generating a field over {base!r}")
-    g_mat = power_matrix(gamma, d)
-    # flat coordinates of gamma**d
-    cur = (base.one,) + (base.zero,) * (deg - 1)
-    for _ in range(d):
-        cur = kmul(cur, gamma)
-    psi = _inverse_array(make_prime_field(p), g_mat)  # flat base coords -> power-basis-of-gamma coords
-    c = psi @ flat(cur) % p
+    powers = power_matrix(gamma, d + 1)  # columns gamma^0 .. gamma^d
+    # flat base coords -> power-basis-of-gamma coords
+    psi = _inverse_array(make_prime_field(p), powers[:, :d])
+    c = psi @ powers[:, d] % p
     minpoly = tuple(int((-v) % p) for v in c) + (1,)
     ext = FiniteField(p, minpoly, descriptor)
     emb_matrix = psi[:, : base.d]

@@ -229,13 +229,9 @@ def kernel(m: Matrix) -> Subspace:
     red, pivots = _rref_array(m.field, m.data.copy())
     n = m.cols
     free = [c for c in range(n) if c not in set(pivots)]
-    if not free:
-        return Subspace.zero(m.field, n)
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    if pivots:
-        block = red[: len(pivots)][:, free]  # rank x len(free)
-        basis[:, pivots] = m.field.arr_neg(block.T)
+    basis[:, pivots] = m.field.arr_neg(red[: len(pivots)][:, free].T)  # (rank x free).T
     return Subspace.from_rows(m.field, basis)
 
 
@@ -259,8 +255,6 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
 
 def codim_within(u: Subspace, s: Subspace) -> int:
     """dim(U/S) for S <= U; raises NotContained otherwise."""
-    if u.ambient != s.ambient or u.field != s.field:
-        raise DimensionMismatch("subspaces live in different ambients")
     if not u.contains(s):
         raise NotContained("second subspace is not contained in the first")
     return u.dim - s.dim

@@ -120,9 +120,10 @@ class EndoSpec:
         compact columns).
     dc: discrete -> compact block (finitely many compact rows).
 
-    An instance is frozen after construction, so the checks made there
-    (codes in range, block shapes, no stencil row reading below 0) hold
-    for every consumer.
+    The slots are frozen after construction, so none can be replaced by a
+    value that skips the checks made there (stencil codes in range, block
+    fields and shapes, no stencil row reading below 0); copies and pickles
+    go through the constructor.  The block ``Matrix`` objects are not frozen.
     """
 
     __slots__ = ("field", "stencil", "prefix", "dd", "cd", "dc")
@@ -157,10 +158,9 @@ class EndoSpec:
             "dc": dc if dc is not None else Matrix.zeros(field, 0, dd.rows),
         }
         for name, value in slots.items():
-            object.__setattr__(self, name, value)
-        for name, mat in (("prefix", self.prefix), ("dd", self.dd), ("cd", self.cd), ("dc", self.dc)):
-            if mat.field != field:
+            if name not in ("field", "stencil") and value.field != field:
                 raise FieldMismatch(f"{name} block lives over a different field")
+            object.__setattr__(self, name, value)
         if self.dd.rows != self.dd.cols:
             raise DimensionMismatch("dd block must be square")
         if self.cd.rows != self.dd.rows:
@@ -174,6 +174,10 @@ class EndoSpec:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"EndoSpec is frozen: cannot delete {name!r}")
+
+    def __reduce__(self):
+        stencil = [dict(phase) for phase in self.stencil]
+        return (EndoSpec, (self.field, stencil, self.prefix, self.dd, self.cd, self.dc))
 
     def _check_reads_stay_non_negative(self) -> None:
         # every stencil row i >= prefix_rows must read coordinates >= 0;

@@ -132,26 +132,33 @@ def _prime_extension(p: int, d: int):
 
 
 def _ref_mul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a*b by the digit-plane product: each entry is the
-    diagonal of an outer product of 50 pairs, a matrix product with inner
-    dimension 1."""
-    out = np.empty(len(a), dtype=np.int64)
-    for i in range(0, len(a), 50):
-        out[i : i + 50] = np.diagonal(field.arr_matmul(a[i : i + 50, None], b[None, i : i + 50]))
-    return out
+    """Elementwise a*b without the field's tables: the schoolbook product
+    of the two digit vectors mod p, reduced by the modulus from the top
+    degree down."""
+    p, d = field.p, field.d
+    ppow = p ** np.arange(d, dtype=np.int64)
+    da = (np.asarray(a, dtype=np.int64)[:, None] // ppow) % p
+    db = (np.asarray(b, dtype=np.int64)[:, None] // ppow) % p
+    prod = np.zeros((len(da), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        prod[:, i : i + d] += da[:, i : i + 1] * db
+    low = np.asarray(field.modulus[:d], dtype=np.int64)  # x^d = -low
+    for k in range(2 * d - 2, d - 1, -1):
+        prod[:, k - d : k] -= prod[:, k : k + 1] * low
+        prod[:, k - d : k] %= p
+    return (prod[:, :d] % p) @ ppow
 
 
 class TestLogTables:
     """Element products, inverses and powers from the log tables against
-    the digit-plane product of ``arr_matmul``."""
+    a product of digit vectors reduced by the modulus."""
 
     @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (3, 4), (2, 8)])
     def test_all_pairs(self, p, d):
         field = _prime_extension(p, d)
         q = field.q
         codes = np.arange(q, dtype=np.int64)
-        # inner dimension 1: entry (a, b) is the single product a*b
-        ref = field.arr_matmul(codes[:, None], codes[None, :])
+        ref = _ref_mul(field, np.repeat(codes, q), np.tile(codes, q)).reshape(q, q)
         assert np.array_equal(field.arr_mul(codes[:, None], codes[None, :]), ref)
         assert [[field.mul(a, b) for b in range(q)] for a in range(q)] == ref.tolist()
         for a in range(1, q):
@@ -179,7 +186,7 @@ class TestLogTables:
         nonzero = a[a != 0]
         inverses = np.array([field.inv(x) for x in nonzero.tolist()])
         assert (_ref_mul(field, nonzero, inverses) == 1).all()
-        # square-and-multiply with digit-plane products, on 200 bases
+        # square-and-multiply with reference products, on 200 bases
         k = rng.integers(0, 3 * field.q, 200)
         acc, base, e = np.ones(200, dtype=np.int64), a[:200].copy(), k.copy()
         while e.any():
@@ -568,6 +575,19 @@ class TestRrefExtend:
             monkeypatch.setattr(fields, "_PRODUCT_CHUNK", chunk)
             for a, want in cases:
                 assert np.array_equal(field.arr_matmul(a, b), want), chunk
+
+    def test_packed_sums_unpack_before_carry(self):
+        """Over GF(3^10) the term digits are packed 6 bits apart, so at most
+        31 terms are summed before unpacking: 100 terms whose digits are all
+        2 would carry into the next digit otherwise."""
+        gf3 = make_prime_field(3)
+        field = make_extension(gf3, least_irreducible(gf3, 10))[0]
+        a = np.ones((4, 100), dtype=np.int64)
+        a[2:] = field.random_codes(np.random.default_rng(0), (2, 100))
+        b = np.full((100, 3), field.q - 1, dtype=np.int64)
+        want = _scalar_matmul(field, a, b)
+        assert (want[:2] == field.q - 1).all()
+        assert np.array_equal(field.arr_matmul(a, b), want)
 
 
 def _scalar_matmul(field, a, b):

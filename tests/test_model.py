@@ -1,6 +1,8 @@
 """Space/flow model: truncation exactness, decomposition, flow algebra."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -108,6 +110,15 @@ class TestTruncate:
                 setattr(endo, name, getattr(endo, name))
             with pytest.raises(AttributeError):
                 delattr(endo, name)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frozen_spec_copies_and_pickles(self, gf4, seed):
+        flow = random_stencil_flow(gf4, seed)
+        for clone in (copy.copy(flow), copy.deepcopy(flow), pickle.loads(pickle.dumps(flow))):
+            assert flow_to_dict(clone) == flow_to_dict(flow)
+            assert clone.endo.stencil == flow.endo.stencil
+        with pytest.raises(AttributeError):
+            copy.deepcopy(flow.endo).stencil = ()
 
     def test_right_shift_with_prefix(self, gf2):
         endo = EndoSpec(gf2, {-1: 1}, prefix=Matrix.zeros(gf2, 1, 1))
