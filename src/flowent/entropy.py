@@ -19,7 +19,8 @@ tracker per chain holds a basis adapted to that flag, each restricted row
 is inserted once at the level of the smallest member it belongs to, and
 member m's rank is the number of basis rows of level <= m.  One
 elimination with level exchanges serves every characteristic: on
-bit-packed XOR rows for p = 2, and on int64 rows mod p for odd p.
+bit-packed XOR rows for p = 2, and for odd p on rows packed into lanes of
+an integer, added mod p in every lane at once.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
 consumer of a step's block has made of them: since
@@ -211,53 +212,73 @@ class _FlagStack2(_FlagStack):
 
 
 class _FlagStackOdd(_FlagStack):
-    """``_FlagStack`` over GF(p), p odd, on int64 rows of codes 0..p-1.
+    """``_FlagStack`` over GF(p), p odd, on rows packed into integers.
 
-    Entries are reduced mod p after every step, so each value is at most
-    ``(p-1)^2`` in magnitude before it is reduced, which is below 2^32
-    since ``_PRIME_CAP`` keeps p below 2^16: int64 is exact.
+    Column j of a row is lane j of its integer, the b bits from ``j*b``
+    on, which hold its code 0..p-1.  b is 8, 16 or 32, the least with
+    p <= 2^(b-1); ``_PRIME_CAP`` keeps p below 2^16.  The lead is the lane
+    of the lowest set bit.  Two rows add lane-wise mod p in one step:
+    ``s = x + y``, then ``s - (((s + bias) & tops) >> (b-1)) * p``, where
+    ``bias`` holds 2^(b-1) - p and ``tops`` holds 2^(b-1) in every lane.
+    Proof: a lane of s is at most 2p - 2 < 2^b, since p <= 2^(b-1), and
+    the same lane of ``s + bias`` is at most 2^(b-1) + p - 2 < 2^b, so
+    neither sum carries from one lane into the next.  That lane of
+    ``s + bias`` is at least 2^(b-1), so has its top bit set, exactly when
+    s >= p.  So the step subtracts p from exactly the lanes where s >= p,
+    without a borrow, and leaves every lane in 0..p-1.
+
+    ``w - c*h`` is ``w + (p-c)*h``.  Each holder is kept with its
+    doublings h, 2h, 4h, ..., one per bit of p, so ``k*h`` costs one add
+    per set bit of k; ``holders`` maps a lead to (doublings, level).
     """
 
     def __init__(self, p: int, bounds: Sequence[int]):
         super().__init__(bounds)
         self.p = p
+        self.lane = next(b for b in (8, 16, 32) if p <= 1 << (b - 1))
 
     def insert(self, rows: np.ndarray) -> np.ndarray:
         """Insert a block; return each row's placed value as an int64
         array of the block's shape."""
-        p = self.p
-        holders = self.holders
-        per_level = self.per_level
-        block = np.array(rows, dtype=np.int64)
-        placed = np.zeros_like(block)
-        for row, out, level in zip(block, placed, self.levels):
-            own, lead = False, 0
-            while True:
-                nonzero = row[lead:].nonzero()[0]
-                if not nonzero.size:
-                    break
-                lead += int(nonzero[0])
-                c = int(row[lead])
+        p, b, holders, per_level = self.p, self.lane, self.holders, self.per_level
+        lanes = rows.astype(f"<u{b // 8}")
+        data, size = lanes.tobytes(), lanes.shape[1] * lanes.itemsize
+        ones = ((1 << lanes.shape[1] * b) - 1) // ((1 << b) - 1)  # 1 in every lane
+        tops, bias, mask = ones << (b - 1), ones * ((1 << (b - 1)) - p), (1 << b) - 1
+
+        def add_times(w: int, k: int, doublings: list[int]) -> int:  # w + k*h
+            for double in doublings:
+                if k & 1:
+                    s = w + double
+                    w = s - (((s + bias) & tops) >> (b - 1)) * p
+                k >>= 1
+            return w
+
+        def doublings(h: int) -> list[int]:
+            out = [h]
+            while len(out) < p.bit_length():
+                out.append(add_times(out[-1], 1, out[-1:]))  # twice the last
+            return out
+
+        placed = []
+        for i, level in zip(range(len(lanes)), self.levels):
+            w, own = int.from_bytes(data[i * size : (i + 1) * size], "little"), 0
+            while w:
+                lead = ((w & -w).bit_length() - 1) // b
+                c = (w >> lead * b) & mask
                 held = holders.get(lead)
                 if held is not None and held[1] <= level:
-                    holder = held[0]
-                    part = row[lead : holder.size]
-                    part -= c * holder[lead:]
-                    part %= p
+                    w = add_times(w, p - c, held[0])
                     continue
-                if not own:
-                    out[:], own = row, True
-                row = row * pow(c, -1, p) % p
-                holders[lead] = (row, level)
+                own = own or w
+                holders[lead] = (doublings(add_times(0, pow(c, -1, p), doublings(w))), level)
                 per_level[level] += 1
                 if held is None:
                     break
-                holder, held_level = held
-                per_level[held_level] -= 1
-                row, level = -row, held_level
-                row[: holder.size] += holder
-                row %= p
-        return placed
+                per_level[held[1]] -= 1
+                w, level = add_times(held[0][0], p - 1, holders[lead][0]), held[1]
+            placed.append(own.to_bytes(size, "little"))
+        return np.frombuffer(b"".join(placed), dtype=lanes.dtype).reshape(lanes.shape).astype(np.int64)
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:

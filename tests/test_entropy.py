@@ -14,6 +14,7 @@ from flowent.entropy import (
     EngineConfig,
     _constraint_blocks,
     _dead_indices,
+    _FlagStack,
     _FlagStack2,
     _FlagStackOdd,
     _restrict,
@@ -458,6 +459,16 @@ def _flag_stack(p, bounds):
     return _FlagStack2(bounds) if p == 2 else _FlagStackOdd(p, bounds)
 
 
+def _holder_rows(stack, width):
+    """The holders of an odd-p tracker, lead -> (codes of ``width``
+    columns, level), unpacked from their lanes."""
+    dtype = np.dtype(f"<u{stack.lane // 8}")
+    return {
+        lead: (np.frombuffer(doublings[0].to_bytes(width * dtype.itemsize, "little"), dtype).tolist(), level)
+        for lead, (doublings, level) in stack.holders.items()
+    }
+
+
 def _level_row(bounds, level, row):
     """A block whose only nonzero row is ``row``, at the first index of
     ``level``."""
@@ -494,7 +505,7 @@ class TestFlagTrackers:
         assert stack.ranks == [1, 2, 3]
         assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 1, 2: 2}
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 65521])
+    @pytest.mark.parametrize("p", [2, 3, 5, 127, 131, 32749, 32771, 65521])
     def test_random_row_streams(self, p):
         rng = np.random.default_rng(p)
         for trial in range(40):
@@ -557,6 +568,93 @@ def _raw_row_traces(flow, dead, counts, n_max, window):
     return values
 
 
+class _Int64FlagStack(_FlagStack):
+    """The odd-p tracker on int64 rows of codes, a reference for the packed
+    ``_FlagStackOdd``.  Entries are reduced mod p after every step, so each
+    value is at most (p-1)^2 in magnitude before it is reduced: int64 is
+    exact below ``_PRIME_CAP``.  ``holders`` maps a lead to (row, level)."""
+
+    def __init__(self, p, bounds):
+        super().__init__(bounds)
+        self.p = p
+
+    def insert(self, rows):
+        p = self.p
+        holders = self.holders
+        per_level = self.per_level
+        block = np.array(rows, dtype=np.int64)
+        placed = np.zeros_like(block)
+        for row, out, level in zip(block, placed, self.levels):
+            own, lead = False, 0
+            while True:
+                nonzero = row[lead:].nonzero()[0]
+                if not nonzero.size:
+                    break
+                lead += int(nonzero[0])
+                c = int(row[lead])
+                held = holders.get(lead)
+                if held is not None and held[1] <= level:
+                    holder = held[0]
+                    part = row[lead : holder.size]
+                    part -= c * holder[lead:]
+                    part %= p
+                    continue
+                if not own:
+                    out[:], own = row, True
+                row = row * pow(c, -1, p) % p
+                holders[lead] = (row, level)
+                per_level[level] += 1
+                if held is None:
+                    break
+                holder, held_level = held
+                per_level[held_level] -= 1
+                row, level = -row, held_level
+                row[: holder.size] += holder
+                row %= p
+        return placed
+
+
+class TestPackedOddTracker:
+    """The packed odd-p tracker against the int64 reference, on primes on
+    both sides of each lane switch: b = 8 up to 127, 16 from 131 to 32749,
+    32 from 32771 on."""
+
+    @pytest.mark.parametrize("p", [3, 5, 127, 131, 32749, 32771, 65521])
+    def test_matches_int64_reference(self, p):
+        rng = np.random.default_rng(p + 1)
+        dependent = exchanges = 0
+        for trial in range(30):
+            bounds = np.cumsum(rng.integers(0, 4, size=int(rng.integers(1, 5)))).tolist()
+            if not bounds[-1]:
+                continue
+            packed, ref = _FlagStackOdd(p, bounds), _Int64FlagStack(p, bounds)
+            sent = np.zeros((0, 0), dtype=np.int64)  # every row inserted so far
+            width = int(rng.integers(1, 4))
+            for _ in range(int(rng.integers(1, 10))):
+                width += int(rng.integers(0, 3))  # narrower holders meet wider rows
+                rows = rng.integers(0, p, size=(bounds[-1], width))
+                rows[rng.random(rows.shape) < 0.4] = 0
+                rows[rng.random(bounds[-1]) < 0.2] = p - 1  # every lane at its largest code
+                old = np.pad(sent, ((0, 0), (0, width - sent.shape[1])))
+                if old.shape[0]:
+                    # combinations of earlier rows: some come out dependent
+                    combos = rng.integers(0, p, size=(bounds[-1], old.shape[0])) @ old % p
+                    pick = rng.random(bounds[-1]) < 0.3
+                    rows[pick] = combos[pick]
+                held = {lead: level for lead, (_, level) in ref.holders.items()}
+                got, want = packed.insert(rows), ref.insert(rows)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (trial, bounds)
+                assert packed.per_level == ref.per_level and packed.ranks == ref.ranks
+                assert _holder_rows(packed, width) == {
+                    lead: (np.pad(row, (0, width - row.size)).tolist(), level)
+                    for lead, (row, level) in ref.holders.items()
+                }, (trial, bounds)
+                dependent += int((rows.any(axis=1) & ~want.any(axis=1)).sum())
+                exchanges += any(level < held.get(lead, level) for lead, (_, level) in ref.holders.items())
+                sent = np.concatenate([old, rows])
+        assert dependent and exchanges, (dependent, exchanges)
+
+
 def _char2_fields():
     gf2 = make_prime_field(2)
     return [gf2] + [make_extension(gf2, least_irreducible(gf2, d))[0] for d in (2, 4)]
@@ -589,7 +687,7 @@ class TestCarriedRows:
         stack = _FlagStackOdd(3, bounds)
         placed = stack.insert(np.array([[2, 0, 0], [0, 2, 1], [1, 1, 1]]))
         assert placed.tolist() == [[2, 0, 0], [0, 2, 1], [0, 0, 2]]
-        assert {lead: held.tolist() for lead, (held, _) in stack.holders.items()} == {
+        assert {lead: row for lead, (row, _) in _holder_rows(stack, 3).items()} == {
             0: [1, 0, 0],
             1: [0, 1, 2],
             2: [0, 0, 1],
@@ -607,7 +705,7 @@ class TestCarriedRows:
         placed = stack.insert(np.array([[2, 1, 0], [0, 0, 0]]))
         assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
         assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
-        assert stack.holders[2][0].tolist() == [0, 0, 1]
+        assert _holder_rows(stack, 3)[2][0] == [0, 0, 1]
         assert stack.ranks == [2, 3]
 
     def test_exchange_returns_the_row_where_it_displaced(self):

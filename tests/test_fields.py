@@ -432,8 +432,9 @@ for name, (error, call) in checks.items():
         print(name, "passed")
 
 # rows full of p - 1, with 1 on a diagonal, and combinations of them with
-# coefficients p - 1: the int64 tracker's products reach (p - 1)^2, and the
-# combinations are found dependent only when every step is exact
+# coefficients p - 1: the packed tracker's lane sums reach 2(p - 1) < 2^b,
+# in b = 32 bit lanes here, and the combinations are found dependent only
+# when every step is exact
 bounds = [2, 4, 6]
 stack = _FlagStackOdd(p, bounds)
 inserted, got, want = [], [], []
@@ -458,7 +459,7 @@ class TestFloatExactness:
 
     def test_guards_raise_under_optimize(self, run_python):
         """The guards are typed errors, not asserts that ``python -O``
-        strips, and the int64 rank tracker stays exact there at the
+        strips, and the packed rank tracker stays exact there at the
         largest prime."""
         out = run_python("-O", "-c", _GUARD_SCRIPT)
         assert out.returncode == 0, out.stderr
