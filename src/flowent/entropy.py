@@ -7,8 +7,9 @@ are rows of powers of the window matrix, so the codimension trace is the
 rank growth of an accumulating constraint stack: each step applies the
 flow once to the previous constraint block.  The flow is row-finite, so
 it is applied as the list of its window's nonzeros: a gather of the
-block's columns, a field multiply and a sum by column.  The dense window
-matrix is never built.
+block's columns, a field multiply and a sum by column.  Over GF(2) the
+block's rows go eight to a 64-bit word, one byte each, so that one XOR of
+two words adds eight rows.  The dense window matrix is never built.
 
 Ranks are tracked over the prime field.  Restricting scalars along
 GF(p) <= GF(p^d) multiplies every codimension by d, so the GF(p^d) rank of
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -299,9 +300,9 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     leading ``w + bandwidth`` columns (it is zero beyond), and carried rows
     must be zero past the width of the block they were taken from.  The
     window matrix is given by its nonzeros, built once by
-    ``window_nonzeros``; a step costs O(rows * nnz), not O(rows * cols * w)
-    as a dense product would.  GF(2) blocks are uint8, other blocks int64
-    codes.
+    ``window_nonzeros`` together with their column runs (``_Nonzeros``); a
+    step costs O(rows * nnz), not O(rows * cols * w) as a dense product
+    would.  GF(2) blocks are uint8, other blocks int64 codes.
 
     Carried rows.  Give row i of every block a level l(i), non-decreasing
     in i, and let ``V_l(n)`` be the span of the raw rows of level <= l of
@@ -329,10 +330,11 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     - with a single level, take any basis of ``V(n)`` modulo ``V(n-1)``.
     """
     field = flow.field
-    nonzeros = window_nonzeros(flow, window)
+    entries = window_nonzeros(flow, window)
     # the largest int64 sum in ``_times_nonzeros``
-    if nonzeros[0].size * (field.p - 1) ** 2 >= 1 << 63:
-        raise TooLarge(f"{nonzeros[0].size} window entries over GF({field.p}) overflow int64 sums")
+    if entries[0].size * (field.p - 1) ** 2 >= 1 << 63:
+        raise TooLarge(f"{entries[0].size} window entries over GF({field.p}) overflow int64 sums")
+    nonzeros = _Nonzeros.of(*entries)
     dim = flow.discrete_dim + window
     reach = flow.endo.bandwidth
     width = min(dim, max(dead) + 1 if dead else 0)
@@ -345,35 +347,81 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
             block = _times_nonzeros(field, rows, nonzeros, min(dim, block.shape[1] + reach))
 
 
-def _times_nonzeros(field, block: np.ndarray, nonzeros, out_cols: int) -> np.ndarray:
+class _Nonzeros(NamedTuple):
+    """A window matrix's nonzeros ``(rows, cols, codes)``, sorted by column
+    as ``window_nonzeros`` gives them, with their runs of equal columns:
+    where each run starts, its column, and ``row_bound``, one past the
+    running maximum of ``rows``.  Built once per window; a GF(2) product
+    with the leading columns of the matrix reads a prefix of each."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    codes: np.ndarray
+    starts: np.ndarray
+    run_cols: np.ndarray
+    row_bound: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> "_Nonzeros":
+        starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        return cls(rows, cols, codes, starts, cols[starts], np.maximum.accumulate(rows) + 1)
+
+
+def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int) -> np.ndarray:
     """The leading ``out_cols`` columns of ``block @ W``, where W is given
-    by its nonzeros ``(rows, cols, codes)`` sorted by column.
+    by its nonzeros.
 
     Only the entries with row below the block's width and column below
     ``out_cols`` count.  Column c of the product is the sum, over the
     entries (r, c, code), of block column r times code: the block's columns
     are gathered by row, multiplied by the codes, and summed over each run
-    of equal columns by ``reduceat``.  Sums are XOR when p = 2, int64 sums
-    reduced mod p over a prime field, and int64 sums of digits encoded
-    again over an odd extension.  A term is at most (p-1)^2 and a sum has
-    at most nnz terms, so every int64 sum is at most nnz * (p-1)^2, which
-    ``_constraint_blocks`` checks is below 2^63: the sums are exact.
-    Over GF(2) every code is 1, so the gathered columns are the terms, and
-    the product is uint8.
+    of equal columns by ``reduceat``.
+
+    Over GF(2) every code is 1 and a sum is an XOR, and the rows of the
+    block go eight to a 64-bit word: the block's columns become the rows of
+    a uint8 array with ``8 * words`` columns, so that byte i of a column's
+    word is row i of the block.  The entries with column below ``out_cols``
+    are a prefix of the nonzeros, and the runs of their columns a prefix of
+    the runs.  The words of their rows are gathered and XORed over each run
+    by one ``reduceat`` along the entries, one 1-D reduction per word, not
+    one per block row.  Since XOR acts bytewise, no byte carries into the
+    next and the byte order of the words does not matter.  The array of
+    columns is padded with zero rows up to the prefix's largest row, in
+    place of dropping the entries that read past the block's width: XOR
+    with a zero row changes nothing.  The product comes back as uint8.
+
+    Over other fields the entries past the block's width are dropped, the
+    gathered columns multiplied by the codes, and the sums taken along the
+    block rows: int64 sums reduced mod p over a prime field, and int64
+    sums of digits encoded again over an odd extension.  A term is at most
+    (p-1)^2 and a sum has at most nnz terms, so every int64 sum is at most
+    nnz * (p-1)^2, which ``_constraint_blocks`` checks is below 2^63: the
+    sums are exact.
     """
-    rows, cols, codes = nonzeros
+    if field.q == 2:
+        count, width = block.shape
+        words = -(-count // 8)
+        entries = nonzeros.cols.searchsorted(out_cols)
+        runs = nonzeros.run_cols.searchsorted(out_cols)
+        out = np.zeros((out_cols, 8 * words), dtype=np.uint8)
+        if entries and words:
+            lanes = np.zeros((max(width, nonzeros.row_bound[entries - 1]), 8 * words), dtype=np.uint8)
+            lanes[:width, :count] = block.T
+            terms = lanes.view(np.uint64)[nonzeros.rows[:entries]]
+            sums = np.bitwise_xor.reduceat(terms, nonzeros.starts[:runs])
+            out.view(np.uint64)[nonzeros.run_cols[:runs]] = sums
+        return out.T[:count].copy()
+    rows, cols, codes = nonzeros.rows, nonzeros.cols, nonzeros.codes
     keep = (rows < block.shape[1]) & (cols < out_cols)
     rows, cols, codes = rows[keep], cols[keep], codes[keep]
-    out = np.zeros((block.shape[0], out_cols), dtype=np.uint8 if field.q == 2 else np.int64)
+    out = np.zeros((block.shape[0], out_cols), dtype=np.int64)
     if not cols.size:
         return out
     first = np.empty(cols.size, dtype=bool)  # where a run of equal columns starts
     first[0] = True
     np.not_equal(cols[1:], cols[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    if field.q == 2:
-        terms = block[:, rows]
-    elif field.d == 1:
+    if field.d == 1:
         terms = block[:, rows] * codes
     else:
         terms = field.arr_mul(block[:, rows], codes)

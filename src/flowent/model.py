@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch, NotInvertible, WindowTooSmall
+from .errors import DimensionMismatch, FieldMismatch, NotInvertible, TooLarge, WindowTooSmall
 from .fields import FiniteField, field_from_descriptor
 from .linalg import Matrix, inverse
 
@@ -58,6 +58,12 @@ __all__ = [
     "save_flow",
     "load_flow",
 ]
+
+#: Desk-scale cap on the entries of one array built from a spec: the dense
+#: discrete block of ``flow_from_dict`` and the window's nonzeros of
+#: ``window_nonzeros``.  The widest workload window, prefix-shift[80]'s, has
+#: 5,276 coordinates and about as many entries.
+_ENTRY_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -422,7 +428,8 @@ def window_nonzeros(flow: Flow, window: int) -> tuple[np.ndarray, np.ndarray, np
     A row never reads below 0 (a frozen ``EndoSpec`` checks it), and reads
     past the window are dropped, as in ``truncate``.  So the count of
     entries is at most the blocks' nonzeros plus ``window`` times the terms
-    per phase.
+    per phase; above ``_ENTRY_CAP``, TooLarge is raised before the stencil's
+    entries are built.
     """
     endo = flow.endo
     _check_window(endo, window)
@@ -431,6 +438,9 @@ def window_nonzeros(flow: Flow, window: int) -> tuple[np.ndarray, np.ndarray, np
     for mat, row0, col0 in ((endo.dd, 0, 0), (endo.cd, 0, d), (endo.dc, d, 0), (endo.prefix, d, d)):
         r, c = np.nonzero(mat.data)
         parts.append((r + row0, c + col0, mat.data[r, c]))
+    bound = sum(r.size for r, _, _ in parts) + window * max(map(len, endo.stencil), default=0)
+    if bound > _ENTRY_CAP:
+        raise TooLarge(f"window {window} may hold {bound} entries, above the cap of {_ENTRY_CAP}")
     start, period = endo.prefix_rows, endo.period
     for rho, phase in enumerate(endo.stencil):
         rows = np.arange(start + (rho - start) % period, window, period)
@@ -748,8 +758,11 @@ def flow_from_dict(spec: dict) -> Flow:
             raise ValueError(f"flow spec is missing key '{key}'")
     field = field_from_descriptor(spec["field"])
     d = spec.get("discrete_dim", 0)
-    if not isinstance(d, (int, np.integer)):
+    # JSON true and false are Python bools, which are ints
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValueError(f"discrete_dim {d!r} must be an integer")
+    if int(d) ** 2 > _ENTRY_CAP:
+        raise TooLarge(f"discrete_dim {d} needs a {d} x {d} block, above the cap of {_ENTRY_CAP} entries")
 
     raw = spec["stencil"]
     phases = raw if isinstance(raw, list) else [raw]

@@ -133,6 +133,16 @@ class TestMalformedSpecs:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_boolean_discrete_dim_exits_one(self, capsys, tmp_path, command):
+        # JSON true is a Python bool, which passes an int check
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"field": {"p": 2}, "discrete_dim": True, "stencil": {"1": 1}}))
+        code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "discrete_dim" in err
+
     def test_ext_modulus_not_a_list_exits_one(self, capsys, gf2_bernoulli_spec):
         code = main(["verify", gf2_bernoulli_spec, "--ext-modulus", "5"])
         out, err = capsys.readouterr()
@@ -312,6 +322,35 @@ class TestOversizedFields:
         out = run_python("-c", self.SCRIPT, "example", "bernoulli", "--field", "65536", timeout=20)
         assert out.returncode == 0, out.stderr
         assert len(json.loads(out.stdout)["field"]["tower"][0]) == 17
+
+
+class TestOversizedSpecs:
+    """A spec whose arrays would exceed the entry cap exits 1 before they are
+    allocated.  Each case runs in a fresh process whose address space is
+    capped at 2 GiB, so an array of the sizes below would fail to allocate
+    and escape as a MemoryError traceback: a stencil offset of 10^8 gives a
+    window of 6.4 * 10^9 coordinates (47.7 GiB of row indices), and a
+    discrete dimension of 10^7 a dense block of 10^14 entries (728 TiB)."""
+
+    SPECS = {
+        "stencil-offset-1e8": {"field": {"p": 2}, "stencil": {"100000000": 1}},
+        "discrete-dim-1e7": {"field": {"p": 2}, "discrete_dim": 10_000_000, "stencil": {"1": 1}},
+    }
+
+    SCRIPT = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from flowent.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    @pytest.mark.parametrize("case", list(SPECS))
+    def test_exits_one(self, case, command, tmp_path, run_python):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.SPECS[case]))
+        out = run_python("-c", self.SCRIPT, command, str(path), timeout=20)
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("error: ") and "cap" in out.stderr, out.stderr
+        assert out.stdout == ""
 
 
 class TestUnwritableOut:

@@ -17,6 +17,7 @@ from flowent.entropy import (
     _FlagStack,
     _FlagStack2,
     _FlagStackOdd,
+    _Nonzeros,
     _restrict,
     _times_nonzeros,
     _unrestrict,
@@ -774,6 +775,26 @@ class TestCarriedRows:
         monkeypatch.setattr(tracker, "insert", counting)
         return seen
 
+    def test_chain_traces_match_raw_rows_past_one_word(self, gf2, monkeypatch):
+        # 70 discrete and 8 compact dead rows: GF(2) blocks of 78 rows, which
+        # the product carries in ten 8-row words and the tracker takes at once
+        seen = self.record_inserts(monkeypatch)
+        rng = np.random.default_rng(70)
+        d = 70
+        blocks = {
+            key: Matrix(gf2, gf2.random_codes(rng, shape))
+            for key, shape in (("dd", (d, d)), ("cd", (d, 3)), ("dc", (2, d)), ("prefix", (2, 5)))
+        }
+        flow = Flow(SpaceShape(gf2, d), EndoSpec(gf2, {-1: 1, 0: 1, 2: 1}, **blocks), label="discrete[70]")
+        n_max = 20
+        TestConstraintBlocks.assert_blocks_match_dense(flow, U(DEFAULT_CONFIG.m_max), n_max)
+        traces = chain_traces(flow, n_max, DEFAULT_CONFIG)
+        dead = list(range(d + DEFAULT_CONFIG.m_max))
+        counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
+        want = _raw_row_traces(flow, dead, counts, n_max, traces[0].windows[0])
+        assert [list(t.values) for t in traces] == want
+        assert seen["dependent"], seen
+
     @pytest.mark.parametrize("field", _char2_fields() + _odd_fields(), ids=repr)
     def test_chain_traces_match_raw_rows(self, field, monkeypatch):
         # phase flows with dd/cd/dc blocks, prefixes and negative offsets,
@@ -850,22 +871,35 @@ class TestCarriedRows:
         assert np.array_equal(_unrestrict(field, _restrict(field, block)), block)
 
     def test_gf2_products_in_uint8(self, gf2):
-        # the uint8 product, which skips the multiply by codes, against the
-        # int64 dense product, from uint8 and from int64 rows
+        # the word-lane product, which skips the multiply by codes, against
+        # the int64 dense product, from uint8 and from int64 rows: row counts
+        # on both sides of the 8-row words, output widths at and below the
+        # window's dimension, and entries of negative offsets and of the dc
+        # block that read rows past the block's width, which zero padding
+        # stands in for
         rng = np.random.default_rng(5)
+        past_width = 0
         for seed in range(12):
             flow = _random_phase_flow(gf2, seed)
             window = 30
             dense = truncate(flow, window)[0].data
-            nonzeros = window_nonzeros(flow, window)
+            nonzeros = _Nonzeros.of(*window_nonzeros(flow, window))
             dim = dense.shape[0]
             width = int(rng.integers(1, dim))
             cols = min(dim, width + flow.endo.bandwidth)
             rows = rng.integers(0, 2, size=(6, width))
-            want = gf2.arr_matmul(rows, dense[:width, :cols])
-            for block in (rows.astype(np.uint8), rows.astype(np.int64)):
-                got = _times_nonzeros(gf2, block, nonzeros, cols)
-                assert got.dtype == np.uint8 and np.array_equal(got, want), seed
+            cases = [(rows, cols)]
+            for count in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+                rows = rng.integers(0, 2, size=(count, width))
+                cases += [(rows, c) for c in (cols, dim, int(rng.integers(1, dim)))]
+            for rows, cols in cases:
+                want = gf2.arr_matmul(rows, dense[:width, :cols])
+                entries = np.searchsorted(nonzeros.cols, cols)
+                past_width += bool(entries) and bool(nonzeros.row_bound[entries - 1] > width)
+                for block in (rows.astype(np.uint8), rows.astype(np.int64)):
+                    got = _times_nonzeros(gf2, block, nonzeros, cols)
+                    assert got.dtype == np.uint8 and np.array_equal(got, want), (seed, rows.shape, cols)
+        assert past_width
 
 
 class TestOracle:
