@@ -181,6 +181,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.max_n < 1 or args.max_m < 0:
+        raise ValueError(f"oracle needs --max-n >= 1 and --max-m >= 0, got {args.max_n} and {args.max_m}")
     flow = load_flow(args.spec)
     rows = []
     for m in range(args.max_m + 1):

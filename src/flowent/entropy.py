@@ -6,10 +6,12 @@ and the S-coordinates of v, phi(v), ..., phi^(n-1)(v).  Those constraints
 are rows of powers of the window matrix, so the codimension trace is the
 rank growth of an accumulating constraint stack: each step applies the
 flow once to the previous constraint block.  The flow is row-finite, so
-it is applied as the list of its window's nonzeros: a gather of the
-block's columns, a field multiply and a sum by column.  Over GF(2) the
-block's rows go eight to a 64-bit word, one byte each, so that one XOR of
-two words adds eight rows.  The dense window matrix is never built.
+it is applied as the list of its window's nonzeros, the same list that
+``model.truncate`` scatters into a dense matrix: in every field the
+block's columns are laid out as rows, gathered by the entries' rows,
+multiplied by their codes and summed over each run of equal columns.
+Over GF(2) eight block rows share one 64-bit word, so that one XOR of two
+words adds eight rows.  The dense window matrix is never built.
 
 Ranks are tracked over the prime field.  Restricting scalars along
 GF(p) <= GF(p^d) multiplies every codimension by d, so the GF(p^d) rank of
@@ -59,6 +61,7 @@ from .errors import NotSubspace, TooLarge
 from .fields import _rref_extend
 from .linalg import Matrix, Subspace, kernel
 from .model import (
+    _ENTRY_CAP,
     Flow,
     GoodSubspace,
     default_window,
@@ -108,7 +111,7 @@ class CodimTrace:
 
     u: GoodSubspace
     values: tuple[int, ...]
-    windows: tuple[int, ...]
+    window: int
 
     def first_differences(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.values, self.values[1:]))
@@ -304,6 +307,12 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     step costs O(rows * nnz), not O(rows * cols * w) as a dense product
     would.  GF(2) blocks are uint8, other blocks int64 codes.
 
+    The largest dense array of a chain is a restricted block over GF(p^d):
+    at most ``len(dead) * d`` rows, since no step carries more rows than
+    its block has, of at most ``(discrete_dim + window) * d`` entries.
+    TooLarge is raised before anything is built when that bound exceeds
+    ``_ENTRY_CAP``.
+
     Carried rows.  Give row i of every block a level l(i), non-decreasing
     in i, and let ``V_l(n)`` be the span of the raw rows of level <= l of
     steps 1..n.  The consumer may carry any rows C such that, for every l,
@@ -330,12 +339,17 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     - with a single level, take any basis of ``V(n)`` modulo ``V(n-1)``.
     """
     field = flow.field
+    dim = flow.discrete_dim + window
+    if len(dead) * field.d**2 * dim > _ENTRY_CAP:
+        raise TooLarge(
+            f"{len(dead)} constraint rows over a window of {dim} coordinates exceed the cap "
+            f"of {_ENTRY_CAP} restricted entries"
+        )
     entries = window_nonzeros(flow, window)
     # the largest int64 sum in ``_times_nonzeros``
     if entries[0].size * (field.p - 1) ** 2 >= 1 << 63:
         raise TooLarge(f"{entries[0].size} window entries over GF({field.p}) overflow int64 sums")
     nonzeros = _Nonzeros.of(*entries)
-    dim = flow.discrete_dim + window
     reach = flow.endo.bandwidth
     width = min(dim, max(dead) + 1 if dead else 0)
     block = np.zeros((len(dead), width), dtype=np.uint8 if field.q == 2 else np.int64)
@@ -351,8 +365,8 @@ class _Nonzeros(NamedTuple):
     """A window matrix's nonzeros ``(rows, cols, codes)``, sorted by column
     as ``window_nonzeros`` gives them, with their runs of equal columns:
     where each run starts, its column, and ``row_bound``, one past the
-    running maximum of ``rows``.  Built once per window; a GF(2) product
-    with the leading columns of the matrix reads a prefix of each."""
+    running maximum of ``rows``.  Built once per window; a product with
+    the leading columns of the matrix reads a prefix of each."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -369,70 +383,50 @@ class _Nonzeros(NamedTuple):
 
 def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int) -> np.ndarray:
     """The leading ``out_cols`` columns of ``block @ W``, where W is given
-    by its nonzeros.
+    by its nonzeros, as uint8 over GF(2) and int64 codes otherwise.
 
-    Only the entries with row below the block's width and column below
-    ``out_cols`` count.  Column c of the product is the sum, over the
-    entries (r, c, code), of block column r times code: the block's columns
-    are gathered by row, multiplied by the codes, and summed over each run
-    of equal columns by ``reduceat``.
+    Column c of the product is the sum, over the entries (r, c, code), of
+    block column r times code.  The entries with column below ``out_cols``
+    are a prefix of the nonzeros, and their runs of equal columns a prefix
+    of the runs.  The block's columns become the rows of ``lanes``, which
+    are gathered by the entries' rows, multiplied by the codes and summed
+    over each run by one ``reduceat`` along the entries; the sums go to
+    the runs' columns, and the transpose comes back.  Entries may read
+    rows past the block's width: ``lanes`` is padded with zero rows up to
+    the prefix's largest row, and a zero row adds nothing in any field.
 
-    Over GF(2) every code is 1 and a sum is an XOR, and the rows of the
-    block go eight to a 64-bit word: the block's columns become the rows of
-    a uint8 array with ``8 * words`` columns, so that byte i of a column's
-    word is row i of the block.  The entries with column below ``out_cols``
-    are a prefix of the nonzeros, and the runs of their columns a prefix of
-    the runs.  The words of their rows are gathered and XORed over each run
-    by one ``reduceat`` along the entries, one 1-D reduction per word, not
-    one per block row.  Since XOR acts bytewise, no byte carries into the
-    next and the byte order of the words does not matter.  The array of
-    columns is padded with zero rows up to the prefix's largest row, in
-    place of dropping the entries that read past the block's width: XOR
-    with a zero row changes nothing.  The product comes back as uint8.
-
-    Over other fields the entries past the block's width are dropped, the
-    gathered columns multiplied by the codes, and the sums taken along the
-    block rows: int64 sums reduced mod p over a prime field, and int64
-    sums of digits encoded again over an odd extension.  A term is at most
-    (p-1)^2 and a sum has at most nnz terms, so every int64 sum is at most
-    nnz * (p-1)^2, which ``_constraint_blocks`` checks is below 2^63: the
-    sums are exact.
+    Only the lanes and the sum differ by field.  Over GF(2) every code is
+    1, a sum is an XOR, and byte i of a 64-bit lane word is block row i:
+    XOR acts bytewise, so no byte carries into the next and the byte
+    order does not matter.  Over other fields a lane is one int64 code,
+    and a sum is an XOR for p = 2, an int64 sum mod p over an odd prime
+    field, or an int64 sum of digits encoded again over an odd extension.
+    A term is at most (p-1)^2 and a sum has at most nnz terms, so every
+    int64 sum is at most nnz * (p-1)^2, which ``_constraint_blocks``
+    checks is below 2^63: the sums are exact.
     """
-    if field.q == 2:
-        count, width = block.shape
-        words = -(-count // 8)
-        entries = nonzeros.cols.searchsorted(out_cols)
-        runs = nonzeros.run_cols.searchsorted(out_cols)
-        out = np.zeros((out_cols, 8 * words), dtype=np.uint8)
-        if entries and words:
-            lanes = np.zeros((max(width, nonzeros.row_bound[entries - 1]), 8 * words), dtype=np.uint8)
-            lanes[:width, :count] = block.T
-            terms = lanes.view(np.uint64)[nonzeros.rows[:entries]]
-            sums = np.bitwise_xor.reduceat(terms, nonzeros.starts[:runs])
-            out.view(np.uint64)[nonzeros.run_cols[:runs]] = sums
-        return out.T[:count].copy()
-    rows, cols, codes = nonzeros.rows, nonzeros.cols, nonzeros.codes
-    keep = (rows < block.shape[1]) & (cols < out_cols)
-    rows, cols, codes = rows[keep], cols[keep], codes[keep]
-    out = np.zeros((block.shape[0], out_cols), dtype=np.int64)
-    if not cols.size:
-        return out
-    first = np.empty(cols.size, dtype=bool)  # where a run of equal columns starts
-    first[0] = True
-    np.not_equal(cols[1:], cols[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    if field.d == 1:
-        terms = block[:, rows] * codes
-    else:
-        terms = field.arr_mul(block[:, rows], codes)
-    if field.p == 2:
-        sums = np.bitwise_xor.reduceat(terms, starts, axis=1)
-    elif field.d == 1:
-        sums = np.add.reduceat(terms, starts, axis=1) % field.p
-    else:
-        sums = field.encode_array(np.add.reduceat(field.coords_array(terms), starts, axis=1))
-    out[:, cols[starts]] = sums
-    return out
+    count, width = block.shape
+    entries = nonzeros.cols.searchsorted(out_cols)
+    runs = nonzeros.run_cols.searchsorted(out_cols)
+    rows, starts, cols = nonzeros.rows[:entries], nonzeros.starts[:runs], nonzeros.run_cols[:runs]
+    packed = field.q == 2
+    dtype, span = (np.uint8, -(-count // 8) * 8) if packed else (np.int64, count)
+    out = np.zeros((out_cols, span), dtype=dtype)
+    if entries and count:
+        lanes = np.zeros((max(width, nonzeros.row_bound[entries - 1]), span), dtype=dtype)
+        lanes[:width, :count] = block.T
+        if packed:
+            out.view(np.uint64)[cols] = np.bitwise_xor.reduceat(lanes.view(np.uint64)[rows], starts)
+        else:
+            codes = nonzeros.codes[:entries, None]
+            terms = lanes[rows] * codes if field.d == 1 else field.arr_mul(lanes[rows], codes)
+            if field.p == 2:
+                out[cols] = np.bitwise_xor.reduceat(terms, starts)
+            elif field.d == 1:
+                out[cols] = np.add.reduceat(terms, starts) % field.p
+            else:
+                out[cols] = field.encode_array(np.add.reduceat(field.coords_array(terms), starts))
+    return out.T[:count].copy()
 
 
 def _restrict(field, block: np.ndarray) -> np.ndarray:
@@ -503,7 +497,7 @@ def codim_sequence(
     window = default_window(flow, u, n_max, cfg.window_slack)
     dead = _dead_indices(flow, u)
     (values,) = _rank_traces(flow, dead, [len(dead)], n_max, window)
-    return CodimTrace(u, tuple(values), (window,) * n_max)
+    return CodimTrace(u, tuple(values), window)
 
 
 def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> list[CodimTrace]:
@@ -523,8 +517,7 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     counts = [d + m for m in range(cfg.m_max + 1)]
     values = _rank_traces(flow, _dead_indices(flow, top), counts, n_max, window)
     return [
-        CodimTrace(GoodSubspace.principal(m), tuple(vals), (window,) * n_max)
-        for m, vals in enumerate(values)
+        CodimTrace(GoodSubspace.principal(m), tuple(vals), window) for m, vals in enumerate(values)
     ]
 
 
@@ -750,7 +743,7 @@ def entropy_report(flow: Flow, estimate: EntropyEstimate, cfg: EngineConfig) -> 
         "per_u": [
             {
                 "m": m,
-                "window": res.trace.windows[0],
+                "window": res.trace.window,
                 "codims": list(res.trace.values),
                 "h_star": res.value,
                 "lower_bound": _fraction_pair(res.lower_bound),
@@ -778,5 +771,5 @@ def report_csv_rows(flow: Flow, estimate: EntropyEstimate) -> list[list]:
     label = field_label(flow.field)
     for m, res in estimate.per_u:
         for n, c in enumerate(res.trace.values, start=1):
-            rows.append([flow.label, label, m, n, c, res.trace.windows[n - 1]])
+            rows.append([flow.label, label, m, n, c, res.trace.window])
     return rows

@@ -60,9 +60,10 @@ __all__ = [
 ]
 
 #: Desk-scale cap on the entries of one array built from a spec: the dense
-#: discrete block of ``flow_from_dict`` and the window's nonzeros of
-#: ``window_nonzeros``.  The widest workload window, prefix-shift[80]'s, has
-#: 5,276 coordinates and about as many entries.
+#: discrete block of ``flow_from_dict``, the window's nonzeros of
+#: ``window_nonzeros`` and the restricted constraint blocks of
+#: ``entropy._constraint_blocks``.  The widest workload window,
+#: prefix-shift[80]'s, has 5,276 coordinates and about as many entries.
 _ENTRY_CAP = 1 << 22
 
 
@@ -390,46 +391,40 @@ def truncate(flow: Flow, window: int) -> tuple[Matrix, TruncationMeta]:
     subspace with zero set inside {0..m-1} and any n, codimensions computed
     in the window agree with the true values whenever
     ``window >= guarantee_window(flow, m, n)``.
+
+    The matrix is the scatter of ``window_nonzeros`` at ``window +
+    bandwidth``, cut to the rows and columns of the window.  Every read of
+    a row inside the window lands below ``window + bandwidth``: a stencil
+    row i reads at most ``i + max_offset``, and the blocks lie inside the
+    window (``_check_window``).  So the entries of those rows at columns
+    at or past the window are exactly the dropped reads, all of stencil
+    rows, and the spill is read off them.
     """
-    endo = flow.endo
-    _check_window(endo, window)
+    _check_window(flow.endo, window)
     d = flow.discrete_dim
-    size = d + window
-    mat = np.zeros((size, size), dtype=np.int64)
-    spill_rows: list[int] = []
-    spill_cols: set[int] = set()
-    # the window covers every block (``_check_window``), so only stencil rows spill
-    mat[:d, :d] = endo.dd.data
-    mat[:d, d : d + endo.cd.cols] = endo.cd.data
-    mat[d : d + endo.dc.rows, :d] = endo.dc.data
-    mat[d : d + endo.prefix_rows, d : d + endo.prefix_cols] = endo.prefix.data
-    for i in range(endo.prefix_rows, window):
-        spill = []
-        for k, c in endo.phase(i):
-            j = i + k
-            if j < window:
-                mat[d + i, d + j] = c
-            else:
-                spill.append(j)
-        if spill:
-            spill_rows.append(d + i)
-            spill_cols.update(spill)
-    meta = TruncationMeta(window, tuple(spill_rows), tuple(sorted(spill_cols)))
-    return Matrix(flow.field, mat), meta
+    rows, cols, codes = window_nonzeros(flow, window + flow.endo.bandwidth)
+    inside = rows < d + window
+    kept, spill = inside & (cols < d + window), inside & (cols >= d + window)
+    mat = np.zeros((d + window, d + window), dtype=np.int64)
+    mat[rows[kept], cols[kept]] = codes[kept]
+    spill_rows, spill_cols = np.unique(rows[spill]).tolist(), (np.unique(cols[spill]) - d).tolist()
+    return Matrix(flow.field, mat), TruncationMeta(window, tuple(spill_rows), tuple(spill_cols))
 
 
 def window_nonzeros(flow: Flow, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries of ``truncate(flow, window)``, without building it.
+    """The nonzero entries of the flow's matrix on the discrete part plus
+    the first ``window`` compact coordinates, the one description of that
+    matrix: ``truncate`` scatters them, and ``entropy`` multiplies by them.
 
     Returns int64 arrays ``(rows, cols, codes)`` sorted by column.  The
     discrete blocks and the prefix give their nonzeros directly; every
     stencil phase and offset gives one arithmetic run of rows, from the
     first row at or past the prefix with that phase, with step the period.
     A row never reads below 0 (a frozen ``EndoSpec`` checks it), and reads
-    past the window are dropped, as in ``truncate``.  So the count of
-    entries is at most the blocks' nonzeros plus ``window`` times the terms
-    per phase; above ``_ENTRY_CAP``, TooLarge is raised before the stencil's
-    entries are built.
+    past the window are dropped.  So the count of entries is at most the
+    blocks' nonzeros plus ``window`` times the terms per phase; above
+    ``_ENTRY_CAP``, TooLarge is raised before the stencil's entries are
+    built.
     """
     endo = flow.endo
     _check_window(endo, window)

@@ -19,6 +19,34 @@ settings.register_profile(
 settings.load_profile("flowent")
 
 
+def dense_truncation(flow, window):
+    """A flow's matrix on the discrete part plus the first ``window``
+    compact coordinates, built row by row from its blocks and stencil, with
+    the rows whose stencil reads past the window and the compact columns
+    they read there.  It shares no code with ``model.truncate`` or
+    ``model.window_nonzeros``, so the tests hold both to it.  Returns
+    ``(int64 matrix, spill rows, spill columns)`` as ``truncate`` gives
+    them."""
+    endo, d = flow.endo, flow.discrete_dim
+    mat = np.zeros((d + window, d + window), dtype=np.int64)
+    mat[:d, :d] = endo.dd.data
+    mat[:d, d : d + endo.cd.cols] = endo.cd.data
+    mat[d : d + endo.dc.rows, :d] = endo.dc.data
+    mat[d : d + endo.prefix_rows, d : d + endo.prefix_cols] = endo.prefix.data
+    spill_rows, spill_cols = [], set()
+    for i in range(endo.prefix_rows, window):
+        spill = []
+        for k, c in endo.phase(i):
+            if i + k < window:
+                mat[d + i, d + i + k] = c
+            else:
+                spill.append(i + k)
+        if spill:
+            spill_rows.append(d + i)
+            spill_cols.update(spill)
+    return mat, tuple(spill_rows), tuple(sorted(spill_cols))
+
+
 @pytest.fixture(scope="session")
 def gf2():
     return make_prime_field(2)

@@ -264,6 +264,14 @@ class TestOracle:
         code, _ = run(capsys, "oracle", gf2_bernoulli_spec, "--window", "13")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--max-n", "0"], ["--max-n", "-3"], ["--max-m", "-1"]])
+    def test_empty_comparison_exits_one(self, capsys, gf2_bernoulli_spec, flags):
+        # a run that compares nothing must not report all_equal
+        code = main(["oracle", gf2_bernoulli_spec, *flags])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
     def test_non_gf2_rejected(self, capsys, bernoulli_spec):
         code, _ = run(capsys, "oracle", bernoulli_spec)
         assert code == 1
@@ -330,10 +338,16 @@ class TestOversizedSpecs:
     capped at 2 GiB, so an array of the sizes below would fail to allocate
     and escape as a MemoryError traceback: a stencil offset of 10^8 gives a
     window of 6.4 * 10^9 coordinates (47.7 GiB of row indices), and a
-    discrete dimension of 10^7 a dense block of 10^14 entries (728 TiB)."""
+    discrete dimension of 10^7 a dense block of 10^14 entries (728 TiB).
+    A stencil offset of 6 * 10^4 gives a window of 3.84 * 10^6 coordinates,
+    whose nonzeros are under the cap, but whose constraint blocks are not:
+    8 rows over GF(2), and 8 * 2 restricted rows of twice the width on the
+    GF(4) side of ``verify``, which ran for minutes and then died of a
+    MemoryError before the chain checked its blocks."""
 
     SPECS = {
         "stencil-offset-1e8": {"field": {"p": 2}, "stencil": {"100000000": 1}},
+        "stencil-offset-6e4": {"field": {"p": 2}, "stencil": {"60000": 1}},
         "discrete-dim-1e7": {"field": {"p": 2}, "discrete_dim": 10_000_000, "stencil": {"1": 1}},
     }
 
@@ -349,6 +363,7 @@ class TestOversizedSpecs:
         path.write_text(json.dumps(self.SPECS[case]))
         out = run_python("-c", self.SCRIPT, command, str(path), timeout=20)
         assert out.returncode == 1, out.stderr
+        assert len(out.stderr.splitlines()) == 1, out.stderr
         assert out.stderr.startswith("error: ") and "cap" in out.stderr, out.stderr
         assert out.stdout == ""
 

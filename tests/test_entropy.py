@@ -59,6 +59,8 @@ from flowent.model import (
     window_nonzeros,
 )
 
+from conftest import dense_truncation
+
 U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
 
@@ -225,7 +227,7 @@ def _subadditive_by_loops(values):
 class TestSubadditivity:
     @staticmethod
     def trace(values):
-        return CodimTrace(U(0), tuple(values), (1,) * len(values))
+        return CodimTrace(U(0), tuple(values), 1)
 
     def test_short_traces(self):
         for length in range(4):
@@ -262,7 +264,7 @@ def _reference_codims(flow, dead, counts, n_max, window):
     """Codimension traces straight from the definition: the rank of the
     stacked constraint rows (the dead rows of M^0, ..., M^(n-1)), keeping
     the first ``count`` dead rows of each power, less ``count``."""
-    mat, _ = truncate(flow, window)
+    mat = Matrix(flow.field, dense_truncation(flow, window)[0])
     field = flow.field
     power = Matrix(field, np.eye(mat.rows, dtype=np.int64)[dead])
     blocks = []
@@ -306,23 +308,23 @@ class TestTracesAgainstReference:
             d = flow.discrete_dim
             dead = list(range(d)) + [d + i for i in range(cfg.m_max)]
             counts = [d + m for m in range(cfg.m_max + 1)]
-            expected = _reference_codims(flow, dead, counts, n_max, traces[0].windows[0])
+            expected = _reference_codims(flow, dead, counts, n_max, traces[0].window)
             assert [list(t.values) for t in traces] == expected, (field, seed)
 
             u = GoodSubspace(frozenset(int(i) for i in rng.choice(5, size=2, replace=False)))
             trace = codim_sequence(flow, u, n_max, cfg)
             dead_u = list(range(d)) + [d + i for i in sorted(u.zero_set)]
-            (expected_u,) = _reference_codims(flow, dead_u, [len(dead_u)], n_max, trace.windows[0])
+            (expected_u,) = _reference_codims(flow, dead_u, [len(dead_u)], n_max, trace.window)
             assert list(trace.values) == expected_u, (field, seed, u)
 
 
 
 def _dense_blocks(flow, dead, n_max, window):
-    """The constraint blocks of ``_constraint_blocks`` from the dense window
-    matrix: each block of width w times the matrix's first w rows, trimmed
-    to its first w + bandwidth columns."""
+    """The constraint blocks of ``_constraint_blocks`` from the reference
+    window matrix: each block of width w times the matrix's first w rows,
+    trimmed to its first w + bandwidth columns."""
     field = flow.field
-    mat = truncate(flow, window)[0].data
+    mat = dense_truncation(flow, window)[0]
     dim, reach = mat.shape[0], flow.endo.bandwidth
     block = np.zeros((len(dead), min(dim, max(dead) + 1 if dead else 0)), dtype=np.int64)
     block[np.arange(len(dead)), dead] = 1
@@ -385,6 +387,10 @@ class TestConstraintBlocks:
     def assert_blocks_match_dense(flow, u, n_max):
         window = default_window(flow, u, n_max)
         dead = _dead_indices(flow, u)
+        mat, meta = truncate(flow, window)
+        want, spill_rows, spill_cols = dense_truncation(flow, window)
+        assert np.array_equal(mat.data, want), (flow.label, window)
+        assert (meta.spill_rows, meta.spill_columns) == (spill_rows, spill_cols), (flow.label, window)
         pairs = zip(_constraint_blocks(flow, dead, n_max, window), _dense_blocks(flow, dead, n_max, window))
         for n, (got, want) in enumerate(pairs, start=1):
             assert got.shape == want.shape and np.array_equal(got, want), (flow.label, u, n)
@@ -550,7 +556,7 @@ class TestFlagTrackers:
             d = flow.discrete_dim
             dead = list(range(d)) + [d + i for i in range(DEFAULT_CONFIG.m_max)]
             counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
-            expected = _reference_codims(flow, dead, counts, n_max, traces[0].windows[0])
+            expected = _reference_codims(flow, dead, counts, n_max, traces[0].window)
             assert [list(t.values) for t in traces] == expected, (q, seed)
 
 
@@ -791,7 +797,7 @@ class TestCarriedRows:
         traces = chain_traces(flow, n_max, DEFAULT_CONFIG)
         dead = list(range(d + DEFAULT_CONFIG.m_max))
         counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
-        want = _raw_row_traces(flow, dead, counts, n_max, traces[0].windows[0])
+        want = _raw_row_traces(flow, dead, counts, n_max, traces[0].window)
         assert [list(t.values) for t in traces] == want
         assert seen["dependent"], seen
 
@@ -811,12 +817,12 @@ class TestCarriedRows:
             d = flow.discrete_dim
             dead = list(range(d)) + [d + i for i in range(DEFAULT_CONFIG.m_max)]
             counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
-            want = _raw_row_traces(flow, dead, counts, n_max, traces[0].windows[0])
+            want = _raw_row_traces(flow, dead, counts, n_max, traces[0].window)
             assert [list(t.values) for t in traces] == want, flow.label
             u = GoodSubspace(frozenset(rng.choice(8, size=int(rng.integers(1, 4)), replace=False).tolist()))
             trace = codim_sequence(flow, u, n_max)
             dead_u = _dead_indices(flow, u)
-            assert [list(trace.values)] == _raw_row_traces(flow, dead_u, [len(dead_u)], n_max, trace.windows[0])
+            assert [list(trace.values)] == _raw_row_traces(flow, dead_u, [len(dead_u)], n_max, trace.window)
         assert seen["dependent"] and seen["exchanges"], seen
 
     def test_verify_sweep_images_match_raw_rows(self, gf4_pair, gf16_pair, monkeypatch):
@@ -833,7 +839,7 @@ class TestCarriedRows:
                 d = image.discrete_dim
                 dead = list(range(d)) + [d + i for i in range(DEFAULT_CONFIG.m_max)]
                 counts = [d + m for m in range(DEFAULT_CONFIG.m_max + 1)]
-                want = _raw_row_traces(image, dead, counts, 24, traces[0].windows[0])
+                want = _raw_row_traces(image, dead, counts, 24, traces[0].window)
                 assert [list(t.values) for t in traces] == want, image.label
         assert seen["dependent"] and seen["exchanges"], seen
 
@@ -871,35 +877,48 @@ class TestCarriedRows:
         assert np.array_equal(_unrestrict(field, _restrict(field, block)), block)
 
     def test_gf2_products_in_uint8(self, gf2):
-        # the word-lane product, which skips the multiply by codes, against
-        # the int64 dense product, from uint8 and from int64 rows: row counts
-        # on both sides of the 8-row words, output widths at and below the
-        # window's dimension, and entries of negative offsets and of the dc
-        # block that read rows past the block's width, which zero padding
-        # stands in for
-        rng = np.random.default_rng(5)
-        past_width = 0
-        for seed in range(12):
-            flow = _random_phase_flow(gf2, seed)
-            window = 30
-            dense = truncate(flow, window)[0].data
-            nonzeros = _Nonzeros.of(*window_nonzeros(flow, window))
-            dim = dense.shape[0]
-            width = int(rng.integers(1, dim))
-            cols = min(dim, width + flow.endo.bandwidth)
-            rows = rng.integers(0, 2, size=(6, width))
-            cases = [(rows, cols)]
-            for count in (0, 1, 7, 8, 9, 63, 64, 65, 130):
-                rows = rng.integers(0, 2, size=(count, width))
-                cases += [(rows, c) for c in (cols, dim, int(rng.integers(1, dim)))]
-            for rows, cols in cases:
-                want = gf2.arr_matmul(rows, dense[:width, :cols])
-                entries = np.searchsorted(nonzeros.cols, cols)
-                past_width += bool(entries) and bool(nonzeros.row_bound[entries - 1] > width)
-                for block in (rows.astype(np.uint8), rows.astype(np.int64)):
-                    got = _times_nonzeros(gf2, block, nonzeros, cols)
-                    assert got.dtype == np.uint8 and np.array_equal(got, want), (seed, rows.shape, cols)
-        assert past_width
+        # the word-lane product skips the multiply by codes; it takes uint8
+        # and int64 rows alike
+        _check_products(gf2)
+
+    @pytest.mark.parametrize("field", _sparse_fields()[1:], ids=repr)
+    def test_products_in_int64(self, field):
+        _check_products(field)
+
+
+def _check_products(field):
+    """``_times_nonzeros`` against the dense product by the reference window
+    matrix: row counts on both sides of GF(2)'s 8-row words, output widths
+    at and below the window's dimension, and entries of negative offsets
+    and of the dc block that read rows past the block's width, which zero
+    padding stands in for.  GF(2) products come back as uint8, others as
+    int64."""
+    rng = np.random.default_rng(5)
+    past_width = 0
+    for seed in range(12):
+        flow = _random_phase_flow(field, seed)
+        window = 30
+        dense = dense_truncation(flow, window)[0]
+        nonzeros = _Nonzeros.of(*window_nonzeros(flow, window))
+        dim = dense.shape[0]
+        width = int(rng.integers(1, dim))
+        cols = min(dim, width + flow.endo.bandwidth)
+        cases = [(field.random_codes(rng, (6, width)), cols)]
+        for count in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+            rows = field.random_codes(rng, (count, width))
+            cases += [(rows, c) for c in (cols, dim, int(rng.integers(1, dim)))]
+        for rows, cols in cases:
+            want = field.arr_matmul(rows, dense[:width, :cols])
+            entries = np.searchsorted(nonzeros.cols, cols)
+            past_width += bool(entries) and bool(nonzeros.row_bound[entries - 1] > width)
+            if field.q == 2:
+                blocks, dtype = (rows.astype(np.uint8), rows.astype(np.int64)), np.uint8
+            else:
+                blocks, dtype = (rows.astype(np.int64),), np.int64
+            for block in blocks:
+                got = _times_nonzeros(field, block, nonzeros, cols)
+                assert got.dtype == dtype and np.array_equal(got, want), (field, seed, rows.shape, cols)
+    assert past_width
 
 
 class TestOracle:

@@ -15,6 +15,7 @@ from flowent.model import (
     Flow,
     GoodSubspace,
     SpaceShape,
+    TruncationMeta,
     _element_from_json,
     _flow_from_window,
     _matrix_from_json,
@@ -33,6 +34,8 @@ from flowent.model import (
     truncate,
     window_nonzeros,
 )
+
+from conftest import dense_truncation
 
 
 class TestGoodSubspace:
@@ -130,17 +133,21 @@ class TestTruncate:
 
 
 class TestWindowNonzeros:
-    """The nonzeros against the dense truncation they describe."""
+    """The nonzeros, and the truncation that scatters them, against the
+    row-by-row reference truncation."""
 
     @staticmethod
-    def assert_matches_truncate(flow, window):
+    def assert_matches_reference(flow, window):
+        want, spill_rows, spill_cols = dense_truncation(flow, window)
         rows, cols, codes = window_nonzeros(flow, window)
         assert np.all(np.diff(cols) >= 0)
         assert codes.all()
-        want = truncate(flow, window)[0].data
         got = np.zeros_like(want)
         np.add.at(got, (rows, cols), codes)  # a repeated entry would show as a sum
         assert np.array_equal(got, want), (flow.label, window)
+        mat, meta = truncate(flow, window)
+        assert np.array_equal(mat.data, want), (flow.label, window)
+        assert meta == TruncationMeta(window, spill_rows, spill_cols), (flow.label, window)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_flows(self, gf4, seed):
@@ -149,7 +156,7 @@ class TestWindowNonzeros:
         for f in (flow, pair):
             low = max(1, f.endo.prefix_rows, f.endo.prefix_cols, f.endo.dc.rows, f.endo.cd.cols)
             for window in (low, low + 1, low + 7):
-                self.assert_matches_truncate(f, window)
+                self.assert_matches_reference(f, window)
 
     def test_phase_cyclic_stencil_with_prefix(self, gf2):
         # phases {-1, 2}, {}, {0}: the runs start past the 2 prefix rows
@@ -157,7 +164,7 @@ class TestWindowNonzeros:
         endo = EndoSpec(gf2, [{-1: 1, 2: 1}, {}, {0: 1}], prefix=prefix)
         flow = Flow(SpaceShape(gf2, 0), endo)
         for window in range(4, 12):
-            self.assert_matches_truncate(flow, window)
+            self.assert_matches_reference(flow, window)
 
     def test_window_below_blocks(self, gf2):
         endo = EndoSpec(gf2, {1: 1}, prefix=Matrix(gf2, [[1, 0, 1, 1, 0, 1]]))
