@@ -295,3 +295,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:  # console-script wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

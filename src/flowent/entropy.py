@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import NotSubspace, TooLarge
 from .fields import _rref_extend
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix
 from .model import (
     _ENTRY_CAP,
     Flow,
@@ -74,10 +74,8 @@ __all__ = [
     "CodimTrace",
     "HStarResult",
     "EntropyEstimate",
-    "cotrajectory",
     "codim_sequence",
     "chain_traces",
-    "h_star",
     "ent_star",
     "brute_force_codim",
     "entropy_report",
@@ -115,9 +113,6 @@ class CodimTrace:
 
     def first_differences(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.values, self.values[1:]))
-
-    def is_monotone(self) -> bool:
-        return all(d >= 0 for d in self.first_differences())
 
     def is_subadditive(self) -> bool:
         """Subadditivity of a_i := c_{i+1} (the shifted sequence with
@@ -521,16 +516,6 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     ]
 
 
-def cotrajectory(
-    flow: Flow, u: GoodSubspace, n: int, cfg: EngineConfig = DEFAULT_CONFIG
-) -> Subspace:
-    """The n-step cotrajectory inside its certified window, canonical."""
-    if n < 1:
-        raise ValueError("cotrajectory depth must be at least 1")
-    window = default_window(flow, u, n, cfg.window_slack)
-    return kernel(cotrajectory_run(flow, u, n, window)[-1])
-
-
 def cotrajectory_run(flow: Flow, u: GoodSubspace, n_max: int, window: int) -> list[Matrix]:
     """Constraint forms of the cotrajectories for n = 1..n_max at a given
     window.
@@ -602,6 +587,15 @@ def _terminal_streak(diffs: Sequence[int]) -> int:
 
 
 def _evaluate_trace(trace: CodimTrace, cfg: EngineConfig) -> HStarResult:
+    """Growth rate of a codimension trace over a single good subspace.
+
+    Resolves to the final first difference when the last ``cfg.streak``
+    differences agree; for the representable flows the differences are
+    eventually constant, so the constant equals the limit of c_n / n.
+    Otherwise reports the exact lower bound c_N / N and stays unresolved.
+    A subadditivity violation (impossible for true traces) also forces the
+    unresolved path so a broken fixture can never resolve wrongly.
+    """
     diffs = trace.first_differences()
     streak = _terminal_streak(diffs)
     subadditive = trace.is_subadditive()
@@ -611,25 +605,12 @@ def _evaluate_trace(trace: CodimTrace, cfg: EngineConfig) -> HStarResult:
     return HStarResult(None, lower, trace, streak, subadditive)
 
 
-def h_star(flow: Flow, u: GoodSubspace, cfg: EngineConfig = DEFAULT_CONFIG) -> HStarResult:
-    """Growth rate of the codimension trace over a single good subspace.
-
-    Resolves to the final first difference when the last ``cfg.streak``
-    differences agree; for the representable flows the differences are
-    eventually constant, so the constant equals the limit of c_n / n.
-    Otherwise reports the exact lower bound c_N / N and stays unresolved.
-    A subadditivity violation (impossible for true traces) also forces the
-    unresolved path so a broken fixture can never resolve wrongly.
-    """
-    return _evaluate_trace(codim_sequence(flow, u, cfg.n_max, cfg), cfg)
-
-
 @dataclass(frozen=True)
 class EntropyEstimate:
     """Entropy over the principal chain of good subspaces.
 
     ``value`` is None while unresolved; the uniform-entropy conversion is
-    reported as the exact pair (value, field order).
+    the exact pair (value, field_order), as ``entropy_report`` gives it.
     """
 
     value: int | None
@@ -640,10 +621,6 @@ class EntropyEstimate:
     @property
     def resolved(self) -> bool:
         return self.value is not None
-
-    @property
-    def h_top_pair(self) -> tuple[int | None, int]:
-        return (self.value, self.field_order)
 
 
 def ent_star(flow: Flow, cfg: EngineConfig = DEFAULT_CONFIG) -> EntropyEstimate:
@@ -689,7 +666,7 @@ def brute_force_codim(flow: Flow, u: GoodSubspace, n: int, window: int) -> int:
         raise TooLarge(f"2^{size} window vectors exceed the cap of {_ORACLE_CAP}")
     if u.extent > window:
         raise TooLarge("window does not contain the zero set")
-    mat, _ = truncate(flow, window)
+    mat = truncate(flow, window)
     dead = _dead_indices(flow, u)
     count = 1 << size
     vectors = (np.arange(count, dtype=np.int64)[:, None] >> np.arange(size)) & 1

@@ -25,10 +25,6 @@ class DimensionMismatch(FlowentError):
     """Operand shapes are incompatible."""
 
 
-class NotContained(FlowentError):
-    """A claimed subspace inclusion does not hold."""
-
-
 class WindowTooSmall(FlowentError):
     """A truncation window cannot satisfy its exactness bound."""
 

@@ -499,14 +499,6 @@ def _poly_is_irreducible(field: FiniteField, coeffs: Sequence[int]) -> bool:
     return True
 
 
-def is_irreducible(field: FiniteField, coeffs: Sequence[int]) -> bool:
-    """Whether a monic polynomial (codes over ``field``) is irreducible."""
-    coeffs = [int(c) for c in coeffs]
-    if coeffs[-1] != field.one:
-        raise ValueError("polynomial must be monic")
-    return _poly_is_irreducible(field, coeffs)
-
-
 def least_irreducible(field: FiniteField, degree: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of the given degree.
 
@@ -673,13 +665,6 @@ class FieldEmbedding:
         ok_mul = np.array_equal(self.apply_array(src.arr_mul(pairs_a, pairs_b)), tgt.arr_mul(img_a, img_b))
         if not (ok_add and ok_mul):
             raise Mismatch("embedding is not a ring homomorphism")
-
-
-def regular_representation(e: FieldEmbedding, alpha: int) -> np.ndarray:
-    """Source-coefficient matrix of multiplication-by-alpha on e.target."""
-    if not 0 <= alpha < e.target.q:
-        raise ValueError("element outside the target field")
-    return e.rep(alpha)
 
 
 def identity_embedding(field: FiniteField) -> FieldEmbedding:

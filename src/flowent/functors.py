@@ -10,6 +10,8 @@ them.  The identities are checked on constraint forms, dual to the
 cotrajectories: restriction and induction of a cotrajectory are the
 kernels of ``block_expand`` and ``entry_embed`` of its reduced
 row-echelon constraint form, and both maps keep that form reduced.
+``res_subspace`` and ``ind_subspace`` map a cotrajectory itself; they are
+the tests' reference for those checks, and no command calls them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .entropy import (
 )
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import FieldEmbedding, FiniteField, least_irreducible, make_extension
-from .linalg import Matrix, Subspace, block_expand, entry_embed, kronecker, rank
+from .linalg import Matrix, Subspace, block_expand, entry_embed, rank
 from .model import (
     EndoSpec,
     Flow,
@@ -42,7 +44,6 @@ __all__ = [
     "ind_flow",
     "ind_good",
     "ind_subspace",
-    "complete_tensor_finite",
     "adjunction_dim_check",
     "make_entropy_n",
     "verify_theorem",
@@ -151,18 +152,8 @@ def ind_subspace(e: FieldEmbedding, s: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# finite tensor levels and the adjunction count
+# the adjunction count
 # ---------------------------------------------------------------------------
-
-
-def complete_tensor_finite(a: int, b: int, f: Matrix, g: Matrix) -> tuple[int, Matrix]:
-    """One finite level of the completed tensor product: the level has
-    dimension a*b and the transition map is the Kronecker product."""
-    if f.field != g.field:
-        raise FieldMismatch("tensor factors live over different fields")
-    if f.cols != a or g.cols != b:
-        raise DimensionMismatch("maps do not act on spaces of the stated dimensions")
-    return a * b, kronecker(f, g)
 
 
 def adjunction_dim_check(e: FieldEmbedding, a: int, b: int) -> bool:

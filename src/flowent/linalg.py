@@ -1,7 +1,11 @@
-"""Exact matrices and canonical subspaces over a finite field.
+"""Exact matrices over a finite field, and canonical subspaces.
 
 Matrices hold numpy arrays of element codes and are immutable after
-construction.  Subspaces carry their reduced row-echelon basis, so equal
+construction.  The entropy engine works on constraint forms, reduced
+row-echelon matrices whose kernels are the cotrajectories, and never
+builds a subspace.  ``Subspace`` and ``kernel`` remain as the tests'
+independent reference for those forms, and ``bench/tracing.py`` times
+them by name.  A subspace carries its reduced row-echelon basis, so equal
 subspaces have bit-identical representations and equality needs no
 tolerances.
 """
@@ -12,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch, NotContained
+from .errors import DimensionMismatch, FieldMismatch
 from .fields import FieldEmbedding, FiniteField, _inverse_array, _rref_array
 
 
@@ -40,24 +44,6 @@ class Matrix:
     @classmethod
     def eye(cls, field: FiniteField, n: int) -> "Matrix":
         return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_literal(cls, field: FiniteField, rows: Sequence[Sequence]) -> "Matrix":
-        """Build from nested lists; entries are codes, or prime-field
-        coordinate tuples when the field is non-prime."""
-        conv = []
-        for row in rows:
-            out = []
-            for entry in row:
-                if isinstance(entry, (list, tuple)):
-                    out.append(field.from_coords(entry))
-                else:
-                    out.append(int(entry))
-            conv.append(out)
-        arr = np.asarray(conv, dtype=np.int64) if conv else np.zeros((0, 0), dtype=np.int64)
-        if arr.ndim == 1:
-            arr = arr.reshape(len(conv), -1)
-        return cls(field, arr)
 
     # -- shape ----------------------------------------------------------------
 
@@ -116,11 +102,6 @@ class Matrix:
         return self.field.arr_matmul(self.data, vec)[:, 0]
 
 
-def vstack(blocks: Sequence[Matrix]) -> Matrix:
-    field = blocks[0].field
-    return Matrix(field, np.concatenate([b.data for b in blocks], axis=0))
-
-
 # ---------------------------------------------------------------------------
 # row reduction
 # ---------------------------------------------------------------------------
@@ -153,14 +134,13 @@ class Subspace:
     their basis arrays are identical.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_constraints")
+    __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field: FiniteField, ambient: int, basis: Matrix, pivots: Sequence[int]):
         self.field = field
         self.ambient = ambient
         self.basis = basis
         self.pivots = tuple(pivots)
-        self._constraints: Matrix | None = None
 
     @classmethod
     def from_rows(cls, field: FiniteField, rows) -> "Subspace":
@@ -182,10 +162,6 @@ class Subspace:
     def zero(cls, field: FiniteField, ambient: int) -> "Subspace":
         return cls(field, ambient, Matrix.zeros(field, 0, ambient), ())
 
-    @classmethod
-    def full(cls, field: FiniteField, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.eye(field, ambient), range(ambient))
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -201,29 +177,6 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.field!r}^{self.ambient})"
 
-    def reduce_vector(self, vector: np.ndarray) -> np.ndarray:
-        """Residue of a vector after elimination against the basis."""
-        v = np.asarray(vector, dtype=np.int64).copy()
-        if self.dim:
-            coeffs = v[list(self.pivots)]
-            v = self.field.arr_sub(v, self.field.arr_matmul(coeffs[None, :], self.basis.data)[0])
-        return v
-
-    def contains_vector(self, vector) -> bool:
-        return not self.reduce_vector(np.asarray(vector, dtype=np.int64)).any()
-
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient or self.field != other.field:
-            raise DimensionMismatch("subspaces live in different ambients")
-        return all(self.contains_vector(row) for row in other.basis.data)
-
-    def constraints(self) -> Matrix:
-        """Rows spanning the annihilator: S = {v : constraints() @ v = 0}."""
-        if self._constraints is None:
-            self._constraints = kernel(self.basis).basis
-        return self._constraints
-
-
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of {v : M v = 0}."""
     red, pivots = _rref_array(m.field, m.data.copy())
@@ -233,36 +186,6 @@ def kernel(m: Matrix) -> Subspace:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = m.field.arr_neg(red[: len(pivots)][:, free].T)  # (rank x free).T
     return Subspace.from_rows(m.field, basis)
-
-
-def preimage(m: Matrix, s: Subspace) -> Subspace:
-    """Canonical form of {v : M v in S}."""
-    if s.field != m.field:
-        raise FieldMismatch("subspace and matrix fields differ")
-    if s.ambient != m.rows:
-        raise DimensionMismatch(f"subspace ambient {s.ambient} != matrix rows {m.rows}")
-    return kernel(s.constraints() @ m)
-
-
-def intersect(s: Subspace, t: Subspace) -> Subspace:
-    if s.field != t.field:
-        raise FieldMismatch("subspaces live over different fields")
-    if s.ambient != t.ambient:
-        raise DimensionMismatch(f"ambients differ: {s.ambient} vs {t.ambient}")
-    stacked = vstack([s.constraints(), t.constraints()])
-    return kernel(stacked)
-
-
-def codim_within(u: Subspace, s: Subspace) -> int:
-    """dim(U/S) for S <= U; raises NotContained otherwise."""
-    if not u.contains(s):
-        raise NotContained("second subspace is not contained in the first")
-    return u.dim - s.dim
-
-
-def image(m: Matrix) -> Subspace:
-    """Column space of M, canonicalized as a row subspace."""
-    return Subspace.from_rows(m.field, m.data.T.copy())
 
 
 # ---------------------------------------------------------------------------

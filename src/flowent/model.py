@@ -14,10 +14,15 @@ coordinate j.
 Each flow derived from other flows has one construction.  A product of
 flows is ``compose_flow``: the stencils convolve exactly, phase by phase,
 and the boundary blocks are read from a product of truncations on one
-window wide enough that no spill reaches them.  Powers and conjugates are
-such products; a conjugator is itself a flow, the identity past a leading
-window.  A direct sum interleaves the summands' coordinates and reads its
-prefix rows from their truncations.
+window wide enough that no read past its edge reaches them.  Powers and
+conjugates are such products; a conjugator is itself a flow, the identity
+past a leading window.  A direct sum interleaves the summands' coordinates
+and reads its prefix rows from their truncations.
+
+A window matrix has one description, the nonzeros listed by
+``window_nonzeros``: ``truncate`` scatters them into the dense matrix that
+these constructions and the enumeration oracle read, and the entropy
+engine multiplies by them without building it.
 """
 
 from __future__ import annotations
@@ -38,8 +43,6 @@ __all__ = [
     "GoodSubspace",
     "EndoSpec",
     "Flow",
-    "TruncationMeta",
-    "FlowDecomposition",
     "make_bernoulli",
     "make_identity",
     "direct_sum",
@@ -49,7 +52,6 @@ __all__ = [
     "conjugate_flow",
     "truncate",
     "window_nonzeros",
-    "decompose",
     "guarantee_window",
     "default_window",
     "random_stencil_flow",
@@ -60,8 +62,8 @@ __all__ = [
 ]
 
 #: Desk-scale cap on the entries of one array built from a spec: the dense
-#: discrete block of ``flow_from_dict``, the window's nonzeros of
-#: ``window_nonzeros`` and the restricted constraint blocks of
+#: discrete block of ``flow_from_dict`` and ``make_identity``, the window's
+#: nonzeros of ``window_nonzeros`` and the restricted constraint blocks of
 #: ``entropy._constraint_blocks``.  The widest workload window,
 #: prefix-shift[80]'s, has 5,276 coordinates and about as many entries.
 _ENTRY_CAP = 1 << 22
@@ -249,6 +251,13 @@ class EndoSpec:
         return max(self.prefix_rows, self.dc.rows)
 
 
+def _check_discrete_dim(d: int) -> None:
+    """Raise TooLarge before a dense d x d discrete block past ``_ENTRY_CAP``
+    entries is built."""
+    if d**2 > _ENTRY_CAP:
+        raise TooLarge(f"discrete_dim {d} needs a {d} x {d} block, above the cap of {_ENTRY_CAP} entries")
+
+
 def _collapse_period(phases: tuple) -> tuple:
     """Reduce a phase tuple to its smallest cyclic period."""
     n = len(phases)
@@ -301,6 +310,7 @@ def make_bernoulli(field: FiniteField, block_dim: int) -> Flow:
 
 
 def make_identity(shape: SpaceShape) -> Flow:
+    _check_discrete_dim(shape.discrete_dim)
     field = shape.field
     endo = EndoSpec(field, {0: field.one}, dd=Matrix.eye(field, shape.discrete_dim))
     return Flow(shape, endo, label="identity")
@@ -329,7 +339,7 @@ def direct_sum(f: Flow, g: Flow) -> Flow:
         pref = np.zeros((2 * r, 2 * half), dtype=np.int64)
         for parity, summand in enumerate((f, g)):
             d = summand.discrete_dim
-            mat, _ = truncate(summand, max(half, _min_window(summand.endo)))
+            mat = truncate(summand, max(half, _min_window(summand.endo)))
             pref[parity::2, parity::2] = mat.data[d : d + r, d : d + half]
         prefix = Matrix(field, pref)
     else:
@@ -367,13 +377,6 @@ def direct_sum(f: Flow, g: Flow) -> Flow:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationMeta:
-    window: int
-    spill_rows: tuple[int, ...]
-    spill_columns: tuple[int, ...]
-
-
 def _min_window(endo: EndoSpec) -> int:
     return max(1, endo.prefix_rows, endo.prefix_cols, endo.dc.rows, endo.cd.cols)
 
@@ -383,32 +386,19 @@ def _check_window(endo: EndoSpec, window: int) -> None:
         raise WindowTooSmall(f"window {window} is below the block extent {_min_window(endo)}")
 
 
-def truncate(flow: Flow, window: int) -> tuple[Matrix, TruncationMeta]:
+def truncate(flow: Flow, window: int) -> Matrix:
     """Matrix of the flow on the discrete part plus the first ``window``
-    compact coordinates.
+    compact coordinates: the scatter of ``window_nonzeros``.
 
-    Reads past the window are dropped and reported as spill.  For a good
-    subspace with zero set inside {0..m-1} and any n, codimensions computed
-    in the window agree with the true values whenever
-    ``window >= guarantee_window(flow, m, n)``.
-
-    The matrix is the scatter of ``window_nonzeros`` at ``window +
-    bandwidth``, cut to the rows and columns of the window.  Every read of
-    a row inside the window lands below ``window + bandwidth``: a stencil
-    row i reads at most ``i + max_offset``, and the blocks lie inside the
-    window (``_check_window``).  So the entries of those rows at columns
-    at or past the window are exactly the dropped reads, all of stencil
-    rows, and the spill is read off them.
+    Reads past the window are dropped.  For a good subspace with zero set
+    inside {0..m-1} and any n, codimensions computed in the window agree
+    with the true values whenever ``window >= guarantee_window(flow, m, n)``.
     """
-    _check_window(flow.endo, window)
     d = flow.discrete_dim
-    rows, cols, codes = window_nonzeros(flow, window + flow.endo.bandwidth)
-    inside = rows < d + window
-    kept, spill = inside & (cols < d + window), inside & (cols >= d + window)
+    rows, cols, codes = window_nonzeros(flow, window)
     mat = np.zeros((d + window, d + window), dtype=np.int64)
-    mat[rows[kept], cols[kept]] = codes[kept]
-    spill_rows, spill_cols = np.unique(rows[spill]).tolist(), (np.unique(cols[spill]) - d).tolist()
-    return Matrix(flow.field, mat), TruncationMeta(window, tuple(spill_rows), tuple(spill_cols))
+    mat[rows, cols] = codes
+    return Matrix(flow.field, mat)
 
 
 def window_nonzeros(flow: Flow, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,60 +451,6 @@ def default_window(flow: Flow, u: GoodSubspace, n: int, slack: int = 4) -> int:
 
 
 # ---------------------------------------------------------------------------
-# decomposition relative to a good subspace
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlowDecomposition:
-    """Blocks of a windowed flow for the splitting V = U (+) V/U."""
-
-    cc: Matrix
-    cd: Matrix
-    dc: Matrix
-    dd: Matrix
-    u_indices: tuple[int, ...]
-    q_indices: tuple[int, ...]
-    window: int
-
-    def reassemble(self) -> Matrix:
-        order = list(self.q_indices) + list(self.u_indices)
-        size = len(order)
-        inv = np.argsort(np.asarray(order))
-        top = np.concatenate([self.dd.data, self.cd.data], axis=1)
-        bottom = np.concatenate([self.dc.data, self.cc.data], axis=1)
-        block = np.concatenate([top, bottom], axis=0)
-        return Matrix(self.cc.field, block[np.ix_(inv, inv)])
-
-
-def decompose(flow: Flow, u: GoodSubspace, window: int | None = None) -> FlowDecomposition:
-    """Split the windowed flow matrix along V = U (+) V/U.
-
-    The quotient part collects the discrete coordinates and the zeroed
-    compact coordinates; reassembling reproduces ``truncate(flow, window)``.
-    """
-    if window is None:
-        window = default_window(flow, u, 1)
-    mat, _ = truncate(flow, window)
-    d = flow.discrete_dim
-    if u.extent > window:
-        raise WindowTooSmall(f"window {window} does not contain the zero set")
-    q_idx = list(range(d)) + [d + i for i in sorted(u.zero_set)]
-    u_idx = [d + i for i in range(window) if i not in u.zero_set]
-    data = mat.data
-    field = flow.field
-    return FlowDecomposition(
-        cc=Matrix(field, data[np.ix_(u_idx, u_idx)]),
-        cd=Matrix(field, data[np.ix_(q_idx, u_idx)]),
-        dc=Matrix(field, data[np.ix_(u_idx, q_idx)]),
-        dd=Matrix(field, data[np.ix_(q_idx, q_idx)]),
-        u_indices=tuple(u_idx),
-        q_indices=tuple(q_idx),
-        window=window,
-    )
-
-
-# ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
 
@@ -524,7 +460,8 @@ def compose_flow(f: Flow, g: Flow) -> Flow:
 
     The stencil part composes exactly by phase-aware convolution; the
     boundary region (prefix, discrete blocks) is extracted from a product
-    of truncations taken on a window wide enough that no spill reaches it.
+    of truncations taken on a window wide enough that no read past its
+    edge reaches it.
     """
     if f.field != g.field:
         raise FieldMismatch("composition requires a common field")
@@ -554,8 +491,8 @@ def compose_flow(f: Flow, g: Flow) -> Flow:
     )
     reach = max(ef.max_offset, 0) + max(eg.max_offset, 0)
     wide = boundary + reach + max(ef.prefix_cols, eg.prefix_cols, ef.cd.cols, eg.cd.cols) + 4
-    mf, _ = truncate(f, wide)
-    mg, _ = truncate(g, wide)
+    mf = truncate(f, wide)
+    mg = truncate(g, wide)
     prod = (mf @ mg).data
 
     return _flow_from_window(
@@ -756,8 +693,7 @@ def flow_from_dict(spec: dict) -> Flow:
     # JSON true and false are Python bools, which are ints
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValueError(f"discrete_dim {d!r} must be an integer")
-    if int(d) ** 2 > _ENTRY_CAP:
-        raise TooLarge(f"discrete_dim {d} needs a {d} x {d} block, above the cap of {_ENTRY_CAP} entries")
+    _check_discrete_dim(int(d))
 
     raw = spec["stencil"]
     phases = raw if isinstance(raw, list) else [raw]

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 
 import flowent
 from flowent.fields import make_extension, make_prime_field
+from flowent.linalg import Matrix, kernel
 
 settings.register_profile(
     "flowent",
@@ -20,31 +21,40 @@ settings.load_profile("flowent")
 
 
 def dense_truncation(flow, window):
-    """A flow's matrix on the discrete part plus the first ``window``
+    """A flow's int64 matrix on the discrete part plus the first ``window``
     compact coordinates, built row by row from its blocks and stencil, with
-    the rows whose stencil reads past the window and the compact columns
-    they read there.  It shares no code with ``model.truncate`` or
-    ``model.window_nonzeros``, so the tests hold both to it.  Returns
-    ``(int64 matrix, spill rows, spill columns)`` as ``truncate`` gives
-    them."""
+    the reads past the window dropped.  It shares no code with
+    ``model.truncate`` or ``model.window_nonzeros``, so the tests hold both
+    to it."""
     endo, d = flow.endo, flow.discrete_dim
     mat = np.zeros((d + window, d + window), dtype=np.int64)
     mat[:d, :d] = endo.dd.data
     mat[:d, d : d + endo.cd.cols] = endo.cd.data
     mat[d : d + endo.dc.rows, :d] = endo.dc.data
     mat[d : d + endo.prefix_rows, d : d + endo.prefix_cols] = endo.prefix.data
-    spill_rows, spill_cols = [], set()
     for i in range(endo.prefix_rows, window):
-        spill = []
         for k, c in endo.phase(i):
             if i + k < window:
                 mat[d + i, d + i + k] = c
-            else:
-                spill.append(i + k)
-        if spill:
-            spill_rows.append(d + i)
-            spill_cols.update(spill)
-    return mat, tuple(spill_rows), tuple(sorted(spill_cols))
+    return mat
+
+
+def annihilator(s):
+    """Rows spanning the vectors orthogonal to a subspace, so that
+    ``kernel(annihilator(s)) == s``."""
+    return kernel(s.basis).basis
+
+
+def preimage(m, s):
+    """Canonical form of ``{v : m v in s}``, the kernel of s's annihilator
+    times m; a reference built from ``linalg.kernel`` alone."""
+    return kernel(annihilator(s) @ m)
+
+
+def intersect(s, t):
+    """Canonical form of the intersection, the kernel of both
+    annihilators stacked."""
+    return kernel(Matrix(s.field, np.concatenate([annihilator(s).data, annihilator(t).data])))
 
 
 @pytest.fixture(scope="session")

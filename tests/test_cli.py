@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from flowent.cli import main
+from flowent.fields import least_irreducible, make_extension
 from flowent.model import make_bernoulli, save_flow, random_stencil_flow
 
 
@@ -197,6 +198,18 @@ class TestVerify:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_non_prime_base(self, capsys, tmp_path, gf4, seed):
+        # F = GF(4) inside the tower GF(2) <= GF(4) <= GF(16)
+        gf16, _ = make_extension(gf4, least_irreducible(gf4, 2))
+        path = tmp_path / "gf16.json"
+        save_flow(random_stencil_flow(gf16, seed), path)
+        code, out = run(capsys, "verify", str(path), "--base-depth", "1", "--identity-n", "8")
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == "PASS"
+        assert payload["degree_FK"] == 2
+        assert payload["ent_F"]["value"] == 2 * payload["ent_K"]["value"]
+
 
 class TestExample:
     def test_bernoulli_roundtrip(self, capsys, tmp_path):
@@ -233,6 +246,16 @@ class TestExample:
         spec = json.loads(target.read_text())
         assert spec["field"]["p"] == 2
         assert len(spec["field"]["tower"]) == 1
+
+    def test_identity_discrete_cap_exits_one(self, capsys, tmp_path):
+        # a 2049 x 2049 discrete block is above the cap that compute applies
+        # to a spec, so the spec is not written
+        target = tmp_path / "identity.json"
+        code = main(["example", "identity", "--discrete", "2049", "--out", str(target)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "cap" in err
+        assert not target.exists()
 
     def test_unknown_name_exits_one(self, capsys):
         code, _ = run(capsys, "example", "nonsense")
@@ -389,3 +412,21 @@ class TestUnwritableOut:
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: "), out.stderr
         assert target in out.stderr
+
+
+class TestModuleEntry:
+    """``python -m flowent.cli`` runs the same driver as ``main``."""
+
+    def test_compute_matches_main(self, capsys, bernoulli_spec, run_python):
+        argv = ["compute", bernoulli_spec, "--max-n", "12"]
+        code, out = run(capsys, *argv)
+        proc = run_python("-m", "flowent.cli", *argv)
+        assert code == 0 and out
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    def test_malformed_spec_exits_one(self, tmp_path, run_python):
+        path = tmp_path / "broken.json"
+        path.write_text('{"field": {"p": 2')
+        proc = run_python("-m", "flowent.cli", "compute", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ")

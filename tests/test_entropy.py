@@ -14,6 +14,7 @@ from flowent.entropy import (
     EngineConfig,
     _constraint_blocks,
     _dead_indices,
+    _evaluate_trace,
     _FlagStack,
     _FlagStack2,
     _FlagStackOdd,
@@ -24,24 +25,13 @@ from flowent.entropy import (
     brute_force_codim,
     chain_traces,
     codim_sequence,
-    cotrajectory,
     cotrajectory_run,
     ent_star,
     entropy_report,
-    h_star,
 )
 from flowent.errors import NotInvertible, TooLarge
 from flowent.fields import _prime_rank, _rref_array, least_irreducible, make_extension, make_prime_field
-from flowent.linalg import (
-    Matrix,
-    Subspace,
-    intersect,
-    kernel,
-    preimage,
-    random_invertible,
-    rank,
-    vstack,
-)
+from flowent.linalg import Matrix, Subspace, kernel, random_invertible, rank
 from flowent.model import (
     EndoSpec,
     Flow,
@@ -59,10 +49,21 @@ from flowent.model import (
     window_nonzeros,
 )
 
-from conftest import dense_truncation
+from conftest import dense_truncation, intersect, preimage
 
 U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
+
+
+def cotrajectory(flow, u, n):
+    """The n-step cotrajectory inside its certified window: the kernel of
+    its constraint form."""
+    return kernel(cotrajectory_run(flow, u, n, default_window(flow, u, n))[-1])
+
+
+def h_star(flow, u, cfg=DEFAULT_CONFIG):
+    """The estimator's rate for a single good subspace."""
+    return _evaluate_trace(codim_sequence(flow, u, cfg.n_max, cfg), cfg)
 
 
 class TestCotrajectory:
@@ -101,7 +102,7 @@ class TestCotrajectory:
         flow = random_stencil_flow(gf4, 7, discrete=False)
         u = U(2)
         window = cotrajectory(flow, u, 4).ambient
-        mat, _ = truncate(flow, window)
+        mat = truncate(flow, window)
         cots = [kernel(form) for form in cotrajectory_run(flow, u, 4, window)]
         u_win = cots[0]
         for n in range(2, 5):
@@ -193,7 +194,7 @@ class TestCodimSequence:
         for m in (0, 1, 3):
             trace = codim_sequence(flow, U(m), 16)
             assert trace.values[0] == 0
-            assert trace.is_monotone()
+            assert all(d >= 0 for d in trace.first_differences())
             assert trace.is_subadditive()
 
     @pytest.mark.parametrize("slack", [4, 6, 8, 12, 16])
@@ -264,7 +265,7 @@ def _reference_codims(flow, dead, counts, n_max, window):
     """Codimension traces straight from the definition: the rank of the
     stacked constraint rows (the dead rows of M^0, ..., M^(n-1)), keeping
     the first ``count`` dead rows of each power, less ``count``."""
-    mat = Matrix(flow.field, dense_truncation(flow, window)[0])
+    mat = Matrix(flow.field, dense_truncation(flow, window))
     field = flow.field
     power = Matrix(field, np.eye(mat.rows, dtype=np.int64)[dead])
     blocks = []
@@ -273,7 +274,7 @@ def _reference_codims(flow, dead, counts, n_max, window):
         power = power @ mat
     return [
         [
-            rank(vstack([Matrix(field, b.data[:count]) for b in blocks[:n]])) - count
+            rank(Matrix(field, np.concatenate([b.data[:count] for b in blocks[:n]]))) - count
             for n in range(1, n_max + 1)
         ]
         for count in counts
@@ -324,7 +325,7 @@ def _dense_blocks(flow, dead, n_max, window):
     window matrix: each block of width w times the matrix's first w rows,
     trimmed to its first w + bandwidth columns."""
     field = flow.field
-    mat = dense_truncation(flow, window)[0]
+    mat = dense_truncation(flow, window)
     dim, reach = mat.shape[0], flow.endo.bandwidth
     block = np.zeros((len(dead), min(dim, max(dead) + 1 if dead else 0)), dtype=np.int64)
     block[np.arange(len(dead)), dead] = 1
@@ -387,10 +388,8 @@ class TestConstraintBlocks:
     def assert_blocks_match_dense(flow, u, n_max):
         window = default_window(flow, u, n_max)
         dead = _dead_indices(flow, u)
-        mat, meta = truncate(flow, window)
-        want, spill_rows, spill_cols = dense_truncation(flow, window)
-        assert np.array_equal(mat.data, want), (flow.label, window)
-        assert (meta.spill_rows, meta.spill_columns) == (spill_rows, spill_cols), (flow.label, window)
+        want = dense_truncation(flow, window)
+        assert np.array_equal(truncate(flow, window).data, want), (flow.label, window)
         pairs = zip(_constraint_blocks(flow, dead, n_max, window), _dense_blocks(flow, dead, n_max, window))
         for n, (got, want) in enumerate(pairs, start=1):
             assert got.shape == want.shape and np.array_equal(got, want), (flow.label, u, n)
@@ -898,7 +897,7 @@ def _check_products(field):
     for seed in range(12):
         flow = _random_phase_flow(field, seed)
         window = 30
-        dense = dense_truncation(flow, window)[0]
+        dense = dense_truncation(flow, window)
         nonzeros = _Nonzeros.of(*window_nonzeros(flow, window))
         dim = dense.shape[0]
         width = int(rng.integers(1, dim))
@@ -993,7 +992,7 @@ class TestEntStar:
     def test_bernoulli_over_gf4(self, gf4):
         est = ent_star(make_bernoulli(gf4, 1), FAST)
         assert est.resolved and est.value == 1
-        assert est.h_top_pair == (1, 4)
+        assert (est.value, est.field_order) == (1, 4)
 
     def test_identity_any_shape(self, gf4):
         est = ent_star(make_identity(SpaceShape(gf4, 3)), FAST)
@@ -1029,7 +1028,7 @@ class TestEntStar:
         flow = random_stencil_flow(gf3, 4)
         trace = codim_sequence(flow, U(2), 10)
         assert trace.values[0] == 0
-        assert trace.is_monotone() and trace.is_subadditive()
+        assert all(d >= 0 for d in trace.first_differences()) and trace.is_subadditive()
 
     def test_odd_extension_field_engine(self, gf3):
         from flowent.fields import least_irreducible, make_extension
@@ -1040,7 +1039,7 @@ class TestEntStar:
         for slack in (4, 8):
             cfg = EngineConfig(n_max=10, window_slack=slack)
             trace = codim_sequence(flow, U(1), 10, cfg)
-            assert trace.is_monotone()
+            assert all(d >= 0 for d in trace.first_differences())
             if slack == 4:
                 base = trace.values
             else:
@@ -1091,13 +1090,13 @@ class TestEntropyLaws:
         a = random_invertible(gf4, rng, d + 5)
         conj = conjugate_flow(flow, a)
         w = 40
-        mat, _ = truncate(flow, w)
+        mat = truncate(flow, w)
         big = np.eye(d + w, dtype=np.int64)
         big[: d + 5, : d + 5] = a.data
         big_inv = np.eye(d + w, dtype=np.int64)
         big_inv[: d + 5, : d + 5] = inverse(a).data
         want = gf4.arr_matmul(gf4.arr_matmul(big, mat.data), big_inv)
-        got, _ = truncate(conj, w)
+        got = truncate(conj, w)
         keep = d + w - max(flow.endo.bandwidth, conj.endo.bandwidth) - 1
         assert np.array_equal(got.data[:keep, :keep], want[:keep, :keep])
 
@@ -1120,8 +1119,8 @@ class TestEntropyLaws:
         w = 30
         keep = w - max(flow.endo.bandwidth, back.endo.bandwidth) - 1
         assert np.array_equal(
-            truncate(back, w)[0].data[:keep, :keep],
-            truncate(flow, w)[0].data[:keep, :keep],
+            truncate(back, w).data[:keep, :keep],
+            truncate(flow, w).data[:keep, :keep],
         )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -1129,8 +1128,8 @@ class TestEntropyLaws:
         flow = random_stencil_flow(gf4, seed, discrete=False)
         squared = power_flow(flow, 2)
         w = 40
-        m = truncate(flow, w)[0]
-        got = truncate(squared, w)[0]
+        m = truncate(flow, w)
+        got = truncate(squared, w)
         keep = w - 2 * flow.endo.bandwidth - 1
         assert np.array_equal((m @ m).data[:keep, :keep], got.data[:keep, :keep])
 

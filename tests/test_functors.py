@@ -10,7 +10,6 @@ from flowent import functors
 from flowent.functors import (
     _identity_checks,
     adjunction_dim_check,
-    complete_tensor_finite,
     ind_flow,
     ind_subspace,
     make_entropy_n,
@@ -56,7 +55,7 @@ class TestResFlow:
         gf4, emb = gf4_pair
         restricted = res_flow(emb, make_identity(SpaceShape(gf4, 1)))
         w = 6
-        mat, _ = truncate(restricted, 2 * w)
+        mat = truncate(restricted, 2 * w)
         assert mat == Matrix.eye(emb.source, 2 * (w + 1))
         assert restricted.discrete_dim == 2
 
@@ -73,8 +72,8 @@ class TestResFlow:
         gf4, emb = gf4_pair
         flow = random_stencil_flow(gf4, seed)
         w = 12
-        lhs = truncate(res_flow(emb, flow), 2 * w)[0]
-        rhs = block_expand(truncate(flow, w)[0], emb)
+        lhs = truncate(res_flow(emb, flow), 2 * w)
+        rhs = block_expand(truncate(flow, w), emb)
         assert lhs == rhs
 
     def test_periodic_stencil_restricts(self, gf4_pair):
@@ -84,8 +83,8 @@ class TestResFlow:
 
         flow = direct_sum(make_bernoulli(gf4, 1), make_identity(SpaceShape(gf4, 0)))
         w = 10
-        lhs = truncate(res_flow(emb, flow), 2 * w)[0]
-        rhs = block_expand(truncate(flow, w)[0], emb)
+        lhs = truncate(res_flow(emb, flow), 2 * w)
+        rhs = block_expand(truncate(flow, w), emb)
         assert lhs == rhs
 
     def test_field_mismatch(self, gf2, gf4_pair):
@@ -181,7 +180,7 @@ class TestIndFlow:
     def test_identity_flow(self, gf4_pair):
         gf4, emb = gf4_pair
         induced = ind_flow(emb, make_identity(SpaceShape(emb.source, 2)))
-        mat, _ = truncate(induced, 5)
+        mat = truncate(induced, 5)
         assert mat == Matrix.eye(gf4, 7)
 
     def test_ind_along_identity_is_identity(self, gf4):
@@ -192,15 +191,15 @@ class TestIndFlow:
         assert same.endo.prefix == flow.endo.prefix
         assert same.endo.dd == flow.endo.dd
         w = 14
-        assert truncate(same, w)[0] == truncate(flow, w)[0]
+        assert truncate(same, w) == truncate(flow, w)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_truncation_commutes(self, gf4_pair, seed):
         gf4, emb = gf4_pair
         flow = random_stencil_flow(emb.source, seed)
         w = 12
-        lhs = truncate(ind_flow(emb, flow), w)[0]
-        rhs = entry_embed(truncate(flow, w)[0], emb)
+        lhs = truncate(ind_flow(emb, flow), w)
+        rhs = entry_embed(truncate(flow, w), emb)
         assert lhs == rhs
 
 
@@ -218,7 +217,7 @@ class TestFunctoriality:
         two_step = res_flow(e_fk, res_flow(e_kl, flow))
         one_step = res_flow(e_fl, flow)
         w = 8
-        assert truncate(two_step, 4 * w)[0] == truncate(one_step, 4 * w)[0]
+        assert truncate(two_step, 4 * w) == truncate(one_step, 4 * w)
         assert two_step.discrete_dim == one_step.discrete_dim
 
     @pytest.mark.parametrize("seed", range(3))
@@ -232,7 +231,7 @@ class TestFunctoriality:
         two_step = ind_flow(e_kl, ind_flow(e_fk, flow))
         one_step = ind_flow(e_fl, flow)
         w = 12
-        assert truncate(two_step, w)[0] == truncate(one_step, w)[0]
+        assert truncate(two_step, w) == truncate(one_step, w)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_res_matrix_functorial(self, gf4_pair, seed):
@@ -257,16 +256,12 @@ class TestTensorLevels:
     def test_unit_factor_gives_other_map(self, gf2, rng):
         g = random_matrix(gf2, rng, 3, 3)
         one = Matrix.eye(gf2, 1)
-        dim, mapped = complete_tensor_finite(1, 3, one, g)
-        assert dim == 3
-        assert mapped == g
+        assert kronecker(one, g) == g
 
     def test_dimension_product(self, gf2, rng):
         f = random_matrix(gf2, rng, 2, 2)
         g = random_matrix(gf2, rng, 3, 3)
-        dim, mapped = complete_tensor_finite(2, 3, f, g)
-        assert dim == 6
-        assert mapped.shape == (6, 6)
+        assert kronecker(f, g).shape == (6, 6)
 
     def test_transition_compatibility(self, gf2, rng):
         f = random_matrix(gf2, rng, 3, 2)

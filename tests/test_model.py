@@ -1,4 +1,4 @@
-"""Space/flow model: truncation exactness, decomposition, flow algebra."""
+"""Space/flow model: truncation exactness, flow algebra."""
 
 import copy
 import json
@@ -15,12 +15,10 @@ from flowent.model import (
     Flow,
     GoodSubspace,
     SpaceShape,
-    TruncationMeta,
     _element_from_json,
     _flow_from_window,
     _matrix_from_json,
     compose_flow,
-    decompose,
     default_window,
     direct_sum,
     flow_from_dict,
@@ -68,18 +66,14 @@ class TestBernoulli:
 class TestTruncate:
     def test_bernoulli_superdiagonal(self, gf2):
         flow = make_bernoulli(gf2, 1)
-        mat, meta = truncate(flow, 4)
+        mat = truncate(flow, 4)
         expected = np.zeros((4, 4), dtype=np.int64)
         expected[0, 1] = expected[1, 2] = expected[2, 3] = 1
         assert np.array_equal(mat.data, expected)
-        assert meta.spill_columns == (4,)
-        assert meta.spill_rows == (3,)
 
     def test_identity_no_spill(self, gf4):
         flow = make_identity(SpaceShape(gf4, 2))
-        mat, meta = truncate(flow, 5)
-        assert mat == Matrix.eye(gf4, 7)
-        assert meta.spill_columns == ()
+        assert truncate(flow, 5) == Matrix.eye(gf4, 7)
 
     def test_window_below_prefix(self, gf2):
         prefix = Matrix(gf2, [[1, 0, 1, 1, 0, 1]])
@@ -126,7 +120,7 @@ class TestTruncate:
     def test_right_shift_with_prefix(self, gf2):
         endo = EndoSpec(gf2, {-1: 1}, prefix=Matrix.zeros(gf2, 1, 1))
         flow = Flow(SpaceShape(gf2, 0), endo)
-        mat, _ = truncate(flow, 4)
+        mat = truncate(flow, 4)
         expected = np.zeros((4, 4), dtype=np.int64)
         expected[1, 0] = expected[2, 1] = expected[3, 2] = 1
         assert np.array_equal(mat.data, expected)
@@ -138,16 +132,14 @@ class TestWindowNonzeros:
 
     @staticmethod
     def assert_matches_reference(flow, window):
-        want, spill_rows, spill_cols = dense_truncation(flow, window)
+        want = dense_truncation(flow, window)
         rows, cols, codes = window_nonzeros(flow, window)
         assert np.all(np.diff(cols) >= 0)
         assert codes.all()
         got = np.zeros_like(want)
         np.add.at(got, (rows, cols), codes)  # a repeated entry would show as a sum
         assert np.array_equal(got, want), (flow.label, window)
-        mat, meta = truncate(flow, window)
-        assert np.array_equal(mat.data, want), (flow.label, window)
-        assert meta == TruncationMeta(window, spill_rows, spill_cols), (flow.label, window)
+        assert np.array_equal(truncate(flow, window).data, want), (flow.label, window)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_flows(self, gf4, seed):
@@ -172,42 +164,6 @@ class TestWindowNonzeros:
             window_nonzeros(Flow(SpaceShape(gf2, 0), endo), 3)
 
 
-class TestDecompose:
-    def test_block_diagonal_case(self, gf4):
-        shape = SpaceShape(gf4, 2)
-        dd = Matrix(gf4, [[1, 2], [0, 3]])
-        endo = EndoSpec(gf4, {1: 1}, dd=dd)
-        flow = Flow(shape, endo)
-        dec = decompose(flow, GoodSubspace.principal(0), window=5)
-        assert dec.dd == dd
-        assert not dec.cd.data.any() and not dec.dc.data.any()
-        # cc is the pure stencil block
-        expected = truncate(make_bernoulli(gf4, 1), 5)[0]
-        assert dec.cc == expected
-
-    def test_bernoulli_quotient_row(self, gf2):
-        flow = make_bernoulli(gf2, 1)
-        dec = decompose(flow, GoodSubspace.principal(1), window=5)
-        # the quotient line reads coordinate 1, the first U coordinate
-        assert dec.cd.shape == (1, 4)
-        assert np.array_equal(dec.cd.data, [[1, 0, 0, 0]])
-
-    def test_identity_blocks(self, gf2):
-        flow = make_identity(SpaceShape(gf2, 1))
-        dec = decompose(flow, GoodSubspace.principal(2), window=6)
-        assert dec.cc == Matrix.eye(gf2, 4)
-        assert dec.dd == Matrix.eye(gf2, 3)
-        assert not dec.cd.data.any() and not dec.dc.data.any()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_reassemble_reproduces_truncation(self, gf4, seed):
-        flow = random_stencil_flow(gf4, seed)
-        u = GoodSubspace(frozenset({0, 2}))
-        window = default_window(flow, u, 1)
-        dec = decompose(flow, u, window=window)
-        assert dec.reassemble() == truncate(flow, window)[0]
-
-
 class TestDirectSum:
     def test_same_field_required(self, gf2, gf4):
         with pytest.raises(FieldMismatch):
@@ -226,9 +182,9 @@ class TestDirectSum:
         f = make_bernoulli(gf2, 1)
         g = make_identity(SpaceShape(gf2, 0))
         s = direct_sum(f, g)
-        mat, _ = truncate(s, 6)
-        mf, _ = truncate(f, 3)
-        mg, _ = truncate(g, 3)
+        mat = truncate(s, 6)
+        mf = truncate(f, 3)
+        mg = truncate(g, 3)
         assert np.array_equal(mat.data[0::2, 0::2], mf.data)
         assert np.array_equal(mat.data[1::2, 1::2], mg.data)
         assert not mat.data[0::2, 1::2].any()
@@ -245,9 +201,9 @@ class TestDirectSum:
         g = random_stencil_flow(gf4, seed + 50)
         s = direct_sum(f, g)
         w = 10
-        mat = truncate(s, 2 * w)[0].data
-        mf = truncate(f, w)[0].data
-        mg = truncate(g, w)[0].data
+        mat = truncate(s, 2 * w).data
+        mf = truncate(f, w).data
+        mg = truncate(g, w).data
         df, dg = f.discrete_dim, g.discrete_dim
         d = df + dg
         # index maps into the interleaved layout
@@ -272,10 +228,10 @@ class TestCompose:
         # on a window comfortably past every boundary, matrices must agree
         # wherever the composite rows are exact (no spill in either factor)
         w = 30
-        m_fg = truncate(fg, w)[0]
+        m_fg = truncate(fg, w)
         big = 60
-        mf = truncate(f, big)[0]
-        mg = truncate(g, big)[0]
+        mf = truncate(f, big)
+        mg = truncate(g, big)
         prod = (mf @ mg).data
         d = f.discrete_dim
         safe = w - fg.endo.bandwidth - 1
