@@ -13,17 +13,14 @@ multiplied by their codes and summed over each run of equal columns.
 Over GF(2) eight block rows share one 64-bit word, so that one XOR of two
 words adds eight rows.  The dense window matrix is never built.
 
-Ranks are tracked over the prime field.  Restricting scalars along
-GF(p) <= GF(p^d) multiplies every codimension by d, so the GF(p^d) rank of
-a block of rows is the GF(p) rank of its restricted rows divided by d.
 The constraint spans of the principal chain U_0, ..., U_M form a flag
 V_0 <= ... <= V_M: member m's rows are a prefix of member M's.  So one
-tracker per chain holds a basis adapted to that flag, each restricted row
-is inserted once at the level of the smallest member it belongs to, and
+tracker per chain holds a basis adapted to that flag, each row is
+inserted once at the level of the smallest member it belongs to, and
 member m's rank is the number of basis rows of level <= m.  One
-elimination with level exchanges serves every characteristic: on
-bit-packed XOR rows for p = 2, and for odd p on rows packed into lanes of
-an integer, added mod p in every lane at once.
+elimination with level exchanges serves every field, one lane operation
+per step: GF(2^k) rows in k-bit lanes added by XOR, and rows over GF(p),
+to which odd extensions are restricted, in lanes added mod p at once.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
 consumer of a step's block has made of them: since
@@ -127,61 +124,92 @@ class CodimTrace:
 
 
 class _FlagStack:
-    """Rank tracker over GF(p) for a flag of row spans ``V_0 <= ... <= V_M``.
+    """Rank tracker over the flow's field F for a flag ``V_0 <= ... <= V_M``.
 
-    ``bounds`` is non-decreasing.  Row j of each inserted block, which has
-    at most ``bounds[-1]`` rows, has level ``#{b in bounds : b <= j}``, and
-    ``V_m`` is the span of all rows inserted so far at level <= m.  The
+    ``counts`` is non-decreasing.  Row j of each inserted block, which has
+    at most ``counts[-1]`` rows, has level ``#{c in counts : c <= j}``, and
+    ``V_m`` is the F-span of all rows inserted so far at level <= m.  The
     lead of a row is its first nonzero column.  Each lead has at most one
-    holder, stored with a level and scaled to 1 at its lead.  Row w enters
-    at its level l and, while w is nonzero, looks up the holder h of its
-    lead, where w has entry c:
+    holder, stored with a level, possibly times a unit.  Row w enters at
+    its level l and, while w is nonzero, looks up the holder h of its lead:
 
-    - none: ``w/c`` becomes the holder, at level l;
-    - h at a level <= l: w becomes ``w - c*h``;
-    - h at a level above l: ``w/c`` becomes the holder at level l, and the
-      displaced h goes on as ``h - w/c`` at its own level.
+    - none: w becomes the holder, at level l;
+    - h at a level <= l: w becomes ``w + e*h``;
+    - h at a level above l: w becomes the holder at level l, and the
+      displaced h goes on as ``h + e*w`` at its own level;
 
-    The holders of level <= m are a basis of ``V_m`` for every m, so
-    ``ranks[m]`` counts them.  Proof: every step scales the row it changes
-    by a unit or adds to it a multiple of a row of no higher level (``h``
-    to ``w`` when h's level is <= l, ``w`` to ``h`` when it is above), so
-    no ``V_m`` changes except that w joins it for m >= l; each holder of
-    level <= m lies in ``V_m``; and holders have distinct leads, so they
-    are independent.  Each step ends the loop or moves the lead strictly
-    up (both subtractions clear the lead), so an insert ends after at most
-    one step per column.
+    each time with the e in F that moves the lead key up: the lead, or in
+    ``_FlagStack2`` the lowest set bit.  The holders of level <= m are a
+    basis of ``V_m`` for every m, so ``ranks[m]`` counts them.  Proof:
+    every step adds to the row it changes a multiple of a row of no higher
+    level, so no ``V_m`` changes except that w joins it for m >= l; each
+    holder of level <= m lies in ``V_m``; and holders have distinct leads,
+    so they are independent.  Each step ends the loop or moves the lead key
+    strictly up, so an insert ends after at most one step per key.
 
-    ``insert`` also returns, for each row, its value at the moment it first
-    becomes a holder at its own level l, before it is scaled, or 0 when it
-    reduces to 0 there: the row plus a combination of holders of level
-    <= l, a row ``_constraint_blocks`` may carry.  Recording it costs no
-    reduction step.  A raw row starts at low columns and climbs through the
-    holders there at every step; a carried value starts where it settled,
-    and its image in the next step mostly starts past the holders it has
-    climbed through already.  Blocks come no narrower than the ones
-    before, so every value fits the block's width.
+    ``insert`` takes a block over F and returns, for each row, its value
+    at the moment it first becomes a holder at its own level l, or 0 when
+    it reduces to 0 there: the row plus an F-combination of holders of
+    level <= l, which span ``V_l(n-1)`` and the block's earlier rows, so
+    ``_constraint_blocks`` may carry it.  A raw row climbs through the
+    holders at low columns at every step; a carried value's image mostly
+    starts past them.  Blocks come no narrower than the ones before, so
+    every value fits the block's width.  ``ranks`` are in F's units, also
+    when a subclass tracks ``unit`` rows per row.
     """
 
-    def __init__(self, bounds: Sequence[int]):
+    def __init__(self, field, counts: Sequence[int], unit: int = 1):
+        bounds = [count * unit for count in counts]
         self.levels = np.searchsorted(bounds, np.arange(bounds[-1]), side="right").tolist()
-        self.holders: dict = {}  # lead -> (holder, level)
-        self.per_level = [0] * len(bounds)
+        self.field, self.unit = field, unit
+        self.holders: dict = {}
+        self.per_level = [0] * len(counts)
 
     @property
     def ranks(self) -> list[int]:
-        return list(accumulate(self.per_level))
+        ranks = list(accumulate(self.per_level))
+        return ranks if self.unit == 1 else [rank // self.unit for rank in ranks]
+
+
+def _flag_stack(field, counts: Sequence[int]) -> _FlagStack:
+    return (_FlagStack2 if field.p == 2 else _FlagStackOdd)(field, counts)
 
 
 class _FlagStack2(_FlagStack):
-    """``_FlagStack`` over GF(2).  Rows are bit-packed integers whose
-    lowest set bit is the lead, so c = 1 and ``w - h`` is ``w ^ h``."""
+    """``_FlagStack`` over GF(2^k) on rows packed into integers: column j
+    is lane j, the k bits from ``j*k`` on, bit t holding the coefficient of
+    x^t of its code, so two rows add by one XOR.  For GF(2), k = 1.
+
+    A holder u of lane j has lane value 1, and ``holders`` maps bit
+    ``j*k + t`` to (x^t*u, level) for each t < k.  A row whose lowest set
+    bit is bit t of lane j XORs x^t*u into itself: x^t*u has lane value
+    exactly bit t and is zero in every lane below j, so the XOR clears bit
+    t and nothing lower.  A row w that reaches a lane held at a higher
+    level takes all k bits of it, scaled to ``w/c``, and the displaced
+    x^t*u goes on XORed with the new x^t*w/c, which clears the lane.  The
+    x^t*u, t < k, are a GF(2)-basis of the GF(2^k)-span of u with distinct
+    lowest bits, so the rows stored for lanes held at level <= m are a
+    GF(2)-basis of a GF(2^k)-space, and ``per_level`` counts lane holders:
+    the GF(2^k) rank.  Each XOR adds a GF(2^k)-multiple of a holder.
+
+    x*u is ``t = u & tops; ((u ^ t) << 1) ^ ((t >> (k-1)) * low)``, where
+    ``tops`` holds bit k-1 of every lane and x^k = ``low``, the modulus
+    without its x^k term; the shift moves no bit out of its lane once the
+    top bits are cleared.  ``w/c`` XORs the x^s*w for the set bits s of
+    c^-1.
+    """
+
+    def __init__(self, field, counts: Sequence[int]):
+        super().__init__(field, counts)
+        self.bits, self.low = np.arange(field.d), sum(c << t for t, c in enumerate(field.modulus[:-1]))
 
     def insert(self, rows: np.ndarray) -> np.ndarray:
-        """Insert a block; return each row's placed value as a 0/1 uint8
-        array of the block's shape."""
-        holders = self.holders
-        per_level = self.per_level
+        """Insert a block; return the placed values, 0/1 uint8 over GF(2), else int64 codes."""
+        holders, per_level, k = self.holders, self.per_level, self.field.d
+        count, width = rows.shape
+        if k > 1:
+            rows = ((rows[:, :, None] >> self.bits) & 1).reshape(count, width * k)
+            tops = ((1 << width * k) - 1) // ((1 << k) - 1) << (k - 1)
         packed_rows = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
         size = packed_rows.shape[1]
         placed = []
@@ -192,26 +220,58 @@ class _FlagStack2(_FlagStack):
                 lead = (packed & -packed).bit_length() - 1
                 held = holders.get(lead)
                 if held is None:
-                    holders[lead] = (packed, level)
-                    per_level[level] += 1
                     own = own or packed
+                    per_level[level] += 1
+                    if k == 1:
+                        holders[lead] = (packed, level)
+                    else:
+                        self._hold(packed, lead, level, tops)
                     break
                 holder, held_level = held
                 if held_level <= level:
                     packed ^= holder
                 else:
-                    holders[lead] = (packed, level)
+                    own = own or packed
                     per_level[level] += 1
                     per_level[held_level] -= 1
-                    own = own or packed
+                    if k == 1:
+                        holders[lead] = (packed, level)
+                    else:
+                        packed = self._hold(packed, lead, level, tops)
                     packed, level = holder ^ packed, held_level
             placed.append(own.to_bytes(size, "little"))
-        packed_out = np.frombuffer(b"".join(placed), dtype=np.uint8).reshape(len(placed), size)
-        return np.unpackbits(packed_out, axis=1, count=rows.shape[1], bitorder="little")
+        packed_out = np.frombuffer(b"".join(placed), dtype=np.uint8).reshape(count, size)
+        bits = np.unpackbits(packed_out, axis=1, count=width * k, bitorder="little")
+        return bits if k == 1 else bits.reshape(count, width, k) @ (1 << self.bits)
+
+    def _hold(self, w: int, lead: int, level: int, tops: int) -> int:
+        """Hold the lane of bit ``lead`` by w/c, c w's lane value; return the multiple under ``lead``."""
+        field, k, low = self.field, self.field.d, self.low
+
+        def times_x(u: int) -> int:
+            top = u & tops
+            return ((u ^ top) << 1) ^ ((top >> (k - 1)) * low)
+
+        lane = lead - lead % k
+        inverse, u = field.inv((w >> lane) & ((1 << k) - 1)), 0
+        while inverse:
+            if inverse & 1:
+                u ^= w
+            w, inverse = times_x(w), inverse >> 1
+        for t in range(k):
+            self.holders[lane + t] = (u, level)
+            u = times_x(u)
+        return self.holders[lead][0]
 
 
 class _FlagStackOdd(_FlagStack):
-    """``_FlagStack`` over GF(p), p odd, on rows packed into integers.
+    """``_FlagStack`` over GF(p^d), p odd, on rows packed into integers.
+
+    Blocks are restricted to GF(p) by ``_restrict``, d rows per row
+    (``unit``), and ``_unrestrict`` reads back the placed values of the
+    first ones: each is its row plus an element of the restriction of
+    ``V_l(n-1)`` and of the earlier rows' GF(p^d)-span, since every row
+    comes with all d of its restricted rows.
 
     Column j of a row is lane j of its integer, the b bits from ``j*b``
     on, which hold its code 0..p-1.  b is 8, 16 or 32, the least with
@@ -226,39 +286,24 @@ class _FlagStackOdd(_FlagStack):
     s >= p.  So the step subtracts p from exactly the lanes where s >= p,
     without a borrow, and leaves every lane in 0..p-1.
 
-    ``w - c*h`` is ``w + (p-c)*h``.  Each holder is kept with its
-    doublings h, 2h, 4h, ..., one per bit of p, so ``k*h`` costs one add
-    per set bit of k; ``holders`` maps a lead to (doublings, level).
+    A holder h is kept as it settled, unscaled: ``holders`` maps a lead to
+    (h, 2h, 4h, ... one per bit of p; level; a^-1 for h's lead value a).
+    A row with lead value c adds k*h, one add per set bit of
+    ``k = p - c*a^-1 mod p``: ``c + k*a = 0`` clears the lead.  Placed
+    values are as if h were scaled, since ``w - (c/a)*h`` does not change.
     """
 
-    def __init__(self, p: int, bounds: Sequence[int]):
-        super().__init__(bounds)
-        self.p = p
-        self.lane = next(b for b in (8, 16, 32) if p <= 1 << (b - 1))
+    def __init__(self, field, counts: Sequence[int]):
+        super().__init__(field, counts, field.d)
+        self.lane = next(b for b in (8, 16, 32) if field.p <= 1 << (b - 1))
 
-    def insert(self, rows: np.ndarray) -> np.ndarray:
-        """Insert a block; return each row's placed value as an int64
-        array of the block's shape."""
-        p, b, holders, per_level = self.p, self.lane, self.holders, self.per_level
-        lanes = rows.astype(f"<u{b // 8}")
+    def insert(self, block: np.ndarray) -> np.ndarray:
+        """Insert a block; return each row's placed value as int64 codes."""
+        p, b, holders, per_level = self.field.p, self.lane, self.holders, self.per_level
+        lanes = _restrict(self.field, block).astype(f"<u{b // 8}")
         data, size = lanes.tobytes(), lanes.shape[1] * lanes.itemsize
         ones = ((1 << lanes.shape[1] * b) - 1) // ((1 << b) - 1)  # 1 in every lane
         tops, bias, mask = ones << (b - 1), ones * ((1 << (b - 1)) - p), (1 << b) - 1
-
-        def add_times(w: int, k: int, doublings: list[int]) -> int:  # w + k*h
-            for double in doublings:
-                if k & 1:
-                    s = w + double
-                    w = s - (((s + bias) & tops) >> (b - 1)) * p
-                k >>= 1
-            return w
-
-        def doublings(h: int) -> list[int]:
-            out = [h]
-            while len(out) < p.bit_length():
-                out.append(add_times(out[-1], 1, out[-1:]))  # twice the last
-            return out
-
         placed = []
         for i, level in zip(range(len(lanes)), self.levels):
             w, own = int.from_bytes(data[i * size : (i + 1) * size], "little"), 0
@@ -267,17 +312,27 @@ class _FlagStackOdd(_FlagStack):
                 c = (w >> lead * b) & mask
                 held = holders.get(lead)
                 if held is not None and held[1] <= level:
-                    w = add_times(w, p - c, held[0])
+                    k = p - c * held[2] % p
+                    for double in held[0]:
+                        if k & 1:
+                            s = w + double
+                            w = s - (((s + bias) & tops) >> (b - 1)) * p
+                        k >>= 1
                     continue
                 own = own or w
-                holders[lead] = (doublings(add_times(0, pow(c, -1, p), doublings(w))), level)
+                doublings = [w]
+                while len(doublings) < p.bit_length():
+                    s = doublings[-1] << 1
+                    doublings.append(s - (((s + bias) & tops) >> (b - 1)) * p)
+                holders[lead] = (doublings, level, pow(c, -1, p))
                 per_level[level] += 1
                 if held is None:
                     break
                 per_level[held[1]] -= 1
-                w, level = add_times(held[0][0], p - 1, holders[lead][0]), held[1]
+                w, level = held[0][0], held[1]
             placed.append(own.to_bytes(size, "little"))
-        return np.frombuffer(b"".join(placed), dtype=lanes.dtype).reshape(lanes.shape).astype(np.int64)
+        out = np.frombuffer(b"".join(placed), dtype=lanes.dtype).reshape(lanes.shape).astype(np.int64)
+        return _unrestrict(self.field, out)
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
@@ -302,7 +357,7 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     step costs O(rows * nnz), not O(rows * cols * w) as a dense product
     would.  GF(2) blocks are uint8, other blocks int64 codes.
 
-    The largest dense array of a chain is a restricted block over GF(p^d):
+    No dense array of a chain is larger than a block restricted to GF(p):
     at most ``len(dead) * d`` rows, since no step carries more rows than
     its block has, of at most ``(discrete_dim + window) * d`` entries.
     TooLarge is raised before anything is built when that bound exceeds
@@ -453,35 +508,20 @@ def _rank_traces(
     flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int
 ) -> list[list[int]]:
     """Codimension traces of the first ``count`` constraint rows per step,
-    for each count in ``counts`` (non-decreasing), tracked over the prime
-    field in one flag tracker.
-
-    Restricted row j has level ``#{c in counts : c * deg <= j}``, so it
-    belongs to the span of count c exactly when ``j < c * deg``.  Each
-    step's restricted rows are inserted once, and the codimension at step
-    n is the rank at the count's level over ``deg``, less ``count``, the
-    codimension of the good subspace itself.
-
-    The next step multiplies out the values the tracker placed, not the
-    raw rows.  The value of the first restricted row of a GF(p^d)-row g
-    differs from it by an element of the tracker's span of level <= l,
-    which is the restriction of ``V_l(n-1)`` plus the GF(p^d)-span of the
-    rows before g: both are GF(p^d)-spaces, and the earlier rows came in
-    with all d of their restricted rows.  So the row read back by
-    ``_unrestrict`` is g plus an element of that GF(p^d)-space, which is
-    what ``_constraint_blocks`` allows to carry.
+    for each count in ``counts`` (non-decreasing), tracked in one flag
+    tracker over the flow's field: row j belongs to the span of count c
+    exactly when ``j < c``.  The codimension at step n is the rank at the
+    count's level less ``count``, the codimension of the good subspace.
+    The next step multiplies out the values the tracker placed.
     """
-    field = flow.field
-    deg = field.d
-    bounds = [count * deg for count in counts]
-    stack = _FlagStack2(bounds) if field.p == 2 else _FlagStackOdd(field.p, bounds)
+    stack = _flag_stack(flow.field, counts)
     values: list[list[int]] = [[] for _ in counts]
     blocks = _constraint_blocks(flow, dead, n_max, window)
     carried = None
     for _ in range(n_max):
-        carried = _unrestrict(field, stack.insert(_restrict(field, blocks.send(carried))))
+        carried = stack.insert(blocks.send(carried))
         for count, rank, vals in zip(counts, stack.ranks, values):
-            vals.append(rank // deg - count)
+            vals.append(rank - count)
     return values
 
 

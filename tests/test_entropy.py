@@ -18,6 +18,7 @@ from flowent.entropy import (
     _FlagStack,
     _FlagStack2,
     _FlagStackOdd,
+    _flag_stack,
     _Nonzeros,
     _restrict,
     _times_nonzeros,
@@ -461,18 +462,38 @@ def test_wide_window_memory(run_python, tmp_path):
     assert float(peak) < 100
 
 
-def _flag_stack(p, bounds):
-    return _FlagStack2(bounds) if p == 2 else _FlagStackOdd(p, bounds)
+def _gf2_extension(degree):
+    gf2 = make_prime_field(2)
+    return make_extension(gf2, least_irreducible(gf2, degree))[0]
+
+
+def _prime_stack(p, bounds):
+    return _flag_stack(make_prime_field(p), bounds)
 
 
 def _holder_rows(stack, width):
     """The holders of an odd-p tracker, lead -> (codes of ``width``
-    columns, level), unpacked from their lanes."""
-    dtype = np.dtype(f"<u{stack.lane // 8}")
-    return {
-        lead: (np.frombuffer(doublings[0].to_bytes(width * dtype.itemsize, "little"), dtype).tolist(), level)
-        for lead, (doublings, level) in stack.holders.items()
-    }
+    columns, level), unpacked from their lanes.  Each holder's doublings
+    and the inverse of its lead value are checked on the way."""
+    p, dtype = stack.field.p, np.dtype(f"<u{stack.lane // 8}")
+    out = {}
+    for lead, (doublings, level, inverse) in stack.holders.items():
+        rows = [np.frombuffer(d.to_bytes(width * dtype.itemsize, "little"), dtype).astype(np.int64) for d in doublings]
+        assert len(rows) == p.bit_length() and all(np.array_equal(r, (rows[0] << t) % p) for t, r in enumerate(rows))
+        assert rows[0][lead] * inverse % p == 1 and not rows[0][:lead].any()
+        out[lead] = (rows[0].tolist(), level)
+    return out
+
+
+def _assert_scaled_holders(stack, width, scaled):
+    """Each holder of an odd-p tracker is the scaled row ``scaled[lead]``
+    times its own lead value, at the same level: ``scaled`` maps a lead to
+    (row, level), with rows scaled to 1 at their leads."""
+    p, got = stack.field.p, _holder_rows(stack, width)
+    assert got.keys() == scaled.keys()
+    for lead, (row, level) in scaled.items():
+        want = np.pad(np.asarray(row, dtype=np.int64), (0, width - len(row))) * got[lead][0][lead] % p
+        assert got[lead] == (want.tolist(), level), lead
 
 
 def _level_row(bounds, level, row):
@@ -491,7 +512,7 @@ class TestFlagTrackers:
     def test_late_low_level_row_takes_the_lead(self, p):
         # a level-1 row, then an equal level-0 row: both spans have rank 1
         bounds = [1, 2]
-        stack = _flag_stack(p, bounds)
+        stack = _prime_stack(p, bounds)
         stack.insert(_level_row(bounds, 1, [1, 0]))
         assert stack.ranks == [0, 1]
         stack.insert(_level_row(bounds, 0, [1, 0]))
@@ -503,13 +524,13 @@ class TestFlagTrackers:
         # level 0: w displaces x, x + w = e1 displaces y, and y + e1 = e2
         # settles at level 2
         bounds = [1, 2, 3]
-        stack = _flag_stack(p, bounds)
+        stack = _prime_stack(p, bounds)
         stack.insert(_level_row(bounds, 2, [0, 1, 1]))
         stack.insert(_level_row(bounds, 1, [1, 1, 0]))
         assert stack.ranks == [0, 1, 2]
         stack.insert(_level_row(bounds, 0, [1, 0, 0]))
         assert stack.ranks == [1, 2, 3]
-        assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 1, 2: 2}
+        assert {lead: held[1] for lead, held in stack.holders.items()} == {0: 0, 1: 1, 2: 2}
 
     @pytest.mark.parametrize("p", [2, 3, 5, 127, 131, 32749, 32771, 65521])
     def test_random_row_streams(self, p):
@@ -521,7 +542,7 @@ class TestFlagTrackers:
             bounds = np.cumsum(sizes).tolist()
             if not bounds[-1]:
                 continue
-            stack = _flag_stack(p, bounds)
+            stack = _prime_stack(p, bounds)
             width = int(rng.integers(1, 4))
             inserted = []
             for _ in range(int(rng.integers(1, 12))):
@@ -541,13 +562,56 @@ class TestFlagTrackers:
                     want.append(_prime_rank(stacked, p) if stacked.size else 0)
                 assert stack.ranks == want, (p, trial, bounds)
 
-    @pytest.mark.parametrize("q", [2, 4, 16])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 8, 16])
+    def test_char2_extension_row_streams(self, degree):
+        # GF(2^k) rows, with zero rows, repeated rows and combinations of
+        # earlier rows, against the GF(2) rank of their restrictions, which
+        # is k times their GF(2^k) rank
+        field = _gf2_extension(degree)
+        rng = np.random.default_rng(degree)
+        dependent = exchanges = 0
+        for trial in range(24):
+            bounds = np.cumsum(rng.integers(0, 4, size=int(rng.integers(1, 6)))).tolist()
+            if not bounds[-1]:
+                continue
+            stack = _flag_stack(field, bounds)
+            inserted = []
+            width = int(rng.integers(1, 4))
+            for _ in range(int(rng.integers(1, 8))):
+                width += int(rng.integers(0, 3))  # narrower holders meet wider rows
+                rows = field.random_codes(rng, (bounds[-1], width))
+                rows[rng.random(bounds[-1]) < 0.2] = 0
+                if inserted and rng.random() < 0.3:
+                    again = inserted[int(rng.integers(len(inserted)))]
+                    rows[:, : again.shape[1]] = again  # the same rows again
+                elif inserted:
+                    old = np.concatenate([np.pad(r, ((0, 0), (0, width - r.shape[1]))) for r in inserted])
+                    combos = field.arr_matmul(field.random_codes(rng, (bounds[-1], old.shape[0])), old)
+                    pick = rng.random(bounds[-1]) < 0.4
+                    rows[pick] = combos[pick]
+                held = {key: level for key, (_, level) in stack.holders.items()}
+                placed = stack.insert(rows)
+                assert placed.dtype == np.int64 and placed.shape == rows.shape
+                inserted.append(rows)
+                dependent += int((rows.any(axis=1) & ~placed.any(axis=1)).sum())
+                exchanges += any(level < held.get(key, level) for key, (_, level) in stack.holders.items())
+                want = []
+                for bound in bounds:
+                    stacked = np.zeros((len(inserted) * bound, width), dtype=np.int64)
+                    for i, block in enumerate(inserted):
+                        stacked[i * bound : (i + 1) * bound, : block.shape[1]] = block[:bound]
+                    bits = _prime_rank(_restrict(field, stacked), 2) if stacked.size else 0
+                    assert bits % degree == 0
+                    want.append(bits // degree)
+                assert stack.ranks == want, (degree, trial, bounds)
+        assert dependent and exchanges, (dependent, exchanges)
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 16, 256])
     def test_default_chain_char2(self, q):
         # the default nine members, where exchanges between levels are most
         # frequent, against the per-member reference
-        gf2 = make_prime_field(2)
         degree = q.bit_length() - 1
-        field = gf2 if q == 2 else make_extension(gf2, least_irreducible(gf2, degree))[0]
+        field = make_prime_field(2) if q == 2 else _gf2_extension(degree)
         n_max = 20
         for seed in range(4):
             flow = random_stencil_flow(field, seed)
@@ -562,10 +626,11 @@ class TestFlagTrackers:
 
 def _raw_row_traces(flow, dead, counts, n_max, window):
     """``_rank_traces`` on the raw rows: the blocks of ``_constraint_blocks``
-    iterated without carrying anything back, each inserted into a fresh
-    flag tracker."""
+    iterated without carrying anything back, restricted to the prime field
+    by ``_restrict`` and inserted into one prime-field tracker, whose ranks
+    are d times the GF(p^d) ranks."""
     field = flow.field
-    stack = _flag_stack(field.p, [count * field.d for count in counts])
+    stack = _prime_stack(field.p, [count * field.d for count in counts])
     values = [[] for _ in counts]
     for block in _constraint_blocks(flow, dead, n_max, window):
         stack.insert(_restrict(field, block))
@@ -581,7 +646,7 @@ class _Int64FlagStack(_FlagStack):
     exact below ``_PRIME_CAP``.  ``holders`` maps a lead to (row, level)."""
 
     def __init__(self, p, bounds):
-        super().__init__(bounds)
+        super().__init__(make_prime_field(p), bounds)
         self.p = p
 
     def insert(self, rows):
@@ -633,7 +698,7 @@ class TestPackedOddTracker:
             bounds = np.cumsum(rng.integers(0, 4, size=int(rng.integers(1, 5)))).tolist()
             if not bounds[-1]:
                 continue
-            packed, ref = _FlagStackOdd(p, bounds), _Int64FlagStack(p, bounds)
+            packed, ref = _prime_stack(p, bounds), _Int64FlagStack(p, bounds)
             sent = np.zeros((0, 0), dtype=np.int64)  # every row inserted so far
             width = int(rng.integers(1, 4))
             for _ in range(int(rng.integers(1, 10))):
@@ -651,10 +716,7 @@ class TestPackedOddTracker:
                 got, want = packed.insert(rows), ref.insert(rows)
                 assert got.dtype == np.int64 and np.array_equal(got, want), (trial, bounds)
                 assert packed.per_level == ref.per_level and packed.ranks == ref.ranks
-                assert _holder_rows(packed, width) == {
-                    lead: (np.pad(row, (0, width - row.size)).tolist(), level)
-                    for lead, (row, level) in ref.holders.items()
-                }, (trial, bounds)
+                _assert_scaled_holders(packed, width, ref.holders)
                 dependent += int((rows.any(axis=1) & ~want.any(axis=1)).sum())
                 exchanges += any(level < held.get(lead, level) for lead, (_, level) in ref.holders.items())
                 sent = np.concatenate([old, rows])
@@ -671,6 +733,10 @@ def _odd_fields():
     return [gf3, gf5] + [make_extension(f, least_irreducible(f, 2))[0] for f in (gf3, gf5)]
 
 
+def _extension_fields():
+    return [_gf2_extension(k) for k in (2, 3, 4, 8, 16)] + _odd_fields()[2:]
+
+
 class TestCarriedRows:
     """Blocks multiplied out from carried rows, not raw ones, give the same
     traces and constraint forms as the raw rows."""
@@ -679,39 +745,38 @@ class TestCarriedRows:
     def test_insert_returns_placed_values(self, p):
         # each tracker hands back where each row settled
         bounds = [1, 2, 3]
-        stack = _flag_stack(p, bounds)
+        stack = _prime_stack(p, bounds)
         placed = stack.insert(np.array([[1, 0, 0], [0, 1, 1], [1, 1, 1]]))
         # row 2 climbs past e0 and e1 + e2 to 0: dependent at its level
         assert placed.dtype == (np.uint8 if p == 2 else np.int64)
         assert placed.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 0]]
 
     def test_odd_values_are_recorded_before_scaling(self):
-        # over GF(3) the holders are 2*e0 / 2 = e0 and (2*e1 + e2) / 2 =
-        # e1 + 2*e2; row 2 climbs past both to e0 + e1 + e2 - e0 - (e1 + 2*e2)
-        # = 2*e2 and is handed back unscaled
+        # over GF(3) the holders scaled to 1 are 2*e0 / 2 = e0 and
+        # (2*e1 + e2) / 2 = e1 + 2*e2; row 2 climbs past both to
+        # e0 + e1 + e2 - e0 - (e1 + 2*e2) = 2*e2 and is handed back unscaled.
+        # Holders are kept as they settled: 2*e0, 2*e1 + e2 and 2*e2
         bounds = [1, 2, 3]
-        stack = _FlagStackOdd(3, bounds)
+        stack = _prime_stack(3, bounds)
         placed = stack.insert(np.array([[2, 0, 0], [0, 2, 1], [1, 1, 1]]))
         assert placed.tolist() == [[2, 0, 0], [0, 2, 1], [0, 0, 2]]
-        assert {lead: row for lead, (row, _) in _holder_rows(stack, 3).items()} == {
-            0: [1, 0, 0],
-            1: [0, 1, 2],
-            2: [0, 0, 1],
-        }
+        _assert_scaled_holders(stack, 3, {0: ([1, 0, 0], 0), 1: ([0, 1, 2], 1), 2: ([0, 0, 1], 2)})
+        assert {lead: row for lead, (row, _) in _holder_rows(stack, 3).items()} == dict(enumerate(placed.tolist()))
         assert stack.ranks == [1, 2, 3]
 
     def test_odd_exchange_returns_the_row_where_it_displaced(self):
         # level 1 holds e1 + 2*e2 at lead 1; a level-0 row 2*e0 + e1 climbs
         # past the level-0 holder e0 as e1 and displaces the level-1 holder,
-        # which goes on as (e1 + 2*e2) - e1 = 2*e2, scaled to e2, at level 1
+        # which goes on as (e1 + 2*e2) - e1 = 2*e2 at level 1: e2 scaled to 1,
+        # kept unscaled
         bounds = [1, 2]
-        stack = _FlagStackOdd(5, bounds)
+        stack = _prime_stack(5, bounds)
         stack.insert(_level_row(bounds, 1, [0, 1, 2]))
         stack.insert(_level_row(bounds, 0, [1, 0, 0]))
         placed = stack.insert(np.array([[2, 1, 0], [0, 0, 0]]))
         assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
-        assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
-        assert _holder_rows(stack, 3)[2][0] == [0, 0, 1]
+        _assert_scaled_holders(stack, 3, {0: ([1, 0, 0], 0), 1: ([0, 1, 0], 0), 2: ([0, 0, 1], 1)})
+        assert _holder_rows(stack, 3)[2][0] == [0, 0, 2]
         assert stack.ranks == [2, 3]
 
     def test_exchange_returns_the_row_where_it_displaced(self):
@@ -719,46 +784,52 @@ class TestCarriedRows:
         # the level-0 holder e0 and displaces it as e1, which is its value;
         # the displaced e1 + e2 goes on as e2 at level 1
         bounds = [1, 2]
-        stack = _FlagStack2(bounds)
+        stack = _prime_stack(2, bounds)
         stack.insert(_level_row(bounds, 1, [0, 1, 1]))
         stack.insert(_level_row(bounds, 0, [1, 0, 0]))
         placed = stack.insert(np.array([[1, 1, 0], [0, 0, 0]]))
         assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
-        assert {lead: level for lead, (_, level) in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
+        assert {lead: held[1] for lead, held in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
         assert stack.ranks == [2, 3]
 
     @staticmethod
-    def check_placed_values(p, seed):
-        """Each placed value is its row plus an element of the span of the
-        rows of no higher level inserted before it, and 0 exactly when the
-        row lies in that span."""
+    def check_placed_values(field, seed):
+        """Each placed value is its row plus an element of the GF(q)-span of
+        the rows of no higher level inserted before it, and 0 exactly when
+        the row lies in that span."""
+
+        def rank_q(rows):
+            return len(_rref_array(field, np.array(rows, dtype=np.int64))[1]) if rows else 0
+
         rng = np.random.default_rng(seed)
         for trial in range(30):
             bounds = np.cumsum(rng.integers(1, 4, size=int(rng.integers(1, 4)))).tolist()
-            stack = _flag_stack(p, bounds)
+            stack = _flag_stack(field, bounds)
             levels = np.searchsorted(bounds, np.arange(bounds[-1]), side="right")
             before: list[tuple[int, np.ndarray]] = []  # (level, row) in insertion order
             width = int(rng.integers(2, 6))
             for _ in range(int(rng.integers(1, 8))):
                 width += int(rng.integers(0, 2))
-                rows = rng.integers(0, p, size=(bounds[-1], width))
+                rows = field.random_codes(rng, (bounds[-1], width))
                 placed = stack.insert(rows)
                 assert placed.shape == rows.shape
                 for row, value, level in zip(rows, placed, levels):
                     span = [np.pad(r, (0, width - r.size)) for lv, r in before if lv <= level]
-                    base = _prime_rank(np.array(span), p) if span else 0
-                    with_row = _prime_rank(np.array(span + [row]), p)
-                    with_diff = _prime_rank(np.array(span + [(value - row) % p]), p)
-                    assert with_diff == base, trial
-                    assert (not value.any()) == (with_row == base), trial
+                    base = rank_q(span)
+                    assert rank_q(span + [field.arr_sub(value, row)]) == base, trial
+                    assert (not value.any()) == (rank_q(span + [row]) == base), trial
                     before.append((level, row))
 
-    def test_placed_values_on_random_streams(self):
-        self.check_placed_values(2, 11)
+    def test_placed_values_on_random_streams(self, gf2):
+        self.check_placed_values(gf2, 11)
 
     @pytest.mark.parametrize("p", [3, 5, 65521])
     def test_odd_placed_values_on_random_streams(self, p):
-        self.check_placed_values(p, p)
+        self.check_placed_values(make_prime_field(p), p)
+
+    @pytest.mark.parametrize("field", _extension_fields(), ids=repr)
+    def test_extension_placed_values_on_random_streams(self, field):
+        self.check_placed_values(field, field.q)
 
     @staticmethod
     def record_inserts(monkeypatch, tracker=_FlagStack2):
@@ -769,11 +840,11 @@ class TestCarriedRows:
         insert = tracker.insert
 
         def counting(self, rows):
-            held = {lead: level for lead, (_, level) in self.holders.items()}
+            held = {lead: level for lead, (_, level, *_) in self.holders.items()}
             placed = insert(self, rows)
             seen["dependent"] += int((rows.any(axis=1) & ~placed.any(axis=1)).sum())
             seen["exchanges"] += any(
-                level < held.get(lead, level) for lead, (_, level) in self.holders.items()
+                level < held.get(lead, level) for lead, (_, level, *_) in self.holders.items()
             )
             return placed
 

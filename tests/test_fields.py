@@ -435,7 +435,7 @@ for name, (error, call) in checks.items():
 # in b = 32 bit lanes here, and the combinations are found dependent only
 # when every step is exact
 bounds = [2, 4, 6]
-stack = _FlagStackOdd(p, bounds)
+stack = _FlagStackOdd(field, bounds)
 inserted, got, want = [], [], []
 for width in (12, 16):
     rows = np.full((bounds[-1], width), p - 1, dtype=np.int64)
