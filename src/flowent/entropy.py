@@ -201,14 +201,14 @@ class _FlagStack2(_FlagStack):
 
     def __init__(self, field, counts: Sequence[int]):
         super().__init__(field, counts)
-        self.bits, self.low = np.arange(field.d), sum(c << t for t, c in enumerate(field.modulus[:-1]))
+        self.weights, self.low = 1 << np.arange(field.d), sum(c << t for t, c in enumerate(field.modulus[:-1]))
 
     def insert(self, rows: np.ndarray) -> np.ndarray:
         """Insert a block; return the placed values, 0/1 uint8 over GF(2), else int64 codes."""
         holders, per_level, k = self.holders, self.per_level, self.field.d
         count, width = rows.shape
         if k > 1:
-            rows = ((rows[:, :, None] >> self.bits) & 1).reshape(count, width * k)
+            rows = self.field.coords_array(rows).reshape(count, width * k)
             tops = ((1 << width * k) - 1) // ((1 << k) - 1) << (k - 1)
         packed_rows = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
         size = packed_rows.shape[1]
@@ -242,7 +242,7 @@ class _FlagStack2(_FlagStack):
             placed.append(own.to_bytes(size, "little"))
         packed_out = np.frombuffer(b"".join(placed), dtype=np.uint8).reshape(count, size)
         bits = np.unpackbits(packed_out, axis=1, count=width * k, bitorder="little")
-        return bits if k == 1 else bits.reshape(count, width, k) @ (1 << self.bits)
+        return bits if k == 1 else bits.reshape(count, width, k) @ self.weights
 
     def _hold(self, w: int, lead: int, level: int, tops: int) -> int:
         """Hold the lane of bit ``lead`` by w/c, c w's lane value; return the multiple under ``lead``."""
