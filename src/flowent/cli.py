@@ -1,7 +1,8 @@
 """Command-line driver: compute entropy, verify the change-of-fields
 formulas, generate canonical example flows, and cross-check the oracle.
 
-Exit codes: 0 ok, 1 input error, 2 inconclusive/unresolved, 3 violation.
+Exit codes: 0 ok, 1 input or usage error, 2 inconclusive/unresolved,
+3 violation.
 Reports are deterministic: identical inputs and flags produce
 byte-identical output.
 """
@@ -65,8 +66,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-m", type=int, default=8, help="chain length (default 8)")
     p.add_argument("--streak", type=int, default=5, help="stabilization streak (default 5)")
     p.add_argument("--window-slack", type=int, default=4, help="window slack (default 4)")
-    p.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -224,8 +223,18 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, the input-error code; argparse
+    would exit 2, the code of an inconclusive verdict.  Subparsers are
+    built from the parser's own class, so they exit 1 too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowent",
         description="Exact entropy of linear flows on products of finite fields.",
     )
@@ -234,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="entropy of a flow-spec file")
     p.add_argument("spec", help="flow-spec JSON path")
     _add_engine_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="check the change-of-fields formulas")

@@ -23,22 +23,22 @@ per step: GF(2^k) rows in k-bit lanes added by XOR, and rows over GF(p),
 to which odd extensions are restricted, in lanes added mod p at once.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
-consumer of a step's block has made of them: since
-``S_{n+1} = S_1 + phi* S_n``, a row may be carried into the next step
-reduced by the constraint span of the steps before and by the step's
-earlier rows, at its level or below, and every rank and form stays the
-same (``_constraint_blocks`` has the proof).  The tracker hands back
-each row's value where it first settled, so the next step's rows mostly
-skip the holders their rows climbed through before.
+tracker has made of them: since ``S_{n+1} = S_1 + phi* S_n``, a row may
+be carried into the next step reduced by the constraint span of the
+steps before and by the step's earlier rows, at its level or below, and
+every rank stays the same (``_constraint_blocks`` has the proof).  The
+tracker hands back each row's value where it first settled, so the next
+step's rows mostly skip the holders their rows climbed through before.
 
-Cotrajectories are carried as their constraint forms: one reduced
+Cotrajectories are kept as their constraint forms: one reduced
 row-echelon form over the flow's own field, whose kernel is the
 cotrajectory.  ``fields._rref_extend`` extends it from step to step: the
 step's rows are reduced by the form, only their residues are row-reduced,
 and the form is cleared at the new pivots, so step n walks only its new
-pivots.  The reduced residues are what step n carries, so the next block
-has one row per new pivot.  Every form, over any field, is row-reduced
-by ``fields._rref_array``, on whole arrays or on such residues.
+pivots.  The forms of several chain members come from one stream of raw
+blocks, since each member's rows are a prefix of every block.  Every
+form, over any field, is row-reduced by ``fields._rref_array``, on whole
+arrays or on such residues.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.  The flows the entropy laws are
@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -367,26 +367,23 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     in i, and let ``V_l(n)`` be the span of the raw rows of level <= l of
     steps 1..n.  The consumer may carry any rows C such that, for every l,
     C's rows of level <= l span ``V_l(n)`` together with ``V_l(n-1)``.
-    Every rank and every constraint form then stays what the raw rows
-    give, because every block has that property too.  Proof, by induction
-    on n: step 1's block is raw.  If C has it at step n, applying phi* to
-    both sides of ``C_{<=l} + V_l(n-1) = R_{<=l} + V_l(n-1)``, with R the
-    raw rows of step n, gives the same for the next block and the raw rows
+    Every rank then stays what the raw rows give, because every block has
+    that property too.  Proof, by induction on n: step 1's block is raw.
+    If C has it at step n, applying phi* to both sides of
+    ``C_{<=l} + V_l(n-1) = R_{<=l} + V_l(n-1)``, with R the raw rows of
+    step n, gives the same for the next block and the raw rows
     of step n+1, modulo ``phi* V_l(n-1)``.  That space is spanned by the
     raw rows of level <= l of steps 2..n, so it lies in ``V_l(n)``; this is
     ``S_{n+1} = S_1 + phi* S_n``.  Adding ``V_l(n)`` to both sides, the
     next block spans ``V_l(n+1)`` together with ``V_l(n)``.
 
-    Two ways to get such rows C from a block B that has the property:
-
-    - keep the row levels and replace row i of level l by ``g + a``, where
-      g is B's row i and a lies in ``V_l(n-1)`` plus the span of B's
-      earlier rows.  The change is unitriangular modulo ``V_l(n-1)`` on
-      every prefix of the rows, so it keeps the spans.  By induction, row
-      i of every block then differs from the raw row ``phi*^(n-1) e_i`` by
-      an element of ``V_l(n-1)`` plus the span of the raw rows j < i of
-      step n;
-    - with a single level, take any basis of ``V(n)`` modulo ``V(n-1)``.
+    Such rows C come from a block B that has the property by keeping the
+    row levels and replacing row i of level l by ``g + a``, where g is B's
+    row i and a lies in ``V_l(n-1)`` plus the span of B's earlier rows.
+    The change is unitriangular modulo ``V_l(n-1)`` on every prefix of the
+    rows, so it keeps the spans.  By induction, row i of every block then
+    differs from the raw row ``phi*^(n-1) e_i`` by an element of
+    ``V_l(n-1)`` plus the span of the raw rows j < i of step n.
     """
     field = flow.field
     dim = flow.discrete_dim + window
@@ -556,43 +553,34 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     ]
 
 
-def cotrajectory_run(flow: Flow, u: GoodSubspace, n_max: int, window: int) -> list[Matrix]:
-    """Constraint forms of the cotrajectories for n = 1..n_max at a given
-    window.
+def cotrajectory_run(flow: Flow, ms: Sequence[int], n_max: int, window: int) -> Iterator[list[Matrix]]:
+    """For each depth n = 1..n_max, the constraint forms at a given window
+    of the principal chain members ``ms`` (increasing), one per member.
 
-    Form n is the reduced row-echelon form, without zero rows, of the
-    constraint rows of steps 1..n; the n-step cotrajectory is its kernel.
-    Each form is the previous one, with its pivots, extended by step n's
-    rows through ``_rref_extend``, which walks only the new pivots.  A row
-    space has exactly one such form, so it is the one a reduction of all
-    the rows from scratch gives, and equal forms mean equal
-    cotrajectories.
-
-    Step n carries into the next step the rows of form n at its new
-    pivots, the reduced residues of its block, so the next block has
-    ``delta_n`` rows.  They vanish at the old pivots and have distinct new
-    pivots, so no nonzero combination of them lies in the span ``V(n-1)``
-    of form n-1, whose only vector vanishing at all its pivots is 0.  There
-    are ``dim V(n) - dim V(n-1)`` of them, so they are a basis of ``V(n)``
-    modulo ``V(n-1)``, which ``_constraint_blocks`` allows to carry.
-    Every raw row of steps 1..n is zero past step n's block width, so form
-    n is too, and trimming the rows to that width drops only zeros.
+    Form n of member m is the reduced row-echelon form, without zero rows,
+    of the constraint rows of steps 1..n; the n-step cotrajectory of U_m
+    is its kernel.  Those rows are the first ``discrete_dim + m`` of each
+    raw block of the last member, and each form is the previous one
+    extended by them through ``_rref_extend``, which walks only the new
+    pivots.  A row space has exactly one such form, so it is the one a
+    reduction of all the rows from scratch gives, and equal forms mean
+    equal cotrajectories.  A form has at most ``rows`` rows of ``dim``
+    entries, checked against ``_ENTRY_CAP`` before the first block.
     """
-    field = flow.field
-    red = np.zeros((0, flow.discrete_dim + window), dtype=np.int64)
-    pivots: list[int] = []
-    out = []
-    blocks = _constraint_blocks(flow, _dead_indices(flow, u), n_max, window)
-    carried = None
-    for _ in range(n_max):
-        block = blocks.send(carried)
-        old = pivots
-        red, pivots = _rref_extend(field, red, pivots, block.astype(np.int64, copy=False))
-        out.append(Matrix(field, red))
-        new = np.ones(len(pivots), dtype=bool)
-        new[np.searchsorted(pivots, old)] = False  # pivots come sorted
-        carried = red[new, : block.shape[1]].astype(block.dtype, copy=False)
-    return out
+    field, d = flow.field, flow.discrete_dim
+    dead = _dead_indices(flow, GoodSubspace.principal(ms[-1]))
+    dim = d + window
+    rows = min(len(dead) * n_max, dim)
+    if rows * dim > _ENTRY_CAP:
+        raise TooLarge(
+            f"constraint forms of up to {rows} rows over a window of {dim} coordinates exceed "
+            f"the cap of {_ENTRY_CAP} entries"
+        )
+    forms = [(np.zeros((0, dim), dtype=np.int64), [])] * len(ms)
+    for block in _constraint_blocks(flow, dead, n_max, window):
+        block = block.astype(np.int64, copy=False)
+        forms = [_rref_extend(field, red, pivots, block[: d + m]) for (red, pivots), m in zip(forms, ms)]
+        yield [Matrix(field, red) for red, _ in forms]
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,9 @@ def _identity_checks(
 
     Each cotrajectory is checked through its constraint form, the reduced
     row-echelon form R (without zero rows) whose kernel it is; forms R_K,
-    R_F and R_L come from ``cotrajectory_run`` over K, F and L.
+    R_F and R_L come from one ``cotrajectory_run`` stream each over K, F
+    (members ``deg * m``, the restrictions of U_m) and L, at the window of
+    the last member, and each depth is compared as it arrives.
 
     - ``res(ker R) = ker(block_expand R)``: ``block_expand`` realizes the
       same map on re-blocked coordinates.  ``ind(ker R) = ker(entry_embed
@@ -289,15 +291,16 @@ def _identity_checks(
     No row reduction runs beyond the ones that build the forms.
     """
     deg = e_fk.degree
+    w_k = default_window(flow, GoodSubspace.principal(ms[-1]), n_max, slack)
+    streams = zip(
+        cotrajectory_run(flow, ms, n_max, w_k),
+        cotrajectory_run(flow_f, [deg * m for m in ms], n_max, deg * w_k),
+        cotrajectory_run(flow_l, ms, n_max, w_k),
+    )
     out = {}
-    for m in ms:
-        u = GoodSubspace.principal(m)
-        w_k = default_window(flow, u, n_max, slack)
-        r_k = cotrajectory_run(flow, u, n_max, w_k)
-        r_f = cotrajectory_run(flow_f, res_good(e_fk, u), n_max, deg * w_k)
-        r_l = cotrajectory_run(flow_l, u, n_max, w_k)
-        dead_k = flow.discrete_dim + m
-        for n, (form_k, form_f, form_l) in enumerate(zip(r_k, r_f, r_l), start=1):
+    for n, depth in enumerate(streams, start=1):
+        for m, form_k, form_f, form_l in zip(ms, *depth):
+            dead_k = flow.discrete_dim + m
             codim_k = form_k.rows - dead_k
             codim_f = form_f.rows - deg * dead_k
             codim_l = form_l.rows - dead_k

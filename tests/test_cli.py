@@ -391,6 +391,56 @@ class TestOversizedSpecs:
         assert out.stdout == ""
 
 
+class TestDeepIdentityChecks:
+    """Constraint forms are capped like every other dense array: at
+    ``--identity-n 400`` the forms of ``random_stencil_flow(GF(4), 3)`` on
+    the GF(2) side could reach 1,600 rows of 4,016 entries, 6.4 * 10^6
+    entries, over the cap, so verify exits 1 at once, where holding every
+    depth's forms ran for minutes into gigabytes.  Runs in a fresh process
+    whose address space is capped at 2 GiB."""
+
+    def test_over_the_cap_exits_one(self, tmp_path, gf4, run_python):
+        path = tmp_path / "deep.json"
+        save_flow(random_stencil_flow(gf4, 3), path)
+        argv = ["verify", str(path), "--identity-n", "400"]
+        out = run_python("-c", TestOversizedSpecs.SCRIPT, *argv, timeout=30)
+        assert out.returncode == 1, out.stderr
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1, out.stderr
+        assert out.stderr.startswith("error: ") and "cap" in out.stderr, out.stderr
+
+
+class TestUsageErrors:
+    """Command-line usage errors exit 1, the input-error code, not argparse's
+    2, which is the code of an INCONCLUSIVE verdict; ``--help`` exits 0."""
+
+    CASES = {
+        "unknown-flag": ["compute", "<spec>", "--bogus"],
+        "bad-int": ["compute", "<spec>", "--max-n", "x"],
+        "no-subcommand": [],
+        # verify writes one JSON report and takes no seed
+        "verify-format": ["verify", "<spec>", "--format", "csv"],
+        "verify-seed": ["verify", "<spec>", "--seed", "7"],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_one(self, capsys, bernoulli_spec, case):
+        argv = [bernoulli_spec if a == "<spec>" else a for a in self.CASES[case]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ") and "error: " in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
+
 class TestUnwritableOut:
     """A report that cannot be written is an input error: each subcommand
     exits 1 with one ``error:`` line, and no traceback escapes."""

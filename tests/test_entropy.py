@@ -56,10 +56,11 @@ U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
 
 
-def cotrajectory(flow, u, n):
-    """The n-step cotrajectory inside its certified window: the kernel of
-    its constraint form."""
-    return kernel(cotrajectory_run(flow, u, n, default_window(flow, u, n))[-1])
+def cotrajectory(flow, m, n):
+    """The n-step cotrajectory of U_m inside its certified window: the
+    kernel of its constraint form."""
+    *_, (form,) = cotrajectory_run(flow, [m], n, default_window(flow, U(m), n))
+    return kernel(form)
 
 
 def h_star(flow, u, cfg=DEFAULT_CONFIG):
@@ -70,7 +71,7 @@ def h_star(flow, u, cfg=DEFAULT_CONFIG):
 class TestCotrajectory:
     def test_depth_one_is_u(self, gf2):
         flow = make_bernoulli(gf2, 1)
-        got = cotrajectory(flow, U(2), 1)
+        got = cotrajectory(flow, 2, 1)
         window = got.ambient
         rows = [
             [1 if j == i else 0 for j in range(window)]
@@ -81,7 +82,7 @@ class TestCotrajectory:
 
     def test_identity_fixed(self, gf4):
         flow = make_identity(SpaceShape(gf4, 0))
-        forms = cotrajectory_run(flow, U(2), 5, 12)
+        forms = [form for (form,) in cotrajectory_run(flow, [2], 5, 12)]
         ref = kernel(forms[0])
         for n in (1, 3, 5):
             assert kernel(forms[n - 1]) == ref
@@ -90,7 +91,7 @@ class TestCotrajectory:
     def test_bernoulli_vanishing_coordinates(self, gf2, m, n):
         # hand computation: membership forces coordinates 0 .. m+n-2 to zero
         flow = make_bernoulli(gf2, 1)
-        got = cotrajectory(flow, U(m), n)
+        got = cotrajectory(flow, m, n)
         window = got.ambient
         expected = Subspace.from_rows(
             gf2,
@@ -101,10 +102,9 @@ class TestCotrajectory:
     def test_incremental_identity(self, gf4):
         # C_{n+1} = U  intersect  phi^{-1}(C_n), checked against the public ops
         flow = random_stencil_flow(gf4, 7, discrete=False)
-        u = U(2)
-        window = cotrajectory(flow, u, 4).ambient
+        window = cotrajectory(flow, 2, 4).ambient
         mat = truncate(flow, window)
-        cots = [kernel(form) for form in cotrajectory_run(flow, u, 4, window)]
+        cots = [kernel(form) for (form,) in cotrajectory_run(flow, [2], 4, window)]
         u_win = cots[0]
         for n in range(2, 5):
             stepped = intersect(u_win, preimage(mat, cots[n - 2]))
@@ -137,34 +137,47 @@ def _scalar_towers():
     return out
 
 
+def _check_chain_forms(flow, ms, n_max, window):
+    """Every member's forms from one ``cotrajectory_run`` stream equal those
+    of its own stacked rows reduced from scratch, entry for entry."""
+    got = list(cotrajectory_run(flow, ms, n_max, window))
+    assert len(got) == n_max and all(len(depth) == len(ms) for depth in got)
+    for i, m in enumerate(ms):
+        want = _stacked_forms(flow, U(m), n_max, window)
+        for n, (depth, ref) in enumerate(zip(got, want), start=1):
+            assert depth[i].field == flow.field
+            assert depth[i].data.shape == ref.shape, (flow.label, m, n)
+            assert np.array_equal(depth[i].data, ref), (flow.label, m, n)
+
+
 class TestCotrajectoryRunIncremental:
-    """``cotrajectory_run`` extends each form by the step's rows; its forms
-    equal those of the stacked rows reduced from scratch, entry for entry,
-    on seeded flows over K and their images over F and L."""
+    """``cotrajectory_run`` extends each member's form by its prefix of the
+    step's raw rows; its forms equal those of the stacked rows reduced from
+    scratch, entry for entry, on seeded flows over K, one- and multi-phase,
+    with and without a discrete part, and their images over F and L, at
+    the window of the last member."""
 
     @pytest.mark.parametrize("tower", _scalar_towers(), ids=lambda t: repr(t[0].target))
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_stacked_reduction(self, tower, seed):
-        from flowent.functors import ind_flow, res_flow, res_good
+        from flowent.functors import ind_flow, res_flow
 
         e_fk, e_kl = tower
-        flow = random_stencil_flow(e_fk.target, seed)
-        for m in (0, 2):
-            u = U(m)
-            window = default_window(flow, u, 10)
-            cases = [
-                (flow, u, window),
-                (res_flow(e_fk, flow), res_good(e_fk, u), e_fk.degree * window),
-                (ind_flow(e_kl, flow), u, window),
-            ]
-            for fl, fu, w in cases:
-                got = cotrajectory_run(fl, fu, 10, w)
-                want = _stacked_forms(fl, fu, 10, w)
-                assert len(got) == len(want) == 10
-                for n, (form, ref) in enumerate(zip(got, want), start=1):
-                    assert form.field == fl.field
-                    assert form.data.shape == ref.shape, (fl.label, m, n)
-                    assert np.array_equal(form.data, ref), (fl.label, m, n)
+        deg, ms = e_fk.degree, (0, 1, 2)
+        for flow in (random_stencil_flow(e_fk.target, seed), _random_phase_flow(e_fk.target, seed)):
+            window = default_window(flow, U(ms[-1]), 10)
+            _check_chain_forms(flow, ms, 10, window)
+            _check_chain_forms(res_flow(e_fk, flow), [deg * m for m in ms], 10, deg * window)
+            _check_chain_forms(ind_flow(e_kl, flow), ms, 10, window)
+
+    def test_covers_discrete_parts(self):
+        # the seeds above include flows with and without a discrete part
+        dims = set()
+        for e_fk, _ in _scalar_towers():
+            for seed in range(4):
+                for flow in (random_stencil_flow(e_fk.target, seed), _random_phase_flow(e_fk.target, seed)):
+                    dims.add(flow.discrete_dim > 0)
+        assert dims == {False, True}
 
 
 class TestCodimSequence:
@@ -928,17 +941,12 @@ class TestCarriedRows:
 
     @pytest.mark.parametrize("field", _char2_fields() + [make_prime_field(3)], ids=repr)
     def test_forms_match_stacked_raw_rows(self, field):
-        # cotrajectory_run carries one reduced residue per new pivot; an
-        # identity flow adds none after step 1, so its blocks run empty
+        # cotrajectory_run extends every member's form by raw rows; an
+        # identity flow adds no new pivot after step 1
         flows = [_random_phase_flow(field, seed) for seed in range(8)]
         flows.append(make_identity(SpaceShape(field, 1)))
         for flow in flows:
-            for u in (U(3), GoodSubspace(frozenset({0, 2}))):
-                window = default_window(flow, u, 10)
-                got = cotrajectory_run(flow, u, 10, window)
-                want = _stacked_forms(flow, u, 10, window)
-                for n, (form, ref) in enumerate(zip(got, want), start=1):
-                    assert np.array_equal(form.data, ref), (flow.label, u, n)
+            _check_chain_forms(flow, (0, 1, 3), 10, default_window(flow, U(3), 10))
 
     @pytest.mark.parametrize("field", _sparse_fields()[1:], ids=repr)
     def test_unrestrict_reads_back_the_first_restricted_rows(self, field):

@@ -149,14 +149,14 @@ class TestSubspaceMaps:
         gf4, emb = gf4_pair
         flow = random_stencil_flow(gf4, seed)
         flow_f = res_flow(emb, flow)
-        n_max = 8
-        for m in (0, 1, 2):
-            u = U(m)
-            w = default_window(flow, u, n_max)
-            ck = cotrajectory_run(flow, u, n_max, w)
-            cf = cotrajectory_run(flow_f, res_good(emb, u), n_max, 2 * w)
-            for n in range(n_max):
-                assert res_subspace(emb, kernel(ck[n])) == kernel(cf[n])
+        n_max, ms = 8, (0, 1, 2)
+        w = default_window(flow, U(ms[-1]), n_max)
+        ck = cotrajectory_run(flow, ms, n_max, w)
+        cf = cotrajectory_run(flow_f, [2 * m for m in ms], n_max, 2 * w)
+        for forms_k, forms_f in zip(ck, cf):
+            for m, form_k, form_f in zip(ms, forms_k, forms_f):
+                assert res_good(emb, U(m)) == U(2 * m)
+                assert res_subspace(emb, kernel(form_k)) == kernel(form_f)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ind_preserves_codim(self, gf4_pair, gf16_pair, seed):
@@ -371,15 +371,15 @@ class TestVerifyTheorem:
 
 def _kernel_route(e_fk, e_kl, flow, flow_f, flow_l, n_max, ms, slack):
     """Reference for ``_identity_checks``: take the kernel of every
-    constraint form and compare the mapped subspaces and their dimensions."""
+    constraint form and compare the mapped subspaces and their dimensions.
+    Each member runs alone at its own certified window."""
     deg = e_fk.degree
     cells = {}
     for m in ms:
-        u = U(m)
-        w = default_window(flow, u, n_max, slack)
-        c_k = [kernel(r) for r in cotrajectory_run(flow, u, n_max, w)]
-        c_f = [kernel(r) for r in cotrajectory_run(flow_f, res_good(e_fk, u), n_max, deg * w)]
-        c_l = [kernel(r) for r in cotrajectory_run(flow_l, u, n_max, w)]
+        w = default_window(flow, U(m), n_max, slack)
+        c_k = [kernel(r) for (r,) in cotrajectory_run(flow, [m], n_max, w)]
+        c_f = [kernel(r) for (r,) in cotrajectory_run(flow_f, [deg * m], n_max, deg * w)]
+        c_l = [kernel(r) for (r,) in cotrajectory_run(flow_l, [m], n_max, w)]
         dead = flow.discrete_dim + m
         for n in range(1, n_max + 1):
             sub_k, sub_f, sub_l = c_k[n - 1], c_f[n - 1], c_l[n - 1]
@@ -439,6 +439,43 @@ class TestIdentityChecks:
         got = self.cells(_identity_checks, *args)
         assert got == self.cells(_kernel_route, *args)
         assert all(all(c) for c in got.values())
+
+    def test_one_raw_block_stream_per_field(self, towers, monkeypatch):
+        # K, F and L each run one stream of raw blocks for all members,
+        # with no carry sent back, and F's stream zeroes deg * 2 coordinates
+        import flowent.entropy as entropy
+
+        original, streams = entropy._constraint_blocks, []
+
+        def spy(flow, dead, n_max, window):
+            streams.append((flow.field, len(dead) - flow.discrete_dim))
+            for block in original(flow, dead, n_max, window):
+                carried = yield block
+                assert carried is None
+
+        monkeypatch.setattr(entropy, "_constraint_blocks", spy)
+        e_fk, e_kl = towers[4]
+        flow = random_stencil_flow(e_fk.target, 3)
+        self.cells(_identity_checks, e_fk, e_kl, flow, res_flow(e_fk, flow), ind_flow(e_kl, flow))
+        deg = e_fk.degree
+        assert streams == [(e_fk.target, 2), (e_fk.source, deg * 2), (e_kl.target, 2)]
+
+    def test_deep_checks_hold_one_depth(self, gf4_pair, gf16_pair):
+        # every depth is compared and dropped: at depth 60 the peak stays
+        # far below what holding all 60 depths of forms takes (about 68 MB)
+        import tracemalloc
+
+        (gf4, e_fk), (_, e_kl) = gf4_pair, gf16_pair
+        flow = random_stencil_flow(gf4, 3)
+        flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+        tracemalloc.start()
+        try:
+            cells = _identity_checks(e_fk, e_kl, flow, flow_f, flow_l, 60, self.ms, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 60 * len(self.ms) and all(all(c) for c in cells.values())
+        assert peak < 24 * 2**20, peak
 
     @pytest.mark.parametrize("side", ["res", "ind"])
     @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (9, 1), (16, 2)])
