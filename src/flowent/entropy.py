@@ -32,13 +32,17 @@ step's rows mostly skip the holders their rows climbed through before.
 
 Cotrajectories are kept as their constraint forms: one reduced
 row-echelon form over the flow's own field, whose kernel is the
-cotrajectory.  ``fields._rref_extend`` extends it from step to step: the
-step's rows are reduced by the form, only their residues are row-reduced,
-and the form is cleared at the new pivots, so step n walks only its new
-pivots.  The forms of several chain members come from one stream of raw
-blocks, since each member's rows are a prefix of every block.  Every
-form, over any field, is row-reduced by ``fields._rref_array``, on whole
-arrays or on such residues.
+cotrajectory, extended from step to step by the step's rows.  Over
+GF(2^k) a form is kept as rows packed as the tracker packs them, and
+``_Form2`` reduces each new row by XORing in multiples of the form's
+rows, one per pivot lane the row touches, then clears the residue's
+lowest lane from the form; the lane arithmetic is ``_lane_times``, the
+tracker's too.  Over odd p ``fields._rref_extend`` reduces the step's
+rows by the form in one product, row-reduces only their residues with
+``fields._rref_array`` and clears the form at the new pivots.  Either way
+step n walks only its new rows.  The forms of several chain members come
+from one stream of raw blocks, since each member's rows are a prefix of
+every block.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.  The flows the entropy laws are
@@ -175,46 +179,88 @@ def _flag_stack(field, counts: Sequence[int]) -> _FlagStack:
     return (_FlagStack2 if field.p == 2 else _FlagStackOdd)(field, counts)
 
 
+def _pack_lanes(field, block: np.ndarray) -> list[int]:
+    """The rows of a block over GF(2^k), 0/1 uint8 over GF(2), else int64
+    codes, packed into integers: column j is lane j, the k bits from
+    ``j*k`` on, bit t holding the coefficient of x^t of its code, so two
+    rows add by one XOR.  For GF(2), k = 1."""
+    count, width = block.shape
+    if field.d > 1:
+        block = field.coords_array(block).reshape(count, width * field.d)
+    data = np.packbits(block.astype(np.uint8, copy=False), axis=1, bitorder="little")
+    size, raw = data.shape[1], data.tobytes()
+    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(count)]
+
+
+def _unpack_lanes(field, rows: Sequence[int], width: int) -> np.ndarray:
+    """Packed rows as a block of ``width`` columns: 0/1 uint8 over GF(2),
+    else int64 codes; the inverse of ``_pack_lanes``."""
+    k = field.d
+    size = -(-width * k // 8)
+    data = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(len(rows), size), axis=1, count=width * k, bitorder="little")
+    return bits if k == 1 else bits.reshape(len(rows), width, k) @ (1 << np.arange(k))
+
+
+def _lane_low(field) -> int:
+    """x^k in GF(2^k) as a lane: the modulus without its x^k term."""
+    return sum(c << t for t, c in enumerate(field.modulus[:-1]))
+
+
+def _lane_tops(k: int, width: int) -> int:
+    """Bit k-1 of each of ``width`` lanes."""
+    return ((1 << width * k) - 1) // ((1 << k) - 1) << (k - 1)
+
+
+def _lane_times(w: int, c: int, k: int, low: int, tops: int) -> int:
+    """c*w, for c in GF(2^k) and a packed row w no wider than ``tops``:
+    the XOR of the x^s*w over the set bits s of c.
+
+    x*u is ``t = u & tops; ((u ^ t) << 1) ^ ((t >> (k-1)) * low)``, with
+    ``low = _lane_low(field)`` and ``tops = _lane_tops(k, width)``: once
+    the top bits are cleared the shift moves no bit out of its lane, and
+    each lane whose top bit was set gets x^k = ``low``.
+    """
+    out = 0
+    while True:
+        if c & 1:
+            out ^= w
+        c >>= 1
+        if not c:
+            return out
+        top = w & tops
+        w = ((w ^ top) << 1) ^ ((top >> (k - 1)) * low)
+
+
 class _FlagStack2(_FlagStack):
-    """``_FlagStack`` over GF(2^k) on rows packed into integers: column j
-    is lane j, the k bits from ``j*k`` on, bit t holding the coefficient of
-    x^t of its code, so two rows add by one XOR.  For GF(2), k = 1.
+    """``_FlagStack`` over GF(2^k) on rows packed by ``_pack_lanes``:
+    column j is lane j, the k bits from ``j*k`` on.
 
     A holder u of lane j has lane value 1, and ``holders`` maps bit
     ``j*k + t`` to (x^t*u, level) for each t < k.  A row whose lowest set
     bit is bit t of lane j XORs x^t*u into itself: x^t*u has lane value
     exactly bit t and is zero in every lane below j, so the XOR clears bit
     t and nothing lower.  A row w that reaches a lane held at a higher
-    level takes all k bits of it, scaled to ``w/c``, and the displaced
-    x^t*u goes on XORed with the new x^t*w/c, which clears the lane.  The
-    x^t*u, t < k, are a GF(2)-basis of the GF(2^k)-span of u with distinct
-    lowest bits, so the rows stored for lanes held at level <= m are a
-    GF(2)-basis of a GF(2^k)-space, and ``per_level`` counts lane holders:
-    the GF(2^k) rank.  Each XOR adds a GF(2^k)-multiple of a holder.
-
-    x*u is ``t = u & tops; ((u ^ t) << 1) ^ ((t >> (k-1)) * low)``, where
-    ``tops`` holds bit k-1 of every lane and x^k = ``low``, the modulus
-    without its x^k term; the shift moves no bit out of its lane once the
-    top bits are cleared.  ``w/c`` XORs the x^s*w for the set bits s of
-    c^-1.
+    level takes all k bits of it, scaled to ``w/c`` by ``_lane_times``,
+    and the displaced x^t*u goes on XORed with the new x^t*w/c, which
+    clears the lane.  The x^t*u, t < k, are a GF(2)-basis of the
+    GF(2^k)-span of u with distinct lowest bits, so the rows stored for
+    lanes held at level <= m are a GF(2)-basis of a GF(2^k)-space, and
+    ``per_level`` counts lane holders: the GF(2^k) rank.  Each XOR adds a
+    GF(2^k)-multiple of a holder.
     """
 
     def __init__(self, field, counts: Sequence[int]):
         super().__init__(field, counts)
-        self.weights, self.low = 1 << np.arange(field.d), sum(c << t for t, c in enumerate(field.modulus[:-1]))
+        self.low = _lane_low(field)
 
     def insert(self, rows: np.ndarray) -> np.ndarray:
         """Insert a block; return the placed values, 0/1 uint8 over GF(2), else int64 codes."""
         holders, per_level, k = self.holders, self.per_level, self.field.d
-        count, width = rows.shape
-        if k > 1:
-            rows = self.field.coords_array(rows).reshape(count, width * k)
-            tops = ((1 << width * k) - 1) // ((1 << k) - 1) << (k - 1)
-        packed_rows = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
-        size = packed_rows.shape[1]
+        width = rows.shape[1]
+        tops = _lane_tops(k, width)
         placed = []
-        for packed_row, level in zip(packed_rows, self.levels):
-            packed = int.from_bytes(packed_row.tobytes(), "little")
+        for packed, level in zip(_pack_lanes(self.field, rows), self.levels):
             own = 0
             while packed:
                 lead = (packed & -packed).bit_length() - 1
@@ -239,28 +285,18 @@ class _FlagStack2(_FlagStack):
                     else:
                         packed = self._hold(packed, lead, level, tops)
                     packed, level = holder ^ packed, held_level
-            placed.append(own.to_bytes(size, "little"))
-        packed_out = np.frombuffer(b"".join(placed), dtype=np.uint8).reshape(count, size)
-        bits = np.unpackbits(packed_out, axis=1, count=width * k, bitorder="little")
-        return bits if k == 1 else bits.reshape(count, width, k) @ self.weights
+            placed.append(own)
+        return _unpack_lanes(self.field, placed, width)
 
     def _hold(self, w: int, lead: int, level: int, tops: int) -> int:
         """Hold the lane of bit ``lead`` by w/c, c w's lane value; return the multiple under ``lead``."""
-        field, k, low = self.field, self.field.d, self.low
-
-        def times_x(u: int) -> int:
-            top = u & tops
-            return ((u ^ top) << 1) ^ ((top >> (k - 1)) * low)
-
+        k, low = self.field.d, self.low
         lane = lead - lead % k
-        inverse, u = field.inv((w >> lane) & ((1 << k) - 1)), 0
-        while inverse:
-            if inverse & 1:
-                u ^= w
-            w, inverse = times_x(w), inverse >> 1
-        for t in range(k):
+        u = _lane_times(w, self.field.inv((w >> lane) & ((1 << k) - 1)), k, low, tops)
+        self.holders[lane] = (u, level)
+        for t in range(1, k):
+            u = _lane_times(u, 2, k, low, tops)
             self.holders[lane + t] = (u, level)
-            u = times_x(u)
         return self.holders[lead][0]
 
 
@@ -553,6 +589,86 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     ]
 
 
+class _Form2:
+    """A constraint form over GF(2^k): the reduced row-echelon form of the
+    rows given so far, kept as rows packed by ``_pack_lanes``.
+
+    ``rows`` maps the first bit of each pivot lane to the lane's row.  The
+    form's invariant: each row has lane value 1 at its pivot lane and is
+    zero in every lane below it, and each pivot lane is zero in every
+    other row.  ``extend`` takes new rows one at a time; a row w becomes
+    its residue r as follows.
+
+    - For each pivot lane j where w has lane value c != 0, r gets c*u
+      XORed in, u the row of lane j.  u is 1 at lane j and zero at every
+      other pivot lane, so this clears lane j and no other pivot lane
+      changes: the values c can all be read from w as it came, and r is
+      zero at every pivot lane.
+    - If r = 0, w lies in the span and the form stays.  Otherwise let L be
+      r's lowest nonzero lane, not a pivot lane, and c its value; r is
+      scaled by c^-1 to lane value 1 at L.
+    - Each row u with lane value a != 0 at L gets a*r XORed in, which
+      clears lane L from it.  Then r is stored as the row of lane L.
+
+    The invariant holds again.  r is 1 at L, zero below L and zero at the
+    old pivot lanes.  A row u with a != 0 at L is zero below its own pivot
+    lane j and not zero at L, so j < L and r is zero at lane j and below
+    it: u keeps its 1 at j, its zeros below j and at the other old pivot
+    lanes, and is now zero at L.  Each step adds to a row a multiple of a
+    row of the span, so the rows span the rows given so far.
+
+    So the rows in pivot order are a reduced row-echelon form of the span
+    of every row given, and a subspace has exactly one such form.  A
+    nonzero vector ``sum a_j*u_j`` of the span has its lowest nonzero lane
+    at the lowest pivot lane j with a_j != 0, where its value is a_j, as
+    each u_i is zero below lane i and at the other pivot lanes.  So the
+    only vector of the span that is zero at every pivot lane is 0, and a
+    vector v of the span is ``sum v_j*u_j``, v_j its value at lane j.
+    Hence the pivot lanes are the lowest nonzero lanes of the span's
+    vectors, and u_j is the one vector of the span with 1 at lane j and 0
+    at every other pivot lane: both are fixed by the span.  The form
+    therefore equals the nonzero rows of ``fields._rref_array`` of the
+    stacked rows, entry for entry.
+    """
+
+    def __init__(self, field, width: int):
+        self.field, self.width = field, width
+        self.k, self.low, self.tops = field.d, _lane_low(field), _lane_tops(field.d, width)
+        self.rows: dict[int, int] = {}
+        self.pivot_bits = 0  # every bit of every pivot lane
+
+    def extend(self, rows: Sequence[int]) -> None:
+        """Extend the form by packed rows no wider than the form."""
+        k, low, tops, form, mask = self.k, self.low, self.tops, self.rows, (1 << self.k) - 1
+        for w in rows:
+            hits = w & self.pivot_bits
+            while hits:
+                shift = (hits & -hits).bit_length() - 1
+                shift -= shift % k
+                c = (hits >> shift) & mask
+                hits ^= c << shift
+                u = form[shift]
+                w ^= u if c == 1 else _lane_times(u, c, k, low, tops)
+            if not w:
+                continue
+            shift = (w & -w).bit_length() - 1
+            shift -= shift % k
+            c = (w >> shift) & mask
+            if c != 1:
+                w = _lane_times(w, self.field.inv(c), k, low, tops)
+            for j, u in form.items():
+                a = (u >> shift) & mask
+                if a:
+                    form[j] = u ^ (w if a == 1 else _lane_times(w, a, k, low, tops))
+            form[shift] = w
+            self.pivot_bits |= mask << shift
+
+    def matrix(self) -> Matrix:
+        """The form, its rows in pivot order."""
+        rows = [self.rows[j] for j in sorted(self.rows)]
+        return Matrix(self.field, _unpack_lanes(self.field, rows, self.width))
+
+
 def cotrajectory_run(flow: Flow, ms: Sequence[int], n_max: int, window: int) -> Iterator[list[Matrix]]:
     """For each depth n = 1..n_max, the constraint forms at a given window
     of the principal chain members ``ms`` (increasing), one per member.
@@ -561,11 +677,14 @@ def cotrajectory_run(flow: Flow, ms: Sequence[int], n_max: int, window: int) -> 
     of the constraint rows of steps 1..n; the n-step cotrajectory of U_m
     is its kernel.  Those rows are the first ``discrete_dim + m`` of each
     raw block of the last member, and each form is the previous one
-    extended by them through ``_rref_extend``, which walks only the new
-    pivots.  A row space has exactly one such form, so it is the one a
-    reduction of all the rows from scratch gives, and equal forms mean
-    equal cotrajectories.  A form has at most ``rows`` rows of ``dim``
-    entries, checked against ``_ENTRY_CAP`` before the first block.
+    extended by them.  Over GF(2^k) the block is packed once by
+    ``_pack_lanes`` and every member's ``_Form2`` takes its prefix of the
+    packed rows; over odd p the form is an array extended by
+    ``_rref_extend``, which walks only the new pivots.  A row space has
+    exactly one such form, so it is the one a reduction of all the rows
+    from scratch gives, and equal forms mean equal cotrajectories.  A form
+    has at most ``rows`` rows of ``dim`` entries, checked against
+    ``_ENTRY_CAP`` before the first block.
     """
     field, d = flow.field, flow.discrete_dim
     dead = _dead_indices(flow, GoodSubspace.principal(ms[-1]))
@@ -576,9 +695,17 @@ def cotrajectory_run(flow: Flow, ms: Sequence[int], n_max: int, window: int) -> 
             f"constraint forms of up to {rows} rows over a window of {dim} coordinates exceed "
             f"the cap of {_ENTRY_CAP} entries"
         )
+    blocks = _constraint_blocks(flow, dead, n_max, window)
+    if field.p == 2:
+        packed_forms = [_Form2(field, dim) for _ in ms]
+        for block in blocks:
+            packed = _pack_lanes(field, block)
+            for form, m in zip(packed_forms, ms):
+                form.extend(packed[: d + m])
+            yield [form.matrix() for form in packed_forms]
+        return
     forms = [(np.zeros((0, dim), dtype=np.int64), [])] * len(ms)
-    for block in _constraint_blocks(flow, dead, n_max, window):
-        block = block.astype(np.int64, copy=False)
+    for block in blocks:
         forms = [_rref_extend(field, red, pivots, block[: d + m]) for (red, pivots), m in zip(forms, ms)]
         yield [Matrix(field, red) for red, _ in forms]
 

@@ -83,7 +83,10 @@ def _rref_extend(
     field: FiniteField, red: np.ndarray, pivots: list[int], rows: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form, without zero rows, of ``red`` stacked on
-    ``rows``; returns (array, pivot columns).
+    ``rows``; returns (array, pivot columns).  It extends the constraint
+    forms over odd p (``entropy.cotrajectory_run``; forms over GF(2^k) are
+    extended on packed rows by ``entropy._Form2``) and is checked by the
+    tests against ``_rref_array`` of the stack.
 
     ``red`` must be a reduced row-echelon form without zero rows whose
     pivot columns are ``pivots``.  The narrower operand is read as padded

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import flowent
-from flowent.fields import make_extension, make_prime_field
+from flowent.fields import _rref_array, make_extension, make_prime_field
 from flowent.linalg import Matrix, kernel
 
 settings.register_profile(
@@ -55,6 +55,45 @@ def intersect(s, t):
     """Canonical form of the intersection, the kernel of both
     annihilators stacked."""
     return kernel(Matrix(s.field, np.concatenate([annihilator(s).data, annihilator(t).data])))
+
+
+def stacked_rref(field, red, rows):
+    """The reference: ``_rref_array`` of the two operands stacked, padded
+    to a common width, without zero rows."""
+    width = max(red.shape[1], rows.shape[1])
+    stack = np.zeros((red.shape[0] + rows.shape[0], width), dtype=np.int64)
+    stack[: red.shape[0], : red.shape[1]] = red
+    stack[red.shape[0] :, : rows.shape[1]] = rows
+    out, pivots = _rref_array(field, stack)
+    return out[: len(pivots)], pivots
+
+
+def row_stream(field, rng, steps=14):
+    """Blocks of growing width: random rows, sparse rows, zero rows,
+    repeats of earlier rows and combinations of rows already sent."""
+    sent = np.zeros((0, 0), dtype=np.int64)
+    width = int(rng.integers(1, 4))
+    for _ in range(steps):
+        width += int(rng.integers(0, 4))
+        count = int(rng.integers(0, 5))
+        block = field.random_codes(rng, (count, width))
+        block[rng.random((count, width)) < 0.5] = 0
+        extra = [np.zeros((1, width), dtype=np.int64)]
+        if sent.shape[0]:
+            old = np.zeros((sent.shape[0], width), dtype=np.int64)
+            old[:, : sent.shape[1]] = sent
+            pick = old[rng.integers(0, old.shape[0], 2)]
+            coeffs = field.random_codes(rng, (2, old.shape[0]))
+            extra += [pick, field.arr_matmul(coeffs, old)]
+        block = np.concatenate([block] + extra)
+        block = block[rng.permutation(block.shape[0])]
+        if rng.random() < 0.25:  # a block narrower than the rows so far
+            block = block[:, : int(rng.integers(1, width + 1))]
+        yield block
+        grown = np.zeros((sent.shape[0] + block.shape[0], width), dtype=np.int64)
+        grown[: sent.shape[0], : sent.shape[1]] = sent
+        grown[sent.shape[0] :, : block.shape[1]] = block
+        sent = grown
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,13 @@ from flowent.entropy import (
     _FlagStack,
     _FlagStack2,
     _FlagStackOdd,
+    _Form2,
     _flag_stack,
+    _lane_low,
+    _lane_times,
+    _lane_tops,
     _Nonzeros,
+    _pack_lanes,
     _restrict,
     _times_nonzeros,
     _unrestrict,
@@ -50,7 +55,7 @@ from flowent.model import (
     window_nonzeros,
 )
 
-from conftest import dense_truncation, intersect, preimage
+from conftest import dense_truncation, intersect, preimage, row_stream, stacked_rref
 
 U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
@@ -127,11 +132,14 @@ def _stacked_forms(flow, u, n_max, window):
 
 
 def _scalar_towers():
-    """(F <= K, K <= L) for GF(2) <= GF(4) <= GF(16) and GF(3) <= GF(9) <= GF(81)."""
+    """(F <= K, K <= L) for GF(2) <= GF(4) <= GF(16), GF(3) <= GF(9) <=
+    GF(81), GF(2) <= GF(8) <= GF(64) and GF(2) <= GF(16) <= GF(256): K's
+    forms over GF(2^k) are packed in lanes of k = 2, 3 and 4 bits, and L's
+    in lanes of 4, 6 and 8 bits."""
     out = []
-    for p in (2, 3):
+    for p, degree in ((2, 2), (3, 2), (2, 3), (2, 4)):
         base = make_prime_field(p)
-        mid, inner = make_extension(base, least_irreducible(base, 2))
+        mid, inner = make_extension(base, least_irreducible(base, degree))
         _, outer = make_extension(mid, least_irreducible(mid, 2))
         out.append((inner, outer))
     return out
@@ -178,6 +186,60 @@ class TestCotrajectoryRunIncremental:
                 for flow in (random_stencil_flow(e_fk.target, seed), _random_phase_flow(e_fk.target, seed)):
                     dims.add(flow.discrete_dim > 0)
         assert dims == {False, True}
+
+
+def _char2_form_fields():
+    gf2 = make_prime_field(2)
+    return [gf2] + [make_extension(gf2, least_irreducible(gf2, k))[0] for k in (2, 3, 4, 8)]
+
+
+class TestForm2:
+    """The packed form over GF(2^k) against ``_rref_array`` of the stacked
+    rows, entry for entry, in lanes of 1, 2, 3, 4 and 8 bits."""
+
+    @pytest.mark.parametrize("field", _char2_form_fields(), ids=repr)
+    def test_row_streams(self, field):
+        # random and sparse rows, zero rows, repeats and combinations of
+        # rows sent before, in blocks narrower and wider than the last
+        rng = np.random.default_rng(field.q)
+        for trial in range(12):
+            blocks = list(row_stream(field, rng))
+            width = max(block.shape[1] for block in blocks)
+            form, want = _Form2(field, width), np.zeros((0, width), dtype=np.int64)
+            for block in blocks:
+                frozen = block.copy()
+                form.extend(_pack_lanes(field, block))
+                want, pivots = stacked_rref(field, want, block)
+                assert sorted(form.rows) == [j * field.d for j in pivots], (field, trial)
+                got = form.matrix()
+                assert got.field == field and got.data.shape == want.shape
+                assert np.array_equal(got.data, want), (field, trial)
+                assert np.array_equal(block, frozen)
+
+    def test_empty_start_empty_block_and_no_new_pivot(self, gf4):
+        form = _Form2(gf4, 5)
+        assert form.matrix().data.shape == (0, 5)
+        rows = np.array([[0, 2, 3], [0, 1, 1], [0, 0, 0]], dtype=np.int64)
+        form.extend(_pack_lanes(gf4, rows))
+        want, want_pivots = stacked_rref(gf4, rows[:0], rows)
+        assert want_pivots == [1, 2] and sorted(form.rows) == [2, 4]
+        got = form.matrix()
+        assert np.array_equal(got.data[:, :3], want) and not got.data[:, 3:].any()
+        form.extend(_pack_lanes(gf4, np.zeros((0, 5), dtype=np.int64)))
+        combos = gf4.arr_matmul(gf4.random_codes(np.random.default_rng(4), (4, 3)), rows)
+        form.extend(_pack_lanes(gf4, combos))
+        assert sorted(form.rows) == [2, 4] and np.array_equal(form.matrix().data, got.data)
+
+    @pytest.mark.parametrize("field", _char2_form_fields()[1:], ids=repr)
+    def test_lane_times(self, field):
+        # c*w lane by lane against the field's products, for every c
+        rng = np.random.default_rng(field.q)
+        row = field.random_codes(rng, (1, 9))
+        (w,) = _pack_lanes(field, row)
+        k, low, tops = field.d, _lane_low(field), _lane_tops(field.d, 9)
+        for c in field.elements():
+            (want,) = _pack_lanes(field, field.arr_mul(np.int64(c), row))
+            assert _lane_times(w, c, k, low, tops) == want, c
 
 
 class TestCodimSequence:

@@ -12,7 +12,6 @@ from flowent.errors import Mismatch, NotPrime, Reducible, TooLarge
 from flowent.fields import (
     FiniteField,
     _poly_is_irreducible,
-    _rref_array,
     _rref_extend,
     check_float_exact,
     compose,
@@ -23,6 +22,8 @@ from flowent.fields import (
     make_prime_field,
     tower_from_descriptor,
 )
+
+from conftest import row_stream, stacked_rref
 
 
 class TestPrimeFields:
@@ -478,45 +479,6 @@ def _rref_fields():
     ]
 
 
-def _stacked_rref(field, red, rows):
-    """The reference: ``_rref_array`` of the two operands stacked, padded
-    to a common width, without zero rows."""
-    width = max(red.shape[1], rows.shape[1])
-    stack = np.zeros((red.shape[0] + rows.shape[0], width), dtype=np.int64)
-    stack[: red.shape[0], : red.shape[1]] = red
-    stack[red.shape[0] :, : rows.shape[1]] = rows
-    out, pivots = _rref_array(field, stack)
-    return out[: len(pivots)], pivots
-
-
-def _row_stream(field, rng, steps=14):
-    """Blocks of growing width: random rows, sparse rows, zero rows,
-    repeats of earlier rows and combinations of rows already sent."""
-    sent = np.zeros((0, 0), dtype=np.int64)
-    width = int(rng.integers(1, 4))
-    for _ in range(steps):
-        width += int(rng.integers(0, 4))
-        count = int(rng.integers(0, 5))
-        block = field.random_codes(rng, (count, width))
-        block[rng.random((count, width)) < 0.5] = 0
-        extra = [np.zeros((1, width), dtype=np.int64)]
-        if sent.shape[0]:
-            old = np.zeros((sent.shape[0], width), dtype=np.int64)
-            old[:, : sent.shape[1]] = sent
-            pick = old[rng.integers(0, old.shape[0], 2)]
-            coeffs = field.random_codes(rng, (2, old.shape[0]))
-            extra += [pick, field.arr_matmul(coeffs, old)]
-        block = np.concatenate([block] + extra)
-        block = block[rng.permutation(block.shape[0])]
-        if rng.random() < 0.25:  # a block narrower than the rows so far
-            block = block[:, : int(rng.integers(1, width + 1))]
-        yield block
-        grown = np.zeros((sent.shape[0] + block.shape[0], width), dtype=np.int64)
-        grown[: sent.shape[0], : sent.shape[1]] = sent
-        grown[sent.shape[0] :, : block.shape[1]] = block
-        sent = grown
-
-
 class TestRrefExtend:
     """The incremental echelon step against ``_rref_array`` of the stacked
     rows, entry for entry."""
@@ -527,9 +489,9 @@ class TestRrefExtend:
         for trial in range(12):
             red = np.zeros((0, int(rng.integers(0, 3))), dtype=np.int64)
             pivots: list[int] = []
-            for block in _row_stream(field, rng):
+            for block in row_stream(field, rng):
                 prev, frozen_red, frozen_block = red, red.copy(), block.copy()
-                want, want_pivots = _stacked_rref(field, red, block)
+                want, want_pivots = stacked_rref(field, red, block)
                 red, pivots = _rref_extend(field, red, pivots, block)
                 assert pivots == want_pivots, (field, trial)
                 assert red.dtype == want.dtype and red.shape == want.shape
@@ -540,18 +502,18 @@ class TestRrefExtend:
     def test_operands_left_intact(self, field):
         rng = np.random.default_rng(7)
         start = field.random_codes(rng, (4, 9))
-        red, pivots = _stacked_rref(field, start[:0], start)
+        red, pivots = stacked_rref(field, start[:0], start)
         red.setflags(write=False)
         rows = field.random_codes(rng, (3, 12))
         rows.setflags(write=False)
         out, out_pivots = _rref_extend(field, red, pivots, rows)
-        want, want_pivots = _stacked_rref(field, red, rows)
+        want, want_pivots = stacked_rref(field, red, rows)
         assert out_pivots == want_pivots and np.array_equal(out, want)
 
     def test_empty_start_and_empty_block(self, gf4):
         rows = np.array([[0, 2, 3], [0, 1, 1], [0, 0, 0]], dtype=np.int64)
         red, pivots = _rref_extend(gf4, np.zeros((0, 0), dtype=np.int64), [], rows)
-        want, want_pivots = _stacked_rref(gf4, rows[:0], rows)
+        want, want_pivots = stacked_rref(gf4, rows[:0], rows)
         assert pivots == want_pivots == [1, 2] and np.array_equal(red, want)
         again, again_pivots = _rref_extend(gf4, red, pivots, np.zeros((0, 5), dtype=np.int64))
         assert again.shape == (red.shape[0], 5) and again_pivots == pivots

@@ -405,23 +405,32 @@ def _perturb(flow):
 
 @pytest.fixture(scope="module")
 def towers(gf2, gf4_pair, gf16_pair):
-    """(F <= K, K <= L) for GF(2) <= GF(4) <= GF(16), GF(3) <= GF(9) <=
-    GF(81), and GF(2) <= GF(16) <= GF(256) along the composed embedding."""
+    """(F <= K, K <= L) for GF(2) <= GF(4) <= GF(16), GF(2) <= GF(8) <=
+    GF(64), GF(3) <= GF(9) <= GF(81), and GF(2) <= GF(16) <= GF(256) along
+    the composed embedding."""
     from flowent.fields import least_irreducible, make_extension, make_prime_field
 
     gf3 = make_prime_field(3)
     gf9, e39 = make_extension(gf3, least_irreducible(gf3, 2))
     _, e981 = make_extension(gf9, least_irreducible(gf9, 2))
+    gf8, e28 = make_extension(gf2, least_irreducible(gf2, 3))
+    _, e8_64 = make_extension(gf8, least_irreducible(gf8, 2))
     gf16 = gf16_pair[0]
     _, e16_256 = make_extension(gf16, least_irreducible(gf16, 2))
     return {
         4: (gf4_pair[1], gf16_pair[1]),
+        8: (e28, e8_64),
         9: (e39, e981),
         16: (compose(gf4_pair[1], gf16_pair[1]), e16_256),
     }
 
 
-FLOWS = [(4, s) for s in range(12)] + [(9, s) for s in range(10)] + [(16, s) for s in range(10)]
+FLOWS = (
+    [(4, s) for s in range(12)]
+    + [(8, s) for s in range(10)]
+    + [(9, s) for s in range(10)]
+    + [(16, s) for s in range(10)]
+)
 
 
 class TestIdentityChecks:
@@ -478,7 +487,7 @@ class TestIdentityChecks:
         assert peak < 24 * 2**20, peak
 
     @pytest.mark.parametrize("side", ["res", "ind"])
-    @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (9, 1), (16, 2)])
+    @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (8, 4), (8, 5), (9, 1), (16, 2)])
     def test_perturbed_flow_fails(self, towers, monkeypatch, side, q, seed):
         e_fk, e_kl = towers[q]
         flow = random_stencil_flow(e_fk.target, seed)
@@ -503,7 +512,7 @@ class TestIdentityChecks:
         assert sorted(n for n, ok in report.identities.items() if not ok) == failing
 
     @pytest.mark.parametrize("side", ["res", "ind"])
-    @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (9, 1), (16, 2)])
+    @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (8, 4), (8, 5), (9, 1), (16, 2)])
     def test_fail_names_first_failing_cell(self, towers, monkeypatch, side, q, seed):
         """The fault of ``test_perturbed_flow_fails``: the FAIL report names
         the reference's first failing cell, by depth, then member, then
