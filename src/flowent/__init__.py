@@ -6,7 +6,8 @@ row-finite continuous endomorphisms.  It computes entropy from exact
 cotrajectory codimension traces, and implements restriction and extension
 of scalars along finite field extensions, for which entropy scales by the
 degree and is preserved, respectively.  Cotrajectories are handled through
-their constraint forms (``entropy.cotrajectory_run``); ``Subspace``,
+the ranks of their constraint rows (``entropy.cotrajectory_run``), and
+verify's identities through ranks of the rows' images; ``Subspace``,
 ``res_subspace`` and ``ind_subspace`` are the reference tests check them by.
 """
 

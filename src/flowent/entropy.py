@@ -30,19 +30,12 @@ every rank stays the same (``_constraint_blocks`` has the proof).  The
 tracker hands back each row's value where it first settled, so the next
 step's rows mostly skip the holders their rows climbed through before.
 
-Cotrajectories are kept as their constraint forms: one reduced
-row-echelon form over the flow's own field, whose kernel is the
-cotrajectory, extended from step to step by the step's rows.  Over
-GF(2^k) a form is kept as rows packed as the tracker packs them, and
-``_Form2`` reduces each new row by XORing in multiples of the form's
-rows, one per pivot lane the row touches, then clears the residue's
-lowest lane from the form; the lane arithmetic is ``_lane_times``, the
-tracker's too.  Over odd p ``fields._rref_extend`` reduces the step's
-rows by the form in one product, row-reduces only their residues with
-``fields._rref_array`` and clears the form at the new pivots.  Either way
-step n walks only its new rows.  The forms of several chain members come
-from one stream of raw blocks, since each member's rows are a prefix of
-every block.
+``cotrajectory_run`` is the one trace loop: at each step it yields the
+carried block and the tracker's ranks.  The traces read the ranks, and
+``functors`` decides verify's identities from the blocks of three such
+runs by the ranks of more trackers: a cotrajectory is the kernel of its
+constraint rows, and two kernels are equal exactly when the row spans
+are, which ranks decide.  No reduced row-echelon form is built.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.  The flows the entropy laws are
@@ -59,8 +52,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotSubspace, TooLarge
-from .fields import _rref_extend
-from .linalg import Matrix
 from .model import (
     _ENTRY_CAP,
     Flow,
@@ -537,23 +528,52 @@ def _unrestrict(field, rows: np.ndarray) -> np.ndarray:
     return field.encode_array(first.reshape(first.shape[0], first.shape[1] // field.d, field.d))
 
 
+def _check_tracker_cap(field, rows: int, n_max: int, dim: int) -> None:
+    """Raise TooLarge when a tracker that takes ``rows`` rows a step for
+    ``n_max`` steps over ``dim`` coordinates may hold more than
+    ``_ENTRY_CAP`` entries.  It holds at most ``min(rows * n_max, dim)``
+    independent rows, and keeps each as ``field.d`` rows of ``dim``
+    entries' worth: the x^t*u, t < k, over GF(2^k), and the d rows of its
+    restriction, of ``d * dim`` prime-field entries, over odd GF(p^d)."""
+    held = field.d * min(rows * n_max, dim) * dim
+    if held > _ENTRY_CAP:
+        raise TooLarge(
+            f"rank trackers of {rows} rows a step over {n_max} steps and a window of {dim} "
+            f"coordinates may hold {held} entries, above the cap of {_ENTRY_CAP}"
+        )
+
+
+def cotrajectory_run(
+    flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int
+) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """For each step n = 1..n_max, the step's block of constraint rows and
+    the ranks of the first ``count`` rows of steps 1..n, for each count in
+    ``counts`` (non-decreasing).  The ranks come from one flag tracker over
+    the flow's field, in which row j belongs to the span of count c exactly
+    when ``j < c``, and the next step multiplies out the values it placed.
+
+    The blocks are carried blocks (``_constraint_blocks``): the first
+    ``count`` rows of steps 1..n span what the raw rows of those steps
+    span, for every count, so a consumer may read any such span from them.
+    """
+    stack = _flag_stack(flow.field, counts)
+    blocks = _constraint_blocks(flow, dead, n_max, window)
+    carried = None
+    for _ in range(n_max):
+        block = blocks.send(carried)
+        carried = stack.insert(block)
+        yield block, stack.ranks
+
+
 def _rank_traces(
     flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int
 ) -> list[list[int]]:
     """Codimension traces of the first ``count`` constraint rows per step,
-    for each count in ``counts`` (non-decreasing), tracked in one flag
-    tracker over the flow's field: row j belongs to the span of count c
-    exactly when ``j < c``.  The codimension at step n is the rank at the
-    count's level less ``count``, the codimension of the good subspace.
-    The next step multiplies out the values the tracker placed.
-    """
-    stack = _flag_stack(flow.field, counts)
+    for each count in ``counts``: at step n the rank at the count's level
+    less ``count``, the codimension of the good subspace."""
     values: list[list[int]] = [[] for _ in counts]
-    blocks = _constraint_blocks(flow, dead, n_max, window)
-    carried = None
-    for _ in range(n_max):
-        carried = stack.insert(blocks.send(carried))
-        for count, rank, vals in zip(counts, stack.ranks, values):
+    for _, ranks in cotrajectory_run(flow, dead, counts, n_max, window):
+        for count, rank, vals in zip(counts, ranks, values):
             vals.append(rank - count)
     return values
 
@@ -587,127 +607,6 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     return [
         CodimTrace(GoodSubspace.principal(m), tuple(vals), window) for m, vals in enumerate(values)
     ]
-
-
-class _Form2:
-    """A constraint form over GF(2^k): the reduced row-echelon form of the
-    rows given so far, kept as rows packed by ``_pack_lanes``.
-
-    ``rows`` maps the first bit of each pivot lane to the lane's row.  The
-    form's invariant: each row has lane value 1 at its pivot lane and is
-    zero in every lane below it, and each pivot lane is zero in every
-    other row.  ``extend`` takes new rows one at a time; a row w becomes
-    its residue r as follows.
-
-    - For each pivot lane j where w has lane value c != 0, r gets c*u
-      XORed in, u the row of lane j.  u is 1 at lane j and zero at every
-      other pivot lane, so this clears lane j and no other pivot lane
-      changes: the values c can all be read from w as it came, and r is
-      zero at every pivot lane.
-    - If r = 0, w lies in the span and the form stays.  Otherwise let L be
-      r's lowest nonzero lane, not a pivot lane, and c its value; r is
-      scaled by c^-1 to lane value 1 at L.
-    - Each row u with lane value a != 0 at L gets a*r XORed in, which
-      clears lane L from it.  Then r is stored as the row of lane L.
-
-    The invariant holds again.  r is 1 at L, zero below L and zero at the
-    old pivot lanes.  A row u with a != 0 at L is zero below its own pivot
-    lane j and not zero at L, so j < L and r is zero at lane j and below
-    it: u keeps its 1 at j, its zeros below j and at the other old pivot
-    lanes, and is now zero at L.  Each step adds to a row a multiple of a
-    row of the span, so the rows span the rows given so far.
-
-    So the rows in pivot order are a reduced row-echelon form of the span
-    of every row given, and a subspace has exactly one such form.  A
-    nonzero vector ``sum a_j*u_j`` of the span has its lowest nonzero lane
-    at the lowest pivot lane j with a_j != 0, where its value is a_j, as
-    each u_i is zero below lane i and at the other pivot lanes.  So the
-    only vector of the span that is zero at every pivot lane is 0, and a
-    vector v of the span is ``sum v_j*u_j``, v_j its value at lane j.
-    Hence the pivot lanes are the lowest nonzero lanes of the span's
-    vectors, and u_j is the one vector of the span with 1 at lane j and 0
-    at every other pivot lane: both are fixed by the span.  The form
-    therefore equals the nonzero rows of ``fields._rref_array`` of the
-    stacked rows, entry for entry.
-    """
-
-    def __init__(self, field, width: int):
-        self.field, self.width = field, width
-        self.k, self.low, self.tops = field.d, _lane_low(field), _lane_tops(field.d, width)
-        self.rows: dict[int, int] = {}
-        self.pivot_bits = 0  # every bit of every pivot lane
-
-    def extend(self, rows: Sequence[int]) -> None:
-        """Extend the form by packed rows no wider than the form."""
-        k, low, tops, form, mask = self.k, self.low, self.tops, self.rows, (1 << self.k) - 1
-        for w in rows:
-            hits = w & self.pivot_bits
-            while hits:
-                shift = (hits & -hits).bit_length() - 1
-                shift -= shift % k
-                c = (hits >> shift) & mask
-                hits ^= c << shift
-                u = form[shift]
-                w ^= u if c == 1 else _lane_times(u, c, k, low, tops)
-            if not w:
-                continue
-            shift = (w & -w).bit_length() - 1
-            shift -= shift % k
-            c = (w >> shift) & mask
-            if c != 1:
-                w = _lane_times(w, self.field.inv(c), k, low, tops)
-            for j, u in form.items():
-                a = (u >> shift) & mask
-                if a:
-                    form[j] = u ^ (w if a == 1 else _lane_times(w, a, k, low, tops))
-            form[shift] = w
-            self.pivot_bits |= mask << shift
-
-    def matrix(self) -> Matrix:
-        """The form, its rows in pivot order."""
-        rows = [self.rows[j] for j in sorted(self.rows)]
-        return Matrix(self.field, _unpack_lanes(self.field, rows, self.width))
-
-
-def cotrajectory_run(flow: Flow, ms: Sequence[int], n_max: int, window: int) -> Iterator[list[Matrix]]:
-    """For each depth n = 1..n_max, the constraint forms at a given window
-    of the principal chain members ``ms`` (increasing), one per member.
-
-    Form n of member m is the reduced row-echelon form, without zero rows,
-    of the constraint rows of steps 1..n; the n-step cotrajectory of U_m
-    is its kernel.  Those rows are the first ``discrete_dim + m`` of each
-    raw block of the last member, and each form is the previous one
-    extended by them.  Over GF(2^k) the block is packed once by
-    ``_pack_lanes`` and every member's ``_Form2`` takes its prefix of the
-    packed rows; over odd p the form is an array extended by
-    ``_rref_extend``, which walks only the new pivots.  A row space has
-    exactly one such form, so it is the one a reduction of all the rows
-    from scratch gives, and equal forms mean equal cotrajectories.  A form
-    has at most ``rows`` rows of ``dim`` entries, checked against
-    ``_ENTRY_CAP`` before the first block.
-    """
-    field, d = flow.field, flow.discrete_dim
-    dead = _dead_indices(flow, GoodSubspace.principal(ms[-1]))
-    dim = d + window
-    rows = min(len(dead) * n_max, dim)
-    if rows * dim > _ENTRY_CAP:
-        raise TooLarge(
-            f"constraint forms of up to {rows} rows over a window of {dim} coordinates exceed "
-            f"the cap of {_ENTRY_CAP} entries"
-        )
-    blocks = _constraint_blocks(flow, dead, n_max, window)
-    if field.p == 2:
-        packed_forms = [_Form2(field, dim) for _ in ms]
-        for block in blocks:
-            packed = _pack_lanes(field, block)
-            for form, m in zip(packed_forms, ms):
-                form.extend(packed[: d + m])
-            yield [form.matrix() for form in packed_forms]
-        return
-    forms = [(np.zeros((0, dim), dtype=np.int64), [])] * len(ms)
-    for block in blocks:
-        forms = [_rref_extend(field, red, pivots, block[: d + m]) for (red, pivots), m in zip(forms, ms)]
-        yield [Matrix(field, red) for red, _ in forms]
 
 
 # ---------------------------------------------------------------------------

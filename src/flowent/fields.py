@@ -52,7 +52,10 @@ def _rref_array(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int
     ``field``; returns (array, pivot columns).
 
     Only the columns that are nonzero in the input are visited: row
-    operations never make a zero column nonzero.
+    operations never make a zero column nonzero.  It serves the set-up of
+    fields and embeddings (``_prime_rank``, ``_inverse_array``), ``linalg``
+    and the tests' references.  The entropy engine and verify's identity
+    checks never call it: they run on the rank trackers.
     """
     rows = a.shape[0]
     pivots: list[int] = []
@@ -77,71 +80,6 @@ def _rref_array(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int
         pivots.append(int(c))
         r += 1
     return a, pivots
-
-
-def _rref_extend(
-    field: FiniteField, red: np.ndarray, pivots: list[int], rows: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form, without zero rows, of ``red`` stacked on
-    ``rows``; returns (array, pivot columns).  It extends the constraint
-    forms over odd p (``entropy.cotrajectory_run``; forms over GF(2^k) are
-    extended on packed rows by ``entropy._Form2``) and is checked by the
-    tests against ``_rref_array`` of the stack.
-
-    ``red`` must be a reduced row-echelon form without zero rows whose
-    pivot columns are ``pivots``.  The narrower operand is read as padded
-    with zero columns to the wider.  Neither operand is modified.
-
-    - The new rows are reduced by ``red`` at its pivots, with one product.
-      Their residues vanish at every old pivot, and with ``red`` they span
-      the stacked rows.
-    - The nonzero residues are row-reduced by ``_rref_array``.  A zero
-      column stays zero, so the new pivots are not old ones and the
-      reduced residues still vanish at the old pivots.
-    - The old rows are cleared at the new pivots, with one product.  An
-      old row is zero before its pivot, so it is nonzero at a new pivot
-      only after its own pivot, and the reduced residues it takes away are
-      zero up to that new pivot: the row keeps its pivot, its 1 there and
-      its zeros before it and at the other old pivots.
-    - The rows are merged in pivot order.
-
-    Every row is then zero before its pivot and 1 at it, and every pivot
-    column is zero outside its row: the result is the reduced row-echelon
-    form of the stacked rows.  A row space has exactly one, so the result
-    equals the nonzero rows of ``_rref_array`` of the stack, entry for
-    entry, while only the new pivots are walked in Python.
-    """
-    width = max(red.shape[1], rows.shape[1])
-    red, rows = _widen(red, width), _widen(rows, width)
-    if pivots:
-        rows = field.arr_sub(rows, field.arr_matmul(rows[:, pivots], red))
-    resid, new = _rref_array(field, rows[rows.any(axis=1)])
-    if not new:
-        return red, pivots
-    resid = resid[: len(new)]
-    everyone = pivots + new
-    order = np.argsort(everyone, kind="stable")
-    # each row's place in pivot order: the rows go straight to their
-    # places, so that no second array of the form's size is allocated
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    out = np.empty((order.size, width), dtype=np.int64)
-    out[place[: len(pivots)]] = red
-    out[place[len(pivots) :]] = resid
-    coeff = red[:, new]
-    hit = np.flatnonzero(coeff.any(axis=1))
-    if hit.size:
-        out[place[hit]] = field.arr_sub(red[hit], field.arr_matmul(coeff[hit], resid))
-    return out, [everyone[i] for i in order]
-
-
-def _widen(a: np.ndarray, width: int) -> np.ndarray:
-    """``a`` padded on the right with zero columns to ``width``."""
-    if a.shape[1] == width:
-        return a
-    out = np.zeros((a.shape[0], width), dtype=np.int64)
-    out[:, : a.shape[1]] = a
-    return out
 
 
 # elements of one broadcast term array in ``FiniteField.matmul_prepared``

@@ -6,28 +6,33 @@ multiplication matrix; induction along K -> L keeps the coordinate layout
 and pushes entries through the embedding.  Entropy scales by the degree
 under restriction and is unchanged under induction; ``verify_theorem``
 checks both formulas together with the per-depth identities that drive
-them.  The identities are checked on constraint forms, dual to the
-cotrajectories: restriction and induction of a cotrajectory are the
-kernels of ``block_expand`` and ``entry_embed`` of its reduced
-row-echelon constraint form, and both maps keep that form reduced.
-``res_subspace`` and ``ind_subspace`` map a cotrajectory itself; they are
-the tests' reference for those checks, and no command calls them.
+them.  The identities are decided by ranks: restriction and induction
+of a cotrajectory, the kernel of its constraint rows R, are the kernels
+of ``block_expand`` and ``entry_embed`` of R, for every R, and two kernels
+are equal exactly when their row spaces are, which the rank trackers
+decide (``_identity_checks``).  ``res_subspace`` and ``ind_subspace`` map
+a cotrajectory itself; they are the tests' reference for those checks,
+and no command calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .entropy import (
     DEFAULT_CONFIG,
     EngineConfig,
     EntropyEstimate,
+    _check_tracker_cap,
+    _flag_stack,
     cotrajectory_run,
     ent_star,
 )
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import FieldEmbedding, FiniteField, least_irreducible, make_extension
-from .linalg import Matrix, Subspace, block_expand, entry_embed, rank
+from .linalg import Matrix, Subspace, _expand_array, block_expand, entry_embed, rank
 from .model import (
     EndoSpec,
     Flow,
@@ -267,50 +272,78 @@ def _identity_checks(
     cotrajectory; induction commutes with the cotrajectory and keeps its
     codimension.  Returns ``{(m, n): (res_codim, res, ind, ind_codim)}``.
 
-    Each cotrajectory is checked through its constraint form, the reduced
-    row-echelon form R (without zero rows) whose kernel it is; forms R_K,
-    R_F and R_L come from one ``cotrajectory_run`` stream each over K, F
-    (members ``deg * m``, the restrictions of U_m) and L, at the window of
-    the last member, and each depth is compared as it arrives.
+    The n-step cotrajectory of U_m is the kernel of its constraint rows R,
+    the first ``d + m`` rows (d the discrete dimension) of steps 1..n.  One
+    ``cotrajectory_run`` each over K, F (members ``deg * m``, the
+    restrictions of U_m) and L, at the window of the last member, gives
+    every depth's carried block and the ranks r_K, r_F and r_L of R.  For
+    each member and side a two-level tracker over F (res) or L (ind) takes,
+    at each depth, ``block_expand`` (res) or ``entry_embed`` (ind) of the
+    member's rows of K's block at level 0 and its rows of F's or L's block
+    at level 1: its ranks are those of the images E of K's rows so far and
+    of E together with the other side's rows so far.
 
-    - ``res(ker R) = ker(block_expand R)``: ``block_expand`` realizes the
-      same map on re-blocked coordinates.  ``ind(ker R) = ker(entry_embed
-      R)``: the embedded kernel basis lies in the right side, and both have
-      the same dimension because ``entry_embed`` keeps rank.
-    - Both maps send a reduced row-echelon form to one: a pivot 1 becomes
-      the identity block I_deg, or stays 1, and zeros stay zero, so the
-      leading entries keep their staircase and each pivot column stays
-      zero outside its pivot row.
-    - Two subspaces are equal iff their annihilators are, and a row space
-      has exactly one reduced row-echelon form.  So ``res(C_K) = C_F`` iff
-      ``block_expand(R_K) == R_F``, and ``ind(C_K) = C_L`` iff
-      ``entry_embed(R_K) == R_L``, entry for entry.
+    - ``res(ker R) = ker(block_expand R)``, as ``block_expand`` realizes
+      the same map on re-blocked coordinates, and ``ind(ker R) =
+      ker(entry_embed R)``, as the embedded kernel basis lies in the right
+      side and ``entry_embed`` keeps rank.  Both hold for every constraint
+      matrix R, so the image of R's kernel depends only on R's row space,
+      and so does the row space of the image of R, which annihilates it.
+    - A carried stream's rows of each member span, up to every depth, what
+      its raw rows span (proved in ``entropy._constraint_blocks``).  So E
+      spans the row space of the image of the raw R_K, and each rank is
+      that of the raw rows.
+    - Two kernels are equal exactly when the row spaces are, and two
+      spaces A, B are equal exactly when ``rank A = rank(A + B) = rank
+      B``.  So ``res(C_K) = C_F`` iff ``rank E = rank(E + R_F) = r_F``, and
+      ``ind(C_K) = C_L`` iff the same holds over L.
     - The codimension of C_n in U is the rank of R less the dead
-      coordinates, so the codimension identities compare row counts.
+      coordinates, so the codimension identities compare ranks:
+      ``r_F == deg * r_K`` and ``r_L == r_K``.
 
-    No row reduction runs beyond the ones that build the forms.
+    Every cell, a failing one included, is decided exactly.  The trackers'
+    holdings are checked against the cap before any block is built: the
+    two-level trackers hold the most, twice the rows of a stream of their
+    field, and L's pair dominates K's chain, as ``[L:K] >= 1``.
     """
-    deg = e_fk.degree
-    w_k = default_window(flow, GoodSubspace.principal(ms[-1]), n_max, slack)
+    deg, d = e_fk.degree, flow.discrete_dim
+    counts = [d + m for m in ms]
+    counts_f = [deg * count for count in counts]
+    window = default_window(flow, GoodSubspace.principal(ms[-1]), n_max, slack)
+    _check_tracker_cap(flow_f.field, 2 * counts_f[-1], n_max, deg * (d + window))
+    _check_tracker_cap(flow_l.field, 2 * counts[-1], n_max, d + window)
     streams = zip(
-        cotrajectory_run(flow, ms, n_max, w_k),
-        cotrajectory_run(flow_f, [deg * m for m in ms], n_max, deg * w_k),
-        cotrajectory_run(flow_l, ms, n_max, w_k),
+        cotrajectory_run(flow, list(range(counts[-1])), counts, n_max, window),
+        cotrajectory_run(flow_f, list(range(counts_f[-1])), counts_f, n_max, deg * window),
+        cotrajectory_run(flow_l, list(range(counts[-1])), counts, n_max, window),
     )
+    pairs = [
+        (_flag_stack(flow_f.field, [count_f, 2 * count_f]), _flag_stack(flow_l.field, [count, 2 * count]))
+        for count, count_f in zip(counts, counts_f)
+    ]
     out = {}
-    for n, depth in enumerate(streams, start=1):
-        for m, form_k, form_f, form_l in zip(ms, *depth):
-            dead_k = flow.discrete_dim + m
-            codim_k = form_k.rows - dead_k
-            codim_f = form_f.rows - deg * dead_k
-            codim_l = form_l.rows - dead_k
+    for n, ((block_k, r_k), (block_f, r_f), (block_l, r_l)) in enumerate(streams, start=1):
+        for i, (m, count, (res, ind)) in enumerate(zip(ms, counts, pairs)):
+            rows_k = block_k[:count]
             out[m, n] = (
-                codim_f == deg * codim_k,
-                block_expand(form_k, e_fk) == form_f,
-                entry_embed(form_k, e_kl) == form_l,
-                codim_l == codim_k,
+                r_f[i] == deg * r_k[i],
+                _same_span(res, _expand_array(rows_k, e_fk), block_f[: counts_f[i]], r_f[i]),
+                _same_span(ind, e_kl.apply_array(rows_k), block_l[:count], r_l[i]),
+                r_l[i] == r_k[i],
             )
     return out
+
+
+def _same_span(stack, image: np.ndarray, rows: np.ndarray, rank: int) -> bool:
+    """Insert ``image`` at level 0 and ``rows`` at level 1 of a two-level
+    tracker; whether the spans of all images and of all rows so far are
+    equal, given ``rank``, that of the rows."""
+    block = np.zeros((image.shape[0] + rows.shape[0], max(image.shape[1], rows.shape[1])), dtype=np.int64)
+    block[: image.shape[0], : image.shape[1]] = image
+    block[image.shape[0] :, : rows.shape[1]] = rows
+    stack.insert(block)
+    low, both = stack.ranks
+    return low == both == rank
 
 
 def verify_theorem(
@@ -337,12 +370,13 @@ def verify_theorem(
         raise ValueError(f"identity depth {identity_n_max} checks no identity; it must be at least 1")
     flow_f = res_flow(e_fk, flow)
     flow_l = ind_flow(e_kl, flow)
-    ent_k = ent_star(flow, cfg)
-    ent_f = ent_star(flow_f, cfg)
-    ent_l = ent_star(flow_l, cfg)
+    # first, so that identity checks past the cap fail before any block is built
     cells = _identity_checks(
         e_fk, e_kl, flow, flow_f, flow_l, identity_n_max, _IDENTITY_MS, cfg.window_slack
     )
+    ent_k = ent_star(flow, cfg)
+    ent_f = ent_star(flow_f, cfg)
+    ent_l = ent_star(flow_l, cfg)
     identities = {
         n: all(all(cells[m, n]) for m in _IDENTITY_MS) for n in range(1, identity_n_max + 1)
     }

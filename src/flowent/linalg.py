@@ -1,13 +1,13 @@
 """Exact matrices over a finite field, and canonical subspaces.
 
 Matrices hold numpy arrays of element codes and are immutable after
-construction.  The entropy engine works on constraint forms, reduced
-row-echelon matrices whose kernels are the cotrajectories, and never
-builds a subspace.  ``Subspace`` and ``kernel`` remain as the tests'
-independent reference for those forms, and ``bench/tracing.py`` times
-them by name.  A subspace carries its reduced row-echelon basis, so equal
-subspaces have bit-identical representations and equality needs no
-tolerances.
+construction.  The entropy engine and verify's identity checks work on
+rank trackers over blocks of constraint rows, whose kernels are the
+cotrajectories, and never build a subspace or a reduced form.
+``Subspace`` and ``kernel`` remain as the tests' independent reference
+for those checks, and ``bench/tracing.py`` times them by name.  A
+subspace carries its reduced row-echelon basis, so equal subspaces have
+bit-identical representations and equality needs no tolerances.
 """
 
 from __future__ import annotations
@@ -198,10 +198,14 @@ def block_expand(m: Matrix, e: FieldEmbedding) -> Matrix:
     e.source; realizes the same linear map on re-blocked coordinates."""
     if m.field != e.target:
         raise FieldMismatch("matrix is not over the embedding's target field")
-    reps = e.rep_table()[m.data]  # (rows, cols, deg, deg)
+    return Matrix(e.source, _expand_array(m.data, e))
+
+
+def _expand_array(a: np.ndarray, e: FieldEmbedding) -> np.ndarray:
+    """``block_expand`` of an array of ``e.target`` codes, as an array."""
+    reps = e.rep_table()[a]  # (rows, cols, deg, deg)
     deg = e.degree
-    out = reps.transpose(0, 2, 1, 3).reshape(m.rows * deg, m.cols * deg)
-    return Matrix(e.source, out)
+    return reps.transpose(0, 2, 1, 3).reshape(a.shape[0] * deg, a.shape[1] * deg)
 
 
 def entry_embed(m: Matrix, e: FieldEmbedding) -> Matrix:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import flowent
+from flowent.entropy import _constraint_blocks
 from flowent.fields import _rref_array, make_extension, make_prime_field
 from flowent.linalg import Matrix, kernel
 
@@ -68,32 +69,16 @@ def stacked_rref(field, red, rows):
     return out[: len(pivots)], pivots
 
 
-def row_stream(field, rng, steps=14):
-    """Blocks of growing width: random rows, sparse rows, zero rows,
-    repeats of earlier rows and combinations of rows already sent."""
-    sent = np.zeros((0, 0), dtype=np.int64)
-    width = int(rng.integers(1, 4))
-    for _ in range(steps):
-        width += int(rng.integers(0, 4))
-        count = int(rng.integers(0, 5))
-        block = field.random_codes(rng, (count, width))
-        block[rng.random((count, width)) < 0.5] = 0
-        extra = [np.zeros((1, width), dtype=np.int64)]
-        if sent.shape[0]:
-            old = np.zeros((sent.shape[0], width), dtype=np.int64)
-            old[:, : sent.shape[1]] = sent
-            pick = old[rng.integers(0, old.shape[0], 2)]
-            coeffs = field.random_codes(rng, (2, old.shape[0]))
-            extra += [pick, field.arr_matmul(coeffs, old)]
-        block = np.concatenate([block] + extra)
-        block = block[rng.permutation(block.shape[0])]
-        if rng.random() < 0.25:  # a block narrower than the rows so far
-            block = block[:, : int(rng.integers(1, width + 1))]
-        yield block
-        grown = np.zeros((sent.shape[0] + block.shape[0], width), dtype=np.int64)
-        grown[: sent.shape[0], : sent.shape[1]] = sent
-        grown[sent.shape[0] :, : block.shape[1]] = block
-        sent = grown
+def raw_forms(flow, dead, n_max, window):
+    """For each step n = 1..n_max, the reduced row-echelon form, without
+    zero rows and over the whole window, of the raw constraint rows of
+    steps 1..n: the blocks of ``_constraint_blocks`` with nothing carried
+    back, stacked by ``stacked_rref``.  Its kernel is the n-step
+    cotrajectory, and it shares no elimination with the rank trackers."""
+    red = np.zeros((0, flow.discrete_dim + window), dtype=np.int64)
+    for block in _constraint_blocks(flow, dead, n_max, window):
+        red, _ = stacked_rref(flow.field, red, block)
+        yield red
 
 
 @pytest.fixture(scope="session")

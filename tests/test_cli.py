@@ -392,12 +392,14 @@ class TestOversizedSpecs:
 
 
 class TestDeepIdentityChecks:
-    """Constraint forms are capped like every other dense array: at
-    ``--identity-n 400`` the forms of ``random_stencil_flow(GF(4), 3)`` on
-    the GF(2) side could reach 1,600 rows of 4,016 entries, 6.4 * 10^6
-    entries, over the cap, so verify exits 1 at once, where holding every
-    depth's forms ran for minutes into gigabytes.  Runs in a fresh process
-    whose address space is capped at 2 GiB."""
+    """The rank trackers of the identity checks are capped like every
+    other dense array: at ``--identity-n 400`` the two-level trackers of
+    ``random_stencil_flow(GF(4), 3)`` on the GF(2) side take 8 rows a step
+    over 4,016 coordinates and could hold 3,200 rows of 4,016 entries,
+    1.29 * 10^7 entries, over the cap, so verify exits 1 before any block
+    is built, where holding every depth's constraint forms once ran for
+    minutes into gigabytes.  Runs in a fresh process whose address space
+    is capped at 2 GiB."""
 
     def test_over_the_cap_exits_one(self, tmp_path, gf4, run_python):
         path = tmp_path / "deep.json"
@@ -408,6 +410,29 @@ class TestDeepIdentityChecks:
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1, out.stderr
         assert out.stderr.startswith("error: ") and "cap" in out.stderr, out.stderr
+
+    def test_odd_tower_over_the_cap_builds_no_block(self, tmp_path, capsys, monkeypatch):
+        # over GF(3) <= GF(9) <= GF(81) the GF(3) side's trackers could hold
+        # 3,200 rows of 4,016 entries at depth 400: exit 1, no block built
+        import flowent.entropy as entropy
+        from flowent.fields import make_prime_field
+
+        gf3 = make_prime_field(3)
+        gf9, _ = make_extension(gf3, least_irreducible(gf3, 2))
+        path = tmp_path / "deep9.json"
+        save_flow(random_stencil_flow(gf9, 3), path)
+        built, original = [], entropy._constraint_blocks
+
+        def spy(flow, *args):
+            built.append(flow.label)
+            return original(flow, *args)
+
+        monkeypatch.setattr(entropy, "_constraint_blocks", spy)
+        assert main(["verify", str(path), "--identity-n", "400"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and "cap" in err, err
+        assert built == []
 
 
 class TestUsageErrors:

@@ -18,7 +18,6 @@ from flowent.entropy import (
     _FlagStack,
     _FlagStack2,
     _FlagStackOdd,
-    _Form2,
     _flag_stack,
     _lane_low,
     _lane_times,
@@ -55,17 +54,22 @@ from flowent.model import (
     window_nonzeros,
 )
 
-from conftest import dense_truncation, intersect, preimage, row_stream, stacked_rref
+from conftest import dense_truncation, intersect, preimage, raw_forms, stacked_rref
 
 U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
 
 
+def cotrajectories(flow, m, n_max, window):
+    """The n-step cotrajectories of U_m, n = 1..n_max, inside ``window``:
+    the kernels of the raw-row constraint forms."""
+    dead = _dead_indices(flow, U(m))
+    return [kernel(Matrix(flow.field, red)) for red in raw_forms(flow, dead, n_max, window)]
+
+
 def cotrajectory(flow, m, n):
-    """The n-step cotrajectory of U_m inside its certified window: the
-    kernel of its constraint form."""
-    *_, (form,) = cotrajectory_run(flow, [m], n, default_window(flow, U(m), n))
-    return kernel(form)
+    """The n-step cotrajectory of U_m inside its certified window."""
+    return cotrajectories(flow, m, n, default_window(flow, U(m), n))[-1]
 
 
 def h_star(flow, u, cfg=DEFAULT_CONFIG):
@@ -87,10 +91,9 @@ class TestCotrajectory:
 
     def test_identity_fixed(self, gf4):
         flow = make_identity(SpaceShape(gf4, 0))
-        forms = [form for (form,) in cotrajectory_run(flow, [2], 5, 12)]
-        ref = kernel(forms[0])
+        cots = cotrajectories(flow, 2, 5, 12)
         for n in (1, 3, 5):
-            assert kernel(forms[n - 1]) == ref
+            assert cots[n - 1] == cots[0]
 
     @pytest.mark.parametrize("m,n", [(1, 3), (2, 4), (3, 2)])
     def test_bernoulli_vanishing_coordinates(self, gf2, m, n):
@@ -109,33 +112,18 @@ class TestCotrajectory:
         flow = random_stencil_flow(gf4, 7, discrete=False)
         window = cotrajectory(flow, 2, 4).ambient
         mat = truncate(flow, window)
-        cots = [kernel(form) for (form,) in cotrajectory_run(flow, [2], 4, window)]
+        cots = cotrajectories(flow, 2, 4, window)
         u_win = cots[0]
         for n in range(2, 5):
             stepped = intersect(u_win, preimage(mat, cots[n - 2]))
             assert stepped == cots[n - 1]
 
 
-def _stacked_forms(flow, u, n_max, window):
-    """Constraint forms the direct way: at every step all constraint rows
-    so far are stacked and row-reduced from scratch."""
-    dim = flow.discrete_dim + window
-    stack = np.zeros((0, dim), dtype=np.int64)
-    forms = []
-    for block in _constraint_blocks(flow, _dead_indices(flow, u), n_max, window):
-        rows = np.zeros((block.shape[0], dim), dtype=np.int64)
-        rows[:, : block.shape[1]] = block
-        stack = np.concatenate([stack, rows])
-        red, pivots = _rref_array(flow.field, stack.copy())
-        forms.append(red[: len(pivots)])
-    return forms
-
-
 def _scalar_towers():
     """(F <= K, K <= L) for GF(2) <= GF(4) <= GF(16), GF(3) <= GF(9) <=
     GF(81), GF(2) <= GF(8) <= GF(64) and GF(2) <= GF(16) <= GF(256): K's
-    forms over GF(2^k) are packed in lanes of k = 2, 3 and 4 bits, and L's
-    in lanes of 4, 6 and 8 bits."""
+    trackers over GF(2^k) pack rows in lanes of k = 2, 3 and 4 bits, and
+    L's in lanes of 4, 6 and 8 bits."""
     out = []
     for p, degree in ((2, 2), (3, 2), (2, 3), (2, 4)):
         base = make_prime_field(p)
@@ -145,25 +133,30 @@ def _scalar_towers():
     return out
 
 
-def _check_chain_forms(flow, ms, n_max, window):
-    """Every member's forms from one ``cotrajectory_run`` stream equal those
-    of its own stacked rows reduced from scratch, entry for entry."""
-    got = list(cotrajectory_run(flow, ms, n_max, window))
-    assert len(got) == n_max and all(len(depth) == len(ms) for depth in got)
-    for i, m in enumerate(ms):
-        want = _stacked_forms(flow, U(m), n_max, window)
-        for n, (depth, ref) in enumerate(zip(got, want), start=1):
-            assert depth[i].field == flow.field
-            assert depth[i].data.shape == ref.shape, (flow.label, m, n)
-            assert np.array_equal(depth[i].data, ref), (flow.label, m, n)
+def _check_run(flow, ms, n_max, window):
+    """``cotrajectory_run`` over the principal members ``ms`` against the
+    raw rows: at every step each member's rank is that of its raw rows so
+    far, and its carried rows so far have the same reduced row-echelon
+    form as the raw rows, entry for entry, so the same span."""
+    d = flow.discrete_dim
+    counts = [d + m for m in ms]
+    got = list(cotrajectory_run(flow, list(range(counts[-1])), counts, n_max, window))
+    assert len(got) == n_max
+    for i, count in enumerate(counts):
+        carried = np.zeros((0, d + window), dtype=np.int64)
+        raw = raw_forms(flow, list(range(count)), n_max, window)
+        for n, ((block, ranks), want) in enumerate(zip(got, raw), start=1):
+            carried, _ = stacked_rref(flow.field, carried, block[:count])
+            assert ranks[i] == want.shape[0], (flow.label, count, n)
+            assert np.array_equal(carried, want), (flow.label, count, n)
 
 
 class TestCotrajectoryRunIncremental:
-    """``cotrajectory_run`` extends each member's form by its prefix of the
-    step's raw rows; its forms equal those of the stacked rows reduced from
-    scratch, entry for entry, on seeded flows over K, one- and multi-phase,
-    with and without a discrete part, and their images over F and L, at
-    the window of the last member."""
+    """``cotrajectory_run`` carries each step's placed values into the next
+    step; its ranks and the spans of its blocks equal those of the raw rows
+    stacked and reduced from scratch (``_check_run``), on seeded flows over
+    K, one- and multi-phase, with and without a discrete part, and their
+    images over F and L, at the window of the last member."""
 
     @pytest.mark.parametrize("tower", _scalar_towers(), ids=lambda t: repr(t[0].target))
     @pytest.mark.parametrize("seed", range(4))
@@ -174,9 +167,9 @@ class TestCotrajectoryRunIncremental:
         deg, ms = e_fk.degree, (0, 1, 2)
         for flow in (random_stencil_flow(e_fk.target, seed), _random_phase_flow(e_fk.target, seed)):
             window = default_window(flow, U(ms[-1]), 10)
-            _check_chain_forms(flow, ms, 10, window)
-            _check_chain_forms(res_flow(e_fk, flow), [deg * m for m in ms], 10, deg * window)
-            _check_chain_forms(ind_flow(e_kl, flow), ms, 10, window)
+            _check_run(flow, ms, 10, window)
+            _check_run(res_flow(e_fk, flow), [deg * m for m in ms], 10, deg * window)
+            _check_run(ind_flow(e_kl, flow), ms, 10, window)
 
     def test_covers_discrete_parts(self):
         # the seeds above include flows with and without a discrete part
@@ -186,60 +179,6 @@ class TestCotrajectoryRunIncremental:
                 for flow in (random_stencil_flow(e_fk.target, seed), _random_phase_flow(e_fk.target, seed)):
                     dims.add(flow.discrete_dim > 0)
         assert dims == {False, True}
-
-
-def _char2_form_fields():
-    gf2 = make_prime_field(2)
-    return [gf2] + [make_extension(gf2, least_irreducible(gf2, k))[0] for k in (2, 3, 4, 8)]
-
-
-class TestForm2:
-    """The packed form over GF(2^k) against ``_rref_array`` of the stacked
-    rows, entry for entry, in lanes of 1, 2, 3, 4 and 8 bits."""
-
-    @pytest.mark.parametrize("field", _char2_form_fields(), ids=repr)
-    def test_row_streams(self, field):
-        # random and sparse rows, zero rows, repeats and combinations of
-        # rows sent before, in blocks narrower and wider than the last
-        rng = np.random.default_rng(field.q)
-        for trial in range(12):
-            blocks = list(row_stream(field, rng))
-            width = max(block.shape[1] for block in blocks)
-            form, want = _Form2(field, width), np.zeros((0, width), dtype=np.int64)
-            for block in blocks:
-                frozen = block.copy()
-                form.extend(_pack_lanes(field, block))
-                want, pivots = stacked_rref(field, want, block)
-                assert sorted(form.rows) == [j * field.d for j in pivots], (field, trial)
-                got = form.matrix()
-                assert got.field == field and got.data.shape == want.shape
-                assert np.array_equal(got.data, want), (field, trial)
-                assert np.array_equal(block, frozen)
-
-    def test_empty_start_empty_block_and_no_new_pivot(self, gf4):
-        form = _Form2(gf4, 5)
-        assert form.matrix().data.shape == (0, 5)
-        rows = np.array([[0, 2, 3], [0, 1, 1], [0, 0, 0]], dtype=np.int64)
-        form.extend(_pack_lanes(gf4, rows))
-        want, want_pivots = stacked_rref(gf4, rows[:0], rows)
-        assert want_pivots == [1, 2] and sorted(form.rows) == [2, 4]
-        got = form.matrix()
-        assert np.array_equal(got.data[:, :3], want) and not got.data[:, 3:].any()
-        form.extend(_pack_lanes(gf4, np.zeros((0, 5), dtype=np.int64)))
-        combos = gf4.arr_matmul(gf4.random_codes(np.random.default_rng(4), (4, 3)), rows)
-        form.extend(_pack_lanes(gf4, combos))
-        assert sorted(form.rows) == [2, 4] and np.array_equal(form.matrix().data, got.data)
-
-    @pytest.mark.parametrize("field", _char2_form_fields()[1:], ids=repr)
-    def test_lane_times(self, field):
-        # c*w lane by lane against the field's products, for every c
-        rng = np.random.default_rng(field.q)
-        row = field.random_codes(rng, (1, 9))
-        (w,) = _pack_lanes(field, row)
-        k, low, tops = field.d, _lane_low(field), _lane_tops(field.d, 9)
-        for c in field.elements():
-            (want,) = _pack_lanes(field, field.arr_mul(np.int64(c), row))
-            assert _lane_times(w, c, k, low, tops) == want, c
 
 
 class TestCodimSequence:
@@ -681,6 +620,17 @@ class TestFlagTrackers:
                 assert stack.ranks == want, (degree, trial, bounds)
         assert dependent and exchanges, (dependent, exchanges)
 
+    @pytest.mark.parametrize("field", [_gf2_extension(k) for k in (2, 3, 4, 8)], ids=repr)
+    def test_lane_times(self, field):
+        # c*w lane by lane against the field's products, for every c
+        rng = np.random.default_rng(field.q)
+        row = field.random_codes(rng, (1, 9))
+        (w,) = _pack_lanes(field, row)
+        k, low, tops = field.d, _lane_low(field), _lane_tops(field.d, 9)
+        for c in field.elements():
+            (want,) = _pack_lanes(field, field.arr_mul(np.int64(c), row))
+            assert _lane_times(w, c, k, low, tops) == want, c
+
     @pytest.mark.parametrize("q", [2, 4, 8, 16, 256])
     def test_default_chain_char2(self, q):
         # the default nine members, where exchanges between levels are most
@@ -814,7 +764,7 @@ def _extension_fields():
 
 class TestCarriedRows:
     """Blocks multiplied out from carried rows, not raw ones, give the same
-    traces and constraint forms as the raw rows."""
+    traces and spans as the raw rows."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_insert_returns_placed_values(self, p):
@@ -1003,12 +953,12 @@ class TestCarriedRows:
 
     @pytest.mark.parametrize("field", _char2_fields() + [make_prime_field(3)], ids=repr)
     def test_forms_match_stacked_raw_rows(self, field):
-        # cotrajectory_run extends every member's form by raw rows; an
-        # identity flow adds no new pivot after step 1
+        # the carried rows of every member have the raw rows' reduced
+        # forms; an identity flow adds no new pivot after step 1
         flows = [_random_phase_flow(field, seed) for seed in range(8)]
         flows.append(make_identity(SpaceShape(field, 1)))
         for flow in flows:
-            _check_chain_forms(flow, (0, 1, 3), 10, default_window(flow, U(3), 10))
+            _check_run(flow, (0, 1, 3), 10, default_window(flow, U(3), 10))
 
     @pytest.mark.parametrize("field", _sparse_fields()[1:], ids=repr)
     def test_unrestrict_reads_back_the_first_restricted_rows(self, field):

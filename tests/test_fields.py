@@ -12,7 +12,6 @@ from flowent.errors import Mismatch, NotPrime, Reducible, TooLarge
 from flowent.fields import (
     FiniteField,
     _poly_is_irreducible,
-    _rref_extend,
     check_float_exact,
     compose,
     field_from_descriptor,
@@ -22,8 +21,6 @@ from flowent.fields import (
     make_prime_field,
     tower_from_descriptor,
 )
-
-from conftest import row_stream, stacked_rref
 
 
 class TestPrimeFields:
@@ -466,11 +463,9 @@ class TestFloatExactness:
         assert out.stdout.splitlines() == ["matmul raised", "window raised", "tracker exact"]
 
 
-def _rref_fields():
+def _product_fields():
     gf2, gf3, gf5 = (make_prime_field(p) for p in (2, 3, 5))
     return [
-        gf2,
-        gf3,
         make_extension(gf2, least_irreducible(gf2, 2))[0],
         gf5,
         make_extension(gf3, least_irreducible(gf3, 2))[0],
@@ -479,47 +474,11 @@ def _rref_fields():
     ]
 
 
-class TestRrefExtend:
-    """The incremental echelon step against ``_rref_array`` of the stacked
-    rows, entry for entry."""
+class TestProducts:
+    """``arr_matmul`` against scalar products, where its chunked and packed
+    sums could go wrong."""
 
-    @pytest.mark.parametrize("field", _rref_fields(), ids=repr)
-    def test_row_streams(self, field):
-        rng = np.random.default_rng(field.q)
-        for trial in range(12):
-            red = np.zeros((0, int(rng.integers(0, 3))), dtype=np.int64)
-            pivots: list[int] = []
-            for block in row_stream(field, rng):
-                prev, frozen_red, frozen_block = red, red.copy(), block.copy()
-                want, want_pivots = stacked_rref(field, red, block)
-                red, pivots = _rref_extend(field, red, pivots, block)
-                assert pivots == want_pivots, (field, trial)
-                assert red.dtype == want.dtype and red.shape == want.shape
-                assert np.array_equal(red, want), (field, trial)
-                assert np.array_equal(prev, frozen_red) and np.array_equal(block, frozen_block)
-
-    @pytest.mark.parametrize("field", _rref_fields(), ids=repr)
-    def test_operands_left_intact(self, field):
-        rng = np.random.default_rng(7)
-        start = field.random_codes(rng, (4, 9))
-        red, pivots = stacked_rref(field, start[:0], start)
-        red.setflags(write=False)
-        rows = field.random_codes(rng, (3, 12))
-        rows.setflags(write=False)
-        out, out_pivots = _rref_extend(field, red, pivots, rows)
-        want, want_pivots = stacked_rref(field, red, rows)
-        assert out_pivots == want_pivots and np.array_equal(out, want)
-
-    def test_empty_start_and_empty_block(self, gf4):
-        rows = np.array([[0, 2, 3], [0, 1, 1], [0, 0, 0]], dtype=np.int64)
-        red, pivots = _rref_extend(gf4, np.zeros((0, 0), dtype=np.int64), [], rows)
-        want, want_pivots = stacked_rref(gf4, rows[:0], rows)
-        assert pivots == want_pivots == [1, 2] and np.array_equal(red, want)
-        again, again_pivots = _rref_extend(gf4, red, pivots, np.zeros((0, 5), dtype=np.int64))
-        assert again.shape == (red.shape[0], 5) and again_pivots == pivots
-        assert np.array_equal(again[:, :3], red) and not again[:, 3:].any()
-
-    @pytest.mark.parametrize("field", _rref_fields()[2:], ids=repr)
+    @pytest.mark.parametrize("field", _product_fields(), ids=repr)
     def test_chunked_products(self, field, monkeypatch):
         """``arr_matmul`` against a scalar triple loop of ``add`` and ``mul``,
         on a dense left operand and on one with zero columns, one inner

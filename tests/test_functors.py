@@ -18,7 +18,6 @@ from flowent.functors import (
     res_subspace,
     verify_theorem,
 )
-from flowent.entropy import cotrajectory_run
 from flowent.linalg import (
     Matrix,
     Subspace,
@@ -39,6 +38,8 @@ from flowent.model import (
     random_stencil_flow,
     truncate,
 )
+
+from conftest import raw_forms
 
 U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
@@ -151,12 +152,11 @@ class TestSubspaceMaps:
         flow_f = res_flow(emb, flow)
         n_max, ms = 8, (0, 1, 2)
         w = default_window(flow, U(ms[-1]), n_max)
-        ck = cotrajectory_run(flow, ms, n_max, w)
-        cf = cotrajectory_run(flow_f, [2 * m for m in ms], n_max, 2 * w)
-        for forms_k, forms_f in zip(ck, cf):
-            for m, form_k, form_f in zip(ms, forms_k, forms_f):
-                assert res_good(emb, U(m)) == U(2 * m)
-                assert res_subspace(emb, kernel(form_k)) == kernel(form_f)
+        for m in ms:
+            assert res_good(emb, U(m)) == U(2 * m)
+            c_k = _cotrajectories(flow, m, n_max, w)
+            c_f = _cotrajectories(flow_f, 2 * m, n_max, 2 * w)
+            assert [res_subspace(emb, c) for c in c_k] == c_f
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ind_preserves_codim(self, gf4_pair, gf16_pair, seed):
@@ -369,17 +369,25 @@ class TestVerifyTheorem:
         assert list(d["identities"]) == ["1", "2", "3", "4"]
 
 
+def _cotrajectories(flow, m, n_max, window):
+    """The n-step cotrajectories of U_m, n = 1..n_max, inside ``window``:
+    the kernels of the raw-row constraint forms."""
+    dead = list(range(flow.discrete_dim + m))
+    return [kernel(Matrix(flow.field, red)) for red in raw_forms(flow, dead, n_max, window)]
+
+
 def _kernel_route(e_fk, e_kl, flow, flow_f, flow_l, n_max, ms, slack):
-    """Reference for ``_identity_checks``: take the kernel of every
-    constraint form and compare the mapped subspaces and their dimensions.
-    Each member runs alone at its own certified window."""
+    """Reference for ``_identity_checks``: map the cotrajectories of the
+    raw rows by ``res_subspace`` and ``ind_subspace`` and compare them and
+    their dimensions.  Each member runs alone at its own certified window,
+    and no rank tracker runs."""
     deg = e_fk.degree
     cells = {}
     for m in ms:
         w = default_window(flow, U(m), n_max, slack)
-        c_k = [kernel(r) for (r,) in cotrajectory_run(flow, [m], n_max, w)]
-        c_f = [kernel(r) for (r,) in cotrajectory_run(flow_f, [deg * m], n_max, deg * w)]
-        c_l = [kernel(r) for (r,) in cotrajectory_run(flow_l, [m], n_max, w)]
+        c_k = _cotrajectories(flow, m, n_max, w)
+        c_f = _cotrajectories(flow_f, deg * m, n_max, deg * w)
+        c_l = _cotrajectories(flow_l, m, n_max, w)
         dead = flow.discrete_dim + m
         for n in range(1, n_max + 1):
             sub_k, sub_f, sub_l = c_k[n - 1], c_f[n - 1], c_l[n - 1]
@@ -450,17 +458,20 @@ class TestIdentityChecks:
         assert all(all(c) for c in got.values())
 
     def test_one_raw_block_stream_per_field(self, towers, monkeypatch):
-        # K, F and L each run one stream of raw blocks for all members,
-        # with no carry sent back, and F's stream zeroes deg * 2 coordinates
+        # K, F and L each run one block stream for all members, carrying
+        # the placed values of every step into the next, and F's stream
+        # zeroes deg * 2 coordinates
         import flowent.entropy as entropy
 
         original, streams = entropy._constraint_blocks, []
 
         def spy(flow, dead, n_max, window):
             streams.append((flow.field, len(dead) - flow.discrete_dim))
-            for block in original(flow, dead, n_max, window):
-                carried = yield block
-                assert carried is None
+            blocks = original(flow, dead, n_max, window)
+            carried = None
+            for step in range(n_max):
+                carried = yield blocks.send(carried)
+                assert carried is not None, step
 
         monkeypatch.setattr(entropy, "_constraint_blocks", spy)
         e_fk, e_kl = towers[4]
@@ -470,8 +481,9 @@ class TestIdentityChecks:
         assert streams == [(e_fk.target, 2), (e_fk.source, deg * 2), (e_kl.target, 2)]
 
     def test_deep_checks_hold_one_depth(self, gf4_pair, gf16_pair):
-        # every depth is compared and dropped: at depth 60 the peak stays
-        # far below what holding all 60 depths of forms takes (about 68 MB)
+        # every depth's blocks are dropped once inserted: at depth 60 the
+        # peak stays far below what holding all 60 depths of constraint
+        # forms takes (about 68 MB)
         import tracemalloc
 
         (gf4, e_fk), (_, e_kl) = gf4_pair, gf16_pair
@@ -484,7 +496,41 @@ class TestIdentityChecks:
         finally:
             tracemalloc.stop()
         assert len(cells) == 60 * len(self.ms) and all(all(c) for c in cells.values())
-        assert peak < 24 * 2**20, peak
+        assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize("side", ["plain", "res", "ind"])
+    @pytest.mark.parametrize("q,seed", [(4, 0), (4, 1), (4, 2), (4, 3), (9, 0), (9, 1)])
+    def test_deep_cells_match_kernel_route(self, towers, side, q, seed):
+        # cell for cell at depth 24, failing cells of a perturbed side included
+        e_fk, e_kl = towers[q]
+        flow = random_stencil_flow(e_fk.target, seed)
+        flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+        if side == "res":
+            flow_f = _perturb(flow_f)
+        elif side == "ind":
+            flow_l = _perturb(flow_l)
+        args = (e_fk, e_kl, flow, flow_f, flow_l, 24, self.ms, 4)
+        ref = _kernel_route(*args)
+        assert _identity_checks(*args) == ref
+        assert all(map(all, ref.values())) == (side == "plain")
+
+    @pytest.mark.parametrize("q", [4, 8, 9])
+    @pytest.mark.parametrize("k_flow", ["identity", "shift"])
+    def test_nested_spans_fail(self, towers, q, k_flow):
+        # the identity's cotrajectories against the images of the shift's,
+        # and the other way round: from depth 2 on, U_m's rows under the
+        # identity span strictly less than under the shift, so every cell
+        # fails, the codimensions included, though one side's span lies in
+        # the other's
+        e_fk, e_kl = towers[q]
+        shift = make_bernoulli(e_fk.target, 1)
+        ident = make_identity(SpaceShape(e_fk.target, 0))
+        flow, other = (ident, shift) if k_flow == "identity" else (shift, ident)
+        args = (e_fk, e_kl, flow, res_flow(e_fk, other), ind_flow(e_kl, other), self.n_max, self.ms, 12)
+        got = _identity_checks(*args)
+        assert got == _kernel_route(*args)
+        for (m, n), cell in got.items():
+            assert cell == (m == 0 or n == 1,) * 4, (m, n)
 
     @pytest.mark.parametrize("side", ["res", "ind"])
     @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (8, 4), (8, 5), (9, 1), (16, 2)])
