@@ -32,10 +32,11 @@ step's rows mostly skip the holders their rows climbed through before.
 
 ``cotrajectory_run`` is the one trace loop: at each step it yields the
 carried block and the tracker's ranks.  The traces read the ranks, and
-``functors`` decides verify's identities from the blocks of three such
-runs by the ranks of more trackers: a cotrajectory is the kernel of its
-constraint rows, and two kernels are equal exactly when the row spans
-are, which ranks decide.  No reduced row-echelon form is built.
+a verify's three estimates and its identities both read one such run
+per field: the identities by the ranks of more trackers on its blocks,
+as a cotrajectory is the kernel of its constraint rows, and two kernels
+are equal exactly when the row spans are.  No reduced row-echelon form
+is built.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.  The flows the entropy laws are
@@ -142,15 +143,15 @@ class _FlagStack:
     so they are independent.  Each step ends the loop or moves the lead key
     strictly up, so an insert ends after at most one step per key.
 
-    ``insert`` takes a block over F and returns, for each row, its value
-    at the moment it first becomes a holder at its own level l, or 0 when
-    it reduces to 0 there: the row plus an F-combination of holders of
-    level <= l, which span ``V_l(n-1)`` and the block's earlier rows, so
-    ``_constraint_blocks`` may carry it.  A raw row climbs through the
-    holders at low columns at every step; a carried value's image mostly
-    starts past them.  Blocks come no narrower than the ones before, so
-    every value fits the block's width.  ``ranks`` are in F's units, also
-    when a subclass tracks ``unit`` rows per row.
+    ``insert`` takes a block over F and returns, packed, each row's value
+    when it first becomes a holder at its own level l, or 0 when it
+    reduces to 0 there: the row plus an F-combination of holders of level
+    <= l, which span ``V_l(n-1)`` and the block's earlier rows, so
+    ``_constraint_blocks`` may carry it once ``decode`` unpacks it.  A raw
+    row climbs through the holders at low columns at every step; a carried
+    value's image mostly starts past them.  Blocks come no narrower than
+    the ones before, so every value fits the block's width.  ``ranks`` are
+    in F's units, also when a subclass tracks ``unit`` rows per row.
     """
 
     def __init__(self, field, counts: Sequence[int], unit: int = 1):
@@ -245,8 +246,8 @@ class _FlagStack2(_FlagStack):
         super().__init__(field, counts)
         self.low = _lane_low(field)
 
-    def insert(self, rows: np.ndarray) -> np.ndarray:
-        """Insert a block; return the placed values, 0/1 uint8 over GF(2), else int64 codes."""
+    def insert(self, rows: np.ndarray) -> list[int]:
+        """Insert a block; return the placed values, packed."""
         holders, per_level, k = self.holders, self.per_level, self.field.d
         width = rows.shape[1]
         tops = _lane_tops(k, width)
@@ -277,6 +278,10 @@ class _FlagStack2(_FlagStack):
                         packed = self._hold(packed, lead, level, tops)
                     packed, level = holder ^ packed, held_level
             placed.append(own)
+        return placed
+
+    def decode(self, placed: Sequence[int], width: int) -> np.ndarray:
+        """Placed values as a block: 0/1 uint8 over GF(2), else int64 codes."""
         return _unpack_lanes(self.field, placed, width)
 
     def _hold(self, w: int, lead: int, level: int, tops: int) -> int:
@@ -295,10 +300,10 @@ class _FlagStackOdd(_FlagStack):
     """``_FlagStack`` over GF(p^d), p odd, on rows packed into integers.
 
     Blocks are restricted to GF(p) by ``_restrict``, d rows per row
-    (``unit``), and ``_unrestrict`` reads back the placed values of the
-    first ones: each is its row plus an element of the restriction of
-    ``V_l(n-1)`` and of the earlier rows' GF(p^d)-span, since every row
-    comes with all d of its restricted rows.
+    (``unit``), and ``decode`` reads back, by ``_unrestrict``, the placed
+    values of the first ones: each is its row plus an element of the
+    restriction of ``V_l(n-1)`` and of the earlier rows' GF(p^d)-span,
+    since every row comes with all d of its restricted rows.
 
     Column j of a row is lane j of its integer, the b bits from ``j*b``
     on, which hold its code 0..p-1.  b is 8, 16 or 32, the least with
@@ -324,8 +329,8 @@ class _FlagStackOdd(_FlagStack):
         super().__init__(field, counts, field.d)
         self.lane = next(b for b in (8, 16, 32) if field.p <= 1 << (b - 1))
 
-    def insert(self, block: np.ndarray) -> np.ndarray:
-        """Insert a block; return each row's placed value as int64 codes."""
+    def insert(self, block: np.ndarray) -> list[int]:
+        """Insert a block; return the placed values of its restricted rows, packed."""
         p, b, holders, per_level = self.field.p, self.lane, self.holders, self.per_level
         lanes = _restrict(self.field, block).astype(f"<u{b // 8}")
         data, size = lanes.tobytes(), lanes.shape[1] * lanes.itemsize
@@ -357,9 +362,14 @@ class _FlagStackOdd(_FlagStack):
                     break
                 per_level[held[1]] -= 1
                 w, level = held[0][0], held[1]
-            placed.append(own.to_bytes(size, "little"))
-        out = np.frombuffer(b"".join(placed), dtype=lanes.dtype).reshape(lanes.shape).astype(np.int64)
-        return _unrestrict(self.field, out)
+            placed.append(own)
+        return placed
+
+    def decode(self, placed: Sequence[int], width: int) -> np.ndarray:
+        """Placed values of a block's restricted rows as the block's int64 codes."""
+        size, dtype = width * self.field.d * self.lane // 8, f"<u{self.lane // 8}"
+        lanes = np.frombuffer(b"".join(own.to_bytes(size, "little") for own in placed), dtype=dtype)
+        return _unrestrict(self.field, lanes.reshape(len(placed), width * self.field.d).astype(np.int64))
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
@@ -387,8 +397,8 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     No dense array of a chain is larger than a block restricted to GF(p):
     at most ``len(dead) * d`` rows, since no step carries more rows than
     its block has, of at most ``(discrete_dim + window) * d`` entries.
-    TooLarge is raised before anything is built when that bound exceeds
-    ``_ENTRY_CAP``.
+    ``default_window`` checks that bound against ``_ENTRY_CAP`` before any
+    row is built.
 
     Carried rows.  Give row i of every block a level l(i), non-decreasing
     in i, and let ``V_l(n)`` be the span of the raw rows of level <= l of
@@ -414,11 +424,6 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     """
     field = flow.field
     dim = flow.discrete_dim + window
-    if len(dead) * field.d**2 * dim > _ENTRY_CAP:
-        raise TooLarge(
-            f"{len(dead)} constraint rows over a window of {dim} coordinates exceed the cap "
-            f"of {_ENTRY_CAP} restricted entries"
-        )
     entries = window_nonzeros(flow, window)
     # the largest int64 sum in ``_times_nonzeros``
     if entries[0].size * (field.p - 1) ** 2 >= 1 << 63:
@@ -561,31 +566,18 @@ def cotrajectory_run(
     carried = None
     for _ in range(n_max):
         block = blocks.send(carried)
-        carried = stack.insert(block)
+        carried = stack.decode(stack.insert(block), block.shape[1])
         yield block, stack.ranks
-
-
-def _rank_traces(
-    flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int
-) -> list[list[int]]:
-    """Codimension traces of the first ``count`` constraint rows per step,
-    for each count in ``counts``: at step n the rank at the count's level
-    less ``count``, the codimension of the good subspace."""
-    values: list[list[int]] = [[] for _ in counts]
-    for _, ranks in cotrajectory_run(flow, dead, counts, n_max, window):
-        for count, rank, vals in zip(counts, ranks, values):
-            vals.append(rank - count)
-    return values
 
 
 def codim_sequence(
     flow: Flow, u: GoodSubspace, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG
 ) -> CodimTrace:
     """Trace of codim_U(C_n) for n = 1..n_max, computed in one window."""
-    window = default_window(flow, u, n_max, cfg.window_slack)
+    window = default_window(flow, u.extent, n_max, cfg.window_slack)
     dead = _dead_indices(flow, u)
-    (values,) = _rank_traces(flow, dead, [len(dead)], n_max, window)
-    return CodimTrace(u, tuple(values), window)
+    run = cotrajectory_run(flow, dead, [len(dead)], n_max, window)
+    return CodimTrace(u, tuple(rank - len(dead) for _, (rank,) in run), window)
 
 
 def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> list[CodimTrace]:
@@ -599,14 +591,17 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     that basis.  All members share the window certified for the largest,
     which is sound by window independence.
     """
-    top = GoodSubspace.principal(cfg.m_max)
-    window = default_window(flow, top, n_max, cfg.window_slack)
-    d = flow.discrete_dim
-    counts = [d + m for m in range(cfg.m_max + 1)]
-    values = _rank_traces(flow, _dead_indices(flow, top), counts, n_max, window)
-    return [
-        CodimTrace(GoodSubspace.principal(m), tuple(vals), window) for m, vals in enumerate(values)
-    ]
+    d, window = flow.discrete_dim, default_window(flow, cfg.m_max, n_max, cfg.window_slack)
+    counts = list(range(d, d + cfg.m_max + 1))
+    run = cotrajectory_run(flow, list(range(counts[-1])), counts, n_max, window)
+    return _chain_codims([ranks for _, ranks in run], d, cfg.m_max, window)
+
+
+def _chain_codims(ranks: Sequence[Sequence[int]], d: int, m_max: int, window: int) -> list[CodimTrace]:
+    """The traces of U_0, ..., U_{m_max} from the ranks of a chain run at
+    each step: member m's rank less its ``d + m`` constraint rows."""
+    codims = (tuple(r[m] - d - m for r in ranks) for m in range(m_max + 1))
+    return [CodimTrace(GoodSubspace.principal(m), values, window) for m, values in enumerate(codims)]
 
 
 # ---------------------------------------------------------------------------
@@ -678,14 +673,19 @@ class EntropyEstimate:
 
 
 def ent_star(flow: Flow, cfg: EngineConfig = DEFAULT_CONFIG) -> EntropyEstimate:
-    """Entropy estimate: supremum of per-subspace rates over U_0, ..., U_M.
+    """Entropy estimate: ``_chain_estimate`` of the flow's ``chain_traces``."""
+    return _chain_estimate(chain_traces(flow, cfg.n_max, cfg), flow.field.q, cfg)
+
+
+def _chain_estimate(traces: Sequence[CodimTrace], field_order: int, cfg: EngineConfig) -> EntropyEstimate:
+    """Supremum of the per-subspace rates of the traces of U_0, ..., U_M
+    over a field of ``field_order`` elements.
 
     The principal chain is a local basis at zero, so its supremum equals
     the supremum over all linearly compact open subspaces.  The estimate is
     unresolved when any chain member is unresolved or when the per-member
     rates are still strictly increasing at the last member.
     """
-    traces = chain_traces(flow, cfg.n_max, cfg)
     per_u = tuple((m, _evaluate_trace(trace, cfg)) for m, trace in enumerate(traces))
     results = [res for _, res in per_u]
     bounds = [res.lower_bound if res.value is None else Fraction(res.value) for res in results]
@@ -694,8 +694,8 @@ def ent_star(flow: Flow, cfg: EngineConfig = DEFAULT_CONFIG) -> EntropyEstimate:
         values = [res.value for res in results]
         still_growing = len(values) >= 2 and values[-1] > values[-2]
         if not still_growing:
-            return EntropyEstimate(max(values), tuple(per_u), flow.field.q, lower)
-    return EntropyEstimate(None, tuple(per_u), flow.field.q, lower)
+            return EntropyEstimate(max(values), tuple(per_u), field_order, lower)
+    return EntropyEstimate(None, tuple(per_u), field_order, lower)
 
 
 # ---------------------------------------------------------------------------

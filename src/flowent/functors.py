@@ -6,13 +6,15 @@ multiplication matrix; induction along K -> L keeps the coordinate layout
 and pushes entries through the embedding.  Entropy scales by the degree
 under restriction and is unchanged under induction; ``verify_theorem``
 checks both formulas together with the per-depth identities that drive
-them.  The identities are decided by ranks: restriction and induction
-of a cotrajectory, the kernel of its constraint rows R, are the kernels
-of ``block_expand`` and ``entry_embed`` of R, for every R, and two kernels
-are equal exactly when their row spaces are, which the rank trackers
-decide (``_identity_checks``).  ``res_subspace`` and ``ind_subspace`` map
-a cotrajectory itself; they are the tests' reference for those checks,
-and no command calls them.
+them, on each side from the same constraint rows: one block stream per
+field, K, F and L, gives both the identities and the three estimates
+(``_identity_checks``).  The identities are decided by ranks:
+restriction and induction of a cotrajectory, the kernel of its
+constraint rows R, are the kernels of ``block_expand`` and
+``entry_embed`` of R, for every R, and two kernels are equal exactly when
+their row spaces are, which the rank trackers decide.  ``res_subspace``
+and ``ind_subspace`` map a cotrajectory itself; they are the tests'
+reference for those checks, and no command calls them.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from .entropy import (
     DEFAULT_CONFIG,
     EngineConfig,
     EntropyEstimate,
+    _chain_codims,
+    _chain_estimate,
     _check_tracker_cap,
     _flag_stack,
     cotrajectory_run,
-    ent_star,
 )
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import FieldEmbedding, FiniteField, least_irreducible, make_extension
@@ -244,44 +247,43 @@ _IDENTITY_CHECKS = ("res_codim", "res", "ind", "ind_codim")
 _IDENTITY_MS = (0, 1, 2)
 
 
-def _first_failure(
-    cells: dict[tuple[int, int], tuple[bool, ...]], n_max: int, ms: tuple[int, ...]
-) -> dict | None:
-    """The first failing identity cell, in order of depth n, then of the
-    chain members ``ms``, then of the checks; None when all hold."""
-    for n in range(1, n_max + 1):
-        for m in ms:
-            for check, ok in zip(_IDENTITY_CHECKS, cells[m, n]):
-                if not ok:
-                    return {"check": check, "m": m, "n": n}
-    return None
-
-
 def _identity_checks(
-    e_fk: FieldEmbedding,
-    e_kl: FieldEmbedding,
-    flow: Flow,
-    flow_f: Flow,
-    flow_l: Flow,
-    n_max: int,
-    ms: tuple[int, ...],
-    slack: int,
-) -> dict[tuple[int, int], tuple[bool, bool, bool, bool]]:
-    """Per-depth identities for each chain member m in ``ms`` and depth n:
+    e_fk: FieldEmbedding, e_kl: FieldEmbedding, flow: Flow, flow_f: Flow, flow_l: Flow, identity_n: int,
+    cfg: EngineConfig,
+) -> tuple[dict[tuple[int, int], tuple[bool, bool, bool, bool]], list[EntropyEstimate]]:
+    """Per-depth identities for each chain member m in ``_IDENTITY_MS``
+    and depth n <= ``identity_n``, and the entropy estimates of K, F and L,
+    all from one ``cotrajectory_run`` per field.  The identities:
     restriction scales the codimension by the degree and commutes with the
     cotrajectory; induction commutes with the cotrajectory and keeps its
-    codimension.  Returns ``{(m, n): (res_codim, res, ind, ind_codim)}``.
+    codimension.  Returns ``{(m, n): (res_codim, res, ind, ind_codim)}``,
+    in order of n, then m, and the estimates of K, F and L.
 
-    The n-step cotrajectory of U_m is the kernel of its constraint rows R,
-    the first ``d + m`` rows (d the discrete dimension) of steps 1..n.  One
-    ``cotrajectory_run`` each over K, F (members ``deg * m``, the
-    restrictions of U_m) and L, at the window of the last member, gives
-    every depth's carried block and the ranks r_K, r_F and r_L of R.  For
-    each member and side a two-level tracker over F (res) or L (ind) takes,
-    at each depth, ``block_expand`` (res) or ``entry_embed`` (ind) of the
-    member's rows of K's block at level 0 and its rows of F's or L's block
-    at level 1: its ranks are those of the images E of K's rows so far and
-    of E together with the other side's rows so far.
+    The runs.  K's and L's cover members 0..top, top = ``max(m_max, 2)``,
+    and F's members 0..``max(m_max, 2 * deg)``, as U_m restricts to F's
+    member ``deg * m``, to depth ``max(n_max, identity_n)`` at the window
+    ``default_window`` certifies for the top member.  The first
+    ``identity_n`` blocks feed the identity checks; the ranks of members
+    0..m_max over the first ``n_max`` steps give ``ent_star``'s traces:
+
+    - a row of level <= l never meets a holder of a higher level except
+      to displace it, so the holders and placed values of levels <= l,
+      hence the ranks and carried rows of members 0..l, do not depend on
+      the higher members' rows;
+    - carried rows are valid for every count of the stream
+      (``entropy._constraint_blocks``), so F's coarse levels ``deg * m``
+      may be read from its fine chain levels;
+    - ranks do not depend on the window once it is certified.
+
+    The checks.  The n-step cotrajectory of U_m is the kernel of its
+    constraint rows R, the first ``d + m`` rows (d the discrete dimension)
+    of steps 1..n; the runs give every depth's carried block and the ranks
+    r_K, r_F and r_L of R.  For each member and side a two-level tracker
+    over F (res) or L (ind) takes, at each depth, ``block_expand`` (res) or
+    ``entry_embed`` (ind) of the member's rows of K's block at level 0 and
+    its rows of F's or L's block at level 1: its ranks are those of the
+    images E of K's rows so far and of E together with the other side's
+    rows so far.
 
     - ``res(ker R) = ker(block_expand R)``, as ``block_expand`` realizes
       the same map on re-blocked coordinates, and ``ind(ker R) =
@@ -290,9 +292,8 @@ def _identity_checks(
       matrix R, so the image of R's kernel depends only on R's row space,
       and so does the row space of the image of R, which annihilates it.
     - A carried stream's rows of each member span, up to every depth, what
-      its raw rows span (proved in ``entropy._constraint_blocks``).  So E
-      spans the row space of the image of the raw R_K, and each rank is
-      that of the raw rows.
+      its raw rows span.  So E spans the row space of the image of the raw
+      R_K, and each rank is that of the raw rows.
     - Two kernels are equal exactly when the row spaces are, and two
       spaces A, B are equal exactly when ``rank A = rank(A + B) = rank
       B``.  So ``res(C_K) = C_F`` iff ``rank E = rank(E + R_F) = r_F``, and
@@ -301,37 +302,42 @@ def _identity_checks(
       coordinates, so the codimension identities compare ranks:
       ``r_F == deg * r_K`` and ``r_L == r_K``.
 
-    Every cell, a failing one included, is decided exactly.  The trackers'
-    holdings are checked against the cap before any block is built: the
-    two-level trackers hold the most, twice the rows of a stream of their
-    field, and L's pair dominates K's chain, as ``[L:K] >= 1``.
+    Every cell, a failing one included, is decided exactly.  Every cap is
+    checked before any block is built: each run's blocks by
+    ``default_window``, and the two-level trackers, which take twice a
+    member's rows of their field, by ``_check_tracker_cap``.
     """
-    deg, d = e_fk.degree, flow.discrete_dim
-    counts = [d + m for m in ms]
-    counts_f = [deg * count for count in counts]
-    window = default_window(flow, GoodSubspace.principal(ms[-1]), n_max, slack)
-    _check_tracker_cap(flow_f.field, 2 * counts_f[-1], n_max, deg * (d + window))
-    _check_tracker_cap(flow_l.field, 2 * counts[-1], n_max, d + window)
-    streams = zip(
-        cotrajectory_run(flow, list(range(counts[-1])), counts, n_max, window),
-        cotrajectory_run(flow_f, list(range(counts_f[-1])), counts_f, n_max, deg * window),
-        cotrajectory_run(flow_l, list(range(counts[-1])), counts, n_max, window),
-    )
+    deg, d, top = e_fk.degree, flow.discrete_dim, max(cfg.m_max, _IDENTITY_MS[-1])
+    depth = max(cfg.n_max, identity_n)
+    flows, tops = (flow, flow_f, flow_l), (top, max(cfg.m_max, deg * _IDENTITY_MS[-1]), top)
+    windows = [default_window(f, t, depth, cfg.window_slack) for f, t in zip(flows, tops)]
+    dim_k, dim_f, dim_l = (f.discrete_dim + w for f, w in zip(flows, windows))
+    counts = [d + m for m in _IDENTITY_MS]
+    _check_tracker_cap(flow_f.field, 2 * deg * counts[-1], identity_n, max(deg * dim_k, dim_f))
+    _check_tracker_cap(flow_l.field, 2 * counts[-1], identity_n, max(dim_k, dim_l))
+    chains = [list(range(f.discrete_dim, f.discrete_dim + t + 1)) for f, t in zip(flows, tops)]
+    runs = [cotrajectory_run(f, list(range(c[-1])), c, depth, w) for f, c, w in zip(flows, chains, windows)]
     pairs = [
-        (_flag_stack(flow_f.field, [count_f, 2 * count_f]), _flag_stack(flow_l.field, [count, 2 * count]))
-        for count, count_f in zip(counts, counts_f)
+        (_flag_stack(flow_f.field, [deg * c, 2 * deg * c]), _flag_stack(flow_l.field, [c, 2 * c])) for c in counts
     ]
-    out = {}
-    for n, ((block_k, r_k), (block_f, r_f), (block_l, r_l)) in enumerate(streams, start=1):
-        for i, (m, count, (res, ind)) in enumerate(zip(ms, counts, pairs)):
+    cells, ranks = {}, ([], [], [])
+    for n, steps in enumerate(zip(*runs), start=1):
+        (block_k, r_k), (block_f, r_f), (block_l, r_l) = steps
+        for m, count, (res, ind) in zip(_IDENTITY_MS, counts, pairs) if n <= identity_n else ():
             rows_k = block_k[:count]
-            out[m, n] = (
-                r_f[i] == deg * r_k[i],
-                _same_span(res, _expand_array(rows_k, e_fk), block_f[: counts_f[i]], r_f[i]),
-                _same_span(ind, e_kl.apply_array(rows_k), block_l[:count], r_l[i]),
-                r_l[i] == r_k[i],
+            cells[m, n] = (
+                r_f[deg * m] == deg * r_k[m],
+                _same_span(res, _expand_array(rows_k, e_fk), block_f[: deg * count], r_f[deg * m]),
+                _same_span(ind, e_kl.apply_array(rows_k), block_l[:count], r_l[m]),
+                r_l[m] == r_k[m],
             )
-    return out
+        for history, (_, r) in zip(ranks, steps) if n <= cfg.n_max else ():
+            history.append(r)
+    estimates = [
+        _chain_estimate(_chain_codims(history, f.discrete_dim, cfg.m_max, w), f.field.q, cfg)
+        for history, f, w in zip(ranks, flows, windows)
+    ]
+    return cells, estimates
 
 
 def _same_span(stack, image: np.ndarray, rows: np.ndarray, rank: int) -> bool:
@@ -347,10 +353,7 @@ def _same_span(stack, image: np.ndarray, rows: np.ndarray, rank: int) -> bool:
 
 
 def verify_theorem(
-    e_fk: FieldEmbedding,
-    e_kl: FieldEmbedding,
-    flow: Flow,
-    cfg: EngineConfig = DEFAULT_CONFIG,
+    e_fk: FieldEmbedding, e_kl: FieldEmbedding, flow: Flow, cfg: EngineConfig = DEFAULT_CONFIG,
     identity_n_max: int = 8,
 ) -> TheoremReport:
     """Check the entropy change-of-fields formulas on one flow.
@@ -359,8 +362,9 @@ def verify_theorem(
     verdict is PASS only when every estimate resolves and both formulas and
     all per-depth identities hold; unresolved estimates give INCONCLUSIVE,
     never a false pass.  A FAIL names what broke in ``first_failure``: the
-    first failing identity cell (``_first_failure``) or, when every
-    identity holds, the restriction formula, else the induction formula.
+    first failing identity cell, in order of depth n, then of the member,
+    then of the check, or, when every identity holds, the restriction
+    formula, else the induction formula.
     An ``identity_n_max`` below 1 would check no identity and could pass
     on the formulas alone, so it raises ValueError.
     """
@@ -368,20 +372,16 @@ def verify_theorem(
         raise FieldMismatch("flow field must be the middle of the tower")
     if identity_n_max < 1:
         raise ValueError(f"identity depth {identity_n_max} checks no identity; it must be at least 1")
-    flow_f = res_flow(e_fk, flow)
-    flow_l = ind_flow(e_kl, flow)
-    # first, so that identity checks past the cap fail before any block is built
-    cells = _identity_checks(
-        e_fk, e_kl, flow, flow_f, flow_l, identity_n_max, _IDENTITY_MS, cfg.window_slack
+    flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+    cells, (ent_k, ent_f, ent_l) = _identity_checks(e_fk, e_kl, flow, flow_f, flow_l, identity_n_max, cfg)
+    identities = {n: all(all(cells[m, n]) for m in _IDENTITY_MS) for n in range(1, identity_n_max + 1)}
+    failures = (
+        {"check": check, "m": m, "n": n}
+        for (m, n), cell in cells.items()
+        for check, ok in zip(_IDENTITY_CHECKS, cell)
+        if not ok
     )
-    ent_k = ent_star(flow, cfg)
-    ent_f = ent_star(flow_f, cfg)
-    ent_l = ent_star(flow_l, cfg)
-    identities = {
-        n: all(all(cells[m, n]) for m in _IDENTITY_MS) for n in range(1, identity_n_max + 1)
-    }
-
-    first_failure = _first_failure(cells, identity_n_max, _IDENTITY_MS)
+    first_failure = next(failures, None)
     formulas_known = ent_k.resolved and ent_f.resolved and ent_l.resolved
     if first_failure is not None:
         verdict = "FAIL"
@@ -394,14 +394,5 @@ def verify_theorem(
     else:
         verdict = "PASS"
 
-    return TheoremReport(
-        flow_label=flow.label,
-        tower=(e_fk.source.descriptor, flow.field.descriptor, e_kl.target.descriptor),
-        degree_fk=e_fk.degree,
-        ent_f=ent_f,
-        ent_k=ent_k,
-        ent_l=ent_l,
-        identities=identities,
-        verdict=verdict,
-        first_failure=first_failure,
-    )
+    tower = (e_fk.source.descriptor, flow.field.descriptor, e_kl.target.descriptor)
+    return TheoremReport(flow.label, tower, e_fk.degree, ent_f, ent_k, ent_l, identities, verdict, first_failure)

@@ -445,9 +445,18 @@ def guarantee_window(flow: Flow, zero_extent: int, n: int) -> int:
     return base + n * endo.bandwidth + endo.extent
 
 
-def default_window(flow: Flow, u: GoodSubspace, n: int, slack: int = 4) -> int:
-    w = guarantee_window(flow, u.extent, n) + slack
-    return max(w, _min_window(flow.endo))
+def default_window(flow: Flow, zero_extent: int, n: int, slack: int = 4) -> int:
+    """``guarantee_window`` plus ``slack``, at least the block extent.  Raises
+    TooLarge, before any row is built, when a chain's ``discrete_dim +
+    zero_extent`` constraint rows over it, restricted to GF(p), pass the cap."""
+    w = max(guarantee_window(flow, zero_extent, n) + slack, _min_window(flow.endo))
+    rows, dim = flow.discrete_dim + zero_extent, flow.discrete_dim + w
+    if rows * flow.field.d**2 * dim > _ENTRY_CAP:
+        raise TooLarge(
+            f"{rows} constraint rows over a window of {dim} coordinates exceed the cap "
+            f"of {_ENTRY_CAP} restricted entries"
+        )
+    return w
 
 
 # ---------------------------------------------------------------------------

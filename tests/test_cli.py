@@ -390,6 +390,29 @@ class TestOversizedSpecs:
         assert out.stderr.startswith("error: ") and "cap" in out.stderr, out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_long_chain_builds_nothing(self, command, capsys, monkeypatch, bernoulli_spec):
+        # --max-m 10^8 asks for constraint blocks of 10^8 rows: the cap is
+        # checked from m_max and the window, before any zero set or block is
+        # built, where the chain's 10^8-coordinate zero set once ran out of
+        # memory
+        import flowent.entropy as entropy
+        from flowent.model import GoodSubspace
+
+        built = []
+
+        def refuse(*args):
+            built.append(args[1:2])
+            raise AssertionError("built a zero set or block before checking the cap")
+
+        monkeypatch.setattr(GoodSubspace, "principal", classmethod(refuse))
+        monkeypatch.setattr(entropy, "_constraint_blocks", refuse)
+        assert main([command, bernoulli_spec, "--max-m", "100000000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and "cap" in err, err
+        assert built == []
+
 
 class TestDeepIdentityChecks:
     """The rank trackers of the identity checks are capped like every

@@ -69,7 +69,7 @@ def cotrajectories(flow, m, n_max, window):
 
 def cotrajectory(flow, m, n):
     """The n-step cotrajectory of U_m inside its certified window."""
-    return cotrajectories(flow, m, n, default_window(flow, U(m), n))[-1]
+    return cotrajectories(flow, m, n, default_window(flow, m, n))[-1]
 
 
 def h_star(flow, u, cfg=DEFAULT_CONFIG):
@@ -166,7 +166,7 @@ class TestCotrajectoryRunIncremental:
         e_fk, e_kl = tower
         deg, ms = e_fk.degree, (0, 1, 2)
         for flow in (random_stencil_flow(e_fk.target, seed), _random_phase_flow(e_fk.target, seed)):
-            window = default_window(flow, U(ms[-1]), 10)
+            window = default_window(flow, ms[-1], 10)
             _check_run(flow, ms, 10, window)
             _check_run(res_flow(e_fk, flow), [deg * m for m in ms], 10, deg * window)
             _check_run(ind_flow(e_kl, flow), ms, 10, window)
@@ -401,7 +401,7 @@ class TestConstraintBlocks:
 
     @staticmethod
     def assert_blocks_match_dense(flow, u, n_max):
-        window = default_window(flow, u, n_max)
+        window = default_window(flow, u.extent, n_max)
         dead = _dead_indices(flow, u)
         want = dense_truncation(flow, window)
         assert np.array_equal(truncate(flow, window).data, want), (flow.label, window)
@@ -604,7 +604,7 @@ class TestFlagTrackers:
                     pick = rng.random(bounds[-1]) < 0.4
                     rows[pick] = combos[pick]
                 held = {key: level for key, (_, level) in stack.holders.items()}
-                placed = stack.insert(rows)
+                placed = _placed(stack, rows)
                 assert placed.dtype == np.int64 and placed.shape == rows.shape
                 inserted.append(rows)
                 dependent += int((rows.any(axis=1) & ~placed.any(axis=1)).sum())
@@ -649,19 +649,28 @@ class TestFlagTrackers:
 
 
 
-def _raw_row_traces(flow, dead, counts, n_max, window):
-    """``_rank_traces`` on the raw rows: the blocks of ``_constraint_blocks``
-    iterated without carrying anything back, restricted to the prime field
-    by ``_restrict`` and inserted into one prime-field tracker, whose ranks
-    are d times the GF(p^d) ranks."""
+def _placed(stack, rows):
+    """Insert ``rows``; return their placed values, decoded."""
+    return stack.decode(stack.insert(rows), rows.shape[1])
+
+
+def _raw_row_run(flow, dead, counts, n_max, window):
+    """``cotrajectory_run`` on the raw rows: the blocks of
+    ``_constraint_blocks`` iterated without carrying anything back,
+    restricted to the prime field by ``_restrict`` and inserted into one
+    prime-field tracker, whose ranks are d times the GF(p^d) ranks."""
     field = flow.field
     stack = _prime_stack(field.p, [count * field.d for count in counts])
-    values = [[] for _ in counts]
     for block in _constraint_blocks(flow, dead, n_max, window):
         stack.insert(_restrict(field, block))
-        for count, rank_m, vals in zip(counts, stack.ranks, values):
-            vals.append(rank_m // field.d - count)
-    return values
+        yield block, [rank // field.d for rank in stack.ranks]
+
+
+def _raw_row_traces(flow, dead, counts, n_max, window):
+    """The codimension traces of ``_raw_row_run``: for each count, its rank
+    at each step less the count."""
+    ranks = [r for _, r in _raw_row_run(flow, dead, counts, n_max, window)]
+    return [[r[i] - count for r in ranks] for i, count in enumerate(counts)]
 
 
 class _Int64FlagStack(_FlagStack):
@@ -738,7 +747,7 @@ class TestPackedOddTracker:
                     pick = rng.random(bounds[-1]) < 0.3
                     rows[pick] = combos[pick]
                 held = {lead: level for lead, (_, level) in ref.holders.items()}
-                got, want = packed.insert(rows), ref.insert(rows)
+                got, want = _placed(packed, rows), ref.insert(rows)
                 assert got.dtype == np.int64 and np.array_equal(got, want), (trial, bounds)
                 assert packed.per_level == ref.per_level and packed.ranks == ref.ranks
                 _assert_scaled_holders(packed, width, ref.holders)
@@ -771,7 +780,7 @@ class TestCarriedRows:
         # each tracker hands back where each row settled
         bounds = [1, 2, 3]
         stack = _prime_stack(p, bounds)
-        placed = stack.insert(np.array([[1, 0, 0], [0, 1, 1], [1, 1, 1]]))
+        placed = _placed(stack, np.array([[1, 0, 0], [0, 1, 1], [1, 1, 1]]))
         # row 2 climbs past e0 and e1 + e2 to 0: dependent at its level
         assert placed.dtype == (np.uint8 if p == 2 else np.int64)
         assert placed.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 0]]
@@ -783,7 +792,7 @@ class TestCarriedRows:
         # Holders are kept as they settled: 2*e0, 2*e1 + e2 and 2*e2
         bounds = [1, 2, 3]
         stack = _prime_stack(3, bounds)
-        placed = stack.insert(np.array([[2, 0, 0], [0, 2, 1], [1, 1, 1]]))
+        placed = _placed(stack, np.array([[2, 0, 0], [0, 2, 1], [1, 1, 1]]))
         assert placed.tolist() == [[2, 0, 0], [0, 2, 1], [0, 0, 2]]
         _assert_scaled_holders(stack, 3, {0: ([1, 0, 0], 0), 1: ([0, 1, 2], 1), 2: ([0, 0, 1], 2)})
         assert {lead: row for lead, (row, _) in _holder_rows(stack, 3).items()} == dict(enumerate(placed.tolist()))
@@ -798,7 +807,7 @@ class TestCarriedRows:
         stack = _prime_stack(5, bounds)
         stack.insert(_level_row(bounds, 1, [0, 1, 2]))
         stack.insert(_level_row(bounds, 0, [1, 0, 0]))
-        placed = stack.insert(np.array([[2, 1, 0], [0, 0, 0]]))
+        placed = _placed(stack, np.array([[2, 1, 0], [0, 0, 0]]))
         assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
         _assert_scaled_holders(stack, 3, {0: ([1, 0, 0], 0), 1: ([0, 1, 0], 0), 2: ([0, 0, 1], 1)})
         assert _holder_rows(stack, 3)[2][0] == [0, 0, 2]
@@ -812,7 +821,7 @@ class TestCarriedRows:
         stack = _prime_stack(2, bounds)
         stack.insert(_level_row(bounds, 1, [0, 1, 1]))
         stack.insert(_level_row(bounds, 0, [1, 0, 0]))
-        placed = stack.insert(np.array([[1, 1, 0], [0, 0, 0]]))
+        placed = _placed(stack, np.array([[1, 1, 0], [0, 0, 0]]))
         assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
         assert {lead: held[1] for lead, held in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
         assert stack.ranks == [2, 3]
@@ -836,7 +845,7 @@ class TestCarriedRows:
             for _ in range(int(rng.integers(1, 8))):
                 width += int(rng.integers(0, 2))
                 rows = field.random_codes(rng, (bounds[-1], width))
-                placed = stack.insert(rows)
+                placed = _placed(stack, rows)
                 assert placed.shape == rows.shape
                 for row, value, level in zip(rows, placed, levels):
                     span = [np.pad(r, (0, width - r.size)) for lv, r in before if lv <= level]
@@ -867,7 +876,8 @@ class TestCarriedRows:
         def counting(self, rows):
             held = {lead: level for lead, (_, level, *_) in self.holders.items()}
             placed = insert(self, rows)
-            seen["dependent"] += int((rows.any(axis=1) & ~placed.any(axis=1)).sum())
+            values = self.decode(placed, rows.shape[1])
+            seen["dependent"] += int((rows.any(axis=1) & ~values.any(axis=1)).sum())
             seen["exchanges"] += any(
                 level < held.get(lead, level) for lead, (_, level, *_) in self.holders.items()
             )
@@ -947,7 +957,7 @@ class TestCarriedRows:
 
         flows = [_prefix_shift_flow(r) for r in (8, 62, 74, 80)]
         got = [json.dumps(entropy_report(f, ent_star(f), DEFAULT_CONFIG)) for f in flows]
-        monkeypatch.setattr(entropy, "_rank_traces", _raw_row_traces)
+        monkeypatch.setattr(entropy, "cotrajectory_run", _raw_row_run)
         want = [json.dumps(entropy_report(f, ent_star(f), DEFAULT_CONFIG)) for f in flows]
         assert got == want
 
@@ -958,7 +968,7 @@ class TestCarriedRows:
         flows = [_random_phase_flow(field, seed) for seed in range(8)]
         flows.append(make_identity(SpaceShape(field, 1)))
         for flow in flows:
-            _check_run(flow, (0, 1, 3), 10, default_window(flow, U(3), 10))
+            _check_run(flow, (0, 1, 3), 10, default_window(flow, 3, 10))
 
     @pytest.mark.parametrize("field", _sparse_fields()[1:], ids=repr)
     def test_unrestrict_reads_back_the_first_restricted_rows(self, field):

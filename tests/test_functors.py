@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowent.entropy import EngineConfig, brute_force_codim, codim_sequence
+from flowent.entropy import EngineConfig, brute_force_codim, codim_sequence, ent_star
 from flowent.errors import FieldMismatch
 from flowent.fields import compose, identity_embedding
 from flowent import functors
@@ -151,7 +151,7 @@ class TestSubspaceMaps:
         flow = random_stencil_flow(gf4, seed)
         flow_f = res_flow(emb, flow)
         n_max, ms = 8, (0, 1, 2)
-        w = default_window(flow, U(ms[-1]), n_max)
+        w = default_window(flow, ms[-1], n_max)
         for m in ms:
             assert res_good(emb, U(m)) == U(2 * m)
             c_k = _cotrajectories(flow, m, n_max, w)
@@ -384,7 +384,7 @@ def _kernel_route(e_fk, e_kl, flow, flow_f, flow_l, n_max, ms, slack):
     deg = e_fk.degree
     cells = {}
     for m in ms:
-        w = default_window(flow, U(m), n_max, slack)
+        w = default_window(flow, m, n_max, slack)
         c_k = _cotrajectories(flow, m, n_max, w)
         c_f = _cotrajectories(flow_f, deg * m, n_max, deg * w)
         c_l = _cotrajectories(flow_l, m, n_max, w)
@@ -401,6 +401,22 @@ def _kernel_route(e_fk, e_kl, flow, flow_f, flow_l, n_max, ms, slack):
     return cells
 
 
+def _shared_cells(e_fk, e_kl, flow, flow_f, flow_l, n_max, ms, slack):
+    """The cells of ``_identity_checks`` to depth ``n_max``, in the shape of
+    ``_kernel_route``'s, with a chain of members 0..2 traced to that depth."""
+    assert ms == functors._IDENTITY_MS
+    cfg = EngineConfig(n_max=n_max, m_max=2, window_slack=slack)
+    return _identity_checks(e_fk, e_kl, flow, flow_f, flow_l, n_max, cfg)[0]
+
+
+def _without_windows(est):
+    """An estimate with the window of each trace left out: verify's runs
+    may use a wider certified window than ``ent_star``'s."""
+    per_u = [(m, res.value, res.lower_bound, res.trace.u, res.trace.values, res.streak, res.subadditive)
+             for m, res in est.per_u]
+    return est.value, est.field_order, est.lower_bound, per_u
+
+
 def _perturb(flow):
     """The flow with 1 added to one stencil coefficient of phase 0."""
     endo, field = flow.endo, flow.field
@@ -414,8 +430,8 @@ def _perturb(flow):
 @pytest.fixture(scope="module")
 def towers(gf2, gf4_pair, gf16_pair):
     """(F <= K, K <= L) for GF(2) <= GF(4) <= GF(16), GF(2) <= GF(8) <=
-    GF(64), GF(3) <= GF(9) <= GF(81), and GF(2) <= GF(16) <= GF(256) along
-    the composed embedding."""
+    GF(64), GF(3) <= GF(9) <= GF(81), GF(2) <= GF(16) <= GF(256) along
+    the composed embedding, and GF(2) <= GF(32) <= GF(1024)."""
     from flowent.fields import least_irreducible, make_extension, make_prime_field
 
     gf3 = make_prime_field(3)
@@ -425,11 +441,14 @@ def towers(gf2, gf4_pair, gf16_pair):
     _, e8_64 = make_extension(gf8, least_irreducible(gf8, 2))
     gf16 = gf16_pair[0]
     _, e16_256 = make_extension(gf16, least_irreducible(gf16, 2))
+    gf32, e2_32 = make_extension(gf2, least_irreducible(gf2, 5))
+    _, e32_1024 = make_extension(gf32, least_irreducible(gf32, 2))
     return {
         4: (gf4_pair[1], gf16_pair[1]),
         8: (e28, e8_64),
         9: (e39, e981),
         16: (compose(gf4_pair[1], gf16_pair[1]), e16_256),
+        32: (e2_32, e32_1024),
     }
 
 
@@ -453,20 +472,22 @@ class TestIdentityChecks:
         e_fk, e_kl = towers[q]
         flow = random_stencil_flow(e_fk.target, seed)
         args = (e_fk, e_kl, flow, res_flow(e_fk, flow), ind_flow(e_kl, flow))
-        got = self.cells(_identity_checks, *args)
+        got = self.cells(_shared_cells, *args)
         assert got == self.cells(_kernel_route, *args)
         assert all(all(c) for c in got.values())
 
     def test_one_raw_block_stream_per_field(self, towers, monkeypatch):
-        # K, F and L each run one block stream for all members, carrying
-        # the placed values of every step into the next, and F's stream
-        # zeroes deg * 2 coordinates
+        # a whole verify runs one block stream for each of K, F and L and
+        # no other, so no ent_star of its own, to depth max(n_max,
+        # identity_n) = 10, carrying the placed values of every step into
+        # the next: K and L zero max(m_max, 2) = 3 coordinates, F
+        # max(m_max, deg * 2) = 4
         import flowent.entropy as entropy
 
         original, streams = entropy._constraint_blocks, []
 
         def spy(flow, dead, n_max, window):
-            streams.append((flow.field, len(dead) - flow.discrete_dim))
+            streams.append((flow.field, len(dead) - flow.discrete_dim, n_max))
             blocks = original(flow, dead, n_max, window)
             carried = None
             for step in range(n_max):
@@ -475,10 +496,35 @@ class TestIdentityChecks:
 
         monkeypatch.setattr(entropy, "_constraint_blocks", spy)
         e_fk, e_kl = towers[4]
-        flow = random_stencil_flow(e_fk.target, 3)
-        self.cells(_identity_checks, e_fk, e_kl, flow, res_flow(e_fk, flow), ind_flow(e_kl, flow))
-        deg = e_fk.degree
-        assert streams == [(e_fk.target, 2), (e_fk.source, deg * 2), (e_kl.target, 2)]
+        report = verify_theorem(e_fk, e_kl, random_stencil_flow(e_fk.target, 3), EngineConfig(8, m_max=3), 10)
+        assert len(report.identities) == 10 and all(report.identities.values())
+        assert streams == [(e_fk.target, 3, 10), (e_fk.source, 4, 10), (e_kl.target, 3, 10)]
+
+    @pytest.mark.parametrize("side", ["plain", "res", "ind"])
+    @pytest.mark.parametrize(
+        "q,seed,m_max,n_max,identity_n",
+        [(4, 0, 0, 12, 8), (4, 1, 1, 12, 8), (9, 0, 1, 8, 6), (32, 0, 4, 10, 6), (4, 2, 2, 6, 14), (9, 1, 3, 6, 10)],
+    )
+    def test_shared_runs_match_references(self, towers, side, q, seed, m_max, n_max, identity_n):
+        # the runs verify shares between its identity checks and its three
+        # estimates: cells as the kernel route has them, and estimates as
+        # ent_star has them on each side, windows aside; with chains of one
+        # and two members, F's chain shorter than deg * 2 (GF(32) over
+        # GF(2)), and identity checks deeper than the traces
+        e_fk, e_kl = towers[q]
+        flow = random_stencil_flow(e_fk.target, seed)
+        flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+        if side == "res":
+            flow_f = _perturb(flow_f)
+        elif side == "ind":
+            flow_l = _perturb(flow_l)
+        cfg = EngineConfig(n_max=n_max, m_max=m_max)
+        cells, estimates = _identity_checks(e_fk, e_kl, flow, flow_f, flow_l, identity_n, cfg)
+        ref = _kernel_route(e_fk, e_kl, flow, flow_f, flow_l, identity_n, self.ms, cfg.window_slack)
+        assert cells == ref
+        assert all(map(all, ref.values())) == (side == "plain")
+        for image, got in zip((flow, flow_f, flow_l), estimates):
+            assert _without_windows(got) == _without_windows(ent_star(image, cfg)), image.label
 
     def test_deep_checks_hold_one_depth(self, gf4_pair, gf16_pair):
         # every depth's blocks are dropped once inserted: at depth 60 the
@@ -489,9 +535,10 @@ class TestIdentityChecks:
         (gf4, e_fk), (_, e_kl) = gf4_pair, gf16_pair
         flow = random_stencil_flow(gf4, 3)
         flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+        cfg = EngineConfig(n_max=8)  # the default nine members, carried to depth 60
         tracemalloc.start()
         try:
-            cells = _identity_checks(e_fk, e_kl, flow, flow_f, flow_l, 60, self.ms, 4)
+            cells, _ = _identity_checks(e_fk, e_kl, flow, flow_f, flow_l, 60, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -511,7 +558,7 @@ class TestIdentityChecks:
             flow_l = _perturb(flow_l)
         args = (e_fk, e_kl, flow, flow_f, flow_l, 24, self.ms, 4)
         ref = _kernel_route(*args)
-        assert _identity_checks(*args) == ref
+        assert _shared_cells(*args) == ref
         assert all(map(all, ref.values())) == (side == "plain")
 
     @pytest.mark.parametrize("q", [4, 8, 9])
@@ -527,7 +574,7 @@ class TestIdentityChecks:
         ident = make_identity(SpaceShape(e_fk.target, 0))
         flow, other = (ident, shift) if k_flow == "identity" else (shift, ident)
         args = (e_fk, e_kl, flow, res_flow(e_fk, other), ind_flow(e_kl, other), self.n_max, self.ms, 12)
-        got = _identity_checks(*args)
+        got = _shared_cells(*args)
         assert got == _kernel_route(*args)
         for (m, n), cell in got.items():
             assert cell == (m == 0 or n == 1,) * 4, (m, n)
@@ -544,7 +591,7 @@ class TestIdentityChecks:
             flow_l = _perturb(flow_l)
         args = (e_fk, e_kl, flow, flow_f, flow_l)
         ref = self.cells(_kernel_route, *args)
-        assert self.cells(_identity_checks, *args) == ref
+        assert self.cells(_shared_cells, *args) == ref
         failing = sorted({n for (m, n), c in ref.items() if not all(c)})
         assert failing
 
@@ -598,14 +645,14 @@ class TestFirstFailure:
 
         gf4, e_fk = gf4_pair
         _, e_kl = gf16_pair
-        wrong = e_fk.source if side == "F" else e_kl.target
-        original = functors.ent_star
+        wrong = (e_fk.source if side == "F" else e_kl.target).q
+        original = functors._chain_estimate
 
-        def shifted(fl, cfg):
-            est = original(fl, cfg)
-            return dataclasses.replace(est, value=est.value + 1) if fl.field == wrong else est
+        def shifted(traces, field_order, cfg):
+            est = original(traces, field_order, cfg)
+            return dataclasses.replace(est, value=est.value + 1) if field_order == wrong else est
 
-        monkeypatch.setattr(functors, "ent_star", shifted)
+        monkeypatch.setattr(functors, "_chain_estimate", shifted)
         report = verify_theorem(e_fk, e_kl, make_bernoulli(gf4, 1), FAST, identity_n_max=4)
         assert report.verdict == "FAIL" and all(report.identities.values())
         assert report.to_dict()["first_failure"] == {"check": check}
