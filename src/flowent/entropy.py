@@ -299,8 +299,8 @@ class _FlagStack2(_FlagStack):
 class _FlagStackOdd(_FlagStack):
     """``_FlagStack`` over GF(p^d), p odd, on rows packed into integers.
 
-    Blocks are restricted to GF(p) by ``_restrict``, d rows per row
-    (``unit``), and ``decode`` reads back, by ``_unrestrict``, the placed
+    Blocks are restricted to GF(p) by ``FiniteField.restrict``, d rows per
+    row (``unit``), and ``decode`` reads back, by ``unrestrict``, the placed
     values of the first ones: each is its row plus an element of the
     restriction of ``V_l(n-1)`` and of the earlier rows' GF(p^d)-span,
     since every row comes with all d of its restricted rows.
@@ -332,7 +332,7 @@ class _FlagStackOdd(_FlagStack):
     def insert(self, block: np.ndarray) -> list[int]:
         """Insert a block; return the placed values of its restricted rows, packed."""
         p, b, holders, per_level = self.field.p, self.lane, self.holders, self.per_level
-        lanes = _restrict(self.field, block).astype(f"<u{b // 8}")
+        lanes = self.field.restrict(block).astype(f"<u{b // 8}")
         data, size = lanes.tobytes(), lanes.shape[1] * lanes.itemsize
         ones = ((1 << lanes.shape[1] * b) - 1) // ((1 << b) - 1)  # 1 in every lane
         tops, bias, mask = ones << (b - 1), ones * ((1 << (b - 1)) - p), (1 << b) - 1
@@ -369,7 +369,7 @@ class _FlagStackOdd(_FlagStack):
         """Placed values of a block's restricted rows as the block's int64 codes."""
         size, dtype = width * self.field.d * self.lane // 8, f"<u{self.lane // 8}"
         lanes = np.frombuffer(b"".join(own.to_bytes(size, "little") for own in placed), dtype=dtype)
-        return _unrestrict(self.field, lanes.reshape(len(placed), width * self.field.d).astype(np.int64))
+        return self.field.unrestrict(lanes.reshape(len(placed), width * self.field.d).astype(np.int64))
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
@@ -506,31 +506,6 @@ def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int
             else:
                 out[cols] = field.encode_array(np.add.reduceat(field.coords_array(terms), starts))
     return out.T[:count].copy()
-
-
-def _restrict(field, block: np.ndarray) -> np.ndarray:
-    """The rows of a GF(p^d)-block restricted to GF(p).
-
-    Row v becomes the d rows of prime-field coordinates of x^t * v for
-    t < d, coordinate k of entry j in column j*d + k; they span the same
-    GF(p)-space as the GF(p^d)-span of v.  Hence the GF(p) rank of the
-    restricted rows is d times the GF(p^d) rank of the block.
-    """
-    if field.d == 1:
-        return block
-    powers = np.asarray([field.power(field.generator, t) for t in range(field.d)], dtype=np.int64)
-    prods = field.arr_mul(powers[None, :, None], block[:, None, :])
-    rows, cols = block.shape
-    return field.coords_array(prods).reshape(rows * field.d, cols * field.d)
-
-
-def _unrestrict(field, rows: np.ndarray) -> np.ndarray:
-    """The GF(p^d)-rows whose restrictions' first rows (t = 0) are every
-    d-th of ``rows``: coordinate k of entry j is read from column j*d + k."""
-    if field.d == 1:
-        return rows
-    first = rows[:: field.d]
-    return field.encode_array(first.reshape(first.shape[0], first.shape[1] // field.d, field.d))
 
 
 def _check_tracker_cap(field, rows: int, n_max: int, dim: int) -> None:

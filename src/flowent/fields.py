@@ -4,9 +4,10 @@ Every field is presented over its prime field: an element of GF(p^d) is a
 length-d coefficient vector over GF(p), packed into an integer code in
 ``range(p**d)`` whose base-p digits run from the constant term upward.
 Element products in a proper extension look up O(q) int32 tables of the
-powers and logarithms of a generator.  A matrix product over a prime
-field is one float64 product, exact below 2^53; over an extension field it
-sums the terms looked up in those tables.
+powers and logarithms of a generator.  A matrix product over any field is
+one float64 product on the prime-field digits, with the right operand
+restricted to GF(p): each entry becomes its d x d regular representation,
+and every sum stays an integer below 2^53, so it is exact.
 
 A field is immutable after construction.  An embedding builds the table
 of the images of the source codes in its constructor, and computes its
@@ -82,10 +83,6 @@ def _rref_array(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int
     return a, pivots
 
 
-# elements of one broadcast term array in ``FiniteField.matmul_prepared``
-_PRODUCT_CHUNK = 1 << 18
-
-
 def check_float_exact(largest: int, what: str) -> None:
     """Raise TooLarge unless integers up to ``largest`` in magnitude, the
     largest intermediate value of a float64 product, are exact in float64."""
@@ -157,9 +154,6 @@ class FiniteField:
             codes = np.arange(self.q, dtype=np.int64)
             self._digits = (codes[:, None] // ppow[None, :]) % p
             self._exp, self._log = self._log_tables()
-            if p > 2:  # the antilogs with their digits packed ``62 // d`` bits apart
-                packing = 62 // self.d * np.arange(self.d)
-                self._exp_packed = (self._digits << packing).sum(axis=1)[self._exp]
 
     # -- identity ----------------------------------------------------------
 
@@ -291,58 +285,63 @@ class FiniteField:
         # a gather casts int32 indices to intp slowly; one cast of the sum is faster
         return self._exp[(self._log[a] + self._log[b]).astype(np.intp)].astype(np.int64)
 
+    def restrict(self, block: np.ndarray) -> np.ndarray:
+        """The rows of a GF(p^d)-block restricted to GF(p).
+
+        Row v becomes the d rows of prime-field coordinates of x^t * v for
+        t < d, coordinate k of entry j in column j*d + k; they span the same
+        GF(p)-space as the GF(p^d)-span of v.  Hence the GF(p) rank of the
+        restricted rows is d times the GF(p^d) rank of the block.
+        """
+        if self.d == 1:
+            return block
+        # the code of x^t is p^t
+        prods = self.arr_mul(self._ppow[None, :, None], block[:, None, :])
+        rows, cols = block.shape
+        return self.coords_array(prods).reshape(rows * self.d, cols * self.d)
+
+    def unrestrict(self, rows: np.ndarray) -> np.ndarray:
+        """The GF(p^d)-rows whose restrictions' first rows (t = 0) are every
+        d-th of ``rows``: coordinate k of entry j is read from column j*d + k."""
+        if self.d == 1:
+            return rows
+        first = rows[:: self.d]
+        return self.encode_array(first.reshape(first.shape[0], first.shape[1] // self.d, self.d))
+
     def prepare_right(self, b: np.ndarray):
-        """A right matmul operand as ``(shape, data)``, converted once for
-        repeated use: to float64 over a prime field, else kept as codes."""
+        """A right matmul operand as ``(shape, R(b))``, converted once for
+        repeated use: ``R(b)`` is its restriction to GF(p) in float64.
+
+        TooLarge is raised before ``b`` is restricted when the product's
+        sums of ``inner * d * (p-1)^2`` could reach 2^53.
+        """
         b = np.asarray(b, dtype=np.int64)
-        return (b.shape, b.astype(np.float64) if self.d == 1 else b)
+        inner = b.shape[0]
+        check_float_exact(inner * self.d * (self.p - 1) ** 2, f"inner dimension {inner} over {self!r}")
+        return (b.shape, self.restrict(b).astype(np.float64))
 
     def matmul_prepared(self, a: np.ndarray, prepared) -> np.ndarray:
-        """Exact product against a prepared right operand.
+        """Exact product against a prepared right operand: one float64 product.
 
-        Over a prime field it is one float64 product, exact while its sums
-        of ``inner * (p-1)^2`` stay below 2^53, else TooLarge is raised.
-        Over an extension field the terms ``a[i, j] * b[j, k]`` are looked
-        up in the log/antilog tables and summed over j: by XOR when p = 2,
-        else as integers whose digits are packed ``62 // d`` bits apart,
-        unpacked into digit sums before they could carry.  Only the inner
-        indices where ``a`` has a nonzero column take part, a chunk of them
-        at a time, so that no broadcast term array holds more than about
-        ``_PRODUCT_CHUNK`` elements.
+        ``coords(a·b) = coords(a) @ R(b)``, with ``coords(a)`` the
+        ``(rows, inner*d)`` digits of ``a``, column j*d + t digit t of
+        column j, and row j*d + t of ``R(b)`` ``coords(x^t * b[j])``.
+        Proof: ``a[i, j] = sum_t a_ijt x^t``, so ``a[i, j] * b[j, k]`` is
+        ``sum_t a_ijt (x^t * b[j, k])`` and its coordinates are that sum of
+        the coordinates of ``x^t * b[j, k]``, by GF(p)-linearity of coords.
+        Each of the ``inner * d`` terms of an entry is an integer in
+        ``[0, (p-1)^2]``, and ``prepare_right`` checked that their sum stays
+        below 2^53, so every partial sum is exact in float64 whatever order
+        BLAS adds them in, and the digits are read off mod p.  Over a prime
+        field, d = 1 and ``R(b)`` is ``b``.
         """
         shape, right = prepared
         a = np.asarray(a, dtype=np.int64)
-        inner = a.shape[-1]
+        rows, inner = a.shape
         if inner != shape[0]:
             raise ValueError(f"matmul shape mismatch {a.shape} @ {shape}")
-        if self.d == 1:
-            check_float_exact(inner * (self.p - 1) ** 2, f"inner dimension {inner} over GF({self.p})")
-            return (a.astype(np.float64) @ right).astype(np.int64) % self.p
-        rows, cols = a.shape[0], shape[1]
-        nonzero = np.flatnonzero(a.any(axis=0))
-        step = max(1, _PRODUCT_CHUNK // max(1, rows * cols))
-        log_a, log_b = self._log[a[:, nonzero]], self._log[right[nonzero]]
-        if self.p == 2:
-            out = np.zeros((rows, cols), dtype=np.int64)
-        else:
-            # digit sums of up to ``room`` packed terms stay below 2^bits
-            bits = 62 // self.d
-            room = ((1 << bits) - 1) // (self.p - 1)
-            step = min(step, room)
-            out = np.zeros((rows, cols, self.d), dtype=np.int64)
-            packed, held = np.zeros((rows, cols), dtype=np.int64), 0
-        for lo in range(0, nonzero.size, step):
-            index = (log_a[:, lo : lo + step, None] + log_b[None, lo : lo + step, :]).astype(np.intp)
-            if self.p == 2:
-                out ^= np.bitwise_xor.reduce(self._exp[index], axis=1)
-                continue
-            packed += self._exp_packed[index].sum(axis=1)
-            held += index.shape[1]
-            # unpack before the next chunk could carry, and after the last
-            if held + step > room or lo + step >= nonzero.size:
-                out += (packed[..., None] >> bits * np.arange(self.d)) & ((1 << bits) - 1)
-                packed[:], held = 0, 0
-        return out if self.p == 2 else self.encode_array(out)
+        digits = self.coords_array(a).reshape(rows, inner * self.d).astype(np.float64)
+        return self.encode_array((digits @ right).astype(np.int64).reshape(rows, shape[1], self.d))
 
     def arr_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact matrix product of two code arrays."""

@@ -63,9 +63,10 @@ __all__ = [
 
 #: Desk-scale cap on the entries of one array built from a spec: the dense
 #: discrete block of ``flow_from_dict`` and ``make_identity``, the window's
-#: nonzeros of ``window_nonzeros`` and the restricted constraint blocks of
-#: ``entropy._constraint_blocks``.  The widest workload window,
-#: prefix-shift[80]'s, has 5,276 coordinates and about as many entries.
+#: nonzeros of ``window_nonzeros``, a chain's constraint rows restricted to
+#: GF(p), checked by ``default_window``, and the rows the rank trackers may
+#: hold, checked by ``entropy._check_tracker_cap``.  The widest workload
+#: window, prefix-shift[80]'s, has 5,276 coordinates and about as many entries.
 _ENTRY_CAP = 1 << 22
 
 
@@ -702,6 +703,8 @@ def flow_from_dict(spec: dict) -> Flow:
     # JSON true and false are Python bools, which are ints
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValueError(f"discrete_dim {d!r} must be an integer")
+    if d < 0:
+        raise ValueError(f"discrete_dim {d} must not be negative")
     _check_discrete_dim(int(d))
 
     raw = spec["stencil"]

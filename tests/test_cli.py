@@ -123,6 +123,7 @@ class TestMalformedSpecs:
         "float-characteristic": {"field": {"p": 2.5}, "stencil": {"1": 1}},
         "list-characteristic": {"field": {"p": [2]}, "stencil": {"1": 1}},
         "float-discrete-dim": {"field": {"p": 2}, "discrete_dim": 1.5, "stencil": {"1": 1}},
+        "negative-discrete-dim": {"field": {"p": 2}, "discrete_dim": -1, "stencil": {"1": 1}},
     }
 
     @pytest.mark.parametrize("case", list(SPECS))
@@ -133,6 +134,8 @@ class TestMalformedSpecs:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+        if "discrete-dim" in case:
+            assert "discrete_dim" in err
 
     @pytest.mark.parametrize("command", ["compute", "verify"])
     def test_boolean_discrete_dim_exits_one(self, capsys, tmp_path, command):

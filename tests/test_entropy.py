@@ -24,9 +24,7 @@ from flowent.entropy import (
     _lane_tops,
     _Nonzeros,
     _pack_lanes,
-    _restrict,
     _times_nonzeros,
-    _unrestrict,
     brute_force_codim,
     chain_traces,
     codim_sequence,
@@ -614,7 +612,7 @@ class TestFlagTrackers:
                     stacked = np.zeros((len(inserted) * bound, width), dtype=np.int64)
                     for i, block in enumerate(inserted):
                         stacked[i * bound : (i + 1) * bound, : block.shape[1]] = block[:bound]
-                    bits = _prime_rank(_restrict(field, stacked), 2) if stacked.size else 0
+                    bits = _prime_rank(field.restrict(stacked), 2) if stacked.size else 0
                     assert bits % degree == 0
                     want.append(bits // degree)
                 assert stack.ranks == want, (degree, trial, bounds)
@@ -657,12 +655,12 @@ def _placed(stack, rows):
 def _raw_row_run(flow, dead, counts, n_max, window):
     """``cotrajectory_run`` on the raw rows: the blocks of
     ``_constraint_blocks`` iterated without carrying anything back,
-    restricted to the prime field by ``_restrict`` and inserted into one
+    restricted to the prime field by ``FiniteField.restrict`` and inserted into one
     prime-field tracker, whose ranks are d times the GF(p^d) ranks."""
     field = flow.field
     stack = _prime_stack(field.p, [count * field.d for count in counts])
     for block in _constraint_blocks(flow, dead, n_max, window):
-        stack.insert(_restrict(field, block))
+        stack.insert(field.restrict(block))
         yield block, [rank // field.d for rank in stack.ranks]
 
 
@@ -974,7 +972,7 @@ class TestCarriedRows:
     def test_unrestrict_reads_back_the_first_restricted_rows(self, field):
         rng = np.random.default_rng(field.q)
         block = field.random_codes(rng, (5, 7))
-        assert np.array_equal(_unrestrict(field, _restrict(field, block)), block)
+        assert np.array_equal(field.unrestrict(field.restrict(block)), block)
 
     def test_gf2_products_in_uint8(self, gf2):
         # the word-lane product skips the multiply by codes; it takes uint8

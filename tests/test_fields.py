@@ -398,24 +398,33 @@ class TestDescriptors:
         assert tower.top.q == 4
 
 
-# Runs the two float64 exactness guards one past their bound over
-# GF(65521): the block product, and the odd-characteristic rank tracker
-# holding that many pivots.  Then assembles a flow from a window one
-# coordinate past its trusted rows.  Prints one line per guard.
+# Runs the block product's float64 exactness guard one past its bound of
+# ``inner * d * (p-1)^2`` over GF(65521) and over GF(251^2), on broadcast
+# zero operands that must not be restricted, and assembles a flow from a
+# window one coordinate past its trusted rows.  Then checks that the packed
+# odd-characteristic rank tracker, which is exact on integer lanes, stays
+# exact at the largest prime.  Prints one line per check.
 _GUARD_SCRIPT = """
 import numpy as np
 from flowent.entropy import _FlagStackOdd
 from flowent.errors import TooLarge, WindowTooSmall
-from flowent.fields import _prime_rank, make_prime_field
+from flowent.fields import _prime_rank, least_irreducible, make_extension, make_prime_field
 from flowent.model import SpaceShape, _flow_from_window
 
+
+def product(field):
+    inner = (1 << 53) // (field.d * (field.p - 1) ** 2) + 1
+    zeros = np.broadcast_to(np.int64(0), (inner, 1))
+    return lambda: field.matmul_prepared(zeros.T, field.prepare_right(zeros))
+
+
 p = 65521
-inner = (1 << 53) // (p - 1) ** 2 + 1
 field = make_prime_field(p)
-zeros = np.broadcast_to(np.int64(0), (inner, 1))
+gf251 = make_prime_field(251)
 gf2 = make_prime_field(2)
 checks = {
-    "matmul": (TooLarge, lambda: field.matmul_prepared(zeros.T, field.prepare_right(zeros))),
+    "matmul": (TooLarge, product(field)),
+    "matmul-extension": (TooLarge, product(make_extension(gf251, least_irreducible(gf251, 2))[0])),
     "window": (WindowTooSmall, lambda: _flow_from_window(
         SpaceShape(gf2, 0), [{1: 1}], 3, np.zeros((4, 4), dtype=np.int64), 4, "w"
     )),
@@ -460,47 +469,48 @@ class TestFloatExactness:
         largest prime."""
         out = run_python("-O", "-c", _GUARD_SCRIPT)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["matmul raised", "window raised", "tracker exact"]
+        assert out.stdout.splitlines() == [
+            "matmul raised",
+            "matmul-extension raised",
+            "window raised",
+            "tracker exact",
+        ]
 
 
 def _product_fields():
-    gf2, gf3, gf5 = (make_prime_field(p) for p in (2, 3, 5))
+    gf2, gf3, gf5, gf251 = (make_prime_field(p) for p in (2, 3, 5, 251))
     return [
         make_extension(gf2, least_irreducible(gf2, 2))[0],
         gf5,
         make_extension(gf3, least_irreducible(gf3, 2))[0],
         make_extension(gf2, least_irreducible(gf2, 4))[0],
         make_extension(gf5, least_irreducible(gf5, 2))[0],
+        make_extension(gf2, least_irreducible(gf2, 8))[0],
+        make_extension(gf251, least_irreducible(gf251, 2))[0],
     ]
 
 
 class TestProducts:
-    """``arr_matmul`` against scalar products, where its chunked and packed
-    sums could go wrong."""
+    """``arr_matmul``, one float64 product on the restricted right operand,
+    against scalar products."""
 
     @pytest.mark.parametrize("field", _product_fields(), ids=repr)
-    def test_chunked_products(self, field, monkeypatch):
+    def test_chunked_products(self, field):
         """``arr_matmul`` against a scalar triple loop of ``add`` and ``mul``,
-        on a dense left operand and on one with zero columns, one inner
-        index per chunk and in one chunk."""
-        from flowent import fields
-
+        on a dense left operand and on one with zero columns."""
         rng = np.random.default_rng(field.q)
         dense = field.random_codes(rng, (5, 30))
         sparse = dense.copy()
         sparse[:, rng.random(30) < 0.3] = 0
         assert not sparse.any(axis=0).all()
         b = field.random_codes(rng, (30, 17))
-        cases = [(a, _scalar_matmul(field, a, b)) for a in (dense, sparse)]
-        for chunk in (fields._PRODUCT_CHUNK, 1):
-            monkeypatch.setattr(fields, "_PRODUCT_CHUNK", chunk)
-            for a, want in cases:
-                assert np.array_equal(field.arr_matmul(a, b), want), chunk
+        for a in (dense, sparse):
+            assert np.array_equal(field.arr_matmul(a, b), _scalar_matmul(field, a, b))
 
     def test_packed_sums_unpack_before_carry(self):
-        """Over GF(3^10) the term digits are packed 6 bits apart, so at most
-        31 terms are summed before unpacking: 100 terms whose digits are all
-        2 would carry into the next digit otherwise."""
+        """Over GF(3^10) a right operand whose digits are all 2, against
+        left rows of ones and random rows: the digit sums of 100 inner
+        indices reach up to 100 * 10 * 4 before they are read mod 3."""
         gf3 = make_prime_field(3)
         field = make_extension(gf3, least_irreducible(gf3, 10))[0]
         a = np.ones((4, 100), dtype=np.int64)

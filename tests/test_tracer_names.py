@@ -12,7 +12,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from flowent.fields import least_irreducible, make_extension, make_prime_field
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -29,3 +32,17 @@ def test_traced_function_exists(module, attr):
 @pytest.mark.parametrize("module, cls, attr", [entry[:3] for entry in tracing.METHODS])
 def test_traced_method_exists(module, cls, attr):
     assert attr in vars(getattr(importlib.import_module(module), cls))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_madds_read_the_prepared_shape(p):
+    """``_madds`` reads b's shape from ``prepared[0]`` of a real product
+    over GF(p^2).  No workload calls the dense product, so a change to the
+    prepared layout shows here, not in the traced benchmark."""
+    base = make_prime_field(p)
+    field = make_extension(base, least_irreducible(base, 2))[0]
+    rng = np.random.default_rng(p)
+    a, b = field.random_codes(rng, (3, 5)), field.random_codes(rng, (5, 7))
+    prepared = field.prepare_right(b)
+    field.matmul_prepared(a, prepared)
+    assert tracing._madds((field, a, prepared), {}) == 3 * 5 * 7 * field.d * field.d
