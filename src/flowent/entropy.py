@@ -5,13 +5,15 @@ vector v in the n-step cotrajectory is the vanishing of the discrete part
 and the S-coordinates of v, phi(v), ..., phi^(n-1)(v).  Those constraints
 are rows of powers of the window matrix, so the codimension trace is the
 rank growth of an accumulating constraint stack: each step applies the
-flow once to the previous constraint block.  The flow is row-finite, so
-it is applied as the list of its window's nonzeros, the same list that
-``model.truncate`` scatters into a dense matrix: in every field the
-block's columns are laid out as rows, gathered by the entries' rows,
-multiplied by their codes and summed over each run of equal columns.
-Over GF(2) eight block rows share one 64-bit word, so that one XOR of two
-words adds eight rows.  The dense window matrix is never built.
+flow once to the previous constraint block.  A block over GF(p^d) holds
+its rows as prime-field digits, from the window to the trackers.  The flow
+is row-finite, so it is applied as the list of its window's nonzeros, the
+same list that ``model.truncate`` scatters into a dense matrix, restricted
+once to GF(p): the block's digit columns are laid out as rows, gathered
+by the entries' rows, multiplied by their digits and summed mod p over
+each run of equal columns.  In characteristic 2 eight block rows share
+one 64-bit word, so that one XOR of two words adds eight rows.  The dense
+window matrix is never built.
 
 The constraint spans of the principal chain U_0, ..., U_M form a flag
 V_0 <= ... <= V_M: member m's rows are a prefix of member M's.  So one
@@ -19,8 +21,9 @@ tracker per chain holds a basis adapted to that flag, each row is
 inserted once at the level of the smallest member it belongs to, and
 member m's rank is the number of basis rows of level <= m.  One
 elimination with level exchanges serves every field, one lane operation
-per step: GF(2^k) rows in k-bit lanes added by XOR, and rows over GF(p),
-to which odd extensions are restricted, in lanes added mod p at once.
+per step: the digits of GF(2^k) rows, packed as they are, in k-bit lanes
+added by XOR, and rows over GF(p), to which odd extensions are
+restricted, in lanes added mod p at once.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
 tracker has made of them: since ``S_{n+1} = S_1 + phi* S_n``, a row may
@@ -143,7 +146,7 @@ class _FlagStack:
     so they are independent.  Each step ends the loop or moves the lead key
     strictly up, so an insert ends after at most one step per key.
 
-    ``insert`` takes a block over F and returns, packed, each row's value
+    ``insert`` takes a digit block over F and returns, packed, each row's value
     when it first becomes a holder at its own level l, or 0 when it
     reduces to 0 there: the row plus an F-combination of holders of level
     <= l, which span ``V_l(n-1)`` and the block's earlier rows, so
@@ -171,27 +174,21 @@ def _flag_stack(field, counts: Sequence[int]) -> _FlagStack:
     return (_FlagStack2 if field.p == 2 else _FlagStackOdd)(field, counts)
 
 
-def _pack_lanes(field, block: np.ndarray) -> list[int]:
-    """The rows of a block over GF(2^k), 0/1 uint8 over GF(2), else int64
-    codes, packed into integers: column j is lane j, the k bits from
-    ``j*k`` on, bit t holding the coefficient of x^t of its code, so two
-    rows add by one XOR.  For GF(2), k = 1."""
-    count, width = block.shape
-    if field.d > 1:
-        block = field.coords_array(block).reshape(count, width * field.d)
-    data = np.packbits(block.astype(np.uint8, copy=False), axis=1, bitorder="little")
+def _pack_lanes(block: np.ndarray) -> list[int]:
+    """The rows of a uint8 digit block over GF(2^k) packed into integers,
+    column i in bit i: column j of the field is lane j, the k bits from
+    ``j*k`` on, bit t holding digit t, so two rows add by one XOR."""
+    data = np.packbits(block, axis=1, bitorder="little")
     size, raw = data.shape[1], data.tobytes()
-    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(count)]
+    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(block.shape[0])]
 
 
-def _unpack_lanes(field, rows: Sequence[int], width: int) -> np.ndarray:
-    """Packed rows as a block of ``width`` columns: 0/1 uint8 over GF(2),
-    else int64 codes; the inverse of ``_pack_lanes``."""
-    k = field.d
-    size = -(-width * k // 8)
+def _unpack_lanes(rows: Sequence[int], width: int) -> np.ndarray:
+    """Packed rows as a uint8 digit block of ``width`` columns; the inverse
+    of ``_pack_lanes``."""
+    size = -(-width // 8)
     data = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
-    bits = np.unpackbits(data.reshape(len(rows), size), axis=1, count=width * k, bitorder="little")
-    return bits if k == 1 else bits.reshape(len(rows), width, k) @ (1 << np.arange(k))
+    return np.unpackbits(data.reshape(len(rows), size), axis=1, count=width, bitorder="little")
 
 
 def _lane_low(field) -> int:
@@ -225,8 +222,8 @@ def _lane_times(w: int, c: int, k: int, low: int, tops: int) -> int:
 
 
 class _FlagStack2(_FlagStack):
-    """``_FlagStack`` over GF(2^k) on rows packed by ``_pack_lanes``:
-    column j is lane j, the k bits from ``j*k`` on.
+    """``_FlagStack`` over GF(2^k) on digit rows packed by ``_pack_lanes``:
+    column j of the field is lane j, the k bits from ``j*k`` on.
 
     A holder u of lane j has lane value 1, and ``holders`` maps bit
     ``j*k + t`` to (x^t*u, level) for each t < k.  A row whose lowest set
@@ -249,10 +246,9 @@ class _FlagStack2(_FlagStack):
     def insert(self, rows: np.ndarray) -> list[int]:
         """Insert a block; return the placed values, packed."""
         holders, per_level, k = self.holders, self.per_level, self.field.d
-        width = rows.shape[1]
-        tops = _lane_tops(k, width)
+        tops = _lane_tops(k, rows.shape[1] // k)
         placed = []
-        for packed, level in zip(_pack_lanes(self.field, rows), self.levels):
+        for packed, level in zip(_pack_lanes(rows), self.levels):
             own = 0
             while packed:
                 lead = (packed & -packed).bit_length() - 1
@@ -281,8 +277,8 @@ class _FlagStack2(_FlagStack):
         return placed
 
     def decode(self, placed: Sequence[int], width: int) -> np.ndarray:
-        """Placed values as a block: 0/1 uint8 over GF(2), else int64 codes."""
-        return _unpack_lanes(self.field, placed, width)
+        """Placed values as a uint8 digit block of ``width`` columns."""
+        return _unpack_lanes(placed, width)
 
     def _hold(self, w: int, lead: int, level: int, tops: int) -> int:
         """Hold the lane of bit ``lead`` by w/c, c w's lane value; return the multiple under ``lead``."""
@@ -299,11 +295,11 @@ class _FlagStack2(_FlagStack):
 class _FlagStackOdd(_FlagStack):
     """``_FlagStack`` over GF(p^d), p odd, on rows packed into integers.
 
-    Blocks are restricted to GF(p) by ``FiniteField.restrict``, d rows per
-    row (``unit``), and ``decode`` reads back, by ``unrestrict``, the placed
-    values of the first ones: each is its row plus an element of the
-    restriction of ``V_l(n-1)`` and of the earlier rows' GF(p^d)-span,
-    since every row comes with all d of its restricted rows.
+    Digit blocks are restricted to GF(p) by ``FiniteField.restrict``, d
+    rows per row (``unit``), and ``decode`` reads back the placed values of
+    the first ones, which are the rows' own digits: each is its row plus an
+    element of the restriction of ``V_l(n-1)`` and of the earlier rows'
+    GF(p^d)-span, since every row comes with all d of its restricted rows.
 
     Column j of a row is lane j of its integer, the b bits from ``j*b``
     on, which hold its code 0..p-1.  b is 8, 16 or 32, the least with
@@ -366,10 +362,10 @@ class _FlagStackOdd(_FlagStack):
         return placed
 
     def decode(self, placed: Sequence[int], width: int) -> np.ndarray:
-        """Placed values of a block's restricted rows as the block's int64 codes."""
-        size, dtype = width * self.field.d * self.lane // 8, f"<u{self.lane // 8}"
-        lanes = np.frombuffer(b"".join(own.to_bytes(size, "little") for own in placed), dtype=dtype)
-        return self.field.unrestrict(lanes.reshape(len(placed), width * self.field.d).astype(np.int64))
+        """The rows' own placed values, every d-th, as an int64 digit block."""
+        placed, size = placed[:: self.field.d], width * self.lane // 8
+        lanes = np.frombuffer(b"".join(own.to_bytes(size, "little") for own in placed), f"<u{self.lane // 8}")
+        return lanes.reshape(len(placed), width).astype(np.int64)
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
@@ -389,10 +385,10 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     at most ``bandwidth`` columns past w, so each block holds only its
     leading ``w + bandwidth`` columns (it is zero beyond), and carried rows
     must be zero past the width of the block they were taken from.  The
-    window matrix is given by its nonzeros, built once by
-    ``window_nonzeros`` together with their column runs (``_Nonzeros``); a
-    step costs O(rows * nnz), not O(rows * cols * w) as a dense product
-    would.  GF(2) blocks are uint8, other blocks int64 codes.
+    window matrix is given by its nonzeros restricted to GF(p), built once
+    with their column runs (``_Nonzeros``); a step costs O(rows * nnz * d^2),
+    not O(rows * cols * w) as a dense product would.  Blocks and carried
+    rows hold digit t of column j in column j*d + t, uint8 when p = 2.
 
     No dense array of a chain is larger than a block restricted to GF(p):
     at most ``len(dead) * d`` rows, since no step carries more rows than
@@ -422,30 +418,25 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     differs from the raw row ``phi*^(n-1) e_i`` by an element of
     ``V_l(n-1)`` plus the span of the raw rows j < i of step n.
     """
-    field = flow.field
+    field, d = flow.field, flow.field.d
     dim = flow.discrete_dim + window
-    entries = window_nonzeros(flow, window)
-    # the largest int64 sum in ``_times_nonzeros``
-    if entries[0].size * (field.p - 1) ** 2 >= 1 << 63:
-        raise TooLarge(f"{entries[0].size} window entries over GF({field.p}) overflow int64 sums")
-    nonzeros = _Nonzeros.of(*entries)
+    nonzeros = _Nonzeros.of(field, *window_nonzeros(flow, window))
     reach = flow.endo.bandwidth
     width = min(dim, max(dead) + 1 if dead else 0)
-    block = np.zeros((len(dead), width), dtype=np.uint8 if field.q == 2 else np.int64)
-    block[np.arange(len(dead)), dead] = 1
+    block = np.zeros((len(dead), width * d), dtype=np.uint8 if field.p == 2 else np.int64)
+    block[np.arange(len(dead)), [i * d for i in dead]] = 1
     for n in range(1, n_max + 1):
         carried = yield block
         if n < n_max:
             rows = block if carried is None else carried
-            block = _times_nonzeros(field, rows, nonzeros, min(dim, block.shape[1] + reach))
+            block = _times_nonzeros(field, rows, nonzeros, min(dim, block.shape[1] // d + reach))
 
 
 class _Nonzeros(NamedTuple):
-    """A window matrix's nonzeros ``(rows, cols, codes)``, sorted by column
-    as ``window_nonzeros`` gives them, with their runs of equal columns:
-    where each run starts, its column, and ``row_bound``, one past the
-    running maximum of ``rows``.  Built once per window; a product with
-    the leading columns of the matrix reads a prefix of each."""
+    """A window's nonzeros restricted to GF(p), ``(rows, cols, codes)``
+    sorted by column, with their runs of equal columns: where each run
+    starts, its column, and ``row_bound``, one past the running maximum of
+    ``rows``.  A product with leading columns reads a prefix of each."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -455,40 +446,52 @@ class _Nonzeros(NamedTuple):
     row_bound: np.ndarray
 
     @classmethod
-    def of(cls, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> "_Nonzeros":
+    def of(cls, field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> "_Nonzeros":
+        """The nonzeros of ``window_nonzeros`` restricted to GF(p): entry
+        (r, c, code) becomes those of its d x d block, digit t of x^s * code
+        at (r*d + s, c*d + t) (``FiniteField.restrict``).  At most nnz * d^2,
+        checked against ``_ENTRY_CAP`` before any is built."""
+        d, bound = field.d, rows.size * field.d**2
+        if bound > _ENTRY_CAP:
+            raise TooLarge(f"{rows.size} window entries restrict to up to {bound}, above the cap of {_ENTRY_CAP}")
+        if d > 1:  # over a prime field every entry is its own restriction
+            blocks = field.restrict(field.coords_array(codes)).reshape(rows.size, d, d)
+            entry, s, t = np.nonzero(blocks)
+            order = np.argsort(cols[entry] * d + t, kind="stable")
+            entry, s, t = entry[order], s[order], t[order]
+            rows, cols, codes = rows[entry] * d + s, cols[entry] * d + t, blocks[entry, s, t]
         starts = np.flatnonzero(np.diff(cols, prepend=-1))
         return cls(rows, cols, codes, starts, cols[starts], np.maximum.accumulate(rows) + 1)
 
 
 def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int) -> np.ndarray:
-    """The leading ``out_cols`` columns of ``block @ W``, where W is given
-    by its nonzeros, as uint8 over GF(2) and int64 codes otherwise.
+    """The digits of the leading ``out_cols`` columns of ``B @ W``, for the
+    digit block of B and W's restricted nonzeros, uint8 when p = 2.
 
-    Column c of the product is the sum, over the entries (r, c, code), of
-    block column r times code.  The entries with column below ``out_cols``
-    are a prefix of the nonzeros, and their runs of equal columns a prefix
-    of the runs.  The block's columns become the rows of ``lanes``, which
-    are gathered by the entries' rows, multiplied by the codes and summed
-    over each run by one ``reduceat`` along the entries; the sums go to
-    the runs' columns, and the transpose comes back.  Entries may read
-    rows past the block's width: ``lanes`` is padded with zero rows up to
-    the prefix's largest row, and a zero row adds nothing in any field.
+    Digit column c of the product is the sum, over the entries (r, c,
+    code), of block column r times code, mod p.  The entries with column
+    below ``out_cols * d`` are a prefix of the nonzeros, and their runs of
+    equal columns a prefix of the runs.  The block's columns become the
+    rows of ``lanes``, which are gathered by the entries' rows, multiplied
+    by the codes and summed over each run by one ``reduceat`` along the
+    entries; the sums go to the runs' columns, and the transpose comes
+    back.  Entries may read rows past the block's width: ``lanes`` is
+    padded with zero rows up to the prefix's largest row.
 
-    Only the lanes and the sum differ by field.  Over GF(2) every code is
-    1, a sum is an XOR, and byte i of a 64-bit lane word is block row i:
-    XOR acts bytewise, so no byte carries into the next and the byte
-    order does not matter.  Over other fields a lane is one int64 code,
-    and a sum is an XOR for p = 2, an int64 sum mod p over an odd prime
-    field, or an int64 sum of digits encoded again over an odd extension.
-    A term is at most (p-1)^2 and a sum has at most nnz terms, so every
-    int64 sum is at most nnz * (p-1)^2, which ``_constraint_blocks``
-    checks is below 2^63: the sums are exact.
+    Only the lanes and the sum differ by p.  For p = 2 every code is 1, a
+    sum is an XOR, and byte i of a 64-bit lane word is block row i: XOR
+    acts bytewise, so no byte carries into the next and the byte order does
+    not matter.  For odd p a lane is one int64 digit and a sum is an int64
+    sum mod p.  A term is at most (p-1)^2 < 2^32 and a sum has at most
+    ``_ENTRY_CAP`` = 2^22 terms (``_Nonzeros.of``), so every sum is below
+    2^54 and exact.
     """
     count, width = block.shape
+    out_cols *= field.d
     entries = nonzeros.cols.searchsorted(out_cols)
     runs = nonzeros.run_cols.searchsorted(out_cols)
     rows, starts, cols = nonzeros.rows[:entries], nonzeros.starts[:runs], nonzeros.run_cols[:runs]
-    packed = field.q == 2
+    packed = field.p == 2
     dtype, span = (np.uint8, -(-count // 8) * 8) if packed else (np.int64, count)
     out = np.zeros((out_cols, span), dtype=dtype)
     if entries and count:
@@ -497,14 +500,7 @@ def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int
         if packed:
             out.view(np.uint64)[cols] = np.bitwise_xor.reduceat(lanes.view(np.uint64)[rows], starts)
         else:
-            codes = nonzeros.codes[:entries, None]
-            terms = lanes[rows] * codes if field.d == 1 else field.arr_mul(lanes[rows], codes)
-            if field.p == 2:
-                out[cols] = np.bitwise_xor.reduceat(terms, starts)
-            elif field.d == 1:
-                out[cols] = np.add.reduceat(terms, starts) % field.p
-            else:
-                out[cols] = field.encode_array(np.add.reduceat(field.coords_array(terms), starts))
+            out[cols] = np.add.reduceat(lanes[rows] * nonzeros.codes[:entries, None], starts) % field.p
     return out.T[:count].copy()
 
 

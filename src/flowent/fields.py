@@ -5,9 +5,11 @@ length-d coefficient vector over GF(p), packed into an integer code in
 ``range(p**d)`` whose base-p digits run from the constant term upward.
 Element products in a proper extension look up O(q) int32 tables of the
 powers and logarithms of a generator.  A matrix product over any field is
-one float64 product on the prime-field digits, with the right operand
-restricted to GF(p): each entry becomes its d x d regular representation,
-and every sum stays an integer below 2^53, so it is exact.
+one float64 product on the digit rows, digit t of column j in column
+j*d + t, with the right operand restricted to GF(p) by ``restrict``: each
+entry becomes its d x d regular representation, and every sum stays an
+integer below 2^53, so it is exact.  The entropy engine's blocks are
+digit rows from end to end.
 
 A field is immutable after construction.  An embedding builds the table
 of the images of the source codes in its constructor, and computes its
@@ -285,28 +287,23 @@ class FiniteField:
         # a gather casts int32 indices to intp slowly; one cast of the sum is faster
         return self._exp[(self._log[a] + self._log[b]).astype(np.intp)].astype(np.int64)
 
-    def restrict(self, block: np.ndarray) -> np.ndarray:
-        """The rows of a GF(p^d)-block restricted to GF(p).
-
-        Row v becomes the d rows of prime-field coordinates of x^t * v for
-        t < d, coordinate k of entry j in column j*d + k; they span the same
-        GF(p)-space as the GF(p^d)-span of v.  Hence the GF(p) rank of the
-        restricted rows is d times the GF(p^d) rank of the block.
-        """
-        if self.d == 1:
-            return block
-        # the code of x^t is p^t
-        prods = self.arr_mul(self._ppow[None, :, None], block[:, None, :])
-        rows, cols = block.shape
-        return self.coords_array(prods).reshape(rows * self.d, cols * self.d)
-
-    def unrestrict(self, rows: np.ndarray) -> np.ndarray:
-        """The GF(p^d)-rows whose restrictions' first rows (t = 0) are every
-        d-th of ``rows``: coordinate k of entry j is read from column j*d + k."""
-        if self.d == 1:
-            return rows
-        first = rows[:: self.d]
-        return self.encode_array(first.reshape(first.shape[0], first.shape[1] // self.d, self.d))
+    def restrict(self, rows: np.ndarray) -> np.ndarray:
+        """Digit rows over GF(p^d), digit t of column j in column j*d + t,
+        restricted to GF(p) in the same dtype: row v becomes the digit rows
+        of x^s * v for s < d, which span over GF(p) what v spans over
+        GF(p^d), so their GF(p) rank is d times the GF(p^d) rank, and every
+        d-th one from the first is a row itself.  Each x^s * v is the one
+        before, its digits shifted up one place, plus its top digit times x^d."""
+        d, count, width = self.d, rows.shape[0], rows.shape[1]
+        x_d = ((-np.asarray(self.modulus[:d])) % self.p).astype(rows.dtype)  # digits of x^d
+        out = np.zeros((count, d, width // d, d), dtype=rows.dtype)
+        out[:, 0] = rows.reshape(count, width // d, d)
+        for s in range(1, d):
+            prev, cur = out[:, s - 1], out[:, s]
+            cur[..., 1:] = prev[..., :-1]
+            cur += prev[..., -1:] * x_d
+            cur %= self.p
+        return out.reshape(count * d, width)
 
     def prepare_right(self, b: np.ndarray):
         """A right matmul operand as ``(shape, R(b))``, converted once for
@@ -318,7 +315,8 @@ class FiniteField:
         b = np.asarray(b, dtype=np.int64)
         inner = b.shape[0]
         check_float_exact(inner * self.d * (self.p - 1) ** 2, f"inner dimension {inner} over {self!r}")
-        return (b.shape, self.restrict(b).astype(np.float64))
+        digits = self.coords_array(b).reshape(inner, b.shape[1] * self.d)
+        return (b.shape, self.restrict(digits).astype(np.float64))
 
     def matmul_prepared(self, a: np.ndarray, prepared) -> np.ndarray:
         """Exact product against a prepared right operand: one float64 product.

@@ -283,7 +283,9 @@ def _identity_checks(
     ``entry_embed`` (ind) of the member's rows of K's block at level 0 and
     its rows of F's or L's block at level 1: its ranks are those of the
     images E of K's rows so far and of E together with the other side's
-    rows so far.
+    rows so far.  The blocks are digit rows; K's rows become codes for
+    the two maps, and their images digit rows again, the one place a
+    verify converts between the two past the window's restriction.
 
     - ``res(ker R) = ker(block_expand R)``, as ``block_expand`` realizes
       the same map on re-blocked coordinates, and ``ind(ker R) =
@@ -307,7 +309,7 @@ def _identity_checks(
     ``default_window``, and the two-level trackers, which take twice a
     member's rows of their field, by ``_check_tracker_cap``.
     """
-    deg, d, top = e_fk.degree, flow.discrete_dim, max(cfg.m_max, _IDENTITY_MS[-1])
+    deg, d, top, d_k = e_fk.degree, flow.discrete_dim, max(cfg.m_max, _IDENTITY_MS[-1]), flow.field.d
     depth = max(cfg.n_max, identity_n)
     flows, tops = (flow, flow_f, flow_l), (top, max(cfg.m_max, deg * _IDENTITY_MS[-1]), top)
     windows = [default_window(f, t, depth, cfg.window_slack) for f, t in zip(flows, tops)]
@@ -324,7 +326,7 @@ def _identity_checks(
     for n, steps in enumerate(zip(*runs), start=1):
         (block_k, r_k), (block_f, r_f), (block_l, r_l) = steps
         for m, count, (res, ind) in zip(_IDENTITY_MS, counts, pairs) if n <= identity_n else ():
-            rows_k = block_k[:count]
+            rows_k = flow.field.encode_array(block_k[:count].reshape(count, block_k.shape[1] // d_k, d_k))
             cells[m, n] = (
                 r_f[deg * m] == deg * r_k[m],
                 _same_span(res, _expand_array(rows_k, e_fk), block_f[: deg * count], r_f[deg * m]),
@@ -341,10 +343,11 @@ def _identity_checks(
 
 
 def _same_span(stack, image: np.ndarray, rows: np.ndarray, rank: int) -> bool:
-    """Insert ``image`` at level 0 and ``rows`` at level 1 of a two-level
-    tracker; whether the spans of all images and of all rows so far are
-    equal, given ``rank``, that of the rows."""
-    block = np.zeros((image.shape[0] + rows.shape[0], max(image.shape[1], rows.shape[1])), dtype=np.int64)
+    """Insert the digit rows of codes ``image`` at level 0 and digit rows
+    ``rows`` at level 1 of a two-level tracker; whether the spans of all
+    images and of all rows so far are equal, given ``rank``, the rows'."""
+    image = stack.field.coords_array(image).reshape(image.shape[0], image.shape[1] * stack.field.d)
+    block = np.zeros((image.shape[0] + rows.shape[0], max(image.shape[1], rows.shape[1])), dtype=rows.dtype)
     block[: image.shape[0], : image.shape[1]] = image
     block[image.shape[0] :, : rows.shape[1]] = rows
     stack.insert(block)

@@ -63,7 +63,8 @@ __all__ = [
 
 #: Desk-scale cap on the entries of one array built from a spec: the dense
 #: discrete block of ``flow_from_dict`` and ``make_identity``, the window's
-#: nonzeros of ``window_nonzeros``, a chain's constraint rows restricted to
+#: nonzeros of ``window_nonzeros`` and their restriction to GF(p), checked
+#: by ``entropy._Nonzeros.of``, a chain's constraint rows restricted to
 #: GF(p), checked by ``default_window``, and the rows the rank trackers may
 #: hold, checked by ``entropy._check_tracker_cap``.  The widest workload
 #: window, prefix-shift[80]'s, has 5,276 coordinates and about as many entries.
@@ -644,13 +645,15 @@ def _matrix_to_json(m: Matrix) -> list[list[list[int]]]:
 def _matrix_from_json(field: FiniteField, rows, what: str) -> Matrix:
     """Read a matrix of JSON elements as ``_element_from_json`` reads each.
 
-    A rectangular array of integers (prime fields) or of equal-length
-    integer coordinate lists is read at once by numpy.  Anything else, such
-    as mixed element forms, floats or integers past int64, is read element
-    by element.
+    Rows of different lengths raise ValueError.  A rectangular array of
+    integers (prime fields) or of equal-length integer coordinate lists is
+    read at once by numpy.  Anything else, such as mixed element forms,
+    floats or integers past int64, is read element by element.
     """
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{what} must be a list of rows")
+    if len(lengths := sorted({len(row) for row in rows})) > 1:
+        raise ValueError(f"{what} has rows of lengths {lengths}; every row must have the same length")
     if not rows:
         return Matrix.zeros(field, 0, 0)
     try:

@@ -40,6 +40,19 @@ def dense_truncation(flow, window):
     return mat
 
 
+def digit_rows(field, codes):
+    """A code array as the engine's blocks hold it: digit t of column j in
+    column j*d + t, uint8 over characteristic 2 and int64 otherwise."""
+    codes = np.asarray(codes, dtype=np.int64)
+    digits = field.coords_array(codes).reshape(codes.shape[0], codes.shape[1] * field.d)
+    return digits.astype(np.uint8 if field.p == 2 else np.int64)
+
+
+def code_rows(field, digits):
+    """The code array of a digit block; the inverse of ``digit_rows``."""
+    return field.encode_array(digits.reshape(digits.shape[0], digits.shape[1] // field.d, field.d))
+
+
 def annihilator(s):
     """Rows spanning the vectors orthogonal to a subspace, so that
     ``kernel(annihilator(s)) == s``."""
@@ -73,11 +86,11 @@ def raw_forms(flow, dead, n_max, window):
     """For each step n = 1..n_max, the reduced row-echelon form, without
     zero rows and over the whole window, of the raw constraint rows of
     steps 1..n: the blocks of ``_constraint_blocks`` with nothing carried
-    back, stacked by ``stacked_rref``.  Its kernel is the n-step
+    back, as codes, stacked by ``stacked_rref``.  Its kernel is the n-step
     cotrajectory, and it shares no elimination with the rank trackers."""
     red = np.zeros((0, flow.discrete_dim + window), dtype=np.int64)
     for block in _constraint_blocks(flow, dead, n_max, window):
-        red, _ = stacked_rref(flow.field, red, block)
+        red, _ = stacked_rref(flow.field, red, code_rows(flow.field, block))
         yield red
 
 

@@ -124,6 +124,13 @@ class TestMalformedSpecs:
         "list-characteristic": {"field": {"p": [2]}, "stencil": {"1": 1}},
         "float-discrete-dim": {"field": {"p": 2}, "discrete_dim": 1.5, "stencil": {"1": 1}},
         "negative-discrete-dim": {"field": {"p": 2}, "discrete_dim": -1, "stencil": {"1": 1}},
+        "ragged-prefix": {"field": {"p": 2}, "stencil": {"1": 1}, "prefix": [[1], [1, 0]]},
+        "ragged-cd": {
+            "field": {"p": 2, "tower": [[1, 1, 1]]},
+            "discrete_dim": 2,
+            "stencil": {"1": [1]},
+            "cd": [[[1, 0]], [[0, 1], [1, 1]]],
+        },
     }
 
     @pytest.mark.parametrize("case", list(SPECS))
@@ -136,6 +143,9 @@ class TestMalformedSpecs:
         assert err.startswith("error: ")
         if "discrete-dim" in case:
             assert "discrete_dim" in err
+        if case.startswith("ragged-"):
+            # the block is named, not numpy's message on an inhomogeneous shape
+            assert err.startswith(f"error: {case.split('-')[1]} has rows of lengths"), err
 
     @pytest.mark.parametrize("command", ["compute", "verify"])
     def test_boolean_discrete_dim_exits_one(self, capsys, tmp_path, command):
@@ -369,12 +379,18 @@ class TestOversizedSpecs:
     whose nonzeros are under the cap, but whose constraint blocks are not:
     8 rows over GF(2), and 8 * 2 restricted rows of twice the width on the
     GF(4) side of ``verify``, which ran for minutes and then died of a
-    MemoryError before the chain checked its blocks."""
+    MemoryError before the chain checked its blocks.  A hundred stencil
+    terms over GF(2^8) give 629,850 window entries, under the cap, whose
+    restriction to GF(2) could hold 64 times as many, over it."""
 
     SPECS = {
         "stencil-offset-1e8": {"field": {"p": 2}, "stencil": {"100000000": 1}},
         "stencil-offset-6e4": {"field": {"p": 2}, "stencil": {"60000": 1}},
         "discrete-dim-1e7": {"field": {"p": 2}, "discrete_dim": 10_000_000, "stencil": {"1": 1}},
+        "restricted-window-gf256": {
+            "field": {"p": 2, "tower": [[1, 0, 0, 0, 1, 1, 0, 1, 1]]},
+            "stencil": {str(k): [1] for k in range(100)},
+        },
     }
 
     SCRIPT = (

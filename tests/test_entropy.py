@@ -52,7 +52,7 @@ from flowent.model import (
     window_nonzeros,
 )
 
-from conftest import dense_truncation, intersect, preimage, raw_forms, stacked_rref
+from conftest import code_rows, dense_truncation, digit_rows, intersect, preimage, raw_forms, stacked_rref
 
 U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
@@ -144,7 +144,7 @@ def _check_run(flow, ms, n_max, window):
         carried = np.zeros((0, d + window), dtype=np.int64)
         raw = raw_forms(flow, list(range(count)), n_max, window)
         for n, ((block, ranks), want) in enumerate(zip(got, raw), start=1):
-            carried, _ = stacked_rref(flow.field, carried, block[:count])
+            carried, _ = stacked_rref(flow.field, carried, code_rows(flow.field, block[:count]))
             assert ranks[i] == want.shape[0], (flow.label, count, n)
             assert np.array_equal(carried, want), (flow.label, count, n)
 
@@ -334,9 +334,9 @@ class TestTracesAgainstReference:
 
 
 def _dense_blocks(flow, dead, n_max, window):
-    """The constraint blocks of ``_constraint_blocks`` from the reference
-    window matrix: each block of width w times the matrix's first w rows,
-    trimmed to its first w + bandwidth columns."""
+    """The constraint blocks of ``_constraint_blocks``, as codes, from the
+    reference window matrix: each block of width w times the matrix's
+    first w rows, trimmed to its first w + bandwidth columns."""
     field = flow.field
     mat = dense_truncation(flow, window)
     dim, reach = mat.shape[0], flow.endo.bandwidth
@@ -405,6 +405,7 @@ class TestConstraintBlocks:
         assert np.array_equal(truncate(flow, window).data, want), (flow.label, window)
         pairs = zip(_constraint_blocks(flow, dead, n_max, window), _dense_blocks(flow, dead, n_max, window))
         for n, (got, want) in enumerate(pairs, start=1):
+            want = digit_rows(flow.field, want)
             assert got.shape == want.shape and np.array_equal(got, want), (flow.label, u, n)
 
     @pytest.mark.parametrize("field", _sparse_fields(), ids=repr)
@@ -427,8 +428,9 @@ class TestConstraintBlocks:
             self.assert_blocks_match_dense(_prefix_shift_flow(r), U(8), 24)
 
     def test_int64_guard(self, monkeypatch):
-        # 2^32 entries over GF(65521) could sum past 2^63; broadcast arrays
-        # stand in for them without the memory
+        # 2^32 entries over GF(65521) could sum past 2^63; the cap on the
+        # restricted entries refuses them first.  Broadcast arrays stand in
+        # for them without the memory
         import flowent.entropy as entropy
 
         def huge(flow, window):
@@ -602,8 +604,9 @@ class TestFlagTrackers:
                     pick = rng.random(bounds[-1]) < 0.4
                     rows[pick] = combos[pick]
                 held = {key: level for key, (_, level) in stack.holders.items()}
-                placed = _placed(stack, rows)
-                assert placed.dtype == np.int64 and placed.shape == rows.shape
+                digits = _placed(stack, digit_rows(field, rows))
+                assert digits.dtype == np.uint8 and digits.shape == (rows.shape[0], rows.shape[1] * degree)
+                placed = code_rows(field, digits)
                 inserted.append(rows)
                 dependent += int((rows.any(axis=1) & ~placed.any(axis=1)).sum())
                 exchanges += any(level < held.get(key, level) for key, (_, level) in stack.holders.items())
@@ -612,7 +615,7 @@ class TestFlagTrackers:
                     stacked = np.zeros((len(inserted) * bound, width), dtype=np.int64)
                     for i, block in enumerate(inserted):
                         stacked[i * bound : (i + 1) * bound, : block.shape[1]] = block[:bound]
-                    bits = _prime_rank(field.restrict(stacked), 2) if stacked.size else 0
+                    bits = _prime_rank(field.restrict(digit_rows(field, stacked)), 2) if stacked.size else 0
                     assert bits % degree == 0
                     want.append(bits // degree)
                 assert stack.ranks == want, (degree, trial, bounds)
@@ -623,10 +626,10 @@ class TestFlagTrackers:
         # c*w lane by lane against the field's products, for every c
         rng = np.random.default_rng(field.q)
         row = field.random_codes(rng, (1, 9))
-        (w,) = _pack_lanes(field, row)
+        (w,) = _pack_lanes(digit_rows(field, row))
         k, low, tops = field.d, _lane_low(field), _lane_tops(field.d, 9)
         for c in field.elements():
-            (want,) = _pack_lanes(field, field.arr_mul(np.int64(c), row))
+            (want,) = _pack_lanes(digit_rows(field, field.arr_mul(np.int64(c), row)))
             assert _lane_times(w, c, k, low, tops) == want, c
 
     @pytest.mark.parametrize("q", [2, 4, 8, 16, 256])
@@ -769,6 +772,14 @@ def _extension_fields():
     return [_gf2_extension(k) for k in (2, 3, 4, 8, 16)] + _odd_fields()[2:]
 
 
+def _product_fields():
+    """GF(4), GF(16), GF(3), GF(9), GF(5), GF(25), GF(2^8), GF(27) and
+    GF(251^2): digit layouts of widths 1 to 8 on both product bodies."""
+    gf3, gf251 = make_prime_field(3), make_prime_field(251)
+    wide = [_gf2_extension(8), make_extension(gf3, least_irreducible(gf3, 3))[0]]
+    return _sparse_fields()[1:] + wide + [make_extension(gf251, least_irreducible(gf251, 2))[0]]
+
+
 class TestCarriedRows:
     """Blocks multiplied out from carried rows, not raw ones, give the same
     traces and spans as the raw rows."""
@@ -843,7 +854,7 @@ class TestCarriedRows:
             for _ in range(int(rng.integers(1, 8))):
                 width += int(rng.integers(0, 2))
                 rows = field.random_codes(rng, (bounds[-1], width))
-                placed = _placed(stack, rows)
+                placed = code_rows(field, _placed(stack, digit_rows(field, rows)))
                 assert placed.shape == rows.shape
                 for row, value, level in zip(rows, placed, levels):
                     span = [np.pad(r, (0, width - r.size)) for lv, r in before if lv <= level]
@@ -970,34 +981,39 @@ class TestCarriedRows:
 
     @pytest.mark.parametrize("field", _sparse_fields()[1:], ids=repr)
     def test_unrestrict_reads_back_the_first_restricted_rows(self, field):
+        # no unrestrict is left: every d-th restricted digit row, from the
+        # first, is a row's own, which the odd tracker's decode reads back
         rng = np.random.default_rng(field.q)
-        block = field.random_codes(rng, (5, 7))
-        assert np.array_equal(field.unrestrict(field.restrict(block)), block)
+        block = digit_rows(field, field.random_codes(rng, (5, 7)))
+        assert np.array_equal(field.restrict(block)[:: field.d], block)
 
     def test_gf2_products_in_uint8(self, gf2):
         # the word-lane product skips the multiply by codes; it takes uint8
         # and int64 rows alike
         _check_products(gf2)
 
-    @pytest.mark.parametrize("field", _sparse_fields()[1:], ids=repr)
+    @pytest.mark.parametrize("field", _product_fields(), ids=repr)
     def test_products_in_int64(self, field):
+        # int64 digit rows too over characteristic 2, where products are uint8
         _check_products(field)
 
 
 def _check_products(field):
-    """``_times_nonzeros`` against the dense product by the reference window
-    matrix: row counts on both sides of GF(2)'s 8-row words, output widths
-    at and below the window's dimension, and entries of negative offsets
-    and of the dc block that read rows past the block's width, which zero
-    padding stands in for.  GF(2) products come back as uint8, others as
-    int64."""
+    """``_times_nonzeros`` on digit rows, by the window's nonzeros
+    restricted to GF(p), against the digits of the dense product by the
+    reference window matrix: row counts on both sides of the 8-row words
+    of characteristic 2, output widths at and below the window's
+    dimension, and entries of negative offsets and of the dc block that
+    read rows past the block's width, which zero padding stands in for.
+    Products come back as uint8 over characteristic 2 and as int64
+    otherwise."""
     rng = np.random.default_rng(5)
     past_width = 0
     for seed in range(12):
         flow = _random_phase_flow(field, seed)
         window = 30
         dense = dense_truncation(flow, window)
-        nonzeros = _Nonzeros.of(*window_nonzeros(flow, window))
+        nonzeros = _Nonzeros.of(field, *window_nonzeros(flow, window))
         dim = dense.shape[0]
         width = int(rng.integers(1, dim))
         cols = min(dim, width + flow.endo.bandwidth)
@@ -1006,13 +1022,14 @@ def _check_products(field):
             rows = field.random_codes(rng, (count, width))
             cases += [(rows, c) for c in (cols, dim, int(rng.integers(1, dim)))]
         for rows, cols in cases:
-            want = field.arr_matmul(rows, dense[:width, :cols])
-            entries = np.searchsorted(nonzeros.cols, cols)
-            past_width += bool(entries) and bool(nonzeros.row_bound[entries - 1] > width)
-            if field.q == 2:
-                blocks, dtype = (rows.astype(np.uint8), rows.astype(np.int64)), np.uint8
+            want = digit_rows(field, field.arr_matmul(rows, dense[:width, :cols]))
+            entries = np.searchsorted(nonzeros.cols, cols * field.d)
+            past_width += bool(entries) and bool(nonzeros.row_bound[entries - 1] > width * field.d)
+            digits = digit_rows(field, rows)
+            if field.p == 2:
+                blocks, dtype = (digits, digits.astype(np.int64)), np.uint8
             else:
-                blocks, dtype = (rows.astype(np.int64),), np.int64
+                blocks, dtype = (digits,), np.int64
             for block in blocks:
                 got = _times_nonzeros(field, block, nonzeros, cols)
                 assert got.dtype == dtype and np.array_equal(got, want), (field, seed, rows.shape, cols)

@@ -12,6 +12,7 @@ change or a fix; the files are then rewritten with
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +43,20 @@ CASES = [
         for s in range(3)
     ],
     ("verify-gf9-s0.json", 9, 0, ["verify", "--identity-n", "8", "--max-n", "32"]),
+    ("compute-gf16-s0.json", 16, 0, ["compute"]),
+    ("compute-gf27-s0.json", 27, 0, ["compute"]),
+    ("verify-gf8-s0.json", 8, 0, ["verify", "--identity-n", "8", "--max-n", "32"]),
+    ("verify-gf27-s0.json", 27, 0, ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("oracle-gf2-s1.json", 2, 1, ["oracle", "--max-n", "4", "--max-m", "2"]),
 ]
 
 
 def _field(q: int):
-    """GF(q) for q in 2, 4 and 9, with the modulus the command line picks."""
-    p = 2 if q % 2 == 0 else 3
+    """GF(q) for a prime power q, with the modulus the command line picks."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    d = round(math.log(q, p))
     base = make_prime_field(p)
-    return base if q == p else make_extension(base, least_irreducible(base, 2))[0]
+    return base if d == 1 else make_extension(base, least_irreducible(base, d))[0]
 
 
 def report_bytes(tmp: Path, q: int, seed: int, command: list[str]) -> bytes:
