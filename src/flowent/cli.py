@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -182,6 +183,8 @@ def cmd_example(args) -> int:
 def cmd_oracle(args) -> int:
     if args.max_n < 1 or args.max_m < 0:
         raise ValueError(f"oracle needs --max-n >= 1 and --max-m >= 0, got {args.max_n} and {args.max_m}")
+    if args.window is not None and args.window < 0:
+        raise ValueError(f"oracle needs --window >= 0, got {args.window}")
     flow = load_flow(args.spec)
     rows = []
     for m in range(args.max_m + 1):
@@ -233,7 +236,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The driver's parser, built once per process: parsing leaves it as
+    it was, so in-process callers of ``main`` share it.  Every caller gets
+    the same object, so none may change it."""
     parser = _Parser(
         prog="flowent",
         description="Exact entropy of linear flows on products of finite fields.",

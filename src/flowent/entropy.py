@@ -380,15 +380,22 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
 
     Raw step n rows are the dead coordinates of phi^(n-1) inside the
     window, one row per dead coordinate, and each block is the carried
-    rows of the step before times the window matrix.  A row of width w
-    times that matrix reads only the matrix rows below w, and those read
-    at most ``bandwidth`` columns past w, so each block holds only its
-    leading ``w + bandwidth`` columns (it is zero beyond), and carried rows
-    must be zero past the width of the block they were taken from.  The
-    window matrix is given by its nonzeros restricted to GF(p), built once
-    with their column runs (``_Nonzeros``); a step costs O(rows * nnz * d^2),
-    not O(rows * cols * w) as a dense product would.  Blocks and carried
-    rows hold digit t of column j in column j*d + t, uint8 when p = 2.
+    rows of the step before times the window matrix W.  Carried rows must
+    be zero past the width of the block they were taken from.  Each block
+    holds only the columns its rows' support reaches: if the carried rows
+    are zero past column s (their support, one past their last nonzero
+    column), only their leading s columns are multiplied, and the product
+    is zero past ``reach_of[s]``, one past the largest column of any entry
+    of W in a row below s (``_Nonzeros``).  Proof: for a row v that is zero
+    past s, ``(vW)_c = sum_{r<s} v_r W_{r,c}``, and every ``W_{r,c}`` with
+    r < s is zero for c >= ``reach_of[s]``.  The block's width is the
+    larger of that and the width of the block before: widths never shrink,
+    because the trackers size their lane masks and packed values by the
+    width of the block they take, and hold values of the blocks before.
+    The window matrix is given by its nonzeros restricted to GF(p), built
+    once with their column runs; a step costs O(rows * nnz * d^2), not
+    O(rows * cols * w) as a dense product would.  Blocks and carried rows
+    hold digit t of column j in column j*d + t, uint8 when p = 2.
 
     No dense array of a chain is larger than a block restricted to GF(p):
     at most ``len(dead) * d`` rows, since no step carries more rows than
@@ -420,8 +427,7 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     """
     field, d = flow.field, flow.field.d
     dim = flow.discrete_dim + window
-    nonzeros = _Nonzeros.of(field, *window_nonzeros(flow, window))
-    reach = flow.endo.bandwidth
+    nonzeros = _Nonzeros.of(field, dim, *window_nonzeros(flow, window))
     width = min(dim, max(dead) + 1 if dead else 0)
     block = np.zeros((len(dead), width * d), dtype=np.uint8 if field.p == 2 else np.int64)
     block[np.arange(len(dead)), [i * d for i in dead]] = 1
@@ -429,14 +435,20 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
         carried = yield block
         if n < n_max:
             rows = block if carried is None else carried
-            block = _times_nonzeros(field, rows, nonzeros, min(dim, block.shape[1] // d + reach))
+            nonzero = np.flatnonzero(rows.any(axis=0))
+            support = -(-(int(nonzero[-1]) + 1) // d) if nonzero.size else 0
+            width = max(width, int(nonzeros.reach_of[support]))
+            block = _times_nonzeros(field, rows[:, : support * d], nonzeros, width)
 
 
 class _Nonzeros(NamedTuple):
     """A window's nonzeros restricted to GF(p), ``(rows, cols, codes)``
     sorted by column, with their runs of equal columns: where each run
     starts, its column, and ``row_bound``, one past the running maximum of
-    ``rows``.  A product with leading columns reads a prefix of each."""
+    ``rows``.  A product with leading columns reads a prefix of each.
+    ``reach_of[s]``, for s = 0..dim field columns, is one past the largest
+    field column of any entry in a field row below s, 0 if none: a product
+    of rows zero past column s is zero past ``reach_of[s]``."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -444,16 +456,22 @@ class _Nonzeros(NamedTuple):
     starts: np.ndarray
     run_cols: np.ndarray
     row_bound: np.ndarray
+    reach_of: np.ndarray
 
     @classmethod
-    def of(cls, field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> "_Nonzeros":
-        """The nonzeros of ``window_nonzeros`` restricted to GF(p): entry
-        (r, c, code) becomes those of its d x d block, digit t of x^s * code
-        at (r*d + s, c*d + t) (``FiniteField.restrict``).  At most nnz * d^2,
-        checked against ``_ENTRY_CAP`` before any is built."""
+    def of(cls, field, dim: int, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> "_Nonzeros":
+        """The nonzeros of ``window_nonzeros`` over ``dim`` coordinates
+        restricted to GF(p): entry (r, c, code) becomes those of its d x d
+        block, digit t of x^s * code at (r*d + s, c*d + t)
+        (``FiniteField.restrict``).  At most nnz * d^2, checked against
+        ``_ENTRY_CAP`` before any is built.  ``reach_of`` is read from the
+        field entries."""
         d, bound = field.d, rows.size * field.d**2
         if bound > _ENTRY_CAP:
             raise TooLarge(f"{rows.size} window entries restrict to up to {bound}, above the cap of {_ENTRY_CAP}")
+        reach_of = np.zeros(dim + 1, dtype=np.int64)
+        np.maximum.at(reach_of, rows + 1, cols + 1)
+        np.maximum.accumulate(reach_of, out=reach_of)
         if d > 1:  # over a prime field every entry is its own restriction
             blocks = field.restrict(field.coords_array(codes)).reshape(rows.size, d, d)
             entry, s, t = np.nonzero(blocks)
@@ -461,7 +479,7 @@ class _Nonzeros(NamedTuple):
             entry, s, t = entry[order], s[order], t[order]
             rows, cols, codes = rows[entry] * d + s, cols[entry] * d + t, blocks[entry, s, t]
         starts = np.flatnonzero(np.diff(cols, prepend=-1))
-        return cls(rows, cols, codes, starts, cols[starts], np.maximum.accumulate(rows) + 1)
+        return cls(rows, cols, codes, starts, cols[starts], np.maximum.accumulate(rows) + 1, reach_of)
 
 
 def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int) -> np.ndarray:
@@ -475,8 +493,10 @@ def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int
     rows of ``lanes``, which are gathered by the entries' rows, multiplied
     by the codes and summed over each run by one ``reduceat`` along the
     entries; the sums go to the runs' columns, and the transpose comes
-    back.  Entries may read rows past the block's width: ``lanes`` is
-    padded with zero rows up to the prefix's largest row.
+    back.  The block may be narrower than the window's rows and than
+    ``out_cols`` (``_constraint_blocks`` cuts it to its rows' support):
+    entries that read rows past its width read the zero rows that
+    ``lanes`` is padded with, up to the prefix's largest row.
 
     Only the lanes and the sum differ by p.  For p = 2 every code is 1, a
     sum is an XOR, and byte i of a 64-bit lane word is block row i: XOR

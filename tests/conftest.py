@@ -11,6 +11,7 @@ import flowent
 from flowent.entropy import _constraint_blocks
 from flowent.fields import _rref_array, make_extension, make_prime_field
 from flowent.linalg import Matrix, kernel
+from flowent.model import EndoSpec, Flow, SpaceShape
 
 settings.register_profile(
     "flowent",
@@ -38,6 +39,16 @@ def dense_truncation(flow, window):
             if i + k < window:
                 mat[d + i, d + i + k] = c
     return mat
+
+
+def prefix_shift_flow(r):
+    """The wide-window benchmark's ``prefix-shift[r]`` over GF(2): compact
+    rows 0..r-1 read the next coordinate; every later row reads itself."""
+    gf2 = make_prime_field(2)
+    prefix = np.zeros((r, r + 1), dtype=np.int64)
+    prefix[np.arange(r), np.arange(r) + 1] = 1
+    endo = EndoSpec(gf2, {0: 1}, prefix=Matrix(gf2, prefix))
+    return Flow(SpaceShape(gf2, 0), endo, label=f"prefix-shift[{r}]")
 
 
 def digit_rows(field, codes):

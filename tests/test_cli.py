@@ -308,6 +308,13 @@ class TestOracle:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
+    def test_negative_window_exits_one(self, capsys, gf2_bernoulli_spec):
+        # a window below 0 lower-bounds nothing; it was taken silently
+        code = main(["oracle", gf2_bernoulli_spec, "--window", "-4"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "--window" in err, err
+
     def test_non_gf2_rejected(self, capsys, bernoulli_spec):
         code, _ = run(capsys, "oracle", bernoulli_spec)
         assert code == 1
@@ -506,6 +513,38 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: ")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; calls made back to back
+    on it behave like calls on a fresh one."""
+
+    def test_back_to_back_calls_match_fresh_ones(self, capsys, bernoulli_spec):
+        from flowent.cli import build_parser
+
+        calls = [
+            ["compute", bernoulli_spec, "--max-n", "12"],
+            ["compute", bernoulli_spec, "--bogus"],
+            ["verify", bernoulli_spec, "--max-n", "24", "--max-m", "4"],
+            ["compute", bernoulli_spec, "--max-n", "12"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        shared = [outcome(argv) for argv in calls]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, *_ in shared] == [0, 1, 0, 0]
+        assert shared[0] == shared[3] and shared[0][1]
 
 
 class TestUnwritableOut:

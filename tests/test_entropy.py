@@ -52,7 +52,16 @@ from flowent.model import (
     window_nonzeros,
 )
 
-from conftest import code_rows, dense_truncation, digit_rows, intersect, preimage, raw_forms, stacked_rref
+from conftest import (
+    code_rows,
+    dense_truncation,
+    digit_rows,
+    intersect,
+    prefix_shift_flow,
+    preimage,
+    raw_forms,
+    stacked_rref,
+)
 
 U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
@@ -336,7 +345,8 @@ class TestTracesAgainstReference:
 def _dense_blocks(flow, dead, n_max, window):
     """The constraint blocks of ``_constraint_blocks``, as codes, from the
     reference window matrix: each block of width w times the matrix's
-    first w rows, trimmed to its first w + bandwidth columns."""
+    first w rows, trimmed to its first w + bandwidth columns, a bound on
+    the support of the engine's blocks."""
     field = flow.field
     mat = dense_truncation(flow, window)
     dim, reach = mat.shape[0], flow.endo.bandwidth
@@ -369,14 +379,14 @@ def _random_phase_flow(field, seed):
     return Flow(SpaceShape(field, d), endo, label=f"phases[{seed}]")
 
 
-def _prefix_shift_flow(r):
-    """Compact rows 0..r-1 read the next coordinate; every later row reads
-    itself."""
-    gf2 = make_prime_field(2)
-    prefix = np.zeros((r, r + 1), dtype=np.int64)
-    prefix[np.arange(r), np.arange(r) + 1] = 1
-    endo = EndoSpec(gf2, {0: 1}, prefix=Matrix(gf2, prefix))
-    return Flow(SpaceShape(gf2, 0), endo, label=f"prefix-shift[{r}]")
+def _narrowing_flow(field):
+    """A flow whose carried rows narrow below wider holders, then vanish:
+    compact row 0 reads column 3, row 3 columns 1 and 7, row 1 column 2,
+    row 2 column 1, rows 4..7 nothing, and every later row itself."""
+    prefix = np.zeros((8, 8), dtype=np.int64)
+    prefix[[0, 3, 3, 1, 2], [3, 1, 7, 2, 1]] = 1
+    endo = EndoSpec(field, {0: 1}, prefix=Matrix(field, prefix))
+    return Flow(SpaceShape(field, 0), endo, label="narrowing")
 
 
 def _sparse_fields():
@@ -399,14 +409,25 @@ class TestConstraintBlocks:
 
     @staticmethod
     def assert_blocks_match_dense(flow, u, n_max):
+        """Each block is the dense reference's leading columns, and the
+        reference is zero past them; block widths never decrease and grow
+        by at most the bandwidth a step, within the window.  Returns the
+        widths in field columns."""
         window = default_window(flow, u.extent, n_max)
         dead = _dead_indices(flow, u)
-        want = dense_truncation(flow, window)
-        assert np.array_equal(truncate(flow, window).data, want), (flow.label, window)
+        dense = dense_truncation(flow, window)
+        dim, d = dense.shape[0], flow.field.d
+        assert np.array_equal(truncate(flow, window).data, dense), (flow.label, window)
         pairs = zip(_constraint_blocks(flow, dead, n_max, window), _dense_blocks(flow, dead, n_max, window))
+        widths = []
         for n, (got, want) in enumerate(pairs, start=1):
-            want = digit_rows(flow.field, want)
-            assert got.shape == want.shape and np.array_equal(got, want), (flow.label, u, n)
+            want, cut = digit_rows(flow.field, want), got.shape[1]
+            assert got.dtype == want.dtype and got.shape[0] == want.shape[0], (flow.label, u, n)
+            assert np.array_equal(got, want[:, :cut]) and not want[:, cut:].any(), (flow.label, u, n)
+            if widths:
+                assert widths[-1] <= cut // d <= min(dim, widths[-1] + flow.endo.bandwidth), (flow.label, u, n)
+            widths.append(cut // d)
+        return widths
 
     @pytest.mark.parametrize("field", _sparse_fields(), ids=repr)
     def test_random_flows(self, field):
@@ -424,8 +445,12 @@ class TestConstraintBlocks:
             self.assert_blocks_match_dense(flow, GoodSubspace(frozenset(zero_set.tolist())), 12)
 
     def test_prefix_shift_flows(self):
+        # step n's raw rows are e_(i+n-1), i < m: each step shifts them one
+        # place, so block n is at most m + n columns wide, whatever the window
+        m = 8
         for r in range(8, 81, 6):
-            self.assert_blocks_match_dense(_prefix_shift_flow(r), U(8), 24)
+            widths = self.assert_blocks_match_dense(prefix_shift_flow(r), U(m), 24)
+            assert all(width <= m + n for n, width in enumerate(widths, start=1)), (r, widths)
 
     def test_int64_guard(self, monkeypatch):
         # 2^32 entries over GF(65521) could sum past 2^63; the cap on the
@@ -939,6 +964,34 @@ class TestCarriedRows:
             assert [list(trace.values)] == _raw_row_traces(flow, dead_u, [len(dead_u)], n_max, trace.window)
         assert seen["dependent"] and seen["exchanges"], seen
 
+    @pytest.mark.parametrize("field", [make_prime_field(3), _odd_fields()[2], _gf2_extension(2)], ids=repr)
+    def test_narrowing_rows_keep_widths(self, field, monkeypatch):
+        # carried rows that narrow, then vanish, below wider holders: the
+        # blocks keep their width, so the holders' values still fit
+        tracker, supports = _FlagStack2 if field.p == 2 else _FlagStackOdd, []
+        decode = tracker.decode
+
+        def spy(self, placed, width):
+            rows = decode(self, placed, width)
+            nonzero = np.flatnonzero(rows.any(axis=0))
+            supports.append(-(-(int(nonzero[-1]) + 1) // field.d) if nonzero.size else 0)
+            return rows
+
+        monkeypatch.setattr(tracker, "decode", spy)
+        flow, n_max = _narrowing_flow(field), 10
+        window = default_window(flow, 3, n_max)
+        for dead, counts in (([0], [1]), ([0, 1, 2], [1, 2, 3])):
+            supports.clear()
+            run = list(cotrajectory_run(flow, dead, counts, n_max, window))
+            widths = [block.shape[1] // field.d for block, _ in run]
+            assert widths == sorted(widths), (dead, widths)
+            raw = _raw_row_run(flow, dead, counts, n_max, window)
+            assert [ranks for _, ranks in run] == [ranks for _, ranks in raw], dead
+            # from e_0 the carried rows are e_3, e_1 + e_7, e_2, then e_1
+            # less the holder e_1 + e_7, and then 0; rows 1 and 2 turn
+            # dependent by step 3
+            assert supports == [len(dead), 4, 8, 3, 8] + [0] * 5, (dead, supports)
+
     def test_verify_sweep_images_match_raw_rows(self, gf4_pair, gf16_pair, monkeypatch):
         # GF(4) flows with their GF(2) restrictions and GF(16) inductions,
         # whose restricted rows come four to a GF(16) row
@@ -964,7 +1017,7 @@ class TestCarriedRows:
 
         import flowent.entropy as entropy
 
-        flows = [_prefix_shift_flow(r) for r in (8, 62, 74, 80)]
+        flows = [prefix_shift_flow(r) for r in (8, 62, 74, 80)]
         got = [json.dumps(entropy_report(f, ent_star(f), DEFAULT_CONFIG)) for f in flows]
         monkeypatch.setattr(entropy, "cotrajectory_run", _raw_row_run)
         want = [json.dumps(entropy_report(f, ent_star(f), DEFAULT_CONFIG)) for f in flows]
@@ -1013,8 +1066,8 @@ def _check_products(field):
         flow = _random_phase_flow(field, seed)
         window = 30
         dense = dense_truncation(flow, window)
-        nonzeros = _Nonzeros.of(field, *window_nonzeros(flow, window))
         dim = dense.shape[0]
+        nonzeros = _Nonzeros.of(field, dim, *window_nonzeros(flow, window))
         width = int(rng.integers(1, dim))
         cols = min(dim, width + flow.endo.bandwidth)
         cases = [(field.random_codes(rng, (6, width)), cols)]

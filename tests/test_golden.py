@@ -1,9 +1,10 @@
 """Report bytes of ``compute``, ``verify`` and ``oracle`` on fixed flows,
 and the specs of flows derived from other flows.
 
-Each case writes a seeded ``random_stencil_flow`` to a spec file, runs one
-command on it and compares the report with the committed file of the same
-name under ``tests/golden/``, byte for byte.  ``derived-flows.json`` holds
+Each case writes a flow to a spec file, a seeded ``random_stencil_flow``
+or a ``prefix_shift_flow`` of a wide window, runs one command on it and
+compares the report with the committed file of the same name under
+``tests/golden/``, byte for byte.  ``derived-flows.json`` holds
 the ``flow_to_dict`` of direct sums, conjugates and powers of such flows.
 A change that alters any of these bytes must be recorded as a schema
 change or a fix; the files are then rewritten with
@@ -13,6 +14,7 @@ change or a fix; the files are then rewritten with
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,24 +32,34 @@ from flowent.model import (
     save_flow,
 )
 
+from conftest import prefix_shift_flow
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# (golden file name, field order, seed, command and flags)
+
+def _stencil_flow(q: int, seed: int):
+    return random_stencil_flow(_field(q), seed)
+
+
+# (golden file name, a callable that builds the flow, command and flags)
 CASES = [
-    ("compute-gf4-s0.json", 4, 0, ["compute"]),
-    ("compute-gf4-s0.csv", 4, 0, ["compute", "--format", "csv"]),
-    ("compute-gf9-s0.json", 9, 0, ["compute"]),
-    ("compute-gf9-s0.csv", 9, 0, ["compute", "--format", "csv"]),
+    ("compute-gf4-s0.json", partial(_stencil_flow, 4, 0), ["compute"]),
+    ("compute-gf4-s0.csv", partial(_stencil_flow, 4, 0), ["compute", "--format", "csv"]),
+    ("compute-gf9-s0.json", partial(_stencil_flow, 9, 0), ["compute"]),
+    ("compute-gf9-s0.csv", partial(_stencil_flow, 9, 0), ["compute", "--format", "csv"]),
     *[
-        (f"verify-gf4-s{s}.json", 4, s, ["verify", "--identity-n", "8", "--max-n", "32"])
+        (f"verify-gf4-s{s}.json", partial(_stencil_flow, 4, s), ["verify", "--identity-n", "8", "--max-n", "32"])
         for s in range(3)
     ],
-    ("verify-gf9-s0.json", 9, 0, ["verify", "--identity-n", "8", "--max-n", "32"]),
-    ("compute-gf16-s0.json", 16, 0, ["compute"]),
-    ("compute-gf27-s0.json", 27, 0, ["compute"]),
-    ("verify-gf8-s0.json", 8, 0, ["verify", "--identity-n", "8", "--max-n", "32"]),
-    ("verify-gf27-s0.json", 27, 0, ["verify", "--identity-n", "8", "--max-n", "32"]),
-    ("oracle-gf2-s1.json", 2, 1, ["oracle", "--max-n", "4", "--max-m", "2"]),
+    ("verify-gf9-s0.json", partial(_stencil_flow, 9, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
+    ("compute-gf16-s0.json", partial(_stencil_flow, 16, 0), ["compute"]),
+    ("compute-gf27-s0.json", partial(_stencil_flow, 27, 0), ["compute"]),
+    ("verify-gf8-s0.json", partial(_stencil_flow, 8, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
+    ("verify-gf27-s0.json", partial(_stencil_flow, 27, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
+    ("oracle-gf2-s1.json", partial(_stencil_flow, 2, 1), ["oracle", "--max-n", "4", "--max-m", "2"]),
+    # windows of 3,326 and 5,276 coordinates; r = 80 resolves to 1 where 0
+    # is due (ROADMAP item 1), so only that item's fix may rewrite its file
+    *[(f"compute-prefix-shift-{r}.json", partial(prefix_shift_flow, r), ["compute"]) for r in (50, 80)],
 ]
 
 
@@ -59,9 +71,10 @@ def _field(q: int):
     return base if d == 1 else make_extension(base, least_irreducible(base, d))[0]
 
 
-def report_bytes(tmp: Path, q: int, seed: int, command: list[str]) -> bytes:
+def report_bytes(tmp: Path, flow, command: list[str]) -> bytes:
+    """The report of ``command`` on the flow that ``flow()`` builds."""
     spec, out = tmp / "spec.json", tmp / "report"
-    save_flow(random_stencil_flow(_field(q), seed), spec)
+    save_flow(flow(), spec)
     main([command[0], str(spec), *command[1:], "--out", str(out)])
     return out.read_bytes()
 
@@ -82,9 +95,9 @@ def derived_flows_bytes() -> bytes:
     return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode()
 
 
-@pytest.mark.parametrize("name,q,seed,command", CASES, ids=[c[0] for c in CASES])
-def test_report_bytes(tmp_path, name, q, seed, command):
-    assert report_bytes(tmp_path, q, seed, command) == (GOLDEN / name).read_bytes()
+@pytest.mark.parametrize("name,flow,command", CASES, ids=[c[0] for c in CASES])
+def test_report_bytes(tmp_path, name, flow, command):
+    assert report_bytes(tmp_path, flow, command) == (GOLDEN / name).read_bytes()
 
 
 def test_derived_flows():
@@ -95,7 +108,7 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, q, seed, command in CASES:
+    for name, flow, command in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / name).write_bytes(report_bytes(Path(tmp), q, seed, command))
+            (GOLDEN / name).write_bytes(report_bytes(Path(tmp), flow, command))
     (GOLDEN / "derived-flows.json").write_bytes(derived_flows_bytes())
