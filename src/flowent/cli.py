@@ -17,6 +17,7 @@ import json
 import sys
 
 from .entropy import (
+    DEFAULT_CONFIG,
     EngineConfig,
     brute_force_codim,
     codim_sequence,
@@ -63,10 +64,11 @@ def _config_from_args(args) -> EngineConfig:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, default=64, help="trace depth (default 64)")
-    p.add_argument("--max-m", type=int, default=8, help="chain length (default 8)")
-    p.add_argument("--streak", type=int, default=5, help="stabilization streak (default 5)")
-    p.add_argument("--window-slack", type=int, default=4, help="window slack (default 4)")
+    cfg = DEFAULT_CONFIG
+    p.add_argument("--max-n", type=int, default=cfg.n_max, help="trace depth (default %(default)s)")
+    p.add_argument("--max-m", type=int, default=cfg.m_max, help="chain length (default %(default)s)")
+    p.add_argument("--streak", type=int, default=cfg.streak, help="stabilization streak (default %(default)s)")
+    p.add_argument("--window-slack", type=int, default=cfg.window_slack, help="window slack (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 

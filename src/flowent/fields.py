@@ -11,10 +11,9 @@ entry becomes its d x d regular representation, and every sum stays an
 integer below 2^53, so it is exact.  The entropy engine's blocks are
 digit rows from end to end.
 
-A field is immutable after construction.  An embedding builds the table
-of the images of the source codes in its constructor, and computes its
-table of regular representations, a pure function of it, on first use, so
-unrestricted concurrent use is safe.
+Fields and embeddings build all their state in the constructor (an
+embedding, two small GF(p) matrices that map digit rows) and are immutable
+after it: nothing is computed on first use, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -462,10 +461,6 @@ def least_irreducible(field: FiniteField, degree: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-# entries of one intermediate array while ``FieldEmbedding.rep_table`` is built
-_REP_CHUNK = 1 << 20
-
-
 class FieldEmbedding:
     """An arithmetic-preserving inclusion of one finite field in another.
 
@@ -476,6 +471,9 @@ class FieldEmbedding:
         basis: the ``[target:source]`` target codes of the chosen basis of
             the target as a source-vector-space; ``basis[0]`` is 1.
         degree: ``[target:source]``.
+        _rep_digits: (target.d x deg*deg*source.d); row v holds the
+            source digits of ``rep(x^v)``, row-major.  Built in the
+            constructor, like ``matrix``; ``expand_digits`` reads it.
     """
 
     def __init__(
@@ -496,9 +494,9 @@ class FieldEmbedding:
         self.basis = tuple(int(b) for b in basis)
         self.degree = len(basis)
         self._spread_inv = self._build_spread_inverse()
-        self._rep_all: np.ndarray | None = None
-        self._image = self._apply_digits(np.arange(source.q, dtype=np.int64))
-        self._image.setflags(write=False)
+        powers = target.p ** np.arange(target.d, dtype=np.int64)  # the codes of x^v
+        self._rep_digits = source.coords_array(self._reps(powers)).reshape(target.d, -1)
+        self._rep_digits.setflags(write=False)
         self._validate_hom()
 
     def __eq__(self, other: object) -> bool:
@@ -519,13 +517,39 @@ class FieldEmbedding:
     # -- maps ----------------------------------------------------------------
 
     def apply(self, a: int) -> int:
-        vec = (self.matrix @ np.asarray(self.source.coords(a), dtype=np.int64)) % self.source.p
-        return int(self.target.encode_array(vec))
+        return int(self.apply_array(a))
 
     def apply_array(self, a: np.ndarray) -> np.ndarray:
-        """Images of an array of source codes, gathered from the table of
-        the images of all ``source.q`` codes."""
-        return self._image[np.asarray(a, dtype=np.int64)]
+        """Images of an array of source codes through the digit map ``matrix``."""
+        return self.target.encode_array(self.source.coords_array(a) @ self.matrix.T)
+
+    def embed_digits(self, rows: np.ndarray) -> np.ndarray:
+        """``entry_embed`` on digit rows (digit t of column j in column
+        j*d + t), in the rows' dtype.  The embedding is GF(p)-linear in the
+        digits: a's target digits are ``matrix @ coords(a)`` mod p.  A sum
+        has source.d <= 16 terms below p^2: uint8 holds it for p = 2, int64
+        for every p."""
+        count, d_s = rows.shape[0], self.source.d
+        width = rows.shape[1] // d_s
+        out = rows.reshape(count * width, d_s) @ self.matrix.T.astype(rows.dtype)
+        out %= self.source.p
+        return out.reshape(count, width * self.target.d)
+
+    def expand_digits(self, rows: np.ndarray) -> np.ndarray:
+        """``block_expand`` on digit rows, in the rows' dtype: row i becomes
+        rows ``i*deg + s``, s < deg, whose source columns ``j*deg ..
+        j*deg + deg - 1`` hold row s of ``rep(a_ij)``.  ``rep`` is
+        GF(p)-linear in the digits, as multiplication and coordinates in
+        ``basis`` are: ``rep(sum_v c_v x^v) = sum_v c_v rep(x^v)``, so its
+        digits are the c_v times ``_rep_digits`` mod p.  A sum has
+        target.d <= 16 terms below p^2: uint8 holds it for p = 2, int64
+        for every p."""
+        count, d_t, deg = rows.shape[0], self.target.d, self.degree
+        width = rows.shape[1] // d_t
+        out = rows.reshape(count * width, d_t) @ self._rep_digits.astype(rows.dtype)
+        out %= self.source.p
+        out = out.reshape(count, width, deg, d_t).transpose(0, 2, 1, 3)
+        return out.reshape(count * deg, width * d_t)
 
     def coords_in_basis(self, alpha: int) -> np.ndarray:
         """Source-field coordinates of a target element in ``self.basis``."""
@@ -540,30 +564,7 @@ class FieldEmbedding:
         """
         return self._reps(np.array([alpha]))[0]
 
-    def rep_table(self) -> np.ndarray:
-        """All regular-representation matrices, shape (target.q, deg, deg).
-
-        It is built on first use, a chunk of codes at a time, so that
-        besides the table only one chunk's intermediates, of about
-        ``_REP_CHUNK`` entries each, are live.
-        """
-        if self._rep_all is None:
-            q = self.target.q
-            table = np.empty((q, self.degree, self.degree), dtype=np.int64)
-            step = max(1, _REP_CHUNK // (self.degree * self.target.d))
-            for lo in range(0, q, step):
-                table[lo : lo + step] = self._reps(np.arange(lo, min(q, lo + step)))
-            table.setflags(write=False)
-            self._rep_all = table
-        return self._rep_all
-
     # -- internals -------------------------------------------------------------
-
-    def _apply_digits(self, a: np.ndarray) -> np.ndarray:
-        """Images of source codes through the digit map ``matrix``."""
-        digits = self.source.coords_array(a)
-        out = np.tensordot(digits, self.matrix, axes=([-1], [1])) % self.source.p
-        return self.target.encode_array(out)
 
     def _reps(self, codes: np.ndarray) -> np.ndarray:
         """Regular-representation matrices of the given target codes."""

@@ -35,7 +35,7 @@ from .entropy import (
 )
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import FieldEmbedding, FiniteField, least_irreducible, make_extension
-from .linalg import Matrix, Subspace, _expand_array, block_expand, entry_embed, rank
+from .linalg import Matrix, Subspace, block_expand, entry_embed, rank
 from .model import (
     EndoSpec,
     Flow,
@@ -117,9 +117,9 @@ def res_subspace(e: FieldEmbedding, s: Subspace) -> Subspace:
     if s.field != e.target:
         raise FieldMismatch("subspace is not over the embedding's target field")
     deg = e.degree
-    reps = e.rep_table()[s.basis.data]  # (dim, ambient, deg_s, deg_t)
-    rows = reps.transpose(0, 3, 1, 2).reshape(s.dim * deg, s.ambient * deg)
-    return Subspace.from_rows(e.source, rows)
+    # block j of block_expand's row (v, s) is row s of rep(v_j); here row (v, t) takes its column t
+    rows = block_expand(s.basis, e).data.reshape(s.dim, deg, s.ambient, deg).transpose(0, 3, 2, 1)
+    return Subspace.from_rows(e.source, rows.reshape(s.dim * deg, s.ambient * deg))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +283,9 @@ def _identity_checks(
     ``entry_embed`` (ind) of the member's rows of K's block at level 0 and
     its rows of F's or L's block at level 1: its ranks are those of the
     images E of K's rows so far and of E together with the other side's
-    rows so far.  The blocks are digit rows; K's rows become codes for
-    the two maps, and their images digit rows again, the one place a
-    verify converts between the two past the window's restriction.
+    rows so far.  The blocks are digit rows, and so are their images:
+    ``expand_digits`` and ``embed_digits`` map K's digit rows to F's and
+    L's directly, so no block becomes codes on the way.
 
     - ``res(ker R) = ker(block_expand R)``, as ``block_expand`` realizes
       the same map on re-blocked coordinates, and ``ind(ker R) =
@@ -309,7 +309,7 @@ def _identity_checks(
     ``default_window``, and the two-level trackers, which take twice a
     member's rows of their field, by ``_check_tracker_cap``.
     """
-    deg, d, top, d_k = e_fk.degree, flow.discrete_dim, max(cfg.m_max, _IDENTITY_MS[-1]), flow.field.d
+    deg, d, top = e_fk.degree, flow.discrete_dim, max(cfg.m_max, _IDENTITY_MS[-1])
     depth = max(cfg.n_max, identity_n)
     flows, tops = (flow, flow_f, flow_l), (top, max(cfg.m_max, deg * _IDENTITY_MS[-1]), top)
     windows = [default_window(f, t, depth, cfg.window_slack) for f, t in zip(flows, tops)]
@@ -326,11 +326,10 @@ def _identity_checks(
     for n, steps in enumerate(zip(*runs), start=1):
         (block_k, r_k), (block_f, r_f), (block_l, r_l) = steps
         for m, count, (res, ind) in zip(_IDENTITY_MS, counts, pairs) if n <= identity_n else ():
-            rows_k = flow.field.encode_array(block_k[:count].reshape(count, block_k.shape[1] // d_k, d_k))
             cells[m, n] = (
                 r_f[deg * m] == deg * r_k[m],
-                _same_span(res, _expand_array(rows_k, e_fk), block_f[: deg * count], r_f[deg * m]),
-                _same_span(ind, e_kl.apply_array(rows_k), block_l[:count], r_l[m]),
+                _same_span(res, e_fk.expand_digits(block_k[:count]), block_f[: deg * count], r_f[deg * m]),
+                _same_span(ind, e_kl.embed_digits(block_k[:count]), block_l[:count], r_l[m]),
                 r_l[m] == r_k[m],
             )
         for history, (_, r) in zip(ranks, steps) if n <= cfg.n_max else ():
@@ -343,10 +342,9 @@ def _identity_checks(
 
 
 def _same_span(stack, image: np.ndarray, rows: np.ndarray, rank: int) -> bool:
-    """Insert the digit rows of codes ``image`` at level 0 and digit rows
-    ``rows`` at level 1 of a two-level tracker; whether the spans of all
-    images and of all rows so far are equal, given ``rank``, the rows'."""
-    image = stack.field.coords_array(image).reshape(image.shape[0], image.shape[1] * stack.field.d)
+    """Insert digit rows ``image`` at level 0 and digit rows ``rows`` at
+    level 1 of a two-level tracker; whether the spans of all images and of
+    all rows so far are equal, given ``rank``, the rows'."""
     block = np.zeros((image.shape[0] + rows.shape[0], max(image.shape[1], rows.shape[1])), dtype=rows.dtype)
     block[: image.shape[0], : image.shape[1]] = image
     block[image.shape[0] :, : rows.shape[1]] = rows

@@ -198,14 +198,9 @@ def block_expand(m: Matrix, e: FieldEmbedding) -> Matrix:
     e.source; realizes the same linear map on re-blocked coordinates."""
     if m.field != e.target:
         raise FieldMismatch("matrix is not over the embedding's target field")
-    return Matrix(e.source, _expand_array(m.data, e))
-
-
-def _expand_array(a: np.ndarray, e: FieldEmbedding) -> np.ndarray:
-    """``block_expand`` of an array of ``e.target`` codes, as an array."""
-    reps = e.rep_table()[a]  # (rows, cols, deg, deg)
-    deg = e.degree
-    return reps.transpose(0, 2, 1, 3).reshape(a.shape[0] * deg, a.shape[1] * deg)
+    digits = e.target.coords_array(m.data).reshape(m.rows, m.cols * e.target.d)
+    out = e.expand_digits(digits).reshape(m.rows * e.degree, m.cols * e.degree, e.source.d)
+    return Matrix(e.source, e.source.encode_array(out))
 
 
 def entry_embed(m: Matrix, e: FieldEmbedding) -> Matrix:

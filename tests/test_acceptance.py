@@ -193,7 +193,7 @@ def test_criterion_8_algebra_layer():
     for emb in towers:
         tgt, src = emb.target, emb.source
         assert tgt.q <= 256
-        reps = emb.rep_table()
+        reps = np.stack([emb.rep(a) for a in tgt.elements()])
         deg = emb.degree
         codes = np.arange(tgt.q, dtype=np.int64)
         mul = tgt.arr_mul(codes[:, None], codes[None, :])

@@ -547,6 +547,18 @@ class TestParserReuse:
         assert shared[0] == shared[3] and shared[0][1]
 
 
+class TestEngineDefaults:
+    """The engine flags read their defaults from ``EngineConfig``."""
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_parsed_defaults_build_the_default_config(self, command):
+        from flowent.cli import _config_from_args, build_parser
+        from flowent.entropy import EngineConfig
+
+        args = build_parser().parse_args([command, "spec.json"])
+        assert _config_from_args(args) == EngineConfig()
+
+
 class TestUnwritableOut:
     """A report that cannot be written is an input error: each subcommand
     exits 1 with one ``error:`` line, and no traceback escapes."""

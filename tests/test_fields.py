@@ -21,6 +21,9 @@ from flowent.fields import (
     make_prime_field,
     tower_from_descriptor,
 )
+from flowent.linalg import block_expand, entry_embed, random_matrix
+
+from conftest import code_rows, digit_rows
 
 
 class TestPrimeFields:
@@ -293,9 +296,8 @@ class TestRegularRepresentation:
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("which", ["inner", "outer", "composite"])
     def test_rep_columns(self, p, which):
-        """Column j of rep(alpha) and of rep_table()[alpha] holds the
-        coordinates of alpha * basis[j], along GF(p) <= GF(p^2) <= GF(p^4)
-        and the composite."""
+        """Column j of rep(alpha) holds the coordinates of alpha * basis[j],
+        along GF(p) <= GF(p^2) <= GF(p^4) and the composite."""
         base = make_prime_field(p)
         mid, inner = make_extension(base, least_irreducible(base, 2))
         _, outer = make_extension(mid, least_irreducible(mid, 2))
@@ -304,8 +306,7 @@ class TestRegularRepresentation:
             cols = [emb.coords_in_basis(emb.target.mul(alpha, b)) for b in emb.basis]
             m = emb.rep(alpha)
             assert np.array_equal(m, np.stack(cols, axis=1))
-            assert np.array_equal(m, emb.rep_table()[alpha])
-            m[...] = 0  # a copy: the shared table stays intact
+            m[...] = 0  # a copy: nothing the embedding keeps changes
         assert np.array_equal(emb.rep(1), np.eye(emb.degree, dtype=np.int64))
 
     @pytest.mark.parametrize("tower", ["gf4_over_gf2", "gf16_over_gf4", "gf16_over_gf2"])
@@ -317,7 +318,7 @@ class TestRegularRepresentation:
         else:
             emb = compose(gf4_pair[1], gf16_pair[1])
         field, src = emb.target, emb.source
-        reps = emb.rep_table()
+        reps = np.stack([emb.rep(a) for a in field.elements()])
         for a in field.elements():
             for b in field.elements():
                 ab = field.mul(a, b)
@@ -533,8 +534,8 @@ def _scalar_matmul(field, a, b):
 
 
 class TestEmbeddingTable:
-    """``apply_array`` gathers from a table of the images of all source
-    codes; the table agrees with the digit map on every code."""
+    """``apply_array``, the digit map ``matrix`` on code arrays, agrees
+    with ``apply`` on every source code and with ``embed_digits``."""
 
     @pytest.mark.parametrize("tower", ["2<=4", "4<=16", "3<=9", "2<=65536"])
     def test_table_matches_digit_route(self, tower, gf2, gf3, gf4_pair, gf16_pair):
@@ -546,48 +547,104 @@ class TestEmbeddingTable:
         }[tower]()
         codes = np.arange(emb.source.q, dtype=np.int64)
         table = emb.apply_array(codes)
-        assert np.array_equal(table, emb._apply_digits(codes))
         assert table.tolist() == [emb.apply(int(a)) for a in codes]
         grid = np.random.default_rng(0).integers(0, emb.source.q, (6, 11))
-        assert np.array_equal(emb.apply_array(grid), emb._apply_digits(grid))
-        emb.apply_array(codes)[...] = 0  # a copy: the shared table stays intact
-        assert np.array_equal(emb.apply_array(codes), table)
+        assert np.array_equal(emb.apply_array(grid), table[grid])
+        want = digit_rows(emb.target, table[grid])
+        assert np.array_equal(emb.embed_digits(digit_rows(emb.source, grid)), want)
 
 
-# Builds the table of regular representations of GF(2) <= GF(2^16), 2^16
-# matrices of 16 x 16 entries (128 MiB of int64), and prints its peak
-# resident set size in MB (VmHWM, as in _BUILD_SCRIPT), then whether the
-# table agrees with ``rep`` and with the definition of ``rep`` on 64
-# sampled codes: coords(alpha * beta) = rep(alpha) @ coords(beta).
-_REP_TABLE_SCRIPT = """
+def _digit_map_towers(gf2, gf3, gf4_pair, gf16_pair):
+    e_24, e_416 = gf4_pair[1], gf16_pair[1]
+    return {
+        "2<=4": e_24,
+        "4<=16": e_416,
+        "2<=16": compose(e_24, e_416),
+        "3<=9": make_extension(gf3, least_irreducible(gf3, 2))[1],
+        "3<=27": make_extension(gf3, least_irreducible(gf3, 3))[1],
+    }
+
+
+class TestDigitMaps:
+    """``embed_digits`` and ``expand_digits`` are ``entry_embed`` and
+    ``block_expand`` on digit rows, in the rows' own dtype."""
+
+    @pytest.mark.parametrize(
+        "tower, dtype",
+        [(t, dt) for t in ("2<=4", "4<=16", "2<=16") for dt in (np.uint8, np.int64)]
+        + [("3<=9", np.int64), ("3<=27", np.int64)],
+    )
+    @pytest.mark.parametrize("shape", [(5, 7), (0, 4), (3, 0), (1, 1)])
+    def test_maps_match_the_code_routes(self, tower, dtype, shape, gf2, gf3, gf4_pair, gf16_pair):
+        emb = _digit_map_towers(gf2, gf3, gf4_pair, gf16_pair)[tower]
+        rng = np.random.default_rng(sum(shape) * 7 + emb.target.q)
+        low = random_matrix(emb.source, rng, *shape)
+        high = random_matrix(emb.target, rng, *shape)
+        embedded = emb.embed_digits(digit_rows(emb.source, low.data).astype(dtype))
+        expanded = emb.expand_digits(digit_rows(emb.target, high.data).astype(dtype))
+        assert embedded.dtype == expanded.dtype == dtype
+        assert np.array_equal(code_rows(emb.target, embedded), entry_embed(low, emb).data)
+        assert np.array_equal(code_rows(emb.source, expanded), block_expand(high, emb).data)
+        assert embedded.shape == (shape[0], shape[1] * emb.target.d)
+        assert expanded.shape == (shape[0] * emb.degree, shape[1] * emb.target.d)
+
+    @pytest.mark.parametrize(
+        "p, low, high", [(2, 1, 8), (2, 4, 8), (2, 1, 4), (2, 2, 4), (3, 1, 4), (3, 2, 4), (3, 1, 3), (5, 1, 3)]
+    )
+    def test_expand_matches_rep_on_every_code(self, p, low, high):
+        """Along GF(p^low) <= GF(p^high), every code of the target, as a
+        one-column digit row, expands to the digits of its ``rep``."""
+        base = make_prime_field(p)
+        src = base if low == 1 else make_extension(base, least_irreducible(base, low))[0]
+        emb = make_extension(src, least_irreducible(src, high // low))[1]
+        tgt, deg = emb.target, emb.degree
+        assert tgt.q <= 256
+        codes = np.arange(tgt.q, dtype=np.int64)[:, None]
+        out = code_rows(emb.source, emb.expand_digits(digit_rows(tgt, codes)))
+        reps = out.reshape(tgt.q, deg, deg)
+        for a in range(tgt.q):
+            assert np.array_equal(reps[a], emb.rep(a))
+
+
+# Restricts the Bernoulli flow on GF(2^16) to GF(2), as ``example
+# entropy-n --n 16`` does, and prints its peak resident set size in MB
+# (VmHWM, as in _BUILD_SCRIPT), then whether ``rep`` and ``expand_digits``
+# agree with the definition of ``rep`` on 64 sampled codes:
+# coords(alpha * beta) = rep(alpha) @ coords(beta).
+_RES_FLOW_SCRIPT = """
 import re
 import numpy as np
 from flowent.fields import least_irreducible, make_extension, make_prime_field
+from flowent.functors import res_flow
+from flowent.model import make_bernoulli
 
 gf2 = make_prime_field(2)
 field, emb = make_extension(gf2, least_irreducible(gf2, 16))
-table = emb.rep_table()
+flow = res_flow(emb, make_bernoulli(field, 1))
 with open("/proc/self/status") as fh:
     print(int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1)) / 1024)
 rng = np.random.default_rng(16)
-ok = table.shape == (field.q, 16, 16)
-for alpha in [0, 1, field.q - 1] + rng.integers(0, field.q, 61).tolist():
-    ok &= np.array_equal(table[alpha], emb.rep(alpha))
+ok = all(dict(flow.endo.phase(r)) == {16: 1} for r in range(16))
+alphas = [0, 1, field.q - 1] + rng.integers(0, field.q, 61).tolist()
+expanded = emb.expand_digits(field.coords_array(np.array([alphas])).reshape(1, -1)).reshape(16, 64, 16)
+for i, alpha in enumerate(alphas):
+    rep = emb.rep(alpha)
+    ok &= np.array_equal(expanded[:, i, :], rep)
     beta = int(rng.integers(0, field.q))
     lhs = emb.coords_in_basis(field.mul(alpha, beta))
-    ok &= np.array_equal(lhs, table[alpha] @ emb.coords_in_basis(beta) % 2)
+    ok &= np.array_equal(lhs, rep @ emb.coords_in_basis(beta) % 2)
 print(bool(ok))
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux /proc")
-def test_rep_table_memory(run_python):
-    """The table is built in chunks: a fresh process building the 128 MiB
-    table of GF(2) <= GF(2^16) stays under 250 MB."""
-    out = run_python("-c", _REP_TABLE_SCRIPT)
+def test_res_flow_memory(run_python):
+    """Restriction along GF(2) <= GF(2^16) builds no table of the 2^16
+    regular representations: a fresh process stays under 100 MB."""
+    out = run_python("-c", _RES_FLOW_SCRIPT)
     assert out.returncode == 0, out.stderr
     peak, ok = out.stdout.split()
-    assert float(peak) < 250
+    assert float(peak) < 100
     assert ok == "True"
 
 
