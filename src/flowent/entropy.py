@@ -5,15 +5,18 @@ vector v in the n-step cotrajectory is the vanishing of the discrete part
 and the S-coordinates of v, phi(v), ..., phi^(n-1)(v).  Those constraints
 are rows of powers of the window matrix, so the codimension trace is the
 rank growth of an accumulating constraint stack: each step applies the
-flow once to the previous constraint block.  A block over GF(p^d) holds
-its rows as prime-field digits, from the window to the trackers.  The flow
-is row-finite, so it is applied as the list of its window's nonzeros, the
-same list that ``model.truncate`` scatters into a dense matrix, restricted
-once to GF(p): the block's digit columns are laid out as rows, gathered
-by the entries' rows, multiplied by their digits and summed mod p over
-each run of equal columns.  In characteristic 2 eight block rows share
-one 64-bit word, so that one XOR of two words adds eight rows.  The dense
-window matrix is never built.
+flow once to the previous constraint block.  The flow is row-finite, so
+it is applied as the list of its window's nonzeros, the same list that
+``model.truncate`` scatters into a dense matrix, restricted once to
+GF(p).  The dense window matrix is never built.  In characteristic 2 a
+block's rows are integers, as the tracker holds them, from the tracker
+through the product and back: digit t of column j is bit j*k + t, and a
+row's product is the XOR of its boundary bits' images and of a few
+masked, shifted copies of itself, one per stencil phase, digit and
+entry.  Over odd p a block holds its rows as prime-field digits, digit t
+of column j in column j*d + t, which are gathered by the entries' rows,
+multiplied by their digits and summed mod p over each run of equal
+columns.
 
 The constraint spans of the principal chain U_0, ..., U_M form a flag
 V_0 <= ... <= V_M: member m's rows are a prefix of member M's.  So one
@@ -146,15 +149,16 @@ class _FlagStack:
     so they are independent.  Each step ends the loop or moves the lead key
     strictly up, so an insert ends after at most one step per key.
 
-    ``insert`` takes a digit block over F and returns, packed, each row's value
-    when it first becomes a holder at its own level l, or 0 when it
+    ``insert`` takes a block of the stream and returns, packed, each row's
+    value when it first becomes a holder at its own level l, or 0 when it
     reduces to 0 there: the row plus an F-combination of holders of level
     <= l, which span ``V_l(n-1)`` and the block's earlier rows, so
-    ``_constraint_blocks`` may carry it once ``decode`` unpacks it.  A raw
-    row climbs through the holders at low columns at every step; a carried
-    value's image mostly starts past them.  Blocks come no narrower than
-    the ones before, so every value fits the block's width.  ``ranks`` are
-    in F's units, also when a subclass tracks ``unit`` rows per row.
+    ``_constraint_blocks`` may carry it: as it is over GF(2^k), whose
+    blocks are packed rows, and once ``decode`` unpacks it into a digit
+    block over odd p.  A raw row climbs through the holders at low columns
+    at every step; a carried value's image mostly starts past them.
+    ``ranks`` are in F's units, also when a subclass tracks ``unit`` rows
+    per row.
     """
 
     def __init__(self, field, counts: Sequence[int], unit: int = 1):
@@ -175,9 +179,9 @@ def _flag_stack(field, counts: Sequence[int]) -> _FlagStack:
 
 
 def _pack_lanes(block: np.ndarray) -> list[int]:
-    """The rows of a uint8 digit block over GF(2^k) packed into integers,
-    column i in bit i: column j of the field is lane j, the k bits from
-    ``j*k`` on, bit t holding digit t, so two rows add by one XOR."""
+    """The rows of a digit block over GF(2^k) packed into integers, column
+    i in bit i: column j of the field is lane j, the k bits from ``j*k``
+    on, bit t holding digit t, so two rows add by one XOR."""
     data = np.packbits(block, axis=1, bitorder="little")
     size, raw = data.shape[1], data.tobytes()
     return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(block.shape[0])]
@@ -189,6 +193,13 @@ def _unpack_lanes(rows: Sequence[int], width: int) -> np.ndarray:
     size = -(-width // 8)
     data = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
     return np.unpackbits(data.reshape(len(rows), size), axis=1, count=width, bitorder="little")
+
+
+def _lane_digits(rows: Sequence[int], k: int) -> np.ndarray:
+    """Packed rows over GF(2^k) as a uint8 digit block of whole lanes, as
+    many as the widest row reaches."""
+    lanes = -(-max(map(int.bit_length, rows), default=0) // k)
+    return _unpack_lanes(rows, lanes * k)
 
 
 def _lane_low(field) -> int:
@@ -222,8 +233,8 @@ def _lane_times(w: int, c: int, k: int, low: int, tops: int) -> int:
 
 
 class _FlagStack2(_FlagStack):
-    """``_FlagStack`` over GF(2^k) on digit rows packed by ``_pack_lanes``:
-    column j of the field is lane j, the k bits from ``j*k`` on.
+    """``_FlagStack`` over GF(2^k) on rows packed as ``_pack_lanes`` packs
+    them: column j of the field is lane j, the k bits from ``j*k`` on.
 
     A holder u of lane j has lane value 1, and ``holders`` maps bit
     ``j*k + t`` to (x^t*u, level) for each t < k.  A row whose lowest set
@@ -237,18 +248,26 @@ class _FlagStack2(_FlagStack):
     lanes held at level <= m are a GF(2)-basis of a GF(2^k)-space, and
     ``per_level`` counts lane holders: the GF(2^k) rank.  Each XOR adds a
     GF(2^k)-multiple of a holder.
+
+    ``tops`` covers the ``lanes`` lanes of the widest row inserted so far:
+    XORs and multiples by ``_lane_times`` stay within the lanes of the
+    rows they combine, so it covers every value an insert makes.
     """
 
     def __init__(self, field, counts: Sequence[int]):
         super().__init__(field, counts)
-        self.low = _lane_low(field)
+        self.low, self.lanes, self.tops = _lane_low(field), 0, 0
 
-    def insert(self, rows: np.ndarray) -> list[int]:
-        """Insert a block; return the placed values, packed."""
+    def insert(self, rows: Sequence[int]) -> list[int]:
+        """Insert packed rows; return their placed values, packed."""
         holders, per_level, k = self.holders, self.per_level, self.field.d
-        tops = _lane_tops(k, rows.shape[1] // k)
+        if k > 1:
+            lanes = -(-max(map(int.bit_length, rows), default=0) // k)
+            if lanes > self.lanes:
+                self.lanes, self.tops = lanes, _lane_tops(k, lanes)
+        tops = self.tops
         placed = []
-        for packed, level in zip(_pack_lanes(rows), self.levels):
+        for packed, level in zip(rows, self.levels):
             own = 0
             while packed:
                 lead = (packed & -packed).bit_length() - 1
@@ -275,10 +294,6 @@ class _FlagStack2(_FlagStack):
                     packed, level = holder ^ packed, held_level
             placed.append(own)
         return placed
-
-    def decode(self, placed: Sequence[int], width: int) -> np.ndarray:
-        """Placed values as a uint8 digit block of ``width`` columns."""
-        return _unpack_lanes(placed, width)
 
     def _hold(self, w: int, lead: int, level: int, tops: int) -> int:
         """Hold the lane of bit ``lead`` by w/c, c w's lane value; return the multiple under ``lead``."""
@@ -374,28 +389,38 @@ def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
 
 
 def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
-    """Yield a block of constraint rows for each step n = 1..n_max over
-    their support, and take back through ``send`` the rows to carry into
-    the next step: the block itself when None is sent.
+    """Yield a block of constraint rows for each step n = 1..n_max, and
+    take back through ``send`` the rows to carry into the next step: the
+    block itself when None is sent.
 
     Raw step n rows are the dead coordinates of phi^(n-1) inside the
     window, one row per dead coordinate, and each block is the carried
-    rows of the step before times the window matrix W.  Carried rows must
-    be zero past the width of the block they were taken from.  Each block
-    holds only the columns its rows' support reaches: if the carried rows
-    are zero past column s (their support, one past their last nonzero
-    column), only their leading s columns are multiplied, and the product
-    is zero past ``reach_of[s]``, one past the largest column of any entry
-    of W in a row below s (``_Nonzeros``).  Proof: for a row v that is zero
-    past s, ``(vW)_c = sum_{r<s} v_r W_{r,c}``, and every ``W_{r,c}`` with
-    r < s is zero for c >= ``reach_of[s]``.  The block's width is the
-    larger of that and the width of the block before: widths never shrink,
-    because the trackers size their lane masks and packed values by the
-    width of the block they take, and hold values of the blocks before.
-    The window matrix is given by its nonzeros restricted to GF(p), built
-    once with their column runs; a step costs O(rows * nnz * d^2), not
-    O(rows * cols * w) as a dense product would.  Blocks and carried rows
-    hold digit t of column j in column j*d + t, uint8 when p = 2.
+    rows of the step before times the window matrix W, given by its
+    nonzeros restricted to GF(p) once per run.
+
+    Over GF(2^k) a block is a list of rows packed into integers, bit
+    ``j*k + t`` holding digit t of column j, as ``_FlagStack2`` takes and
+    places them, so the tracker's placed values are carried as they are.
+    ``_ShiftProduct`` multiplies them by shifts and XORs: a row is never
+    wider than its support, its ``bit_length``, and a step costs, per
+    row, one big-integer operation per set boundary bit, per class mask
+    and per class shift, each linear in the row's length.
+
+    Over odd p a block holds digit t of column j in int64 column j*d + t,
+    and carried rows must be zero past the width of the block they were
+    taken from.  Each block holds only the columns its rows' support
+    reaches: if the carried rows are zero past column s (their support,
+    one past their last nonzero column), only their leading s columns are
+    multiplied, and the product is zero past ``reach_of[s]``, one past the
+    largest column of any entry of W in a row below s (``_Nonzeros``).
+    Proof: for a row v that is zero past s, ``(vW)_c = sum_{r<s} v_r
+    W_{r,c}``, and every ``W_{r,c}`` with r < s is zero for c >=
+    ``reach_of[s]``.  The block's width is the larger of that and the
+    width of the block before: widths never shrink, because the odd
+    tracker sizes its lane masks and packed values by the width of the
+    block it takes, and holds values of the blocks before.  A step costs
+    O(rows * nnz * d^2) (``_times_nonzeros``), not O(rows * cols * w) as
+    a dense product would.
 
     No dense array of a chain is larger than a block restricted to GF(p):
     at most ``len(dead) * d`` rows, since no step carries more rows than
@@ -426,29 +451,159 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     ``V_l(n-1)`` plus the span of the raw rows j < i of step n.
     """
     field, d = flow.field, flow.field.d
-    dim = flow.discrete_dim + window
-    nonzeros = _Nonzeros.of(field, dim, *window_nonzeros(flow, window))
-    width = min(dim, max(dead) + 1 if dead else 0)
-    block = np.zeros((len(dead), width * d), dtype=np.uint8 if field.p == 2 else np.int64)
-    block[np.arange(len(dead)), [i * d for i in dead]] = 1
+    if field.p == 2:
+        product = _ShiftProduct.of(flow, window)
+        block = [1 << i * d for i in dead]
+    else:
+        dim = flow.discrete_dim + window
+        nonzeros = _Nonzeros.of(field, dim, *window_nonzeros(flow, window))
+        width = min(dim, max(dead) + 1 if dead else 0)
+        block = np.zeros((len(dead), width * d), dtype=np.int64)
+        block[np.arange(len(dead)), [i * d for i in dead]] = 1
     for n in range(1, n_max + 1):
         carried = yield block
         if n < n_max:
             rows = block if carried is None else carried
-            nonzero = np.flatnonzero(rows.any(axis=0))
-            support = -(-(int(nonzero[-1]) + 1) // d) if nonzero.size else 0
-            width = max(width, int(nonzeros.reach_of[support]))
-            block = _times_nonzeros(field, rows[:, : support * d], nonzeros, width)
+            if field.p == 2:
+                block = product.times(rows)
+            else:
+                nonzero = np.flatnonzero(rows.any(axis=0))
+                support = -(-(int(nonzero[-1]) + 1) // d) if nonzero.size else 0
+                width = max(width, int(nonzeros.reach_of[support]))
+                block = _times_nonzeros(field, rows[:, : support * d], nonzeros, width)
+
+
+def _check_restriction_cap(field, entries: int) -> None:
+    """Raise TooLarge when ``entries`` window entries may restrict to GF(p)
+    to more than ``_ENTRY_CAP``: each to at most d^2."""
+    bound = entries * field.d**2
+    if bound > _ENTRY_CAP:
+        raise TooLarge(f"{entries} window entries restrict to up to {bound}, above the cap of {_ENTRY_CAP}")
+
+
+def _restricted(field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nonzeros of ``window_nonzeros`` restricted to GF(p), sorted by
+    column: entry (r, c, code) becomes those of its d x d block, digit t
+    of x^s * code at (r*d + s, c*d + t) (``FiniteField.restrict``).  At
+    most nnz * d^2, checked against ``_ENTRY_CAP`` before any is built."""
+    d = field.d
+    _check_restriction_cap(field, rows.size)
+    if d == 1:  # over a prime field every entry is its own restriction
+        return rows, cols, codes
+    blocks = field.restrict(field.coords_array(codes)).reshape(rows.size, d, d)
+    entry, s, t = np.nonzero(blocks)
+    order = np.argsort(cols[entry] * d + t, kind="stable")
+    entry, s, t = entry[order], s[order], t[order]
+    return rows[entry] * d + s, cols[entry] * d + t, blocks[entry, s, t]
+
+
+def _packed_rows(rows: np.ndarray, cols: np.ndarray, count: int) -> list[int]:
+    """The ``count`` rows of the GF(2) matrix with ones at ``(rows,
+    cols)``, packed, built in slices of at most ``_ENTRY_CAP`` bytes."""
+    width = int(cols.max(initial=-1)) + 1
+    step = max(1, _ENTRY_CAP // max(width, 1))
+    out = []
+    for lo in range(0, count, step):
+        block = np.zeros((min(step, count - lo), width), dtype=np.uint8)
+        pick = (rows >= lo) & (rows < lo + step)
+        block[rows[pick] - lo, cols[pick]] = 1
+        out += _pack_lanes(block)
+    return out
+
+
+class _ShiftProduct(NamedTuple):
+    """A window matrix W over GF(2^k), restricted to GF(2), as a map of
+    rows packed as ``_FlagStack2`` holds them: bit ``j*k + t`` is digit t
+    of column j.  Bit ``r*k + s`` of a row stands for ``x^s e_r``, whose
+    image is the packed row of ``x^s W[r]``, and a row's product is the
+    XOR of its set bits' images.  Both parts are built once per window.
+
+    - Below ``edge``, the bits of the discrete coordinates and of the
+      compact rows below the flow's ``extent``, each bit's image is kept
+      in ``images``, packed from the restricted entries of its row in
+      ``window_nonzeros``.
+    - Every compact row i at or past ``extent`` is a stencil row of phase
+      ``i % period``, and its entry (off, c) puts digit t of x^s*c at bit
+      ``(D+i+off)*k + t``, D the discrete dimension: a shift of
+      ``off*k + t - s`` from bit ``(D+i)*k + s``.  So every bit of one
+      (phase, s) class makes the same shifts, read from the phase's codes
+      restricted to GF(2), and the class's image is ``v & mask`` shifted
+      by each, XORed.  ``classes`` holds (mask, left shifts, right
+      shifts), classes with the same shifts under one mask.
+
+    ``window_nonzeros`` drops exactly the entries that read past the
+    window, i + off >= window; their shifts put them at or past bit
+    ``(D + window)*k``, and ``cut``, the window's bits, clears them.  A
+    right shift moves no bit below 0, since no stencil row reads below 0.
+    """
+
+    edge: int
+    images: tuple[int, ...]
+    classes: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    cut: int
+
+    @classmethod
+    def of(cls, flow: Flow, window: int) -> "_ShiftProduct":
+        field, endo, d = flow.field, flow.endo, flow.discrete_dim
+        k, period, extent = field.d, endo.period, endo.extent
+        rows, cols, codes = window_nonzeros(flow, window)
+        _check_restriction_cap(field, rows.size)  # every field refuses the same windows
+        boundary = rows < d + extent
+        rows, cols, _ = _restricted(field, rows[boundary], cols[boundary], codes[boundary])
+        masks: dict[tuple[int, ...], int] = {}
+        step = period * k
+        for rho, phase in enumerate(endo.stencil):
+            first = extent + (rho - extent) % period
+            count = len(range(first, window, period))
+            if not phase or not count:
+                continue
+            # row j*k + s: the digits of x^s times the phase's code j
+            digits = field.restrict(field.coords_array(np.array([c for _, c in phase], dtype=np.int64)))
+            for s in range(k):
+                terms = zip(phase, digits[s::k])
+                moves = tuple(sorted(off * k + t - s for (off, _), row in terms for t in np.flatnonzero(row).tolist()))
+                mask = ((1 << count * step) - 1) // ((1 << step) - 1) << ((d + first) * k + s)
+                masks[moves] = masks.get(moves, 0) | mask
+        classes = tuple(
+            (mask, tuple(s for s in moves if s >= 0), tuple(-s for s in moves if s < 0))
+            for moves, mask in masks.items()
+        )
+        edge = (d + extent) * k
+        return cls(edge, tuple(_packed_rows(rows, cols, edge)), classes, (1 << (d + window) * k) - 1)
+
+    def times(self, rows: Sequence[int]) -> list[int]:
+        """The packed products of packed rows by the window matrix."""
+        edge, images, classes, cut = self
+        low = (1 << edge) - 1
+        out = []
+        for v in rows:
+            w = 0
+            for mask, lefts, rights in classes:
+                part = v & mask
+                if part:
+                    for s in lefts:
+                        w ^= part << s
+                    for s in rights:
+                        w ^= part >> s
+            w &= cut
+            bits = v & low
+            while bits:
+                bit = bits & -bits
+                w ^= images[bit.bit_length() - 1]
+                bits ^= bit
+            out.append(w)
+        return out
 
 
 class _Nonzeros(NamedTuple):
-    """A window's nonzeros restricted to GF(p), ``(rows, cols, codes)``
-    sorted by column, with their runs of equal columns: where each run
-    starts, its column, and ``row_bound``, one past the running maximum of
-    ``rows``.  A product with leading columns reads a prefix of each.
-    ``reach_of[s]``, for s = 0..dim field columns, is one past the largest
-    field column of any entry in a field row below s, 0 if none: a product
-    of rows zero past column s is zero past ``reach_of[s]``."""
+    """A window's nonzeros restricted to GF(p) (``_restricted``), ``(rows,
+    cols, codes)`` sorted by column, with their runs of equal columns:
+    where each run starts, its column, and ``row_bound``, one past the
+    running maximum of ``rows``.  A product with leading columns reads a
+    prefix of each.  ``reach_of[s]``, for s = 0..dim field columns, is one
+    past the largest field column of any entry in a field row below s, 0
+    if none: a product of rows zero past column s is zero past
+    ``reach_of[s]``."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -460,31 +615,20 @@ class _Nonzeros(NamedTuple):
 
     @classmethod
     def of(cls, field, dim: int, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> "_Nonzeros":
-        """The nonzeros of ``window_nonzeros`` over ``dim`` coordinates
-        restricted to GF(p): entry (r, c, code) becomes those of its d x d
-        block, digit t of x^s * code at (r*d + s, c*d + t)
-        (``FiniteField.restrict``).  At most nnz * d^2, checked against
-        ``_ENTRY_CAP`` before any is built.  ``reach_of`` is read from the
-        field entries."""
-        d, bound = field.d, rows.size * field.d**2
-        if bound > _ENTRY_CAP:
-            raise TooLarge(f"{rows.size} window entries restrict to up to {bound}, above the cap of {_ENTRY_CAP}")
+        """The nonzeros of ``window_nonzeros`` over ``dim`` coordinates,
+        restricted; ``reach_of`` is read from the field entries."""
+        restricted = _restricted(field, rows, cols, codes)
         reach_of = np.zeros(dim + 1, dtype=np.int64)
         np.maximum.at(reach_of, rows + 1, cols + 1)
         np.maximum.accumulate(reach_of, out=reach_of)
-        if d > 1:  # over a prime field every entry is its own restriction
-            blocks = field.restrict(field.coords_array(codes)).reshape(rows.size, d, d)
-            entry, s, t = np.nonzero(blocks)
-            order = np.argsort(cols[entry] * d + t, kind="stable")
-            entry, s, t = entry[order], s[order], t[order]
-            rows, cols, codes = rows[entry] * d + s, cols[entry] * d + t, blocks[entry, s, t]
+        rows, cols, codes = restricted
         starts = np.flatnonzero(np.diff(cols, prepend=-1))
         return cls(rows, cols, codes, starts, cols[starts], np.maximum.accumulate(rows) + 1, reach_of)
 
 
 def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int) -> np.ndarray:
-    """The digits of the leading ``out_cols`` columns of ``B @ W``, for the
-    digit block of B and W's restricted nonzeros, uint8 when p = 2.
+    """The int64 digits of the leading ``out_cols`` columns of ``B @ W``,
+    for the digit block of B over odd p and W's restricted nonzeros.
 
     Digit column c of the product is the sum, over the entries (r, c,
     code), of block column r times code, mod p.  The entries with column
@@ -496,32 +640,21 @@ def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int
     back.  The block may be narrower than the window's rows and than
     ``out_cols`` (``_constraint_blocks`` cuts it to its rows' support):
     entries that read rows past its width read the zero rows that
-    ``lanes`` is padded with, up to the prefix's largest row.
-
-    Only the lanes and the sum differ by p.  For p = 2 every code is 1, a
-    sum is an XOR, and byte i of a 64-bit lane word is block row i: XOR
-    acts bytewise, so no byte carries into the next and the byte order does
-    not matter.  For odd p a lane is one int64 digit and a sum is an int64
-    sum mod p.  A term is at most (p-1)^2 < 2^32 and a sum has at most
-    ``_ENTRY_CAP`` = 2^22 terms (``_Nonzeros.of``), so every sum is below
-    2^54 and exact.
+    ``lanes`` is padded with, up to the prefix's largest row.  A term is
+    at most (p-1)^2 < 2^32 and a sum has at most ``_ENTRY_CAP`` = 2^22
+    terms (``_restricted``), so every sum is below 2^54 and exact.
     """
     count, width = block.shape
     out_cols *= field.d
     entries = nonzeros.cols.searchsorted(out_cols)
     runs = nonzeros.run_cols.searchsorted(out_cols)
     rows, starts, cols = nonzeros.rows[:entries], nonzeros.starts[:runs], nonzeros.run_cols[:runs]
-    packed = field.p == 2
-    dtype, span = (np.uint8, -(-count // 8) * 8) if packed else (np.int64, count)
-    out = np.zeros((out_cols, span), dtype=dtype)
+    out = np.zeros((out_cols, count), dtype=np.int64)
     if entries and count:
-        lanes = np.zeros((max(width, nonzeros.row_bound[entries - 1]), span), dtype=dtype)
-        lanes[:width, :count] = block.T
-        if packed:
-            out.view(np.uint64)[cols] = np.bitwise_xor.reduceat(lanes.view(np.uint64)[rows], starts)
-        else:
-            out[cols] = np.add.reduceat(lanes[rows] * nonzeros.codes[:entries, None], starts) % field.p
-    return out.T[:count].copy()
+        lanes = np.zeros((max(width, nonzeros.row_bound[entries - 1]), count), dtype=np.int64)
+        lanes[:width] = block.T
+        out[cols] = np.add.reduceat(lanes[rows] * nonzeros.codes[:entries, None], starts) % field.p
+    return out.T.copy()
 
 
 def _check_tracker_cap(field, rows: int, n_max: int, dim: int) -> None:
@@ -540,24 +673,36 @@ def _check_tracker_cap(field, rows: int, n_max: int, dim: int) -> None:
 
 
 def cotrajectory_run(
-    flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int
-) -> Iterator[tuple[np.ndarray, list[int]]]:
+    flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int,
+    narrow: tuple[int, int] | None = None,
+) -> Iterator[tuple[list[int] | np.ndarray, list[int]]]:
     """For each step n = 1..n_max, the step's block of constraint rows and
     the ranks of the first ``count`` rows of steps 1..n, for each count in
     ``counts`` (non-decreasing).  The ranks come from one flag tracker over
     the flow's field, in which row j belongs to the span of count c exactly
-    when ``j < c``, and the next step multiplies out the values it placed.
+    when ``j < c``, and the next step multiplies out the values it placed:
+    as they are over GF(2^k), whose blocks are packed rows, decoded into a
+    digit block over odd p.
 
     The blocks are carried blocks (``_constraint_blocks``): the first
     ``count`` rows of steps 1..n span what the raw rows of those steps
     span, for every count, so a consumer may read any such span from them.
+    With ``narrow = (s, rows)`` only the first ``rows`` rows are carried
+    past step s.  Rows of a level never depend on higher rows
+    (``functors._identity_checks``), so the ranks and blocks of the counts
+    up to ``rows`` stay valid; those of larger counts are not, past step
+    s.
     """
     stack = _flag_stack(flow.field, counts)
     blocks = _constraint_blocks(flow, dead, n_max, window)
     carried = None
-    for _ in range(n_max):
+    for n in range(1, n_max + 1):
         block = blocks.send(carried)
-        carried = stack.decode(stack.insert(block), block.shape[1])
+        carried = stack.insert(block)
+        if flow.field.p != 2:
+            carried = stack.decode(carried, block.shape[1])
+        if narrow is not None and n >= narrow[0]:
+            carried = carried[: narrow[1]]
         yield block, stack.ranks
 
 

@@ -31,6 +31,8 @@ from .entropy import (
     _chain_estimate,
     _check_tracker_cap,
     _flag_stack,
+    _lane_digits,
+    _pack_lanes,
     cotrajectory_run,
 )
 from .errors import DimensionMismatch, FieldMismatch
@@ -275,6 +277,12 @@ def _identity_checks(
       may be read from its fine chain levels;
     - ranks do not depend on the window once it is certified.
 
+    Past step ``n_max`` only the identity checks read the runs, and only
+    members 0..2, so each run carries on only those members' rows: K's
+    and L's first ``d + 2``, F's first ``deg * (d + 2)``.  By the first
+    point their ranks and blocks stay as they were; the ranks of the
+    higher members are not valid past ``n_max``, and nothing reads them.
+
     The checks.  The n-step cotrajectory of U_m is the kernel of its
     constraint rows R, the first ``d + m`` rows (d the discrete dimension)
     of steps 1..n; the runs give every depth's carried block and the ranks
@@ -283,9 +291,11 @@ def _identity_checks(
     ``entry_embed`` (ind) of the member's rows of K's block at level 0 and
     its rows of F's or L's block at level 1: its ranks are those of the
     images E of K's rows so far and of E together with the other side's
-    rows so far.  The blocks are digit rows, and so are their images:
-    ``expand_digits`` and ``embed_digits`` map K's digit rows to F's and
-    L's directly, so no block becomes codes on the way.
+    rows so far.  ``expand_digits`` and ``embed_digits`` map K's digit
+    rows to F's and L's digit rows directly, so no block becomes codes on
+    the way.  Over characteristic 2 the blocks are packed rows: K's rows
+    up to depth ``identity_n`` are unpacked for the maps and their images
+    packed again, and F's and L's rows go to the trackers as they are.
 
     - ``res(ker R) = ker(block_expand R)``, as ``block_expand`` realizes
       the same map on re-blocked coordinates, and ``ind(ker R) =
@@ -318,13 +328,19 @@ def _identity_checks(
     _check_tracker_cap(flow_f.field, 2 * deg * counts[-1], identity_n, max(deg * dim_k, dim_f))
     _check_tracker_cap(flow_l.field, 2 * counts[-1], identity_n, max(dim_k, dim_l))
     chains = [list(range(f.discrete_dim, f.discrete_dim + t + 1)) for f, t in zip(flows, tops)]
-    runs = [cotrajectory_run(f, list(range(c[-1])), c, depth, w) for f, c, w in zip(flows, chains, windows)]
+    kept = (counts[-1], deg * counts[-1], counts[-1])
+    runs = [
+        cotrajectory_run(f, list(range(c[-1])), c, depth, w, (cfg.n_max, rows))
+        for f, c, w, rows in zip(flows, chains, windows, kept)
+    ]
     pairs = [
         (_flag_stack(flow_f.field, [deg * c, 2 * deg * c]), _flag_stack(flow_l.field, [c, 2 * c])) for c in counts
     ]
     cells, ranks = {}, ([], [], [])
     for n, steps in enumerate(zip(*runs), start=1):
         (block_k, r_k), (block_f, r_f), (block_l, r_l) = steps
+        if n <= identity_n and flow.field.p == 2:
+            block_k = _lane_digits(block_k[: counts[-1]], flow.field.d)
         for m, count, (res, ind) in zip(_IDENTITY_MS, counts, pairs) if n <= identity_n else ():
             cells[m, n] = (
                 r_f[deg * m] == deg * r_k[m],
@@ -341,14 +357,18 @@ def _identity_checks(
     return cells, estimates
 
 
-def _same_span(stack, image: np.ndarray, rows: np.ndarray, rank: int) -> bool:
-    """Insert digit rows ``image`` at level 0 and digit rows ``rows`` at
-    level 1 of a two-level tracker; whether the spans of all images and of
-    all rows so far are equal, given ``rank``, the rows'."""
-    block = np.zeros((image.shape[0] + rows.shape[0], max(image.shape[1], rows.shape[1])), dtype=rows.dtype)
-    block[: image.shape[0], : image.shape[1]] = image
-    block[image.shape[0] :, : rows.shape[1]] = rows
-    stack.insert(block)
+def _same_span(stack, image: np.ndarray, rows, rank: int) -> bool:
+    """Insert digit rows ``image`` at level 0 and the rows of a block,
+    ``rows``, at level 1 of a two-level tracker; whether the spans of all
+    images and of all rows so far are equal, given ``rank``, the rows'.
+    Over characteristic 2 ``rows`` are packed, and so is the image."""
+    if isinstance(rows, list):
+        stack.insert(_pack_lanes(image) + rows)
+    else:
+        block = np.zeros((image.shape[0] + rows.shape[0], max(image.shape[1], rows.shape[1])), dtype=rows.dtype)
+        block[: image.shape[0], : image.shape[1]] = image
+        block[image.shape[0] :, : rows.shape[1]] = rows
+        stack.insert(block)
     low, both = stack.ranks
     return low == both == rank
 

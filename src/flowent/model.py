@@ -64,7 +64,7 @@ __all__ = [
 #: Desk-scale cap on the entries of one array built from a spec: the dense
 #: discrete block of ``flow_from_dict`` and ``make_identity``, the window's
 #: nonzeros of ``window_nonzeros`` and their restriction to GF(p), checked
-#: by ``entropy._Nonzeros.of``, a chain's constraint rows restricted to
+#: by ``entropy._check_restriction_cap``, a chain's constraint rows restricted to
 #: GF(p), checked by ``default_window``, and the rows the rank trackers may
 #: hold, checked by ``entropy._check_tracker_cap``.  The widest workload
 #: window, prefix-shift[80]'s, has 5,276 coordinates and about as many entries.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import flowent
-from flowent.entropy import _constraint_blocks
+from flowent.entropy import _constraint_blocks, _unpack_lanes
 from flowent.fields import _rref_array, make_extension, make_prime_field
 from flowent.linalg import Matrix, kernel
 from flowent.model import EndoSpec, Flow, SpaceShape
@@ -64,6 +64,13 @@ def code_rows(field, digits):
     return field.encode_array(digits.reshape(digits.shape[0], digits.shape[1] // field.d, field.d))
 
 
+def block_digits(field, block, width):
+    """A block of the engine as a digit array of ``width`` columns: over
+    characteristic 2 its rows are packed integers, which ``_unpack_lanes``
+    unpacks; other blocks are digit arrays already."""
+    return _unpack_lanes(block, width) if field.p == 2 else block
+
+
 def annihilator(s):
     """Rows spanning the vectors orthogonal to a subspace, so that
     ``kernel(annihilator(s)) == s``."""
@@ -99,9 +106,11 @@ def raw_forms(flow, dead, n_max, window):
     steps 1..n: the blocks of ``_constraint_blocks`` with nothing carried
     back, as codes, stacked by ``stacked_rref``.  Its kernel is the n-step
     cotrajectory, and it shares no elimination with the rank trackers."""
-    red = np.zeros((0, flow.discrete_dim + window), dtype=np.int64)
+    dim = flow.discrete_dim + window
+    red = np.zeros((0, dim), dtype=np.int64)
     for block in _constraint_blocks(flow, dead, n_max, window):
-        red, _ = stacked_rref(flow.field, red, code_rows(flow.field, block))
+        digits = block_digits(flow.field, block, dim * flow.field.d)
+        red, _ = stacked_rref(flow.field, red, code_rows(flow.field, digits))
         yield red
 
 

@@ -24,7 +24,9 @@ from flowent.entropy import (
     _lane_tops,
     _Nonzeros,
     _pack_lanes,
+    _ShiftProduct,
     _times_nonzeros,
+    _unpack_lanes,
     brute_force_codim,
     chain_traces,
     codim_sequence,
@@ -53,6 +55,7 @@ from flowent.model import (
 )
 
 from conftest import (
+    block_digits,
     code_rows,
     dense_truncation,
     digit_rows,
@@ -153,7 +156,8 @@ def _check_run(flow, ms, n_max, window):
         carried = np.zeros((0, d + window), dtype=np.int64)
         raw = raw_forms(flow, list(range(count)), n_max, window)
         for n, ((block, ranks), want) in enumerate(zip(got, raw), start=1):
-            carried, _ = stacked_rref(flow.field, carried, code_rows(flow.field, block[:count]))
+            digits = block_digits(flow.field, block[:count], (d + window) * flow.field.d)
+            carried, _ = stacked_rref(flow.field, carried, code_rows(flow.field, digits))
             assert ranks[i] == want.shape[0], (flow.label, count, n)
             assert np.array_equal(carried, want), (flow.label, count, n)
 
@@ -412,7 +416,8 @@ class TestConstraintBlocks:
         """Each block is the dense reference's leading columns, and the
         reference is zero past them; block widths never decrease and grow
         by at most the bandwidth a step, within the window.  Returns the
-        widths in field columns."""
+        widths in field columns.  Over characteristic 2 a block is packed
+        rows, and its width is the widest support so far."""
         window = default_window(flow, u.extent, n_max)
         dead = _dead_indices(flow, u)
         dense = dense_truncation(flow, window)
@@ -421,6 +426,10 @@ class TestConstraintBlocks:
         pairs = zip(_constraint_blocks(flow, dead, n_max, window), _dense_blocks(flow, dead, n_max, window))
         widths = []
         for n, (got, want) in enumerate(pairs, start=1):
+            if flow.field.p == 2:
+                assert isinstance(got, list), (flow.label, u, n)
+                support = -(-max(map(int.bit_length, got), default=0) // d)
+                got = block_digits(flow.field, got, max(widths[-1:] + [support]) * d)
             want, cut = digit_rows(flow.field, want), got.shape[1]
             assert got.dtype == want.dtype and got.shape[0] == want.shape[0], (flow.label, u, n)
             assert np.array_equal(got, want[:, :cut]) and not want[:, cut:].any(), (flow.label, u, n)
@@ -465,6 +474,69 @@ class TestConstraintBlocks:
         flow = make_bernoulli(make_prime_field(65521), 1)
         with pytest.raises(TooLarge):
             next(_constraint_blocks(flow, [0], 2, 4))
+
+
+def _shift_product_flows():
+    """(field, flows) over GF(2), GF(4), GF(8), GF(16) as the tower GF(2)
+    <= GF(4) <= GF(16), and GF(16) by ``least_irreducible(GF(2), 4)``:
+    seeded phase flows, with dd, cd and dc blocks and prefixes that cover
+    negative offsets, multi-phase restrictions of such flows over the
+    fields above, a direct sum and a power."""
+    from flowent.functors import res_flow
+
+    gf2 = make_prime_field(2)
+    gf4, e24 = make_extension(gf2, (1, 1, 1))
+    gf16, e416 = make_extension(gf4, (gf4.generator, 1, 1))
+    gf8, e28 = make_extension(gf2, least_irreducible(gf2, 3))
+    gf16_2, e216 = make_extension(gf2, least_irreducible(gf2, 4))
+    out = []
+    for field, above in ((gf2, (e24, e28, e216)), (gf4, (e416,)), (gf8, ()), (gf16, ()), (gf16_2, ())):
+        flows = [_random_phase_flow(field, seed) for seed in range(8)]
+        flows += [res_flow(e, _random_phase_flow(e.target, seed)) for e in above for seed in range(3)]
+        flows.append(direct_sum(random_stencil_flow(field, 1), random_stencil_flow(field, 2)))
+        flows.append(power_flow(random_stencil_flow(field, 3), 2))
+        out.append((field, flows))
+    return out
+
+
+class TestShiftProduct:
+    """``_ShiftProduct`` on packed rows against the dense product by
+    ``truncate(flow, window)``, digit for digit, as ``_dense_blocks``
+    multiplies: at the smallest window a flow allows and at a certified
+    one, on random rows over the whole window, an all-zero row, rows set
+    only in their last columns, whose shifted classes pass the window's
+    last column, and rows set only in their first half."""
+
+    @pytest.mark.parametrize(
+        "field,flows", _shift_product_flows(), ids=["GF(2)", "GF(4)", "GF(8)", "GF(16)-tower", "GF(16)"]
+    )
+    def test_matches_dense_product(self, field, flows):
+        from flowent.model import _min_window
+
+        assert any(flow.endo.period > 1 for flow in flows)
+        assert any(flow.endo.dd.rows and flow.endo.cd.cols and flow.endo.dc.rows for flow in flows)
+        assert any(flow.endo.min_offset < 0 and flow.endo.prefix_rows for flow in flows)
+        rng = np.random.default_rng(field.q + 26)
+        k, past_end = field.d, 0
+        for flow in flows:
+            for window in (_min_window(flow.endo), default_window(flow, 3, 4)):
+                dense = truncate(flow, window).data
+                dim = dense.shape[0]
+                codes = field.random_codes(rng, (6, dim))
+                codes[1] = 0
+                codes[2, : dim - 1] = 0
+                codes[3, : max(dim - 3, 0)] = 0
+                codes[4, dim // 2 :] = 0
+                rows = _pack_lanes(digit_rows(field, codes))
+                product = _ShiftProduct.of(flow, window)
+                got = product.times(rows)
+                want = digit_rows(field, field.arr_matmul(codes, dense))
+                assert all(row.bit_length() <= dim * k for row in got), (flow.label, window)
+                assert np.array_equal(_unpack_lanes(got, dim * k), want), (flow.label, window)
+                assert got[1] == 0
+                past_end += product._replace(cut=-1).times(rows) != got
+        # the window mask clears bits on these rows: without it they fail
+        assert past_end
 
 
 # Runs ``compute`` on prefix-shift[80], whose windows reach 5,276
@@ -552,9 +624,9 @@ class TestFlagTrackers:
         # a level-1 row, then an equal level-0 row: both spans have rank 1
         bounds = [1, 2]
         stack = _prime_stack(p, bounds)
-        stack.insert(_level_row(bounds, 1, [1, 0]))
+        _insert(stack, _level_row(bounds, 1, [1, 0]))
         assert stack.ranks == [0, 1]
-        stack.insert(_level_row(bounds, 0, [1, 0]))
+        _insert(stack, _level_row(bounds, 0, [1, 0]))
         assert stack.ranks == [1, 1]
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -564,10 +636,10 @@ class TestFlagTrackers:
         # settles at level 2
         bounds = [1, 2, 3]
         stack = _prime_stack(p, bounds)
-        stack.insert(_level_row(bounds, 2, [0, 1, 1]))
-        stack.insert(_level_row(bounds, 1, [1, 1, 0]))
+        _insert(stack, _level_row(bounds, 2, [0, 1, 1]))
+        _insert(stack, _level_row(bounds, 1, [1, 1, 0]))
         assert stack.ranks == [0, 1, 2]
-        stack.insert(_level_row(bounds, 0, [1, 0, 0]))
+        _insert(stack, _level_row(bounds, 0, [1, 0, 0]))
         assert stack.ranks == [1, 2, 3]
         assert {lead: held[1] for lead, held in stack.holders.items()} == {0: 0, 1: 1, 2: 2}
 
@@ -591,7 +663,7 @@ class TestFlagTrackers:
                 if inserted and rng.random() < 0.3:
                     old = inserted[int(rng.integers(len(inserted)))]
                     rows[:, : old.shape[1]] = old  # the same rows again
-                stack.insert(rows)
+                _insert(stack, rows)
                 inserted.append(rows)
                 want = []
                 for bound in bounds:
@@ -675,20 +747,31 @@ class TestFlagTrackers:
 
 
 
+def _insert(stack, rows):
+    """Insert a digit block as the tracker takes it, packed by
+    ``_pack_lanes`` over characteristic 2; return the placed values,
+    packed."""
+    return stack.insert(_pack_lanes(rows) if stack.field.p == 2 else rows)
+
+
 def _placed(stack, rows):
     """Insert ``rows``; return their placed values, decoded."""
-    return stack.decode(stack.insert(rows), rows.shape[1])
+    placed = _insert(stack, rows)
+    if stack.field.p == 2:
+        return _unpack_lanes(placed, rows.shape[1])
+    return stack.decode(placed, rows.shape[1])
 
 
 def _raw_row_run(flow, dead, counts, n_max, window):
     """``cotrajectory_run`` on the raw rows: the blocks of
     ``_constraint_blocks`` iterated without carrying anything back,
-    restricted to the prime field by ``FiniteField.restrict`` and inserted into one
-    prime-field tracker, whose ranks are d times the GF(p^d) ranks."""
-    field = flow.field
+    unpacked over characteristic 2, restricted to the prime field by
+    ``FiniteField.restrict`` and inserted into one prime-field tracker,
+    whose ranks are d times the GF(p^d) ranks."""
+    field, width = flow.field, (flow.discrete_dim + window) * flow.field.d
     stack = _prime_stack(field.p, [count * field.d for count in counts])
     for block in _constraint_blocks(flow, dead, n_max, window):
-        stack.insert(field.restrict(block))
+        _insert(stack, field.restrict(block_digits(field, block, width)))
         yield block, [rank // field.d for rank in stack.ranks]
 
 
@@ -853,8 +936,8 @@ class TestCarriedRows:
         # the displaced e1 + e2 goes on as e2 at level 1
         bounds = [1, 2]
         stack = _prime_stack(2, bounds)
-        stack.insert(_level_row(bounds, 1, [0, 1, 1]))
-        stack.insert(_level_row(bounds, 0, [1, 0, 0]))
+        _insert(stack, _level_row(bounds, 1, [0, 1, 1]))
+        _insert(stack, _level_row(bounds, 0, [1, 0, 0]))
         placed = _placed(stack, np.array([[1, 1, 0], [0, 0, 0]]))
         assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
         assert {lead: held[1] for lead, held in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
@@ -910,8 +993,11 @@ class TestCarriedRows:
         def counting(self, rows):
             held = {lead: level for lead, (_, level, *_) in self.holders.items()}
             placed = insert(self, rows)
-            values = self.decode(placed, rows.shape[1])
-            seen["dependent"] += int((rows.any(axis=1) & ~values.any(axis=1)).sum())
+            if isinstance(rows, list):  # packed rows over characteristic 2
+                seen["dependent"] += sum(bool(row) and not value for row, value in zip(rows, placed))
+            else:
+                values = self.decode(placed, rows.shape[1])
+                seen["dependent"] += int((rows.any(axis=1) & ~values.any(axis=1)).sum())
             seen["exchanges"] += any(
                 level < held.get(lead, level) for lead, (_, level, *_) in self.holders.items()
             )
@@ -967,9 +1053,10 @@ class TestCarriedRows:
     @pytest.mark.parametrize("field", [make_prime_field(3), _odd_fields()[2], _gf2_extension(2)], ids=repr)
     def test_narrowing_rows_keep_widths(self, field, monkeypatch):
         # carried rows that narrow, then vanish, below wider holders: the
-        # blocks keep their width, so the holders' values still fit
+        # odd blocks keep their width, and the packed tracker's lane mask
+        # its widest row's lanes, so the holders' values still fit
         tracker, supports = _FlagStack2 if field.p == 2 else _FlagStackOdd, []
-        decode = tracker.decode
+        decode, insert = tracker.decode if field.p != 2 else None, tracker.insert
 
         def spy(self, placed, width):
             rows = decode(self, placed, width)
@@ -977,14 +1064,25 @@ class TestCarriedRows:
             supports.append(-(-(int(nonzero[-1]) + 1) // field.d) if nonzero.size else 0)
             return rows
 
-        monkeypatch.setattr(tracker, "decode", spy)
+        def packed_spy(self, rows):
+            placed = insert(self, rows)
+            if self.field == field:  # not the raw rows' GF(2) tracker
+                supports.append(-(-max(map(int.bit_length, placed), default=0) // field.d))
+                assert all(not held >> self.lanes * field.d for held, _ in self.holders.values())
+            return placed
+
+        if field.p == 2:
+            monkeypatch.setattr(tracker, "insert", packed_spy)
+        else:
+            monkeypatch.setattr(tracker, "decode", spy)
         flow, n_max = _narrowing_flow(field), 10
         window = default_window(flow, 3, n_max)
         for dead, counts in (([0], [1]), ([0, 1, 2], [1, 2, 3])):
             supports.clear()
             run = list(cotrajectory_run(flow, dead, counts, n_max, window))
-            widths = [block.shape[1] // field.d for block, _ in run]
-            assert widths == sorted(widths), (dead, widths)
+            if field.p != 2:
+                widths = [block.shape[1] // field.d for block, _ in run]
+                assert widths == sorted(widths), (dead, widths)
             raw = _raw_row_run(flow, dead, counts, n_max, window)
             assert [ranks for _, ranks in run] == [ranks for _, ranks in raw], dead
             # from e_0 the carried rows are e_3, e_1 + e_7, e_2, then e_1
@@ -1041,25 +1139,26 @@ class TestCarriedRows:
         assert np.array_equal(field.restrict(block)[:: field.d], block)
 
     def test_gf2_products_in_uint8(self, gf2):
-        # the word-lane product skips the multiply by codes; it takes uint8
-        # and int64 rows alike
+        # the packed product skips the multiply by codes; it takes rows
+        # packed from uint8 and int64 digit blocks alike
         _check_products(gf2)
 
     @pytest.mark.parametrize("field", _product_fields(), ids=repr)
     def test_products_in_int64(self, field):
-        # int64 digit rows too over characteristic 2, where products are uint8
+        # int64 digit rows, packed over characteristic 2
         _check_products(field)
 
 
 def _check_products(field):
-    """``_times_nonzeros`` on digit rows, by the window's nonzeros
-    restricted to GF(p), against the digits of the dense product by the
-    reference window matrix: row counts on both sides of the 8-row words
-    of characteristic 2, output widths at and below the window's
-    dimension, and entries of negative offsets and of the dc block that
-    read rows past the block's width, which zero padding stands in for.
-    Products come back as uint8 over characteristic 2 and as int64
-    otherwise."""
+    """The window products on digit rows against the digits of the dense
+    product by the reference window matrix, with row counts on both sides
+    of 8 and 64 and output widths at and below the window's dimension.
+    Over odd p, ``_times_nonzeros`` by the window's nonzeros restricted to
+    GF(p), whose entries of negative offsets and of the dc block read rows
+    past the block's width, which zero padding stands in for; it returns
+    int64 digits.  Over characteristic 2, ``_ShiftProduct`` on the rows
+    packed, whose product covers the whole window: its leading columns
+    are the narrower product's, and the rest is the dense product's."""
     rng = np.random.default_rng(5)
     past_width = 0
     for seed in range(12):
@@ -1067,7 +1166,10 @@ def _check_products(field):
         window = 30
         dense = dense_truncation(flow, window)
         dim = dense.shape[0]
-        nonzeros = _Nonzeros.of(field, dim, *window_nonzeros(flow, window))
+        if field.p == 2:
+            product = _ShiftProduct.of(flow, window)
+        else:
+            nonzeros = _Nonzeros.of(field, dim, *window_nonzeros(flow, window))
         width = int(rng.integers(1, dim))
         cols = min(dim, width + flow.endo.bandwidth)
         cases = [(field.random_codes(rng, (6, width)), cols)]
@@ -1076,17 +1178,19 @@ def _check_products(field):
             cases += [(rows, c) for c in (cols, dim, int(rng.integers(1, dim)))]
         for rows, cols in cases:
             want = digit_rows(field, field.arr_matmul(rows, dense[:width, :cols]))
-            entries = np.searchsorted(nonzeros.cols, cols * field.d)
-            past_width += bool(entries) and bool(nonzeros.row_bound[entries - 1] > width * field.d)
             digits = digit_rows(field, rows)
             if field.p == 2:
-                blocks, dtype = (digits, digits.astype(np.int64)), np.uint8
-            else:
-                blocks, dtype = (digits,), np.int64
-            for block in blocks:
-                got = _times_nonzeros(field, block, nonzeros, cols)
-                assert got.dtype == dtype and np.array_equal(got, want), (field, seed, rows.shape, cols)
-    assert past_width
+                whole = digit_rows(field, field.arr_matmul(rows, dense[:width]))
+                for block in (digits, digits.astype(np.int64)):
+                    got = _unpack_lanes(product.times(_pack_lanes(block)), dim * field.d)
+                    assert np.array_equal(got, whole), (field, seed, rows.shape)
+                    assert np.array_equal(got[:, : cols * field.d], want), (field, seed, rows.shape, cols)
+                continue
+            entries = np.searchsorted(nonzeros.cols, cols * field.d)
+            past_width += bool(entries) and bool(nonzeros.row_bound[entries - 1] > width * field.d)
+            got = _times_nonzeros(field, digits, nonzeros, cols)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (field, seed, rows.shape, cols)
+    assert past_width or field.p == 2
 
 
 class TestOracle:

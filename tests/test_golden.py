@@ -57,6 +57,12 @@ CASES = [
     ("verify-gf8-s0.json", partial(_stencil_flow, 8, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("verify-gf27-s0.json", partial(_stencil_flow, 27, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("oracle-gf2-s1.json", partial(_stencil_flow, 2, 1), ["oracle", "--max-n", "4", "--max-m", "2"]),
+    # identity depths past the estimates' depth, where the runs carry only
+    # the rows the identity checks read
+    *[
+        (f"verify-gf{q}-s3-deep.json", partial(_stencil_flow, q, 3), ["verify", "--identity-n", "40", "--max-n", "8"])
+        for q in (4, 8, 9)
+    ],
     # windows of 3,326 and 5,276 coordinates; r = 80 resolves to 1 where 0
     # is due (ROADMAP item 1), so only that item's fix may rewrite its file
     *[(f"compute-prefix-shift-{r}.json", partial(prefix_shift_flow, r), ["compute"]) for r in (50, 80)],
