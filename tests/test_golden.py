@@ -54,6 +54,9 @@ CASES = [
     ("verify-gf9-s0.json", partial(_stencil_flow, 9, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("compute-gf16-s0.json", partial(_stencil_flow, 16, 0), ["compute"]),
     ("compute-gf27-s0.json", partial(_stencil_flow, 27, 0), ["compute"]),
+    # the odd packed path over a prime field, a quadratic extension and
+    # 16-bit lanes
+    *[(f"compute-gf{q}-s0.json", partial(_stencil_flow, q, 0), ["compute"]) for q in (3, 25, 251)],
     ("verify-gf8-s0.json", partial(_stencil_flow, 8, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("verify-gf27-s0.json", partial(_stencil_flow, 27, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("oracle-gf2-s1.json", partial(_stencil_flow, 2, 1), ["oracle", "--max-n", "4", "--max-m", "2"]),
