@@ -6,17 +6,16 @@ and the S-coordinates of v, phi(v), ..., phi^(n-1)(v).  Those constraints
 are rows of powers of the window matrix, so the codimension trace is the
 rank growth of an accumulating constraint stack: each step applies the
 flow once to the previous constraint block.  The flow is row-finite, so
-it is applied as the list of its window's nonzeros, the same list that
-``model.truncate`` scatters into a dense matrix, restricted once to
-GF(p).  The dense window matrix is never built.  In characteristic 2 a
-block's rows are integers, as the tracker holds them, from the tracker
-through the product and back: digit t of column j is bit j*k + t, and a
-row's product is the XOR of its boundary bits' images and of a few
-masked, shifted copies of itself, one per stencil phase, digit and
-entry.  Over odd p a block holds its rows as prime-field digits, digit t
-of column j in column j*d + t, which are gathered by the entries' rows,
-multiplied by their digits and summed mod p over each run of equal
-columns.
+it is applied through the list of its window's nonzeros, the same list
+that ``model.truncate`` scatters into a dense matrix, read once per
+window.  The dense window matrix is never built.  A block's rows are
+integers, as the tracker holds them, from the tracker through the
+product and back: digit t of column j is lane j*d + t, of one bit in
+characteristic 2 and of 8, 16 or 32 bits over odd p.  A row's product is
+the sum of its boundary lanes' images and of a few masked, shifted
+copies of itself, one per stencil phase, digit and entry: XORs over
+GF(2^k), and over odd p lane-wise sums mod p of copies times the
+entry's digits.
 
 The constraint spans of the principal chain U_0, ..., U_M form a flag
 V_0 <= ... <= V_M: member m's rows are a prefix of member M's.  So one
@@ -25,8 +24,9 @@ inserted once at the level of the smallest member it belongs to, and
 member m's rank is the number of basis rows of level <= m.  One
 elimination with level exchanges serves every field, one lane operation
 per step: the digits of GF(2^k) rows, packed as they are, in k-bit lanes
-added by XOR, and rows over GF(p), to which odd extensions are
-restricted, in lanes added mod p at once.
+added by XOR, and the rows x^s*r, s < d, of the restriction of a
+GF(p^d) row r to GF(p), built from r by lane shifts, in lanes added mod p
+at once.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
 tracker has made of them: since ``S_{n+1} = S_1 + phi* S_n``, a row may
@@ -149,22 +149,20 @@ class _FlagStack:
     so they are independent.  Each step ends the loop or moves the lead key
     strictly up, so an insert ends after at most one step per key.
 
-    ``insert`` takes a block of the stream and returns, packed, each row's
+    ``insert`` takes a block of the stream, rows packed as ``_pack_lanes``
+    packs them in lanes of ``lane`` bits, and returns, packed, each row's
     value when it first becomes a holder at its own level l, or 0 when it
     reduces to 0 there: the row plus an F-combination of holders of level
     <= l, which span ``V_l(n-1)`` and the block's earlier rows, so
-    ``_constraint_blocks`` may carry it: as it is over GF(2^k), whose
-    blocks are packed rows, and once ``decode`` unpacks it into a digit
-    block over odd p.  A raw row climbs through the holders at low columns
-    at every step; a carried value's image mostly starts past them.
-    ``ranks`` are in F's units, also when a subclass tracks ``unit`` rows
-    per row.
+    ``_constraint_blocks`` may carry it as it is.  A raw row climbs through
+    the holders at low columns at every step; a carried value's image
+    mostly starts past them.  ``ranks`` are in F's units, also when a
+    subclass tracks ``unit`` rows per row.
     """
 
     def __init__(self, field, counts: Sequence[int], unit: int = 1):
-        bounds = [count * unit for count in counts]
-        self.levels = np.searchsorted(bounds, np.arange(bounds[-1]), side="right").tolist()
-        self.field, self.unit = field, unit
+        self.levels = np.searchsorted(counts, np.arange(counts[-1]), side="right").tolist()
+        self.field, self.unit, self.lane = field, unit, _lane_bits(field.p)
         self.holders: dict = {}
         self.per_level = [0] * len(counts)
 
@@ -178,28 +176,44 @@ def _flag_stack(field, counts: Sequence[int]) -> _FlagStack:
     return (_FlagStack2 if field.p == 2 else _FlagStackOdd)(field, counts)
 
 
-def _pack_lanes(block: np.ndarray) -> list[int]:
-    """The rows of a digit block over GF(2^k) packed into integers, column
-    i in bit i: column j of the field is lane j, the k bits from ``j*k``
-    on, bit t holding digit t, so two rows add by one XOR."""
-    data = np.packbits(block, axis=1, bitorder="little")
-    size, raw = data.shape[1], data.tobytes()
+def _lane_bits(p: int) -> int:
+    """The bits of a lane, one digit of a packed row over GF(p^d): 1 for
+    p = 2, else b = 8, 16 or 32, the least with p <= 2^(b-1)
+    (``_FlagStackOdd`` proves its lane sums exact from that).
+    ``_PRIME_CAP`` keeps p below 2^16."""
+    return 1 if p == 2 else next(b for b in (8, 16, 32) if p <= 1 << (b - 1))
+
+
+def _pack_lanes(block: np.ndarray, lane: int = 1) -> list[int]:
+    """The rows of a digit block packed into integers, column i in lane i,
+    the ``lane`` bits from ``i*lane`` on: over GF(p^d), with ``lane =
+    _lane_bits(p)``, digit t of column j is lane ``j*d + t``.  Over
+    characteristic 2 a lane is one bit, so two rows add by one XOR."""
+    if lane == 1:
+        data = np.packbits(block, axis=1, bitorder="little")
+    else:
+        data = np.ascontiguousarray(block, dtype=f"<u{lane // 8}")
+    size, raw = data.shape[1] * data.itemsize, data.tobytes()
     return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(block.shape[0])]
 
 
-def _unpack_lanes(rows: Sequence[int], width: int) -> np.ndarray:
-    """Packed rows as a uint8 digit block of ``width`` columns; the inverse
-    of ``_pack_lanes``."""
-    size = -(-width // 8)
-    data = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
-    return np.unpackbits(data.reshape(len(rows), size), axis=1, count=width, bitorder="little")
+def _unpack_lanes(rows: Sequence[int], width: int, lane: int = 1) -> np.ndarray:
+    """Packed rows as a digit block of ``width`` columns, uint8 for lanes of
+    one bit and int64 otherwise; the inverse of ``_pack_lanes``."""
+    size = -(-width * lane // 8)
+    data = np.frombuffer(
+        b"".join(row.to_bytes(size, "little") for row in rows), np.uint8 if lane == 1 else f"<u{lane // 8}"
+    )
+    if lane == 1:
+        return np.unpackbits(data.reshape(len(rows), size), axis=1, count=width, bitorder="little")
+    return data.reshape(len(rows), width).astype(np.int64)
 
 
-def _lane_digits(rows: Sequence[int], k: int) -> np.ndarray:
-    """Packed rows over GF(2^k) as a uint8 digit block of whole lanes, as
-    many as the widest row reaches."""
-    lanes = -(-max(map(int.bit_length, rows), default=0) // k)
-    return _unpack_lanes(rows, lanes * k)
+def _lane_digits(rows: Sequence[int], d: int, lane: int) -> np.ndarray:
+    """Packed rows over GF(p^d) as a digit block of whole columns, as many
+    as the widest row reaches."""
+    columns = -(-max(map(int.bit_length, rows), default=0) // (d * lane))
+    return _unpack_lanes(rows, columns * d, lane)
 
 
 def _lane_low(field) -> int:
@@ -234,7 +248,8 @@ def _lane_times(w: int, c: int, k: int, low: int, tops: int) -> int:
 
 class _FlagStack2(_FlagStack):
     """``_FlagStack`` over GF(2^k) on rows packed as ``_pack_lanes`` packs
-    them: column j of the field is lane j, the k bits from ``j*k`` on.
+    them, one bit per digit.  Here column j of the field is lane j, the k
+    bits from ``j*k`` on.
 
     A holder u of lane j has lane value 1, and ``holders`` maps bit
     ``j*k + t`` to (x^t*u, level) for each t < k.  A row whose lowest set
@@ -308,26 +323,50 @@ class _FlagStack2(_FlagStack):
 
 
 class _FlagStackOdd(_FlagStack):
-    """``_FlagStack`` over GF(p^d), p odd, on rows packed into integers.
+    """``_FlagStack`` over GF(p^d), p odd, on rows packed as ``_pack_lanes``
+    packs them: digit t of column j is lane j*d + t, the b bits from
+    ``(j*d + t)*b`` on, b = ``_lane_bits(p)``, which hold a code 0..p-1.
 
-    Digit blocks are restricted to GF(p) by ``FiniteField.restrict``, d
-    rows per row (``unit``), and ``decode`` reads back the placed values of
-    the first ones, which are the rows' own digits: each is its row plus an
-    element of the restriction of ``V_l(n-1)`` and of the earlier rows'
-    GF(p^d)-span, since every row comes with all d of its restricted rows.
+    It eliminates over GF(p): a row r enters as up to d rows that span over
+    GF(p) what r spans over GF(p^d), as its restriction x^s*r, s < d, does
+    (``FiniteField.restrict``, x the field's generator), and
+    ``per_level`` counts d holders per GF(p^d) rank (``unit``).  The first
+    is r, and each next one x times ``u_(s-1)``, the value where the one
+    before settled, which climbs through fewer holders than x^s*r.  Proof:
+    let V be the span of the holders of level <= l when r enters at level
+    l, the GF(p)-span of GF(p^d)-spans of rows, by induction, so closed
+    under x, and let ``S_s = V + <r, x*r, ..., x^s*r>``, ``S_-1 = V``.  If
+    ``u_(s-1)`` lies in ``x^(s-1)*r + S_(s-2)``, then ``x*u_(s-1)`` lies in
+    ``x^s*r + S_(s-1)``, as ``x*S_(s-2)`` lies in ``S_(s-1)``, and so does
+    ``u_s``, which differs from it by holders of level <= l, whose span is
+    ``S_(s-1)``.  So each insert adds x^s*r to the span, which is ``V +
+    GF(p^d)*r`` after the last.  When ``u_s`` is 0, x^s*r lies in
+    ``S_(s-1)``, and so does every later x^t*r, since x maps ``S_(s-1)``
+    into ``S_s = S_(s-1)``: the row's other inserts are skipped.
+    ``insert`` returns ``u_0``, the row's own placed value.
 
-    Column j of a row is lane j of its integer, the b bits from ``j*b``
-    on, which hold its code 0..p-1.  b is 8, 16 or 32, the least with
-    p <= 2^(b-1); ``_PRIME_CAP`` keeps p below 2^16.  The lead is the lane
-    of the lowest set bit.  Two rows add lane-wise mod p in one step:
-    ``s = x + y``, then ``s - (((s + bias) & tops) >> (b-1)) * p``, where
-    ``bias`` holds 2^(b-1) - p and ``tops`` holds 2^(b-1) in every lane.
-    Proof: a lane of s is at most 2p - 2 < 2^b, since p <= 2^(b-1), and
-    the same lane of ``s + bias`` is at most 2^(b-1) + p - 2 < 2^b, so
-    neither sum carries from one lane into the next.  That lane of
-    ``s + bias`` is at least 2^(b-1), so has its top bit set, exactly when
-    s >= p.  So the step subtracts p from exactly the lanes where s >= p,
-    without a borrow, and leaves every lane in 0..p-1.
+    ``x*u`` moves each digit of u up one lane within its column and adds
+    the top digit c times x^d, whose digit t is m_t = ``-modulus[t]``, to
+    lane t of the column.  ``lasts`` holds the top lanes, whole: clearing
+    them, the shift moves no digit out of its column.  c*m_t is the sum
+    of the doublings 2^i*c over the set bits i of m_t, and ``spreads[i]``
+    has a 1 in lane t, t < d, exactly when bit i of m_t is set.  2^i*c has
+    a nonzero lane only at each column's first, and ``spreads[i]`` is
+    below 2^(d*b), so their product copies each column's lane into the
+    column's own lanes t, with no carry: one lane add for each i.
+
+    The lead of a row is the lane of its lowest set bit.  Two rows add
+    lane-wise mod p in one step: ``s = x + y``, then ``s - (((s + bias) &
+    tops) >> (b-1)) * p``, where ``bias`` holds 2^(b-1) - p and ``tops``
+    holds 2^(b-1) in every lane.  Proof: a lane of s is at most 2p - 2 <
+    2^b, since p <= 2^(b-1), and the same lane of ``s + bias`` is at most
+    2^(b-1) + p - 2 < 2^b, so neither sum carries from one lane into the
+    next.  That lane of ``s + bias`` is at least 2^(b-1), so has its top
+    bit set, exactly when s >= p.  So the step subtracts p from exactly the
+    lanes where s >= p, without a borrow, and leaves every lane in 0..p-1.
+    ``tops`` and ``bias`` cover the ``lanes`` lanes of the widest row
+    inserted so far, whole columns: sums, multiples by x and holders stay
+    within the columns of the rows they come from.
 
     A holder h is kept as it settled, unscaled: ``holders`` maps a lead to
     (h, 2h, 4h, ... one per bit of p; level; a^-1 for h's lead value a).
@@ -338,49 +377,66 @@ class _FlagStackOdd(_FlagStack):
 
     def __init__(self, field, counts: Sequence[int]):
         super().__init__(field, counts, field.d)
-        self.lane = next(b for b in (8, 16, 32) if field.p <= 1 << (b - 1))
+        p, b = field.p, self.lane
+        x_d = [(-c) % p for c in field.modulus[:-1]]  # the digits m_t of x^d
+        self.spreads = [
+            sum(1 << t * b for t, m in enumerate(x_d) if m >> i & 1) for i in range(max(x_d).bit_length())
+        ]
+        self.lanes = self.tops = self.bias = self.lasts = 0
 
-    def insert(self, block: np.ndarray) -> list[int]:
-        """Insert a block; return the placed values of its restricted rows, packed."""
-        p, b, holders, per_level = self.field.p, self.lane, self.holders, self.per_level
-        lanes = self.field.restrict(block).astype(f"<u{b // 8}")
-        data, size = lanes.tobytes(), lanes.shape[1] * lanes.itemsize
-        ones = ((1 << lanes.shape[1] * b) - 1) // ((1 << b) - 1)  # 1 in every lane
-        tops, bias, mask = ones << (b - 1), ones * ((1 << (b - 1)) - p), (1 << b) - 1
+    def insert(self, rows: Sequence[int]) -> list[int]:
+        """Insert packed rows; return their placed values, packed."""
+        p, b, d, holders, per_level = self.field.p, self.lane, self.field.d, self.holders, self.per_level
+        lanes = -(-max(map(int.bit_length, rows), default=0) // (d * b)) * d
+        if lanes > self.lanes:
+            ones = ((1 << lanes * b) - 1) // ((1 << b) - 1)  # 1 in every lane
+            self.lanes, self.tops, self.bias = lanes, ones << (b - 1), ones * ((1 << (b - 1)) - p)
+            self.lasts = ((1 << lanes * b) - 1) // ((1 << d * b) - 1) * ((1 << b) - 1) << (d - 1) * b
+        tops, bias, lasts, spreads, mask = self.tops, self.bias, self.lasts, self.spreads, (1 << b) - 1
+        bits = p.bit_length()
         placed = []
-        for i, level in zip(range(len(lanes)), self.levels):
-            w, own = int.from_bytes(data[i * size : (i + 1) * size], "little"), 0
-            while w:
-                lead = ((w & -w).bit_length() - 1) // b
-                c = (w >> lead * b) & mask
-                held = holders.get(lead)
-                if held is not None and held[1] <= level:
-                    k = p - c * held[2] % p
-                    for double in held[0]:
-                        if k & 1:
-                            s = w + double
-                            w = s - (((s + bias) & tops) >> (b - 1)) * p
-                        k >>= 1
-                    continue
-                own = own or w
-                doublings = [w]
-                while len(doublings) < p.bit_length():
-                    s = doublings[-1] << 1
-                    doublings.append(s - (((s + bias) & tops) >> (b - 1)) * p)
-                holders[lead] = (doublings, level, pow(c, -1, p))
-                per_level[level] += 1
-                if held is None:
+        for w, level in zip(rows, self.levels):
+            for s in range(d):
+                if s:  # x times the value where the row before settled
+                    top = u & lasts
+                    w, c = (u ^ top) << b, top >> (d - 1) * b
+                    for i, spread in enumerate(spreads):
+                        if i:
+                            t = c << 1
+                            c = t - (((t + bias) & tops) >> (b - 1)) * p
+                        if spread:
+                            t = w + c * spread
+                            w = t - (((t + bias) & tops) >> (b - 1)) * p
+                u, at = 0, level
+                while w:
+                    lead = ((w & -w).bit_length() - 1) // b
+                    c = (w >> lead * b) & mask
+                    held = holders.get(lead)
+                    if held is not None and held[1] <= at:
+                        k = p - c * held[2] % p
+                        for double in held[0]:
+                            if k & 1:
+                                t = w + double
+                                w = t - (((t + bias) & tops) >> (b - 1)) * p
+                            k >>= 1
+                        continue
+                    u = u or w
+                    doublings = [w]
+                    for _ in range(1, bits):
+                        t = doublings[-1] << 1
+                        doublings.append(t - (((t + bias) & tops) >> (b - 1)) * p)
+                    holders[lead] = (doublings, at, pow(c, -1, p))
+                    per_level[at] += 1
+                    if held is None:
+                        break
+                    per_level[held[1]] -= 1
+                    w, at = held[0][0], held[1]
+                if not s:
+                    own = u
+                if not u:
                     break
-                per_level[held[1]] -= 1
-                w, level = held[0][0], held[1]
             placed.append(own)
         return placed
-
-    def decode(self, placed: Sequence[int], width: int) -> np.ndarray:
-        """The rows' own placed values, every d-th, as an int64 digit block."""
-        placed, size = placed[:: self.field.d], width * self.lane // 8
-        lanes = np.frombuffer(b"".join(own.to_bytes(size, "little") for own in placed), f"<u{self.lane // 8}")
-        return lanes.reshape(len(placed), width).astype(np.int64)
 
 
 def _dead_indices(flow: Flow, u: GoodSubspace) -> list[int]:
@@ -395,38 +451,30 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
 
     Raw step n rows are the dead coordinates of phi^(n-1) inside the
     window, one row per dead coordinate, and each block is the carried
-    rows of the step before times the window matrix W, given by its
-    nonzeros restricted to GF(p) once per run.
+    rows of the step before times the window matrix W, read from its
+    nonzeros once per run.
 
-    Over GF(2^k) a block is a list of rows packed into integers, bit
-    ``j*k + t`` holding digit t of column j, as ``_FlagStack2`` takes and
-    places them, so the tracker's placed values are carried as they are.
-    ``_ShiftProduct`` multiplies them by shifts and XORs: a row is never
-    wider than its support, its ``bit_length``, and a step costs, per
-    row, one big-integer operation per set boundary bit, per class mask
-    and per class shift, each linear in the row's length.
+    A block is a list of rows packed into integers, digit t of column j in
+    lane ``j*d + t`` of ``_lane_bits(p)`` bits, as the trackers take and
+    place them, so their placed values are carried as they are.  The
+    product multiplies them by shifts of masked parts (``_window_parts``):
+    XORs over GF(2^k) (``_ShiftProduct``), and sums mod p of parts times
+    digits over odd p (``_LaneProduct``).  A packed row is never wider
+    than its support, its ``bit_length``, and no block is padded to a
+    width: for a row v that is zero past column s, ``(vW)_c = sum_{r<s}
+    v_r W_{r,c}``, so the product reads only v's nonzero lanes, each in a
+    boundary lane or a class mask, and is zero past the entries of W's
+    rows below s.  The trackers size their lane masks by the widest row
+    they have taken, so rows may narrow from step to step.  A step costs,
+    per row, a few big-integer operations per nonzero boundary lane, per
+    class mask and per class move, each linear in the row's length; over
+    odd p, one per set bit of the boundary lane's or the move's digit.
 
-    Over odd p a block holds digit t of column j in int64 column j*d + t,
-    and carried rows must be zero past the width of the block they were
-    taken from.  Each block holds only the columns its rows' support
-    reaches: if the carried rows are zero past column s (their support,
-    one past their last nonzero column), only their leading s columns are
-    multiplied, and the product is zero past ``reach_of[s]``, one past the
-    largest column of any entry of W in a row below s (``_Nonzeros``).
-    Proof: for a row v that is zero past s, ``(vW)_c = sum_{r<s} v_r
-    W_{r,c}``, and every ``W_{r,c}`` with r < s is zero for c >=
-    ``reach_of[s]``.  The block's width is the larger of that and the
-    width of the block before: widths never shrink, because the odd
-    tracker sizes its lane masks and packed values by the width of the
-    block it takes, and holds values of the blocks before.  A step costs
-    O(rows * nnz * d^2) (``_times_nonzeros``), not O(rows * cols * w) as
-    a dense product would.
-
-    No dense array of a chain is larger than a block restricted to GF(p):
-    at most ``len(dead) * d`` rows, since no step carries more rows than
-    its block has, of at most ``(discrete_dim + window) * d`` entries.
-    ``default_window`` checks that bound against ``_ENTRY_CAP`` before any
-    row is built.
+    The caps are checked before any row is built: ``default_window``
+    checks a chain's rows restricted to GF(p), at most ``len(dead) * d``
+    rows, since no step carries more rows than its block has, of at most
+    ``(discrete_dim + window) * d`` entries, against ``_ENTRY_CAP``, and
+    ``_check_restriction_cap`` the window's entries.
 
     Carried rows.  Give row i of every block a level l(i), non-decreasing
     in i, and let ``V_l(n)`` be the span of the raw rows of level <= l of
@@ -450,27 +498,14 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     differs from the raw row ``phi*^(n-1) e_i`` by an element of
     ``V_l(n-1)`` plus the span of the raw rows j < i of step n.
     """
-    field, d = flow.field, flow.field.d
-    if field.p == 2:
-        product = _ShiftProduct.of(flow, window)
-        block = [1 << i * d for i in dead]
-    else:
-        dim = flow.discrete_dim + window
-        nonzeros = _Nonzeros.of(field, dim, *window_nonzeros(flow, window))
-        width = min(dim, max(dead) + 1 if dead else 0)
-        block = np.zeros((len(dead), width * d), dtype=np.int64)
-        block[np.arange(len(dead)), [i * d for i in dead]] = 1
+    field = flow.field
+    product = (_ShiftProduct if field.p == 2 else _LaneProduct).of(flow, window)
+    lane = field.d * _lane_bits(field.p)
+    block = [1 << i * lane for i in dead]
     for n in range(1, n_max + 1):
         carried = yield block
         if n < n_max:
-            rows = block if carried is None else carried
-            if field.p == 2:
-                block = product.times(rows)
-            else:
-                nonzero = np.flatnonzero(rows.any(axis=0))
-                support = -(-(int(nonzero[-1]) + 1) // d) if nonzero.size else 0
-                width = max(width, int(nonzeros.reach_of[support]))
-                block = _times_nonzeros(field, rows[:, : support * d], nonzeros, width)
+            block = product.times(block if carried is None else carried)
 
 
 def _check_restriction_cap(field, entries: int) -> None:
@@ -497,44 +532,81 @@ def _restricted(field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) ->
     return rows[entry] * d + s, cols[entry] * d + t, blocks[entry, s, t]
 
 
-def _packed_rows(rows: np.ndarray, cols: np.ndarray, count: int) -> list[int]:
-    """The ``count`` rows of the GF(2) matrix with ones at ``(rows,
-    cols)``, packed, built in slices of at most ``_ENTRY_CAP`` bytes."""
+def _packed_rows(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray, count: int, lane: int) -> list[int]:
+    """The ``count`` rows of the GF(p) matrix with ``codes`` at ``(rows,
+    cols)``, packed in lanes of ``lane`` bits, built in slices of at most
+    ``_ENTRY_CAP`` entries."""
     width = int(cols.max(initial=-1)) + 1
     step = max(1, _ENTRY_CAP // max(width, 1))
     out = []
     for lo in range(0, count, step):
-        block = np.zeros((min(step, count - lo), width), dtype=np.uint8)
+        block = np.zeros((min(step, count - lo), width), dtype=np.uint8 if lane == 1 else f"<u{lane // 8}")
         pick = (rows >= lo) & (rows < lo + step)
-        block[rows[pick] - lo, cols[pick]] = 1
-        out += _pack_lanes(block)
+        block[rows[pick] - lo, cols[pick]] = codes[pick]
+        out += _pack_lanes(block, lane)
     return out
+
+
+def _window_parts(flow: Flow, window: int, lane: int) -> tuple[int, list[int], dict]:
+    """A window matrix W over GF(p^k), restricted to GF(p), in the parts
+    both block products read, for rows packed in lanes of ``lane`` bits:
+    lane ``j*k + t`` is digit t of column j.  Lane ``r*k + s`` of a row
+    stands for ``x^s e_r``, whose image is the packed row of ``x^s W[r]``,
+    and a row's product is the sum of its lanes' images times their
+    digits.  Returns ``(edge, images, masks)``:
+
+    - ``edge`` is the number of boundary lanes, those of the discrete
+      coordinates and of the compact rows below the flow's ``extent``, and
+      ``images`` their images, packed from the restricted entries of their
+      rows in ``window_nonzeros``;
+    - every compact row i at or past ``extent`` is a stencil row of phase
+      ``i % period``, and its entry (off, c) puts g, digit t of x^s*c, in
+      lane ``(D+i+off)*k + t``, D the discrete dimension: a move of
+      ``off*k + t - s`` lanes from lane ``(D+i)*k + s``, times g.  So every
+      lane of one (phase, s) class makes the same moves, read from the
+      phase's codes restricted to GF(p), and the class's image is the sum
+      of ``v & mask`` moved by each.  ``masks`` maps each tuple of moves
+      (shift, g) to the mask of the lanes that make them.
+
+    ``window_nonzeros`` drops exactly the entries that read past the
+    window, i + off >= window; their moves put them at or past lane
+    ``(D + window)*k``, and a cut to the window's lanes clears them.  A
+    right shift moves no lane below 0, since no stencil row reads below 0.
+    """
+    field, endo, d = flow.field, flow.endo, flow.discrete_dim
+    k, period, extent = field.d, endo.period, endo.extent
+    rows, cols, codes = window_nonzeros(flow, window)
+    _check_restriction_cap(field, rows.size)  # every field refuses the same windows
+    boundary = rows < d + extent
+    edge = (d + extent) * k
+    images = _packed_rows(*_restricted(field, rows[boundary], cols[boundary], codes[boundary]), edge, lane)
+    masks: dict[tuple[tuple[int, int], ...], int] = {}
+    step = period * k * lane
+    for rho, phase in enumerate(endo.stencil):
+        first = extent + (rho - extent) % period
+        count = len(range(first, window, period))
+        if not phase or not count:
+            continue
+        # row j*k + s: the digits of x^s times the phase's code j
+        digits = field.restrict(field.coords_array(np.array([c for _, c in phase], dtype=np.int64)))
+        for s in range(k):
+            terms = zip(phase, digits[s::k].tolist())
+            moves = tuple(sorted((off * k + t - s, g) for (off, _), row in terms for t, g in enumerate(row) if g))
+            mask = ((1 << count * step) - 1) // ((1 << step) - 1) * ((1 << lane) - 1) << ((d + first) * k + s) * lane
+            masks[moves] = masks.get(moves, 0) | mask
+    return edge, images, masks
 
 
 class _ShiftProduct(NamedTuple):
     """A window matrix W over GF(2^k), restricted to GF(2), as a map of
     rows packed as ``_FlagStack2`` holds them: bit ``j*k + t`` is digit t
-    of column j.  Bit ``r*k + s`` of a row stands for ``x^s e_r``, whose
-    image is the packed row of ``x^s W[r]``, and a row's product is the
-    XOR of its set bits' images.  Both parts are built once per window.
-
-    - Below ``edge``, the bits of the discrete coordinates and of the
-      compact rows below the flow's ``extent``, each bit's image is kept
-      in ``images``, packed from the restricted entries of its row in
-      ``window_nonzeros``.
-    - Every compact row i at or past ``extent`` is a stencil row of phase
-      ``i % period``, and its entry (off, c) puts digit t of x^s*c at bit
-      ``(D+i+off)*k + t``, D the discrete dimension: a shift of
-      ``off*k + t - s`` from bit ``(D+i)*k + s``.  So every bit of one
-      (phase, s) class makes the same shifts, read from the phase's codes
-      restricted to GF(2), and the class's image is ``v & mask`` shifted
-      by each, XORed.  ``classes`` holds (mask, left shifts, right
-      shifts), classes with the same shifts under one mask.
-
-    ``window_nonzeros`` drops exactly the entries that read past the
-    window, i + off >= window; their shifts put them at or past bit
-    ``(D + window)*k``, and ``cut``, the window's bits, clears them.  A
-    right shift moves no bit below 0, since no stencil row reads below 0.
+    of column j.  Its parts are ``_window_parts``' in lanes of one bit,
+    built once per window: ``images`` holds each boundary bit's image,
+    and ``classes`` (mask, left shifts, right shifts), one per mask of
+    equal shifts, whose weights are all 1.  A row's product is the XOR of
+    its set boundary bits' images and of its classes' ``v & mask``
+    shifted by each shift, and ``cut``, the window's bits, clears what
+    was shifted past the window.
     """
 
     edge: int
@@ -544,32 +616,12 @@ class _ShiftProduct(NamedTuple):
 
     @classmethod
     def of(cls, flow: Flow, window: int) -> "_ShiftProduct":
-        field, endo, d = flow.field, flow.endo, flow.discrete_dim
-        k, period, extent = field.d, endo.period, endo.extent
-        rows, cols, codes = window_nonzeros(flow, window)
-        _check_restriction_cap(field, rows.size)  # every field refuses the same windows
-        boundary = rows < d + extent
-        rows, cols, _ = _restricted(field, rows[boundary], cols[boundary], codes[boundary])
-        masks: dict[tuple[int, ...], int] = {}
-        step = period * k
-        for rho, phase in enumerate(endo.stencil):
-            first = extent + (rho - extent) % period
-            count = len(range(first, window, period))
-            if not phase or not count:
-                continue
-            # row j*k + s: the digits of x^s times the phase's code j
-            digits = field.restrict(field.coords_array(np.array([c for _, c in phase], dtype=np.int64)))
-            for s in range(k):
-                terms = zip(phase, digits[s::k])
-                moves = tuple(sorted(off * k + t - s for (off, _), row in terms for t in np.flatnonzero(row).tolist()))
-                mask = ((1 << count * step) - 1) // ((1 << step) - 1) << ((d + first) * k + s)
-                masks[moves] = masks.get(moves, 0) | mask
+        edge, images, masks = _window_parts(flow, window, 1)
         classes = tuple(
-            (mask, tuple(s for s in moves if s >= 0), tuple(-s for s in moves if s < 0))
+            (mask, tuple(s for s, _ in moves if s >= 0), tuple(-s for s, _ in moves if s < 0))
             for moves, mask in masks.items()
         )
-        edge = (d + extent) * k
-        return cls(edge, tuple(_packed_rows(rows, cols, edge)), classes, (1 << (d + window) * k) - 1)
+        return cls(edge, tuple(images), classes, (1 << (flow.discrete_dim + window) * flow.field.d) - 1)
 
     def times(self, rows: Sequence[int]) -> list[int]:
         """The packed products of packed rows by the window matrix."""
@@ -595,66 +647,106 @@ class _ShiftProduct(NamedTuple):
         return out
 
 
-class _Nonzeros(NamedTuple):
-    """A window's nonzeros restricted to GF(p) (``_restricted``), ``(rows,
-    cols, codes)`` sorted by column, with their runs of equal columns:
-    where each run starts, its column, and ``row_bound``, one past the
-    running maximum of ``rows``.  A product with leading columns reads a
-    prefix of each.  ``reach_of[s]``, for s = 0..dim field columns, is one
-    past the largest field column of any entry in a field row below s, 0
-    if none: a product of rows zero past column s is zero past
-    ``reach_of[s]``."""
+class _LaneProduct(NamedTuple):
+    """A window matrix W over GF(p^k), p odd, restricted to GF(p), as a map
+    of rows packed as ``_FlagStackOdd`` holds them: lane ``j*k + t``, of b
+    = ``lane`` bits, is digit t of column j.  Its parts are
+    ``_window_parts``', built once per window.  A row's product is the sum
+    mod p of c times the image of each boundary lane of digit c, and of g
+    times each class's ``v & mask`` moved by each of its moves (shift, g),
+    cut to the window's lanes by ``cut``.
 
-    rows: np.ndarray
-    cols: np.ndarray
-    codes: np.ndarray
-    starts: np.ndarray
-    run_cols: np.ndarray
-    row_bound: np.ndarray
-    reach_of: np.ndarray
+    Lanes add mod p by ``_FlagStackOdd``'s rule, and c*u is the sum of the
+    doublings 2^i*u over the set bits i of c, each a lane add of u to
+    itself.  So ``images`` holds each boundary lane's image with its
+    doublings, one per bit of p, and a class's doublings of ``v & mask``
+    are made once per row, as many as its largest g needs: ``classes``
+    holds (mask, doublings, left moves, right moves), a move as its shift
+    in bits and the set bits of g.  The rule needs ``tops`` and ``bias``
+    over every lane a sum reaches: ``ones`` has a 1 in each lane of the
+    window and the ``far`` bits of the longest left shift past it, and a
+    step cuts it to its rows' reach, ``far`` bits past the widest row, or
+    ``reach``, the widest image's bits.
+    """
+
+    edge: int
+    images: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[int, int, tuple, tuple], ...]
+    cut: int
+    p: int
+    lane: int
+    far: int
+    reach: int
+    ones: int
 
     @classmethod
-    def of(cls, field, dim: int, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> "_Nonzeros":
-        """The nonzeros of ``window_nonzeros`` over ``dim`` coordinates,
-        restricted; ``reach_of`` is read from the field entries."""
-        restricted = _restricted(field, rows, cols, codes)
-        reach_of = np.zeros(dim + 1, dtype=np.int64)
-        np.maximum.at(reach_of, rows + 1, cols + 1)
-        np.maximum.accumulate(reach_of, out=reach_of)
-        rows, cols, codes = restricted
-        starts = np.flatnonzero(np.diff(cols, prepend=-1))
-        return cls(rows, cols, codes, starts, cols[starts], np.maximum.accumulate(rows) + 1, reach_of)
+    def of(cls, flow: Flow, window: int) -> "_LaneProduct":
+        p, b = flow.field.p, _lane_bits(flow.field.p)
+        edge, images, masks = _window_parts(flow, window, b)
+        lanes = (flow.discrete_dim + window) * flow.field.d
+        far = max([0] + [s for moves in masks for s, _ in moves]) * b
+        ones = ((1 << lanes * b + far) - 1) // ((1 << b) - 1)
+        tops, bias = ones << (b - 1), ones * ((1 << (b - 1)) - p)
+        doubled = []
+        for image in images:
+            doublings = [image]
+            for _ in range(1, p.bit_length()):
+                t = doublings[-1] << 1
+                doublings.append(t - (((t + bias) & tops) >> (b - 1)) * p)
+            doubled.append(tuple(doublings))
 
+        def picks(g):  # the doublings whose sum is g times a part
+            return tuple(i for i in range(g.bit_length()) if g >> i & 1)
 
-def _times_nonzeros(field, block: np.ndarray, nonzeros: _Nonzeros, out_cols: int) -> np.ndarray:
-    """The int64 digits of the leading ``out_cols`` columns of ``B @ W``,
-    for the digit block of B over odd p and W's restricted nonzeros.
+        classes = tuple(
+            (
+                mask,
+                max(g for _, g in moves).bit_length(),
+                tuple((s * b, picks(g)) for s, g in moves if s >= 0),
+                tuple((-s * b, picks(g)) for s, g in moves if s < 0),
+            )
+            for moves, mask in masks.items()
+        )
+        reach = max(map(int.bit_length, images), default=0)
+        return cls(edge * b, tuple(doubled), classes, (1 << lanes * b) - 1, p, b, far, reach, ones)
 
-    Digit column c of the product is the sum, over the entries (r, c,
-    code), of block column r times code, mod p.  The entries with column
-    below ``out_cols * d`` are a prefix of the nonzeros, and their runs of
-    equal columns a prefix of the runs.  The block's columns become the
-    rows of ``lanes``, which are gathered by the entries' rows, multiplied
-    by the codes and summed over each run by one ``reduceat`` along the
-    entries; the sums go to the runs' columns, and the transpose comes
-    back.  The block may be narrower than the window's rows and than
-    ``out_cols`` (``_constraint_blocks`` cuts it to its rows' support):
-    entries that read rows past its width read the zero rows that
-    ``lanes`` is padded with, up to the prefix's largest row.  A term is
-    at most (p-1)^2 < 2^32 and a sum has at most ``_ENTRY_CAP`` = 2^22
-    terms (``_restricted``), so every sum is below 2^54 and exact.
-    """
-    count, width = block.shape
-    out_cols *= field.d
-    entries = nonzeros.cols.searchsorted(out_cols)
-    runs = nonzeros.run_cols.searchsorted(out_cols)
-    rows, starts, cols = nonzeros.rows[:entries], nonzeros.starts[:runs], nonzeros.run_cols[:runs]
-    out = np.zeros((out_cols, count), dtype=np.int64)
-    if entries and count:
-        lanes = np.zeros((max(width, nonzeros.row_bound[entries - 1]), count), dtype=np.int64)
-        lanes[:width] = block.T
-        out[cols] = np.add.reduceat(lanes[rows] * nonzeros.codes[:entries, None], starts) % field.p
-    return out.T.copy()
+    def times(self, rows: Sequence[int]) -> list[int]:
+        """The packed products of packed rows by the window matrix."""
+        edge, images, classes, cut, p, b, far, reach, ones = self
+        top, digit, low = b - 1, (1 << b) - 1, (1 << edge) - 1
+        ones &= (1 << max(max(map(int.bit_length, rows), default=0) + far, reach)) - 1
+        tops, bias = ones << top, ones * ((1 << top) - p)
+        out = []
+        for v in rows:
+            w = 0
+            for mask, count, lefts, rights in classes:
+                part = v & mask
+                if part:
+                    doublings = [part]
+                    while len(doublings) < count:
+                        t = doublings[-1] << 1
+                        doublings.append(t - (((t + bias) & tops) >> top) * p)
+                    for s, bits in lefts:
+                        for i in bits:
+                            t = w + (doublings[i] << s)
+                            w = t - (((t + bias) & tops) >> top) * p
+                    for s, bits in rights:
+                        for i in bits:
+                            t = w + (doublings[i] >> s)
+                            w = t - (((t + bias) & tops) >> top) * p
+            w &= cut
+            lanes = v & low
+            while lanes:
+                at = ((lanes & -lanes).bit_length() - 1) // b
+                c = (lanes >> at * b) & digit
+                lanes ^= c << at * b
+                for double in images[at]:
+                    if c & 1:
+                        t = w + double
+                        w = t - (((t + bias) & tops) >> top) * p
+                    c >>= 1
+            out.append(w)
+        return out
 
 
 def _check_tracker_cap(field, rows: int, n_max: int, dim: int) -> None:
@@ -675,14 +767,13 @@ def _check_tracker_cap(field, rows: int, n_max: int, dim: int) -> None:
 def cotrajectory_run(
     flow: Flow, dead: list[int], counts: Sequence[int], n_max: int, window: int,
     narrow: tuple[int, int] | None = None,
-) -> Iterator[tuple[list[int] | np.ndarray, list[int]]]:
+) -> Iterator[tuple[list[int], list[int]]]:
     """For each step n = 1..n_max, the step's block of constraint rows and
     the ranks of the first ``count`` rows of steps 1..n, for each count in
     ``counts`` (non-decreasing).  The ranks come from one flag tracker over
     the flow's field, in which row j belongs to the span of count c exactly
-    when ``j < c``, and the next step multiplies out the values it placed:
-    as they are over GF(2^k), whose blocks are packed rows, decoded into a
-    digit block over odd p.
+    when ``j < c``, and the next step multiplies out the values it placed
+    as they are: in every characteristic a block is a list of packed rows.
 
     The blocks are carried blocks (``_constraint_blocks``): the first
     ``count`` rows of steps 1..n span what the raw rows of those steps
@@ -699,8 +790,6 @@ def cotrajectory_run(
     for n in range(1, n_max + 1):
         block = blocks.send(carried)
         carried = stack.insert(block)
-        if flow.field.p != 2:
-            carried = stack.decode(carried, block.shape[1])
         if narrow is not None and n >= narrow[0]:
             carried = carried[: narrow[1]]
         yield block, stack.ranks

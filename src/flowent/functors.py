@@ -31,6 +31,7 @@ from .entropy import (
     _chain_estimate,
     _check_tracker_cap,
     _flag_stack,
+    _lane_bits,
     _lane_digits,
     _pack_lanes,
     cotrajectory_run,
@@ -293,9 +294,11 @@ def _identity_checks(
     images E of K's rows so far and of E together with the other side's
     rows so far.  ``expand_digits`` and ``embed_digits`` map K's digit
     rows to F's and L's digit rows directly, so no block becomes codes on
-    the way.  Over characteristic 2 the blocks are packed rows: K's rows
-    up to depth ``identity_n`` are unpacked for the maps and their images
-    packed again, and F's and L's rows go to the trackers as they are.
+    the way.  The blocks are packed rows in every characteristic, in lanes
+    of one bit over GF(2^k) and of ``_lane_bits(p)`` bits over odd p, the
+    same for K, F and L: K's rows up to depth ``identity_n`` are unpacked
+    for the maps and their images packed again, and F's and L's rows go to
+    the trackers as they are.
 
     - ``res(ker R) = ker(block_expand R)``, as ``block_expand`` realizes
       the same map on re-blocked coordinates, and ``ind(ker R) =
@@ -336,11 +339,11 @@ def _identity_checks(
     pairs = [
         (_flag_stack(flow_f.field, [deg * c, 2 * deg * c]), _flag_stack(flow_l.field, [c, 2 * c])) for c in counts
     ]
-    cells, ranks = {}, ([], [], [])
+    cells, ranks, lane = {}, ([], [], []), _lane_bits(flow.field.p)
     for n, steps in enumerate(zip(*runs), start=1):
         (block_k, r_k), (block_f, r_f), (block_l, r_l) = steps
-        if n <= identity_n and flow.field.p == 2:
-            block_k = _lane_digits(block_k[: counts[-1]], flow.field.d)
+        if n <= identity_n:
+            block_k = _lane_digits(block_k[: counts[-1]], flow.field.d, lane)
         for m, count, (res, ind) in zip(_IDENTITY_MS, counts, pairs) if n <= identity_n else ():
             cells[m, n] = (
                 r_f[deg * m] == deg * r_k[m],
@@ -357,18 +360,12 @@ def _identity_checks(
     return cells, estimates
 
 
-def _same_span(stack, image: np.ndarray, rows, rank: int) -> bool:
-    """Insert digit rows ``image`` at level 0 and the rows of a block,
-    ``rows``, at level 1 of a two-level tracker; whether the spans of all
-    images and of all rows so far are equal, given ``rank``, the rows'.
-    Over characteristic 2 ``rows`` are packed, and so is the image."""
-    if isinstance(rows, list):
-        stack.insert(_pack_lanes(image) + rows)
-    else:
-        block = np.zeros((image.shape[0] + rows.shape[0], max(image.shape[1], rows.shape[1])), dtype=rows.dtype)
-        block[: image.shape[0], : image.shape[1]] = image
-        block[image.shape[0] :, : rows.shape[1]] = rows
-        stack.insert(block)
+def _same_span(stack, image: np.ndarray, rows: list[int], rank: int) -> bool:
+    """Insert digit rows ``image``, packed in the tracker's lanes, at level
+    0 and the packed rows of a block, ``rows``, at level 1 of a two-level
+    tracker; whether the spans of all images and of all rows so far are
+    equal, given ``rank``, the rows'."""
+    stack.insert(_pack_lanes(image, stack.lane) + rows)
     low, both = stack.ranks
     return low == both == rank
 

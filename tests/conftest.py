@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import flowent
-from flowent.entropy import _constraint_blocks, _unpack_lanes
+from flowent.entropy import _constraint_blocks, _lane_bits, _unpack_lanes
 from flowent.fields import _rref_array, make_extension, make_prime_field
 from flowent.linalg import Matrix, kernel
 from flowent.model import EndoSpec, Flow, SpaceShape
@@ -65,10 +65,10 @@ def code_rows(field, digits):
 
 
 def block_digits(field, block, width):
-    """A block of the engine as a digit array of ``width`` columns: over
-    characteristic 2 its rows are packed integers, which ``_unpack_lanes``
-    unpacks; other blocks are digit arrays already."""
-    return _unpack_lanes(block, width) if field.p == 2 else block
+    """A block of the engine, a list of packed rows, as a digit array of
+    ``width`` columns, unpacked by ``_unpack_lanes`` from lanes of one bit
+    over characteristic 2 and of ``_lane_bits(p)`` bits otherwise."""
+    return _unpack_lanes(block, width, _lane_bits(field.p))
 
 
 def annihilator(s):

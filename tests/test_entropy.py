@@ -19,13 +19,13 @@ from flowent.entropy import (
     _FlagStack2,
     _FlagStackOdd,
     _flag_stack,
+    _lane_bits,
     _lane_low,
     _lane_times,
     _lane_tops,
-    _Nonzeros,
+    _LaneProduct,
     _pack_lanes,
     _ShiftProduct,
-    _times_nonzeros,
     _unpack_lanes,
     brute_force_codim,
     chain_traces,
@@ -51,7 +51,6 @@ from flowent.model import (
     power_flow,
     random_stencil_flow,
     truncate,
-    window_nonzeros,
 )
 
 from conftest import (
@@ -344,6 +343,22 @@ class TestTracesAgainstReference:
             (expected_u,) = _reference_codims(flow, dead_u, [len(dead_u)], n_max, trace.window)
             assert list(trace.values) == expected_u, (field, seed, u)
 
+    @pytest.mark.parametrize("p,d", [(127, 1), (131, 1), (32749, 1), (32771, 1), (127, 2), (131, 2)])
+    def test_lane_width_edges(self, p, d):
+        # primes on both sides of each lane switch, b = 8 up to 127, 16
+        # from 131 to 32749 and 32 from 32771 on, where the packed products'
+        # and trackers' lane sums reach 2p - 2; over GF(p^2) the rows x*r
+        # add the top digit times x^2 into both lanes of a column
+        base = make_prime_field(p)
+        field = base if d == 1 else make_extension(base, least_irreducible(base, d))[0]
+        cfg = EngineConfig(n_max=10, m_max=3)
+        for seed in range(6):
+            flow = random_stencil_flow(field, seed)
+            traces = chain_traces(flow, cfg.n_max, cfg)
+            dead, counts = list(range(flow.discrete_dim + cfg.m_max)), [flow.discrete_dim + m for m in range(4)]
+            expected = _reference_codims(flow, dead, counts, cfg.n_max, traces[0].window)
+            assert [list(t.values) for t in traces] == expected, (field, seed)
+
 
 
 def _dense_blocks(flow, dead, n_max, window):
@@ -416,20 +431,19 @@ class TestConstraintBlocks:
         """Each block is the dense reference's leading columns, and the
         reference is zero past them; block widths never decrease and grow
         by at most the bandwidth a step, within the window.  Returns the
-        widths in field columns.  Over characteristic 2 a block is packed
-        rows, and its width is the widest support so far."""
+        widths in field columns.  A block is packed rows, and its width is
+        the widest support so far."""
         window = default_window(flow, u.extent, n_max)
         dead = _dead_indices(flow, u)
         dense = dense_truncation(flow, window)
-        dim, d = dense.shape[0], flow.field.d
+        dim, d, lane = dense.shape[0], flow.field.d, _lane_bits(flow.field.p)
         assert np.array_equal(truncate(flow, window).data, dense), (flow.label, window)
         pairs = zip(_constraint_blocks(flow, dead, n_max, window), _dense_blocks(flow, dead, n_max, window))
         widths = []
         for n, (got, want) in enumerate(pairs, start=1):
-            if flow.field.p == 2:
-                assert isinstance(got, list), (flow.label, u, n)
-                support = -(-max(map(int.bit_length, got), default=0) // d)
-                got = block_digits(flow.field, got, max(widths[-1:] + [support]) * d)
+            assert isinstance(got, list), (flow.label, u, n)
+            support = -(-max(map(int.bit_length, got), default=0) // (d * lane))
+            got = block_digits(flow.field, got, max(widths[-1:] + [support]) * d)
             want, cut = digit_rows(flow.field, want), got.shape[1]
             assert got.dtype == want.dtype and got.shape[0] == want.shape[0], (flow.label, u, n)
             assert np.array_equal(got, want[:, :cut]) and not want[:, cut:].any(), (flow.label, u, n)
@@ -462,9 +476,9 @@ class TestConstraintBlocks:
             assert all(width <= m + n for n, width in enumerate(widths, start=1)), (r, widths)
 
     def test_int64_guard(self, monkeypatch):
-        # 2^32 entries over GF(65521) could sum past 2^63; the cap on the
-        # restricted entries refuses them first.  Broadcast arrays stand in
-        # for them without the memory
+        # 2^32 entries over GF(65521) pass the cap on the restricted
+        # entries, which refuses them before any is restricted or packed.
+        # Broadcast arrays stand in for them without the memory
         import flowent.entropy as entropy
 
         def huge(flow, window):
@@ -536,6 +550,73 @@ class TestShiftProduct:
                 assert got[1] == 0
                 past_end += product._replace(cut=-1).times(rows) != got
         # the window mask clears bits on these rows: without it they fail
+        assert past_end
+
+
+def _lane_product_flows():
+    """(field, flows) over GF(3), GF(5), GF(9), GF(25), GF(27), GF(251) and
+    GF(65521), extensions by ``least_irreducible``: seeded phase flows,
+    with dd, cd and dc blocks and prefixes that cover negative offsets,
+    multi-phase restrictions of GF(9) flows to GF(3), a direct sum and a
+    power."""
+    from flowent.functors import res_flow
+
+    gf3, gf5 = make_prime_field(3), make_prime_field(5)
+    gf9, e39 = make_extension(gf3, least_irreducible(gf3, 2))
+    gf25 = make_extension(gf5, least_irreducible(gf5, 2))[0]
+    gf27 = make_extension(gf3, least_irreducible(gf3, 3))[0]
+    out = []
+    for field, above in (
+        (gf3, (e39,)), (gf5, ()), (gf9, ()), (gf25, ()), (gf27, ()), (make_prime_field(251), ()),
+        (make_prime_field(65521), ()),
+    ):
+        flows = [_random_phase_flow(field, seed) for seed in range(8)]
+        flows += [res_flow(e, _random_phase_flow(e.target, seed)) for e in above for seed in range(3)]
+        flows.append(direct_sum(random_stencil_flow(field, 1), random_stencil_flow(field, 2)))
+        flows.append(power_flow(random_stencil_flow(field, 3), 2))
+        out.append((field, flows))
+    return out
+
+
+class TestLaneProduct:
+    """``_LaneProduct`` on packed rows against the dense product by
+    ``truncate(flow, window)``, digit for digit, the odd counterpart of
+    ``TestShiftProduct``: at the smallest window a flow allows and at a
+    certified one, on random rows over the whole window, a row whose every
+    digit is p - 1, an all-zero row, rows set only in their last columns,
+    whose moved classes pass the window's last column, and rows set only
+    in their first half."""
+
+    @pytest.mark.parametrize(
+        "field,flows", _lane_product_flows(), ids=[f"GF({q})" for q in (3, 5, 9, 25, 27, 251, 65521)]
+    )
+    def test_matches_dense_product(self, field, flows):
+        from flowent.model import _min_window
+
+        assert any(flow.endo.period > 1 for flow in flows)
+        assert any(flow.endo.dd.rows and flow.endo.cd.cols and flow.endo.dc.rows for flow in flows)
+        assert any(flow.endo.min_offset < 0 and flow.endo.prefix_rows for flow in flows)
+        rng = np.random.default_rng(field.q + 27)
+        d, lane, past_end = field.d, _lane_bits(field.p), 0
+        for flow in flows:
+            for window in (_min_window(flow.endo), default_window(flow, 3, 4)):
+                dense = truncate(flow, window).data
+                dim = dense.shape[0]
+                codes = field.random_codes(rng, (7, dim))
+                codes[1] = 0
+                codes[2, : dim - 1] = 0
+                codes[3, : max(dim - 3, 0)] = 0
+                codes[4, dim // 2 :] = 0
+                codes[5] = field.q - 1  # every digit p - 1
+                rows = _pack_lanes(digit_rows(field, codes), lane)
+                product = _LaneProduct.of(flow, window)
+                got = product.times(rows)
+                want = digit_rows(field, field.arr_matmul(codes, dense))
+                assert all(row.bit_length() <= dim * d * lane for row in got), (flow.label, window)
+                assert np.array_equal(_unpack_lanes(got, dim * d, lane), want), (flow.label, window)
+                assert got[1] == 0
+                past_end += product._replace(cut=-1).times(rows) != got
+        # the window cut clears lanes on these rows: without it they fail
         assert past_end
 
 
@@ -749,17 +830,14 @@ class TestFlagTrackers:
 
 def _insert(stack, rows):
     """Insert a digit block as the tracker takes it, packed by
-    ``_pack_lanes`` over characteristic 2; return the placed values,
+    ``_pack_lanes`` in the tracker's lanes; return the placed values,
     packed."""
-    return stack.insert(_pack_lanes(rows) if stack.field.p == 2 else rows)
+    return stack.insert(_pack_lanes(rows, stack.lane))
 
 
 def _placed(stack, rows):
-    """Insert ``rows``; return their placed values, decoded."""
-    placed = _insert(stack, rows)
-    if stack.field.p == 2:
-        return _unpack_lanes(placed, rows.shape[1])
-    return stack.decode(placed, rows.shape[1])
+    """Insert ``rows``; return their placed values, unpacked."""
+    return _unpack_lanes(_insert(stack, rows), rows.shape[1], stack.lane)
 
 
 def _raw_row_run(flow, dead, counts, n_max, window):
@@ -922,8 +1000,8 @@ class TestCarriedRows:
         # kept unscaled
         bounds = [1, 2]
         stack = _prime_stack(5, bounds)
-        stack.insert(_level_row(bounds, 1, [0, 1, 2]))
-        stack.insert(_level_row(bounds, 0, [1, 0, 0]))
+        _insert(stack, _level_row(bounds, 1, [0, 1, 2]))
+        _insert(stack, _level_row(bounds, 0, [1, 0, 0]))
         placed = _placed(stack, np.array([[2, 1, 0], [0, 0, 0]]))
         assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
         _assert_scaled_holders(stack, 3, {0: ([1, 0, 0], 0), 1: ([0, 1, 0], 0), 2: ([0, 0, 1], 1)})
@@ -993,11 +1071,7 @@ class TestCarriedRows:
         def counting(self, rows):
             held = {lead: level for lead, (_, level, *_) in self.holders.items()}
             placed = insert(self, rows)
-            if isinstance(rows, list):  # packed rows over characteristic 2
-                seen["dependent"] += sum(bool(row) and not value for row, value in zip(rows, placed))
-            else:
-                values = self.decode(placed, rows.shape[1])
-                seen["dependent"] += int((rows.any(axis=1) & ~values.any(axis=1)).sum())
+            seen["dependent"] += sum(bool(row) and not value for row, value in zip(rows, placed))
             seen["exchanges"] += any(
                 level < held.get(lead, level) for lead, (_, level, *_) in self.holders.items()
             )
@@ -1053,42 +1127,32 @@ class TestCarriedRows:
     @pytest.mark.parametrize("field", [make_prime_field(3), _odd_fields()[2], _gf2_extension(2)], ids=repr)
     def test_narrowing_rows_keep_widths(self, field, monkeypatch):
         # carried rows that narrow, then vanish, below wider holders: the
-        # odd blocks keep their width, and the packed tracker's lane mask
-        # its widest row's lanes, so the holders' values still fit
+        # packed tracker's lane mask keeps its widest row's lanes, so the
+        # holders' values, and over odd p their doublings, still fit
         tracker, supports = _FlagStack2 if field.p == 2 else _FlagStackOdd, []
-        decode, insert = tracker.decode if field.p != 2 else None, tracker.insert
-
-        def spy(self, placed, width):
-            rows = decode(self, placed, width)
-            nonzero = np.flatnonzero(rows.any(axis=0))
-            supports.append(-(-(int(nonzero[-1]) + 1) // field.d) if nonzero.size else 0)
-            return rows
+        insert, lane = tracker.insert, _lane_bits(field.p)
 
         def packed_spy(self, rows):
             placed = insert(self, rows)
-            if self.field == field:  # not the raw rows' GF(2) tracker
-                supports.append(-(-max(map(int.bit_length, placed), default=0) // field.d))
-                assert all(not held >> self.lanes * field.d for held, _ in self.holders.values())
+            supports.append(-(-max(map(int.bit_length, placed), default=0) // (field.d * lane)))
+            if self.field == field:  # not the raw rows' GF(2) tracker, which keeps no lane mask
+                values = [v for held in self.holders.values() for v in (held[0] if field.p != 2 else [held[0]])]
+                assert all(not value >> self.tops.bit_length() for value in values)
             return placed
 
-        if field.p == 2:
-            monkeypatch.setattr(tracker, "insert", packed_spy)
-        else:
-            monkeypatch.setattr(tracker, "decode", spy)
+        monkeypatch.setattr(tracker, "insert", packed_spy)
         flow, n_max = _narrowing_flow(field), 10
         window = default_window(flow, 3, n_max)
         for dead, counts in (([0], [1]), ([0, 1, 2], [1, 2, 3])):
             supports.clear()
             run = list(cotrajectory_run(flow, dead, counts, n_max, window))
-            if field.p != 2:
-                widths = [block.shape[1] // field.d for block, _ in run]
-                assert widths == sorted(widths), (dead, widths)
+            carried = supports.copy()  # not the raw rows' tracker's
             raw = _raw_row_run(flow, dead, counts, n_max, window)
             assert [ranks for _, ranks in run] == [ranks for _, ranks in raw], dead
             # from e_0 the carried rows are e_3, e_1 + e_7, e_2, then e_1
             # less the holder e_1 + e_7, and then 0; rows 1 and 2 turn
             # dependent by step 3
-            assert supports == [len(dead), 4, 8, 3, 8] + [0] * 5, (dead, supports)
+            assert carried == [len(dead), 4, 8, 3, 8] + [0] * 5, (dead, carried)
 
     def test_verify_sweep_images_match_raw_rows(self, gf4_pair, gf16_pair, monkeypatch):
         # GF(4) flows with their GF(2) restrictions and GF(16) inductions,
@@ -1133,7 +1197,7 @@ class TestCarriedRows:
     @pytest.mark.parametrize("field", _sparse_fields()[1:], ids=repr)
     def test_unrestrict_reads_back_the_first_restricted_rows(self, field):
         # no unrestrict is left: every d-th restricted digit row, from the
-        # first, is a row's own, which the odd tracker's decode reads back
+        # first, is a row's own, as the odd tracker's first row of each is
         rng = np.random.default_rng(field.q)
         block = digit_rows(field, field.random_codes(rng, (5, 7)))
         assert np.array_equal(field.restrict(block)[:: field.d], block)
@@ -1145,31 +1209,28 @@ class TestCarriedRows:
 
     @pytest.mark.parametrize("field", _product_fields(), ids=repr)
     def test_products_in_int64(self, field):
-        # int64 digit rows, packed over characteristic 2
+        # int64 digit rows, packed
         _check_products(field)
 
 
 def _check_products(field):
-    """The window products on digit rows against the digits of the dense
-    product by the reference window matrix, with row counts on both sides
-    of 8 and 64 and output widths at and below the window's dimension.
-    Over odd p, ``_times_nonzeros`` by the window's nonzeros restricted to
-    GF(p), whose entries of negative offsets and of the dc block read rows
-    past the block's width, which zero padding stands in for; it returns
-    int64 digits.  Over characteristic 2, ``_ShiftProduct`` on the rows
-    packed, whose product covers the whole window: its leading columns
-    are the narrower product's, and the rest is the dense product's."""
+    """The window products on packed digit rows against the digits of the
+    dense product by the reference window matrix, with row counts on both
+    sides of 8 and 64 and output widths at and below the window's
+    dimension: ``_ShiftProduct`` over characteristic 2, on rows packed
+    from uint8 and int64 digits, and ``_LaneProduct`` over odd p.  A
+    product covers the whole window: its leading columns are the narrower
+    product's, and the rest is the dense product's.  Entries of negative
+    offsets and of the dc block read rows past the rows' width, which a
+    packed row holds as zero lanes."""
     rng = np.random.default_rng(5)
-    past_width = 0
+    lane, past_width = _lane_bits(field.p), 0
     for seed in range(12):
         flow = _random_phase_flow(field, seed)
         window = 30
         dense = dense_truncation(flow, window)
         dim = dense.shape[0]
-        if field.p == 2:
-            product = _ShiftProduct.of(flow, window)
-        else:
-            nonzeros = _Nonzeros.of(field, dim, *window_nonzeros(flow, window))
+        product = (_ShiftProduct if field.p == 2 else _LaneProduct).of(flow, window)
         width = int(rng.integers(1, dim))
         cols = min(dim, width + flow.endo.bandwidth)
         cases = [(field.random_codes(rng, (6, width)), cols)]
@@ -1178,19 +1239,14 @@ def _check_products(field):
             cases += [(rows, c) for c in (cols, dim, int(rng.integers(1, dim)))]
         for rows, cols in cases:
             want = digit_rows(field, field.arr_matmul(rows, dense[:width, :cols]))
+            whole = digit_rows(field, field.arr_matmul(rows, dense[:width]))
             digits = digit_rows(field, rows)
-            if field.p == 2:
-                whole = digit_rows(field, field.arr_matmul(rows, dense[:width]))
-                for block in (digits, digits.astype(np.int64)):
-                    got = _unpack_lanes(product.times(_pack_lanes(block)), dim * field.d)
-                    assert np.array_equal(got, whole), (field, seed, rows.shape)
-                    assert np.array_equal(got[:, : cols * field.d], want), (field, seed, rows.shape, cols)
-                continue
-            entries = np.searchsorted(nonzeros.cols, cols * field.d)
-            past_width += bool(entries) and bool(nonzeros.row_bound[entries - 1] > width * field.d)
-            got = _times_nonzeros(field, digits, nonzeros, cols)
-            assert got.dtype == np.int64 and np.array_equal(got, want), (field, seed, rows.shape, cols)
-    assert past_width or field.p == 2
+            past_width += bool(dense[width:, :cols].any())
+            for block in (digits, digits.astype(np.int64)) if field.p == 2 else (digits,):
+                got = _unpack_lanes(product.times(_pack_lanes(block, lane)), dim * field.d, lane)
+                assert np.array_equal(got, whole), (field, seed, rows.shape)
+                assert np.array_equal(got[:, : cols * field.d], want), (field, seed, rows.shape, cols)
+    assert past_width
 
 
 class TestOracle:

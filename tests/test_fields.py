@@ -407,7 +407,7 @@ class TestDescriptors:
 # exact at the largest prime.  Prints one line per check.
 _GUARD_SCRIPT = """
 import numpy as np
-from flowent.entropy import _FlagStackOdd
+from flowent.entropy import _FlagStackOdd, _pack_lanes
 from flowent.errors import TooLarge, WindowTooSmall
 from flowent.fields import _prime_rank, least_irreducible, make_extension, make_prime_field
 from flowent.model import SpaceShape, _flow_from_window
@@ -450,7 +450,7 @@ for width in (12, 16):
     rows[np.arange(4), np.arange(4) + width - 12] = 1
     rows[4] = (p - 1) * rows[:4].sum(axis=0) % p
     rows[5] = ((p - 1) * rows[0] + rows[3]) % p
-    stack.insert(rows)
+    stack.insert(_pack_lanes(rows, stack.lane))
     inserted.append(np.pad(rows, ((0, 0), (0, 16 - width))))
     got.append(stack.ranks)
     want.append([_prime_rank(np.concatenate([r[:bound] for r in inserted]), p) for bound in bounds])
