@@ -64,7 +64,7 @@ CASES = [
     # the rows the identity checks read
     *[
         (f"verify-gf{q}-s3-deep.json", partial(_stencil_flow, q, 3), ["verify", "--identity-n", "40", "--max-n", "8"])
-        for q in (4, 8, 9)
+        for q in (4, 8, 9, 27)
     ],
     # windows of 3,326 and 5,276 coordinates; r = 80 resolves to 1 where 0
     # is due (ROADMAP item 1), so only that item's fix may rewrite its file
