@@ -517,25 +517,24 @@ def _check_restriction_cap(field, entries: int) -> None:
 
 
 def _restricted(field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The nonzeros of ``window_nonzeros`` restricted to GF(p), sorted by
-    column: entry (r, c, code) becomes those of its d x d block, digit t
-    of x^s * code at (r*d + s, c*d + t) (``FiniteField.restrict``).  At
-    most nnz * d^2, checked against ``_ENTRY_CAP`` before any is built."""
+    """The nonzeros of ``window_nonzeros`` restricted to GF(p), in no set
+    order: entry (r, c, code) becomes those of its d x d block, digit t of
+    x^s * code at (r*d + s, c*d + t) (``FiniteField.restrict``), so
+    distinct entries give distinct positions.  At most nnz * d^2, which
+    the caller checks against ``_ENTRY_CAP`` (``_check_restriction_cap``)
+    before any is built."""
     d = field.d
-    _check_restriction_cap(field, rows.size)
     if d == 1:  # over a prime field every entry is its own restriction
         return rows, cols, codes
     blocks = field.restrict(field.coords_array(codes)).reshape(rows.size, d, d)
     entry, s, t = np.nonzero(blocks)
-    order = np.argsort(cols[entry] * d + t, kind="stable")
-    entry, s, t = entry[order], s[order], t[order]
     return rows[entry] * d + s, cols[entry] * d + t, blocks[entry, s, t]
 
 
 def _packed_rows(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray, count: int, lane: int) -> list[int]:
     """The ``count`` rows of the GF(p) matrix with ``codes`` at ``(rows,
-    cols)``, packed in lanes of ``lane`` bits, built in slices of at most
-    ``_ENTRY_CAP`` entries."""
+    cols)``, distinct positions in any order, packed in lanes of ``lane``
+    bits, built in slices of at most ``_ENTRY_CAP`` entries."""
     width = int(cols.max(initial=-1)) + 1
     step = max(1, _ENTRY_CAP // max(width, 1))
     out = []
@@ -558,7 +557,8 @@ def _window_parts(flow: Flow, window: int, lane: int) -> tuple[int, list[int], d
     - ``edge`` is the number of boundary lanes, those of the discrete
       coordinates and of the compact rows below the flow's ``extent``, and
       ``images`` their images, packed from the restricted entries of their
-      rows in ``window_nonzeros``;
+      rows in ``window_nonzeros``, a subset of the entries whose
+      restriction ``_check_restriction_cap`` has checked;
     - every compact row i at or past ``extent`` is a stencil row of phase
       ``i % period``, and its entry (off, c) puts g, digit t of x^s*c, in
       lane ``(D+i+off)*k + t``, D the discrete dimension: a move of

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .entropy import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -285,21 +283,34 @@ def _identity_checks(
     higher members are not valid past ``n_max``, and nothing reads them.
 
     The checks.  The n-step cotrajectory of U_m is the kernel of its
-    constraint rows R, the first ``d + m`` rows (d the discrete dimension)
-    of steps 1..n; the runs give every depth's carried block and the ranks
-    r_K, r_F and r_L of R.  For each member and side a two-level tracker
-    over F (res) or L (ind) takes, at each depth, ``block_expand`` (res) or
-    ``entry_embed`` (ind) of the member's rows of K's block at level 0 and
-    its rows of F's or L's block at level 1: its ranks are those of the
-    images E of K's rows so far and of E together with the other side's
-    rows so far.  ``expand_digits`` and ``embed_digits`` map K's digit
-    rows to F's and L's digit rows directly, so no block becomes codes on
-    the way.  The blocks are packed rows in every characteristic, in lanes
-    of one bit over GF(2^k) and of ``_lane_bits(p)`` bits over odd p, the
-    same for K, F and L: K's rows up to depth ``identity_n`` are unpacked
-    for the maps and their images packed again, and F's and L's rows go to
-    the trackers as they are.
+    constraint rows R, the first ``c_m = d + m`` rows (d the discrete
+    dimension) of steps 1..n; the runs give every depth's carried block
+    and the ranks r_K, r_F and r_L of R.  Each side has two flag trackers,
+    over F (res) or L (ind), whatever the members: ``images`` and
+    ``both``.  At each depth K's rows of the top member, the first
+    c = c_M, M = ``_IDENTITY_MS[-1]``, are mapped by ``block_expand``
+    (res) or ``entry_embed`` (ind): u rows per row, u = deg (res) or 1
+    (ind), so the images of member m's rows are the first ``u * c_m``.
+    ``images`` takes them as chain levels, rows below ``u * c_m`` at level
+    <= m; ``both`` takes them interleaved with the first ``u * c`` rows of
+    F's or L's block in the levels E_0 < R_0 < E_1 < R_1 < ...: level 2m
+    holds the images of rows ``c_(m-1)..c_m`` (``c_(-1) = 0``), level
+    2m+1 the other side's rows ``u * c_(m-1)..u * c_m``.
+    ``expand_digits`` and ``embed_digits`` map K's digit rows to F's and
+    L's digit rows directly, so no block becomes codes on the way.  The
+    blocks are packed rows in every characteristic, in lanes of one bit
+    over GF(2^k) and of ``_lane_bits(p)`` bits over odd p, the same for K,
+    F and L: K's rows up to depth ``identity_n`` are unpacked once a depth
+    for the maps and their images packed once a side, and F's and L's rows
+    go to the trackers as they are.
 
+    - Let E_m be the span of the images of member m's rows so far and R_m
+      that of the other side's member ``u * m``'s rows so far.  A member's
+      rows are a prefix of every higher member's, so E_j <= E_m and
+      R_j <= R_m for j <= m.  ``images.ranks[m]`` is the rank of E_m, and
+      ``both.ranks[2m+1]`` that of ``E_m + R_m``: the rows of level
+      <= 2m+1 are, at every depth, the images of rows ``0..c_m`` and the
+      other side's rows ``0..u * c_m``, the union of the levels' ranges.
     - ``res(ker R) = ker(block_expand R)``, as ``block_expand`` realizes
       the same map on re-blocked coordinates, and ``ind(ker R) =
       ker(entry_embed R)``, as the embedded kernel basis lies in the right
@@ -307,20 +318,23 @@ def _identity_checks(
       matrix R, so the image of R's kernel depends only on R's row space,
       and so does the row space of the image of R, which annihilates it.
     - A carried stream's rows of each member span, up to every depth, what
-      its raw rows span.  So E spans the row space of the image of the raw
-      R_K, and each rank is that of the raw rows.
+      its raw rows span.  So E_m spans the row space of the image of the
+      raw R_K, and each rank is that of the raw rows.
     - Two kernels are equal exactly when the row spaces are, and two
       spaces A, B are equal exactly when ``rank A = rank(A + B) = rank
-      B``.  So ``res(C_K) = C_F`` iff ``rank E = rank(E + R_F) = r_F``, and
-      ``ind(C_K) = C_L`` iff the same holds over L.
+      B``.  So ``res(C_K) = C_F`` iff ``rank E_m = rank(E_m + R_m) =
+      r_F``, and ``ind(C_K) = C_L`` iff the same holds over L.  The rank
+      of E_m comes from its own tracker, not from ``deg * r_K``, so a map
+      that loses rank fails the cell.
     - The codimension of C_n in U is the rank of R less the dead
       coordinates, so the codimension identities compare ranks:
       ``r_F == deg * r_K`` and ``r_L == r_K``.
 
     Every cell, a failing one included, is decided exactly.  Every cap is
     checked before any block is built: each run's blocks by
-    ``default_window``, and the two-level trackers, which take twice a
-    member's rows of their field, by ``_check_tracker_cap``.
+    ``default_window``, and the ``both`` trackers, which take twice the
+    top member's rows of their field and more than ``images`` does, by
+    ``_check_tracker_cap``.
     """
     deg, d, top = e_fk.degree, flow.discrete_dim, max(cfg.m_max, _IDENTITY_MS[-1])
     depth = max(cfg.n_max, identity_n)
@@ -336,21 +350,25 @@ def _identity_checks(
         cotrajectory_run(f, list(range(c[-1])), c, depth, w, (cfg.n_max, rows))
         for f, c, w, rows in zip(flows, chains, windows, kept)
     ]
-    pairs = [
-        (_flag_stack(flow_f.field, [deg * c, 2 * deg * c]), _flag_stack(flow_l.field, [c, 2 * c])) for c in counts
-    ]
+    adds = list(zip([0, *counts], counts))  # the rows c_(m-1)..c_m that member m adds
+    sides = []
+    for u, to_side, field in ((deg, e_fk.expand_digits, flow_f.field), (1, e_kl.embed_digits, flow_l.field)):
+        levels = [u * end for lo, hi in adds for end in (lo + hi, 2 * hi)]  # E_0 < R_0 < E_1 < R_1 < ...
+        sides.append((u, to_side, _flag_stack(field, [u * c for c in counts]), _flag_stack(field, levels)))
     cells, ranks, lane = {}, ([], [], []), _lane_bits(flow.field.p)
     for n, steps in enumerate(zip(*runs), start=1):
         (block_k, r_k), (block_f, r_f), (block_l, r_l) = steps
         if n <= identity_n:
-            block_k = _lane_digits(block_k[: counts[-1]], flow.field.d, lane)
-        for m, count, (res, ind) in zip(_IDENTITY_MS, counts, pairs) if n <= identity_n else ():
-            cells[m, n] = (
-                r_f[deg * m] == deg * r_k[m],
-                _same_span(res, e_fk.expand_digits(block_k[:count]), block_f[: deg * count], r_f[deg * m]),
-                _same_span(ind, e_kl.embed_digits(block_k[:count]), block_l[:count], r_l[m]),
-                r_l[m] == r_k[m],
-            )
+            digits = _lane_digits(block_k[: counts[-1]], flow.field.d, lane)
+            same = []
+            for (u, to_side, images, both), rows, r in zip(sides, (block_f, block_l), (r_f[::deg], r_l)):
+                image = _pack_lanes(to_side(digits), lane)
+                images.insert(image)
+                both.insert([row for lo, hi in adds for part in (image, rows) for row in part[u * lo : u * hi]])
+                low, high = images.ranks, both.ranks
+                same.append([low[i] == high[2 * i + 1] == r[m] for i, m in enumerate(_IDENTITY_MS)])
+            for m, res, ind in zip(_IDENTITY_MS, *same):
+                cells[m, n] = (r_f[deg * m] == deg * r_k[m], res, ind, r_l[m] == r_k[m])
         for history, (_, r) in zip(ranks, steps) if n <= cfg.n_max else ():
             history.append(r)
     estimates = [
@@ -358,16 +376,6 @@ def _identity_checks(
         for history, f, w in zip(ranks, flows, windows)
     ]
     return cells, estimates
-
-
-def _same_span(stack, image: np.ndarray, rows: list[int], rank: int) -> bool:
-    """Insert digit rows ``image``, packed in the tracker's lanes, at level
-    0 and the packed rows of a block, ``rows``, at level 1 of a two-level
-    tracker; whether the spans of all images and of all rows so far are
-    equal, given ``rank``, the rows'."""
-    stack.insert(_pack_lanes(image, stack.lane) + rows)
-    low, both = stack.ranks
-    return low == both == rank
 
 
 def verify_theorem(

@@ -442,8 +442,8 @@ class TestOversizedSpecs:
 
 class TestDeepIdentityChecks:
     """The rank trackers of the identity checks are capped like every
-    other dense array: at ``--identity-n 400`` the two-level trackers of
-    ``random_stencil_flow(GF(4), 3)`` on the GF(2) side take 8 rows a step
+    other dense array: at ``--identity-n 400`` the interleaved tracker of
+    ``random_stencil_flow(GF(4), 3)`` on the GF(2) side takes 8 rows a step
     over 4,016 coordinates and could hold 3,200 rows of 4,016 entries,
     1.29 * 10^7 entries, over the cap, so verify exits 1 before any block
     is built, where holding every depth's constraint forms once ran for

@@ -561,6 +561,51 @@ class TestIdentityChecks:
         assert _shared_cells(*args) == ref
         assert all(map(all, ref.values())) == (side == "plain")
 
+    @pytest.mark.parametrize("side", ["plain", "res", "ind"])
+    @pytest.mark.parametrize("q,seed", [(4, 0), (4, 3), (9, 1)])
+    def test_members_to_five_match_kernel_route(self, towers, monkeypatch, side, q, seed):
+        # members 0..5: the same two trackers a side decide the cells of
+        # members past 2, failing cells of a perturbed side included
+        ms = tuple(range(6))
+        monkeypatch.setattr(functors, "_IDENTITY_MS", ms)
+        e_fk, e_kl = towers[q]
+        flow = random_stencil_flow(e_fk.target, seed)
+        flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+        if side == "res":
+            flow_f = _perturb(flow_f)
+        elif side == "ind":
+            flow_l = _perturb(flow_l)
+        args = (e_fk, e_kl, flow, flow_f, flow_l, 10, ms, 4)
+        ref = _kernel_route(*args)
+        assert _shared_cells(*args) == ref
+        assert all(map(all, ref.values())) == (side == "plain")
+
+    @pytest.mark.parametrize("ms", [(0, 1, 2), tuple(range(6))])
+    def test_two_identity_trackers_a_side(self, towers, monkeypatch, ms):
+        # one chain tracker per field's run, and two identity trackers a
+        # side, over F and over L, however many members are checked: the
+        # images' chain and the images interleaved with the side's rows
+        import flowent.entropy as entropy
+
+        original, runs, checks = entropy._flag_stack, [], []
+
+        def spy(built):
+            def build(field, counts):
+                built.append((field, len(counts)))
+                return original(field, counts)
+
+            return build
+
+        monkeypatch.setattr(entropy, "_flag_stack", spy(runs))
+        monkeypatch.setattr(functors, "_flag_stack", spy(checks))
+        monkeypatch.setattr(functors, "_IDENTITY_MS", ms)
+        e_fk, e_kl = towers[4]
+        report = verify_theorem(e_fk, e_kl, random_stencil_flow(e_fk.target, 3), EngineConfig(8, m_max=3), 6)
+        assert all(report.identities.values())
+        assert [field for field, _ in runs] == [e_fk.target, e_fk.source, e_kl.target]
+        k = len(ms)
+        assert checks == [(e_fk.source, k), (e_fk.source, 2 * k), (e_kl.target, k), (e_kl.target, 2 * k)]
+
     @pytest.mark.parametrize("q", [4, 8, 9])
     @pytest.mark.parametrize("k_flow", ["identity", "shift"])
     def test_nested_spans_fail(self, towers, q, k_flow):
