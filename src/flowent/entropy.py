@@ -11,7 +11,8 @@ that ``model.truncate`` scatters into a dense matrix, read once per
 window.  The dense window matrix is never built.  A block's rows are
 integers, as the tracker holds them, from the tracker through the
 product and back: digit t of column j is lane j*d + t, of one bit in
-characteristic 2 and of 8, 16 or 32 bits over odd p.  A row's product is
+characteristic 2 and over odd p of ``p.bit_length() + 1`` bits, the
+fewest whose lane sums stay exact (``_lane_bits``).  A row's product is
 the sum of its boundary lanes' images and of a few masked, shifted
 copies of itself, one per stencil phase, digit and entry: XORs over
 GF(2^k), and over odd p lane-wise sums mod p of copies times the
@@ -113,16 +114,35 @@ class CodimTrace:
     def first_differences(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.values, self.values[1:]))
 
-    def is_subadditive(self) -> bool:
+    def is_subadditive(self, diffs: Sequence[int] | None = None) -> bool:
         """Subadditivity of a_i := c_{i+1} (the shifted sequence with
         a_0 = 0), which is what makes the limit of c_n / n exist.  The
         unshifted values are not subadditive: the one-dimensional shift has
-        c_n = n - 1, and c_{n+m} = n + m - 1 > c_n + c_m."""
-        a = np.asarray(self.values, dtype=np.int64)  # a[i] = c_{i+1}, a[0] = 0
-        i = np.arange(1, len(a))
-        k = i[:, None] + i[None, :]  # every pair i, j >= 1 with i + j < len(a)
-        inside = k < len(a)
-        return bool(np.all(a[k[inside]] <= (a[i, None] + a[None, i])[inside]))
+        c_n = n - 1, and c_{n+m} = n + m - 1 > c_n + c_m.  ``diffs``, when
+        given, are the trace's ``first_differences()``.
+
+        A trace whose first differences never increase, with c_1 >= 0, is
+        subadditive without a check of every pair.  With a_i the values
+        (a_0 = c_1) and delta_s = a_{s+1} - a_s, for i, j >= 1:
+        ``a_{i+j} - a_j = sum_{s<i} delta_{j+s} <= sum_{s<i} delta_s =
+        a_i - a_0 <= a_i``.  Every other trace takes the pairwise check
+        (``_pairwise_subadditive``), so the answer is the same for every
+        trace."""
+        if diffs is None:
+            diffs = self.first_differences()
+        if self.values and self.values[0] >= 0 and all(a >= b for a, b in zip(diffs, diffs[1:])):
+            return True
+        return _pairwise_subadditive(self.values)
+
+
+def _pairwise_subadditive(values: Sequence[int]) -> bool:
+    """a_{i+j} <= a_i + a_j for every i, j >= 1 with i + j < len(values),
+    a_i = ``values[i]``, in one O(n^2) array."""
+    a = np.asarray(values, dtype=np.int64)  # a[i] = c_{i+1}, a[0] = 0
+    i = np.arange(1, len(a))
+    k = i[:, None] + i[None, :]  # every pair i, j >= 1 with i + j < len(a)
+    inside = k < len(a)
+    return bool(np.all(a[k[inside]] <= (a[i, None] + a[None, i])[inside]))
 
 
 class _FlagStack:
@@ -178,35 +198,58 @@ def _flag_stack(field, counts: Sequence[int]) -> _FlagStack:
 
 def _lane_bits(p: int) -> int:
     """The bits of a lane, one digit of a packed row over GF(p^d): 1 for
-    p = 2, else b = 8, 16 or 32, the least with p <= 2^(b-1)
-    (``_FlagStackOdd`` proves its lane sums exact from that).
-    ``_PRIME_CAP`` keeps p below 2^16."""
-    return 1 if p == 2 else next(b for b in (8, 16, 32) if p <= 1 << (b - 1))
+    p = 2, else b, the least with p <= 2^(b-1), which is all
+    ``_FlagStackOdd`` needs to prove its lane sums exact.  An odd p lies
+    strictly between 2^(L-1) and 2^L, L = ``p.bit_length()``, so b = L + 1:
+    3 for p = 3, 9 for 251 and 17 for 65521, the largest below
+    ``_PRIME_CAP``."""
+    return 1 if p == 2 else p.bit_length() + 1
 
 
 def _pack_lanes(block: np.ndarray, lane: int = 1) -> list[int]:
     """The rows of a digit block packed into integers, column i in lane i,
     the ``lane`` bits from ``i*lane`` on: over GF(p^d), with ``lane =
     _lane_bits(p)``, digit t of column j is lane ``j*d + t``.  Over
-    characteristic 2 a lane is one bit, so two rows add by one XOR."""
-    if lane == 1:
-        data = np.packbits(block, axis=1, bitorder="little")
-    else:
-        data = np.ascontiguousarray(block, dtype=f"<u{lane // 8}")
-    size, raw = data.shape[1] * data.itemsize, data.tobytes()
-    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(block.shape[0])]
+    characteristic 2 a lane is one bit, so two rows add by one XOR.
+
+    One bit-level path for every width: a row's bits, ``lane`` to a digit
+    and lowest first, are packed eight to a byte by ``np.packbits``.  In
+    lanes of one bit the digits are those bits; in wider lanes each digit
+    is expanded to the low ``lane`` of its 64 bits, uint8 each, and a
+    block of more than ``_ENTRY_CAP`` such bits is packed in slices of
+    rows, which bounds the expanded copy."""
+    bits = block
+    if lane > 1:
+        count, width = block.shape
+        step = max(1, _ENTRY_CAP // max(width * lane, 1))
+        if count > step:
+            return [row for lo in range(0, count, step) for row in _pack_lanes(block[lo : lo + step], lane)]
+        octets = np.ascontiguousarray(block, "<i8").view(np.uint8).reshape(count, width, 8)
+        bits = np.unpackbits(octets, axis=2, count=lane, bitorder="little").reshape(count, width * lane)
+    data = np.packbits(bits, axis=1, bitorder="little")
+    size, raw = data.shape[1], data.tobytes()
+    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(len(data))]
 
 
 def _unpack_lanes(rows: Sequence[int], width: int, lane: int = 1) -> np.ndarray:
     """Packed rows as a digit block of ``width`` columns, uint8 for lanes of
-    one bit and int64 otherwise; the inverse of ``_pack_lanes``."""
+    one bit and int64 otherwise; the inverse of ``_pack_lanes``, by its
+    path backwards: ``np.unpackbits`` gives a row's bits, which in lanes of
+    one bit are its digits, and in wider lanes fill the low ``lane`` of
+    each digit's 64 bits, which ``np.packbits`` packs, in slices of rows of
+    at most ``_ENTRY_CAP`` such bits."""
     size = -(-width * lane // 8)
-    data = np.frombuffer(
-        b"".join(row.to_bytes(size, "little") for row in rows), np.uint8 if lane == 1 else f"<u{lane // 8}"
-    )
+    data = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), np.uint8).reshape(len(rows), size)
     if lane == 1:
-        return np.unpackbits(data.reshape(len(rows), size), axis=1, count=width, bitorder="little")
-    return data.reshape(len(rows), width).astype(np.int64)
+        return np.unpackbits(data, axis=1, count=width, bitorder="little")
+    out = np.empty((len(rows), width), dtype=np.int64)
+    step = max(1, _ENTRY_CAP // max(width * 64, 1))
+    for lo in range(0, len(rows), step):
+        bits = np.unpackbits(data[lo : lo + step], axis=1, count=width * lane, bitorder="little")
+        slots = np.zeros((len(bits), width, 64), dtype=np.uint8)
+        slots[:, :, :lane] = bits.reshape(len(bits), width, lane)
+        out[lo : lo + step] = np.packbits(slots.reshape(len(bits), -1), axis=1, bitorder="little").view("<i8")
+    return out
 
 
 def _lane_digits(rows: Sequence[int], d: int, lane: int) -> np.ndarray:
@@ -326,6 +369,9 @@ class _FlagStackOdd(_FlagStack):
     """``_FlagStack`` over GF(p^d), p odd, on rows packed as ``_pack_lanes``
     packs them: digit t of column j is lane j*d + t, the b bits from
     ``(j*d + t)*b`` on, b = ``_lane_bits(p)``, which hold a code 0..p-1.
+    b is ``p.bit_length() + 1``, the least with p <= 2^(b-1), which is all
+    the lane rule below needs: 3 bits over GF(3) and GF(9), so a row's
+    every add and shift runs on as few limbs as the rule allows.
 
     It eliminates over GF(p): a row r enters as up to d rows that span over
     GF(p) what r spans over GF(p^d), as its restriction x^s*r, s < d, does
@@ -468,7 +514,10 @@ def _constraint_blocks(flow: Flow, dead: list[int], n_max: int, window: int):
     they have taken, so rows may narrow from step to step.  A step costs,
     per row, a few big-integer operations per nonzero boundary lane, per
     class mask and per class move, each linear in the row's length; over
-    odd p, one per set bit of the boundary lane's or the move's digit.
+    odd p, one per set bit of the boundary lane's or the move's digit.  A
+    row's length is its support times d lanes of ``_lane_bits(p)`` bits,
+    ``p.bit_length() + 1`` over odd p, so no lane is wider than the lane
+    rule needs.
 
     The caps are checked before any row is built: ``default_window``
     checks a chain's rows restricted to GF(p), at most ``len(dead) * d``
@@ -534,12 +583,16 @@ def _restricted(field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) ->
 def _packed_rows(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray, count: int, lane: int) -> list[int]:
     """The ``count`` rows of the GF(p) matrix with ``codes`` at ``(rows,
     cols)``, distinct positions in any order, packed in lanes of ``lane``
-    bits, built in slices of at most ``_ENTRY_CAP`` entries."""
+    bits by ``_pack_lanes``, for every lane width.  The rows are built in
+    slices of at most ``_ENTRY_CAP`` entries, in the smallest unsigned
+    dtype that holds every code: one byte for p < 256, two below
+    ``_PRIME_CAP``."""
     width = int(cols.max(initial=-1)) + 1
     step = max(1, _ENTRY_CAP // max(width, 1))
+    dtype = np.min_scalar_type(int(codes.max(initial=0)))
     out = []
     for lo in range(0, count, step):
-        block = np.zeros((min(step, count - lo), width), dtype=np.uint8 if lane == 1 else f"<u{lane // 8}")
+        block = np.zeros((min(step, count - lo), width), dtype=dtype)
         pick = (rows >= lo) & (rows < lo + step)
         block[rows[pick] - lo, cols[pick]] = codes[pick]
         out += _pack_lanes(block, lane)
@@ -650,7 +703,8 @@ class _ShiftProduct(NamedTuple):
 class _LaneProduct(NamedTuple):
     """A window matrix W over GF(p^k), p odd, restricted to GF(p), as a map
     of rows packed as ``_FlagStackOdd`` holds them: lane ``j*k + t``, of b
-    = ``lane`` bits, is digit t of column j.  Its parts are
+    = ``lane`` = ``_lane_bits(p)`` bits, the least with p <= 2^(b-1), is
+    digit t of column j.  Its parts are
     ``_window_parts``', built once per window.  A row's product is the sum
     mod p of c times the image of each boundary lane of digit c, and of g
     times each class's ``v & mask`` moved by each of its moves (shift, g),
@@ -872,7 +926,7 @@ def _evaluate_trace(trace: CodimTrace, cfg: EngineConfig) -> HStarResult:
     """
     diffs = trace.first_differences()
     streak = _terminal_streak(diffs)
-    subadditive = trace.is_subadditive()
+    subadditive = trace.is_subadditive(diffs)
     lower = Fraction(trace.values[-1], len(trace.values))
     if subadditive and streak >= cfg.streak:
         return HStarResult(diffs[-1], lower, trace, streak, subadditive)

@@ -301,8 +301,9 @@ def _identity_checks(
     blocks are packed rows in every characteristic, in lanes of one bit
     over GF(2^k) and of ``_lane_bits(p)`` bits over odd p, the same for K,
     F and L: K's rows up to depth ``identity_n`` are unpacked once a depth
-    for the maps and their images packed once a side, and F's and L's rows
-    go to the trackers as they are.
+    for the maps and their images packed once a side, by the one bit-level
+    path of ``_unpack_lanes`` and ``_pack_lanes`` for every lane width, and
+    F's and L's rows go to the trackers as they are.
 
     - Let E_m be the span of the images of member m's rows so far and R_m
       that of the other side's member ``u * m``'s rows so far.  A member's

@@ -25,6 +25,7 @@ from flowent.entropy import (
     _lane_tops,
     _LaneProduct,
     _pack_lanes,
+    _pairwise_subadditive,
     _ShiftProduct,
     _unpack_lanes,
     brute_force_codim,
@@ -35,7 +36,7 @@ from flowent.entropy import (
     entropy_report,
 )
 from flowent.errors import NotInvertible, TooLarge
-from flowent.fields import _prime_rank, _rref_array, least_irreducible, make_extension, make_prime_field
+from flowent.fields import _PRIME_CAP, _prime_rank, _rref_array, least_irreducible, make_extension, make_prime_field
 from flowent.linalg import Matrix, Subspace, kernel, random_invertible, rank
 from flowent.model import (
     EndoSpec,
@@ -285,6 +286,67 @@ class TestSubadditivity:
         long = list(values) + [values[-1] + t for t in range(1, 60)]
         assert not self.trace(long).is_subadditive() and not _subadditive_by_loops(long)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0,),
+            (0, 0, 0),
+            (0, 3, 5, 6, 6, 6),
+            (0, 2, 3, 3, 2, 0),  # concave, with differences below 0
+            (4, 5, 6, 7),  # linear from c_1 > 0
+        ],
+    )
+    def test_concave_traces_skip_the_pairwise_check(self, values, monkeypatch):
+        """Differences that never increase, with c_1 >= 0: True without
+        the O(n^2) array, and the double loop agrees."""
+        import flowent.entropy as entropy
+
+        def pairwise(values):
+            raise AssertionError("pairwise check on a concave trace")
+
+        monkeypatch.setattr(entropy, "_pairwise_subadditive", pairwise)
+        assert _subadditive_by_loops(values)
+        trace = self.trace(values)
+        assert trace.is_subadditive() and trace.is_subadditive(trace.first_differences())
+
+    @pytest.mark.parametrize(
+        "values,subadditive",
+        [
+            ((0, 2, 3, 5, 6), True),  # differences 2, 1, 2, 1
+            ((0, 1, 1, 2, 2, 3, 3), True),
+            ((0, 2, 2, 4, 4), True),
+            ((0, 3, 4, 6, 7, 9), True),
+            ((-1, 0, 1), False),  # concave, but c_1 < 0
+            ((0, 1, 3), False),
+            ((0, 2, 3, 7), False),
+        ],
+    )
+    def test_other_traces_take_the_pairwise_check(self, values, subadditive, monkeypatch):
+        import flowent.entropy as entropy
+
+        calls = []
+
+        def pairwise(values):
+            calls.append(values)
+            return _pairwise_subadditive(values)
+
+        monkeypatch.setattr(entropy, "_pairwise_subadditive", pairwise)
+        assert _subadditive_by_loops(values) == subadditive
+        assert self.trace(values).is_subadditive() == subadditive
+        assert calls == [tuple(values)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 8), max_size=40), st.booleans())
+    def test_random_traces(self, values, concave):
+        """Random traces, and as many with their differences sorted to
+        never increase, against the double loop."""
+        if concave and values:
+            steps = sorted(np.diff(values).tolist(), reverse=True)
+            values = [abs(values[0])] + [abs(values[0]) + t for t in np.cumsum(steps).tolist()]
+        trace = self.trace(values)
+        assert trace.is_subadditive() == _subadditive_by_loops(values) == _pairwise_subadditive(values)
+        assert trace.is_subadditive(trace.first_differences()) == trace.is_subadditive()
+
 
 def _reference_codims(flow, dead, counts, n_max, window):
     """Codimension traces straight from the definition: the rank of the
@@ -343,12 +405,18 @@ class TestTracesAgainstReference:
             (expected_u,) = _reference_codims(flow, dead_u, [len(dead_u)], n_max, trace.window)
             assert list(trace.values) == expected_u, (field, seed, u)
 
-    @pytest.mark.parametrize("p,d", [(127, 1), (131, 1), (32749, 1), (32771, 1), (127, 2), (131, 2)])
+    @pytest.mark.parametrize(
+        "p,d",
+        [(3, 1), (7, 1), (127, 1), (131, 1), (8191, 1), (32749, 1), (32771, 1), (65521, 1), (127, 2), (131, 2)],
+    )
     def test_lane_width_edges(self, p, d):
-        # primes on both sides of each lane switch, b = 8 up to 127, 16
-        # from 131 to 32749 and 32 from 32771 on, where the packed products'
-        # and trackers' lane sums reach 2p - 2; over GF(p^2) the rows x*r
-        # add the top digit times x^2 into both lanes of a column
+        # b = p.bit_length() + 1, the least with p <= 2^(b-1).  Primes just
+        # below a power of two leave the least room: the packed products'
+        # and trackers' lane sums reach 2p - 2, and s + bias reaches
+        # 2^(b-1) + p - 2 < 2^b (3 in b = 3, 7 in 4, 127 in 8, 8191 in 14,
+        # 65521 in 17).  Primes just above one start a wider lane (131 in
+        # 9, 32771 in 17).  Over GF(p^2) the rows x*r add the top digit
+        # times x^2 into both lanes of a column.
         base = make_prime_field(p)
         field = base if d == 1 else make_extension(base, least_irreducible(base, d))[0]
         cfg = EngineConfig(n_max=10, m_max=3)
@@ -359,6 +427,52 @@ class TestTracesAgainstReference:
             expected = _reference_codims(flow, dead, counts, cfg.n_max, traces[0].window)
             assert [list(t.values) for t in traces] == expected, (field, seed)
 
+
+
+def _odd_primes_below(n):
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return np.flatnonzero(sieve)[1:].tolist()
+
+
+def test_lane_bits_are_least():
+    """``_lane_bits(p)`` is the least b with p <= 2^(b-1), for every odd
+    prime below ``_PRIME_CAP``, and one bit for p = 2."""
+    assert _lane_bits(2) == 1
+    primes = _odd_primes_below(_PRIME_CAP)
+    assert primes[0] == 3 and primes[-1] == 65521
+    for p in primes:
+        b = _lane_bits(p)
+        assert 1 << (b - 2) < p <= 1 << (b - 1), p
+
+
+@pytest.mark.parametrize("lane", range(1, 18))
+@pytest.mark.parametrize("cap", [None, 40])
+def test_pack_round_trip(lane, cap, monkeypatch):
+    """``_pack_lanes`` and ``_unpack_lanes`` at every lane width up to 17
+    bits, against the sum of digit i times 2^(i*lane): over GF(p) for the
+    largest p <= 2^(lane-1) (p = 2 in lanes of one bit), on random digits,
+    a row of p - 1 in every lane, a zero row, and empty blocks.  With a
+    cap of 40, rows go in slices of a row or a few."""
+    import flowent.entropy as entropy
+
+    if cap is not None:
+        monkeypatch.setattr(entropy, "_ENTRY_CAP", cap)
+    p = max([2, *_odd_primes_below((1 << (lane - 1)) + 1)])
+    rng = np.random.default_rng(lane)
+    for width in (0, 1, 7, 33):
+        full = rng.integers(0, p, size=(5, width))
+        full[1], full[3] = p - 1, 0
+        for block in (full, full[:0], full[1:2], full[3:4]):
+            for dtype in (np.int64, np.uint16 if p > 256 else np.uint8):
+                rows = _pack_lanes(block.astype(dtype), lane)
+                assert rows == [sum(int(v) << i * lane for i, v in enumerate(row)) for row in block]
+                back = _unpack_lanes(rows, width, lane)
+                assert back.dtype == (np.uint8 if lane == 1 else np.int64)
+                assert back.shape == block.shape and np.array_equal(back, block)
 
 
 def _dense_blocks(flow, dead, n_max, window):
@@ -667,10 +781,10 @@ def _holder_rows(stack, width):
     """The holders of an odd-p tracker, lead -> (codes of ``width``
     columns, level), unpacked from their lanes.  Each holder's doublings
     and the inverse of its lead value are checked on the way."""
-    p, dtype = stack.field.p, np.dtype(f"<u{stack.lane // 8}")
+    p = stack.field.p
     out = {}
     for lead, (doublings, level, inverse) in stack.holders.items():
-        rows = [np.frombuffer(d.to_bytes(width * dtype.itemsize, "little"), dtype).astype(np.int64) for d in doublings]
+        rows = list(_unpack_lanes(doublings, width, stack.lane))
         assert len(rows) == p.bit_length() and all(np.array_equal(r, (rows[0] << t) % p) for t, r in enumerate(rows))
         assert rows[0][lead] * inverse % p == 1 and not rows[0][:lead].any()
         out[lead] = (rows[0].tolist(), level)

@@ -440,7 +440,7 @@ for name, (error, call) in checks.items():
 
 # rows full of p - 1, with 1 on a diagonal, and combinations of them with
 # coefficients p - 1: the packed tracker's lane sums reach 2(p - 1) < 2^b,
-# in b = 32 bit lanes here, and the combinations are found dependent only
+# in b = 17 bit lanes here, and the combinations are found dependent only
 # when every step is exact
 bounds = [2, 4, 6]
 stack = _FlagStackOdd(field, bounds)

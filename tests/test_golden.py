@@ -55,8 +55,8 @@ CASES = [
     ("compute-gf16-s0.json", partial(_stencil_flow, 16, 0), ["compute"]),
     ("compute-gf27-s0.json", partial(_stencil_flow, 27, 0), ["compute"]),
     # the odd packed path over a prime field, a quadratic extension and
-    # 16-bit lanes; p = 7, 8191 and 65521 are the primes where the lane
-    # rule p <= 2^(b-1) is tightest or the lanes narrow most
+    # 9-bit lanes, and over p = 7, 8191 and 65521, in lanes of 4, 14 and
+    # 17 bits, where the lane rule p <= 2^(b-1) leaves the least room
     *[(f"compute-gf{q}-s0.json", partial(_stencil_flow, q, 0), ["compute"]) for q in (3, 25, 251, 7, 8191, 65521)],
     ("verify-gf8-s0.json", partial(_stencil_flow, 8, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("verify-gf27-s0.json", partial(_stencil_flow, 27, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
