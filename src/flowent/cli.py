@@ -20,7 +20,7 @@ from .entropy import (
     DEFAULT_CONFIG,
     EngineConfig,
     brute_force_codim,
-    codim_sequence,
+    chain_traces,
     ent_star,
     entropy_report,
     field_label,
@@ -38,7 +38,6 @@ from .fields import (
 )
 from .functors import make_entropy_n, verify_theorem
 from .model import (
-    GoodSubspace,
     SpaceShape,
     direct_sum,
     flow_to_dict,
@@ -183,21 +182,20 @@ def cmd_example(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    """Cross-check the codimensions ``compute`` reports, one ``chain_traces``
+    run for members 0..--max-m, against ``brute_force_codim``."""
     if args.max_n < 1 or args.max_m < 0:
         raise ValueError(f"oracle needs --max-n >= 1 and --max-m >= 0, got {args.max_n} and {args.max_m}")
     if args.window is not None and args.window < 0:
         raise ValueError(f"oracle needs --window >= 0, got {args.window}")
     flow = load_flow(args.spec)
     rows = []
-    for m in range(args.max_m + 1):
-        u = GoodSubspace.principal(m)
-        trace = codim_sequence(flow, u, args.max_n)
-        for n in range(1, args.max_n + 1):
-            window = guarantee_window(flow, u.extent, n)
+    for m, trace in enumerate(chain_traces(flow, args.max_n, EngineConfig(m_max=args.max_m))):
+        for n, structured in enumerate(trace.values, start=1):
+            window = guarantee_window(flow, trace.u.extent, n)
             if args.window is not None:
                 window = max(window, args.window)
-            enumerated = brute_force_codim(flow, u, n, window)
-            structured = trace.values[n - 1]
+            enumerated = brute_force_codim(flow, trace.u, n, window)
             rows.append([flow.label, field_label(flow.field), m, n, structured, enumerated, window])
     all_equal = all(structured == enumerated for *_, structured, enumerated, _ in rows)
     if args.format == "json":

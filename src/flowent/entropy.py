@@ -43,7 +43,9 @@ a verify's three estimates and its identities both read one such run
 per field: the identities by the ranks of more trackers on its blocks,
 as a cotrajectory is the kernel of its constraint rows, and two kernels
 are equal exactly when the row spans are.  No reduced row-echelon form
-is built.
+is built.  ``_chain_run`` lays out every principal chain's run, for
+``compute``, ``oracle`` and each side of ``verify``: its top member, the
+window certified for it, its dead rows and its member counts.
 
 The estimate is exact: values are integers, lower bounds are fractions,
 and there are no tolerances anywhere.  The flows the entropy laws are
@@ -252,11 +254,16 @@ def _unpack_lanes(rows: Sequence[int], width: int, lane: int = 1) -> np.ndarray:
     return out
 
 
-def _lane_digits(rows: Sequence[int], d: int, lane: int) -> np.ndarray:
-    """Packed rows over GF(p^d) as a digit block of whole columns, as many
-    as the widest row reaches."""
-    columns = -(-max(map(int.bit_length, rows), default=0) // (d * lane))
-    return _unpack_lanes(rows, columns * d, lane)
+def _mapped_rows(field, rows: Sequence[int], maps) -> list[list[int]]:
+    """Packed rows over ``field`` through each of ``maps``, digit-row maps
+    into fields of the same characteristic (``FieldEmbedding.expand_digits``
+    and ``embed_digits``), each image packed in the same lanes: the rows are
+    unpacked once, as a digit block of whole columns, as many as the widest
+    row reaches, and each image is packed once."""
+    lane = _lane_bits(field.p)
+    columns = -(-max(map(int.bit_length, rows), default=0) // (field.d * lane))
+    digits = _unpack_lanes(rows, columns * field.d, lane)
+    return [_pack_lanes(to_side(digits), lane) for to_side in maps]
 
 
 def _lane_low(field) -> int:
@@ -580,25 +587,6 @@ def _restricted(field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) ->
     return rows[entry] * d + s, cols[entry] * d + t, blocks[entry, s, t]
 
 
-def _packed_rows(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray, count: int, lane: int) -> list[int]:
-    """The ``count`` rows of the GF(p) matrix with ``codes`` at ``(rows,
-    cols)``, distinct positions in any order, packed in lanes of ``lane``
-    bits by ``_pack_lanes``, for every lane width.  The rows are built in
-    slices of at most ``_ENTRY_CAP`` entries, in the smallest unsigned
-    dtype that holds every code: one byte for p < 256, two below
-    ``_PRIME_CAP``."""
-    width = int(cols.max(initial=-1)) + 1
-    step = max(1, _ENTRY_CAP // max(width, 1))
-    dtype = np.min_scalar_type(int(codes.max(initial=0)))
-    out = []
-    for lo in range(0, count, step):
-        block = np.zeros((min(step, count - lo), width), dtype=dtype)
-        pick = (rows >= lo) & (rows < lo + step)
-        block[rows[pick] - lo, cols[pick]] = codes[pick]
-        out += _pack_lanes(block, lane)
-    return out
-
-
 def _window_parts(flow: Flow, window: int, lane: int) -> tuple[int, list[int], dict]:
     """A window matrix W over GF(p^k), restricted to GF(p), in the parts
     both block products read, for rows packed in lanes of ``lane`` bits:
@@ -609,9 +597,11 @@ def _window_parts(flow: Flow, window: int, lane: int) -> tuple[int, list[int], d
 
     - ``edge`` is the number of boundary lanes, those of the discrete
       coordinates and of the compact rows below the flow's ``extent``, and
-      ``images`` their images, packed from the restricted entries of their
-      rows in ``window_nonzeros``, a subset of the entries whose
-      restriction ``_check_restriction_cap`` has checked;
+      ``images`` their images: each restricted entry (r, c, g) of the
+      boundary rows of ``window_nonzeros``, a subset of the entries whose
+      restriction ``_check_restriction_cap`` has checked, is ORed into
+      lane c of image r, and no two entries share a lane
+      (``_restricted``), so no digit block is built;
     - every compact row i at or past ``extent`` is a stencil row of phase
       ``i % period``, and its entry (off, c) puts g, digit t of x^s*c, in
       lane ``(D+i+off)*k + t``, D the discrete dimension: a move of
@@ -632,7 +622,9 @@ def _window_parts(flow: Flow, window: int, lane: int) -> tuple[int, list[int], d
     _check_restriction_cap(field, rows.size)  # every field refuses the same windows
     boundary = rows < d + extent
     edge = (d + extent) * k
-    images = _packed_rows(*_restricted(field, rows[boundary], cols[boundary], codes[boundary]), edge, lane)
+    images = [0] * edge
+    for r, c, g in zip(*(a.tolist() for a in _restricted(field, rows[boundary], cols[boundary], codes[boundary]))):
+        images[r] |= g << c * lane
     masks: dict[tuple[tuple[int, int], ...], int] = {}
     step = period * k * lane
     for rho, phase in enumerate(endo.stencil):
@@ -849,6 +841,24 @@ def cotrajectory_run(
         yield block, stack.ranks
 
 
+def _chain_run(
+    flow: Flow, least: int, depth: int, cfg: EngineConfig, keep: int | None = None
+) -> tuple[int, Iterator[tuple[list[int], list[int]]]]:
+    """The window and the ``cotrajectory_run`` of the principal chain U_0,
+    ..., U_top, top = ``max(cfg.m_max, least)``, to ``depth`` steps: the
+    dead rows are the discrete coordinates and the first top compact ones,
+    member m's the first ``d + m`` of them, at the window
+    ``default_window`` certifies for U_top, which checks the caps.  With
+    ``keep``, only the first ``keep`` rows are carried past step
+    ``cfg.n_max``.  The run is a generator, so no block is built before
+    it is read."""
+    d, top = flow.discrete_dim, max(cfg.m_max, least)
+    window = default_window(flow, top, depth, cfg.window_slack)
+    counts = list(range(d, d + top + 1))
+    narrow = () if keep is None else ((cfg.n_max, keep),)
+    return window, cotrajectory_run(flow, list(range(counts[-1])), counts, depth, window, *narrow)
+
+
 def codim_sequence(
     flow: Flow, u: GoodSubspace, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG
 ) -> CodimTrace:
@@ -870,10 +880,8 @@ def chain_traces(flow: Flow, n_max: int, cfg: EngineConfig = DEFAULT_CONFIG) -> 
     that basis.  All members share the window certified for the largest,
     which is sound by window independence.
     """
-    d, window = flow.discrete_dim, default_window(flow, cfg.m_max, n_max, cfg.window_slack)
-    counts = list(range(d, d + cfg.m_max + 1))
-    run = cotrajectory_run(flow, list(range(counts[-1])), counts, n_max, window)
-    return _chain_codims([ranks for _, ranks in run], d, cfg.m_max, window)
+    window, run = _chain_run(flow, 0, n_max, cfg)
+    return _chain_codims([ranks for _, ranks in run], flow.discrete_dim, cfg.m_max, window)
 
 
 def _chain_codims(ranks: Sequence[Sequence[int]], d: int, m_max: int, window: int) -> list[CodimTrace]:

@@ -9,7 +9,9 @@ one float64 product on the digit rows, digit t of column j in column
 j*d + t, with the right operand restricted to GF(p) by ``restrict``: each
 entry becomes its d x d regular representation, and every sum stays an
 integer below 2^53, so it is exact.  The entropy engine's blocks are
-digit rows from end to end.
+integers, one per row of digits packed in lanes, from the window to the
+rank trackers; only verify's maps of constraint rows through embeddings
+unpack them into digit rows (``entropy._mapped_rows``).
 
 Fields and embeddings build all their state in the constructor (an
 embedding, two small GF(p) matrices that map digit rows) and are immutable
@@ -18,6 +20,7 @@ after it: nothing is computed on first use, so concurrent use is safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -742,13 +745,13 @@ class Tower:
         return self.fields[-1]
 
     def embedding(self, lo: int, hi: int) -> FieldEmbedding:
-        """Composite embedding fields[lo] -> fields[hi]."""
+        """Composite embedding fields[lo] -> fields[hi]: the identity when
+        ``lo == hi``, else the composite of the steps it spans alone."""
         if not 0 <= lo <= hi < len(self.fields):
             raise ValueError("tower indices out of range")
-        emb = identity_embedding(self.fields[lo])
-        for step in self.steps[lo:hi]:
-            emb = compose(emb, step)
-        return emb
+        if lo == hi:
+            return identity_embedding(self.fields[lo])
+        return functools.reduce(compose, self.steps[lo:hi])
 
 
 def tower_from_descriptor(desc: dict) -> Tower:

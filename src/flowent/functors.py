@@ -27,12 +27,10 @@ from .entropy import (
     EntropyEstimate,
     _chain_codims,
     _chain_estimate,
+    _chain_run,
     _check_tracker_cap,
     _flag_stack,
-    _lane_bits,
-    _lane_digits,
-    _pack_lanes,
-    cotrajectory_run,
+    _mapped_rows,
 )
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import FieldEmbedding, FiniteField, least_irreducible, make_extension
@@ -42,7 +40,6 @@ from .model import (
     Flow,
     GoodSubspace,
     SpaceShape,
-    default_window,
     make_bernoulli,
 )
 
@@ -254,16 +251,15 @@ def _identity_checks(
 ) -> tuple[dict[tuple[int, int], tuple[bool, bool, bool, bool]], list[EntropyEstimate]]:
     """Per-depth identities for each chain member m in ``_IDENTITY_MS``
     and depth n <= ``identity_n``, and the entropy estimates of K, F and L,
-    all from one ``cotrajectory_run`` per field.  The identities:
+    all from one ``_chain_run`` per field.  The identities:
     restriction scales the codimension by the degree and commutes with the
     cotrajectory; induction commutes with the cotrajectory and keeps its
     codimension.  Returns ``{(m, n): (res_codim, res, ind, ind_codim)}``,
     in order of n, then m, and the estimates of K, F and L.
 
-    The runs.  K's and L's cover members 0..top, top = ``max(m_max, 2)``,
-    and F's members 0..``max(m_max, 2 * deg)``, as U_m restricts to F's
-    member ``deg * m``, to depth ``max(n_max, identity_n)`` at the window
-    ``default_window`` certifies for the top member.  The first
+    The runs are ``entropy._chain_run``'s, at least to member 2 on K and
+    L and to member ``2 * deg`` on F, as U_m restricts to F's member ``deg
+    * m``, to depth ``max(n_max, identity_n)``.  The first
     ``identity_n`` blocks feed the identity checks; the ranks of members
     0..m_max over the first ``n_max`` steps give ``ent_star``'s traces:
 
@@ -298,11 +294,9 @@ def _identity_checks(
     2m+1 the other side's rows ``u * c_(m-1)..u * c_m``.
     ``expand_digits`` and ``embed_digits`` map K's digit rows to F's and
     L's digit rows directly, so no block becomes codes on the way.  The
-    blocks are packed rows in every characteristic, in lanes of one bit
-    over GF(2^k) and of ``_lane_bits(p)`` bits over odd p, the same for K,
-    F and L: K's rows up to depth ``identity_n`` are unpacked once a depth
-    for the maps and their images packed once a side, by the one bit-level
-    path of ``_unpack_lanes`` and ``_pack_lanes`` for every lane width, and
+    blocks are packed rows in every characteristic, in the same lanes for
+    K, F and L: ``entropy._mapped_rows`` unpacks K's rows up to depth
+    ``identity_n`` once a depth and packs their images once a side, and
     F's and L's rows go to the trackers as they are.
 
     - Let E_m be the span of the images of member m's rows so far and R_m
@@ -333,37 +327,29 @@ def _identity_checks(
 
     Every cell, a failing one included, is decided exactly.  Every cap is
     checked before any block is built: each run's blocks by
-    ``default_window``, and the ``both`` trackers, which take twice the
+    ``_chain_run``, and the ``both`` trackers, which take twice the
     top member's rows of their field and more than ``images`` does, by
     ``_check_tracker_cap``.
     """
-    deg, d, top = e_fk.degree, flow.discrete_dim, max(cfg.m_max, _IDENTITY_MS[-1])
-    depth = max(cfg.n_max, identity_n)
-    flows, tops = (flow, flow_f, flow_l), (top, max(cfg.m_max, deg * _IDENTITY_MS[-1]), top)
-    windows = [default_window(f, t, depth, cfg.window_slack) for f, t in zip(flows, tops)]
+    deg, top, depth = e_fk.degree, _IDENTITY_MS[-1], max(cfg.n_max, identity_n)
+    flows, counts = (flow, flow_f, flow_l), [flow.discrete_dim + m for m in _IDENTITY_MS]
+    tops = (top, deg * top, top)
+    windows, runs = zip(*(_chain_run(f, t, depth, cfg, f.discrete_dim + t) for f, t in zip(flows, tops)))
     dim_k, dim_f, dim_l = (f.discrete_dim + w for f, w in zip(flows, windows))
-    counts = [d + m for m in _IDENTITY_MS]
     _check_tracker_cap(flow_f.field, 2 * deg * counts[-1], identity_n, max(deg * dim_k, dim_f))
     _check_tracker_cap(flow_l.field, 2 * counts[-1], identity_n, max(dim_k, dim_l))
-    chains = [list(range(f.discrete_dim, f.discrete_dim + t + 1)) for f, t in zip(flows, tops)]
-    kept = (counts[-1], deg * counts[-1], counts[-1])
-    runs = [
-        cotrajectory_run(f, list(range(c[-1])), c, depth, w, (cfg.n_max, rows))
-        for f, c, w, rows in zip(flows, chains, windows, kept)
-    ]
     adds = list(zip([0, *counts], counts))  # the rows c_(m-1)..c_m that member m adds
     sides = []
-    for u, to_side, field in ((deg, e_fk.expand_digits, flow_f.field), (1, e_kl.embed_digits, flow_l.field)):
+    for u, field in ((deg, flow_f.field), (1, flow_l.field)):
         levels = [u * end for lo, hi in adds for end in (lo + hi, 2 * hi)]  # E_0 < R_0 < E_1 < R_1 < ...
-        sides.append((u, to_side, _flag_stack(field, [u * c for c in counts]), _flag_stack(field, levels)))
-    cells, ranks, lane = {}, ([], [], []), _lane_bits(flow.field.p)
+        sides.append((u, _flag_stack(field, [u * c for c in counts]), _flag_stack(field, levels)))
+    cells, ranks, maps = {}, ([], [], []), (e_fk.expand_digits, e_kl.embed_digits)
     for n, steps in enumerate(zip(*runs), start=1):
         (block_k, r_k), (block_f, r_f), (block_l, r_l) = steps
         if n <= identity_n:
-            digits = _lane_digits(block_k[: counts[-1]], flow.field.d, lane)
+            mapped = _mapped_rows(flow.field, block_k[: counts[-1]], maps)
             same = []
-            for (u, to_side, images, both), rows, r in zip(sides, (block_f, block_l), (r_f[::deg], r_l)):
-                image = _pack_lanes(to_side(digits), lane)
+            for (u, images, both), image, rows, r in zip(sides, mapped, (block_f, block_l), (r_f[::deg], r_l)):
                 images.insert(image)
                 both.insert([row for lo, hi in adds for part in (image, rows) for row in part[u * lo : u * hi]])
                 low, high = images.ranks, both.ranks

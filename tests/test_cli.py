@@ -287,6 +287,40 @@ class TestOracle:
         assert payload["all_equal"] is True
         assert payload["comparisons"] == 4 * 6
 
+    def test_one_block_stream(self, tmp_path, monkeypatch, gf2):
+        # the structured codimensions of members 0..3 come from one chain
+        # run, the one compute reports, not from one run per member, and
+        # the report keeps its golden bytes
+        import flowent.entropy as entropy
+
+        original, streams = entropy._constraint_blocks, []
+
+        def spy(flow, dead, n_max, window):
+            streams.append((len(dead), n_max))
+            return original(flow, dead, n_max, window)
+
+        monkeypatch.setattr(entropy, "_constraint_blocks", spy)
+        flow, spec, out = random_stencil_flow(gf2, 1), tmp_path / "spec.json", tmp_path / "report.json"
+        save_flow(flow, spec)
+        assert main(["oracle", str(spec), "--max-n", "4", "--max-m", "3", "--out", str(out)]) == 0
+        assert streams == [(flow.discrete_dim + 3, 4)]
+        golden = Path(__file__).resolve().parent / "golden" / "oracle-gf2-s1-m3.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_long_chain_enumerates_nothing(self, capsys, monkeypatch, gf2_bernoulli_spec):
+        # --max-m 10^8: the chain's cap is checked before any member is
+        # enumerated, where the first enumeration once hit its own cap
+        import flowent.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("enumerated before checking the chain's cap")
+
+        monkeypatch.setattr(cli, "brute_force_codim", refuse)
+        assert main(["oracle", gf2_bernoulli_spec, "--max-m", "100000000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: 100000000 constraint rows") and "cap" in err, err
+
     def test_identity_zeros(self, capsys, tmp_path, gf2):
         from flowent.model import SpaceShape, make_identity
 

@@ -394,6 +394,17 @@ class TestDescriptors:
         assert e.degree == 4
         assert e.source.q == 2 and e.target.q == 16
 
+    def test_tower_embedding_composes_only_its_steps(self, gf16):
+        # a one-step span is the step itself, an empty one the identity,
+        # and a longer one the composite of its steps, with no identity
+        # embedding built and composed in
+        tower = tower_from_descriptor(gf16.descriptor)
+        for i, step in enumerate(tower.steps):
+            assert tower.embedding(i, i + 1) is step
+        for i, field in enumerate(tower.fields):
+            assert tower.embedding(i, i) == identity_embedding(field)
+        assert tower.embedding(0, 2) == compose(tower.steps[0], tower.steps[1])
+
     def test_integer_coefficients_accepted(self):
         tower = tower_from_descriptor({"p": 2, "tower": [[1, 1, 1]]})
         assert tower.top.q == 4

@@ -61,6 +61,7 @@ CASES = [
     ("verify-gf8-s0.json", partial(_stencil_flow, 8, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("verify-gf27-s0.json", partial(_stencil_flow, 27, 0), ["verify", "--identity-n", "8", "--max-n", "32"]),
     ("oracle-gf2-s1.json", partial(_stencil_flow, 2, 1), ["oracle", "--max-n", "4", "--max-m", "2"]),
+    ("oracle-gf2-s1-m3.json", partial(_stencil_flow, 2, 1), ["oracle", "--max-n", "4", "--max-m", "3"]),
     # identity depths past the estimates' depth, where the runs carry only
     # the rows the identity checks read
     *[
