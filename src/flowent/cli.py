@@ -42,6 +42,7 @@ from .model import (
     direct_sum,
     flow_to_dict,
     guarantee_window,
+    json_text,
     load_flow,
     make_bernoulli,
     make_identity,
@@ -77,10 +78,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -128,7 +125,7 @@ def cmd_compute(args) -> int:
     if args.format == "json":
         payload = entropy_report(flow, estimate, cfg)
         payload["seed"] = args.seed
-        _emit(_json_text(payload), args.out)
+        _emit(json_text(payload), args.out)
     else:
         rows = report_csv_rows(flow, estimate)
         _emit(_csv_text(["flow", "field", "m", "n", "codim", "window"], rows), args.out)
@@ -137,7 +134,8 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     flow = load_flow(args.spec)
-    tower = tower_from_descriptor(flow.field.descriptor)
+    descriptor = flow.field.descriptor
+    tower = tower_from_descriptor(descriptor)
     depth = args.base_depth
     if not 0 <= depth < len(tower.fields):
         raise ValueError(f"--base-depth {depth} is outside the field's tower")
@@ -146,10 +144,12 @@ def cmd_verify(args) -> int:
         codes = modulus_codes(flow.field, json.loads(args.ext_modulus))
     else:
         codes = list(least_irreducible(flow.field, args.ext_degree))
-    _, e_kl = make_extension(flow.field, codes)
+    # L's tower is K's extended by one step, so it shares K's fields
+    descriptor["tower"].append([list(flow.field.coords(c)) for c in codes])
+    e_kl = tower_from_descriptor(descriptor).steps[-1]
     cfg = _config_from_args(args)
     report = verify_theorem(e_fk, e_kl, flow, cfg, identity_n_max=args.identity_n)
-    _emit(_json_text(report.to_dict()), args.out)
+    _emit(json_text(report.to_dict()), args.out)
     if report.verdict == "PASS":
         return EXIT_OK
     if report.verdict == "INCONCLUSIVE":
@@ -177,7 +177,7 @@ def cmd_example(args) -> int:
             f"unknown example {args.name!r}; "
             "names: bernoulli, identity, entropy-n, direct-sum"
         )
-    _emit(_json_text(flow_to_dict(flow)), args.out)
+    _emit(json_text(flow_to_dict(flow)), args.out)
     return EXIT_OK
 
 
@@ -210,7 +210,7 @@ def cmd_oracle(args) -> int:
             ],
             "seed": args.seed,
         }
-        _emit(_json_text(payload), args.out)
+        _emit(json_text(payload), args.out)
     else:
         _emit(
             _csv_text(

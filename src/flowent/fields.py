@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -149,7 +150,10 @@ class FiniteField:
         self.one = 1
         # x itself when the field is a proper extension, else 1
         self.generator = p if self.d > 1 else 1
-        self.descriptor = descriptor if descriptor is not None else {"p": p, "tower": []}
+        # JSON text, or None for {"p": p, "tower": []}: fields are shared
+        # (see ``tower_from_descriptor``), so every read of ``descriptor``
+        # gets its own copy
+        self._descriptor = json.dumps(descriptor) if descriptor is not None else None
         if self.d > 1:
             if not _poly_is_irreducible(FiniteField(p, (0, 1)), modulus):
                 raise Reducible(f"modulus {modulus} is reducible over GF({p})")
@@ -158,6 +162,15 @@ class FiniteField:
             codes = np.arange(self.q, dtype=np.int64)
             self._digits = (codes[:, None] // ppow[None, :]) % p
             self._exp, self._log = self._log_tables()
+
+    @property
+    def descriptor(self) -> dict:
+        """The JSON descriptor that ``tower_from_descriptor`` reads this
+        field from: a new dict on every read, so no caller can change
+        another's."""
+        if self._descriptor is None:
+            return {"p": self.p, "tower": []}
+        return json.loads(self._descriptor)
 
     # -- identity ----------------------------------------------------------
 
@@ -760,6 +773,13 @@ def tower_from_descriptor(desc: dict) -> Tower:
     The descriptor holds ``p`` and ``tower``, a list of modulus coefficient
     lists (innermost first).  Coefficients are integers reduced mod p, or
     prime-field coordinate lists when the base of that step is non-prime.
+
+    A descriptor of plain JSON values (``p`` and every coefficient a plain
+    int, every coordinate list a list of them) names its tower by value, so
+    its tower is built once per process and shared, and so is each tower
+    it extends.  Fields and embeddings are immutable, and a field's
+    ``descriptor`` is a new copy on every read.  Any other descriptor is
+    read and checked anew on every call.
     """
     if not isinstance(desc, dict) or "p" not in desc:
         raise ValueError("field descriptor must be an object with a key 'p'")
@@ -768,13 +788,52 @@ def tower_from_descriptor(desc: dict) -> Tower:
         raise ValueError(f"field characteristic {p!r} must be an integer")
     if not isinstance(tower, list):
         raise ValueError(f"field descriptor's tower {tower!r} must be a list of moduli")
-    fields = [make_prime_field(int(p))]
-    steps: list[FieldEmbedding] = []
+    moduli = _plain_moduli(tower)
+    if type(p) is int and moduli is not None:
+        return _shared_tower(p, moduli)
+    built = Tower([make_prime_field(int(p))], [])
     for coeffs in tower:
-        ext, emb = make_extension(fields[-1], modulus_codes(fields[-1], coeffs))
-        fields.append(ext)
-        steps.append(emb)
-    return Tower(fields, steps)
+        built = _extend(built, coeffs)
+    return built
+
+
+def _plain_moduli(tower: list) -> tuple | None:
+    """The moduli as a key, a tuple of tuples whose coefficients are ints
+    or tuples of ints; None unless every modulus is a list and every
+    coefficient a plain int or a list of plain ints.  Bools, floats and
+    numpy integers get no key: a key must not equal that of another
+    descriptor that reads differently, as ``True == 1`` and ``1.0 == 1``
+    would."""
+    moduli = []
+    for coeffs in tower:
+        if type(coeffs) is not list:
+            return None
+        step = []
+        for c in coeffs:
+            if type(c) is list and all(type(v) is int for v in c):
+                c = tuple(c)
+            elif type(c) is not int:
+                return None
+            step.append(c)
+        moduli.append(tuple(step))
+    return tuple(moduli)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_tower(p: int, moduli: tuple) -> Tower:
+    """The tower of a descriptor with plain values, one step past the
+    shared tower of its first ``len(moduli) - 1`` steps.  A descriptor that
+    fails a check raises on every call, as nothing is cached for it."""
+    if not moduli:
+        return Tower([make_prime_field(p)], [])
+    return _extend(_shared_tower(p, moduli[:-1]), list(moduli[-1]))
+
+
+def _extend(tower: Tower, coeffs) -> Tower:
+    """``tower`` with one more step, by a modulus read as ``modulus_codes``
+    reads it."""
+    ext, emb = make_extension(tower.top, modulus_codes(tower.top, coeffs))
+    return Tower(tower.fields + (ext,), tower.steps + (emb,))
 
 
 def field_from_descriptor(desc: dict) -> FiniteField:

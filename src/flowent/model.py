@@ -27,6 +27,7 @@ engine multiplies by them without building it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ __all__ = [
     "random_stencil_flow",
     "flow_to_dict",
     "flow_from_dict",
+    "json_text",
     "save_flow",
     "load_flow",
 ]
@@ -646,9 +648,10 @@ def _matrix_from_json(field: FiniteField, rows, what: str) -> Matrix:
     """Read a matrix of JSON elements as ``_element_from_json`` reads each.
 
     Rows of different lengths raise ValueError.  A rectangular array of
-    integers (prime fields) or of equal-length integer coordinate lists is
-    read at once by numpy.  Anything else, such as mixed element forms,
-    floats or integers past int64, is read element by element.
+    plain ints (prime fields) or of equal-length coordinate lists of ints
+    is flattened and read by one ``np.asarray``, which costs less than
+    numpy's walk of the nested lists.  Anything else, such as mixed element
+    forms, floats or integers past int64, is read element by element.
     """
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{what} must be a list of rows")
@@ -656,21 +659,84 @@ def _matrix_from_json(field: FiniteField, rows, what: str) -> Matrix:
         raise ValueError(f"{what} has rows of lengths {lengths}; every row must have the same length")
     if not rows:
         return Matrix.zeros(field, 0, 0)
-    try:
-        arr = np.asarray(rows)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is not None and arr.dtype.kind in "bi":
-        arr = arr.astype(np.int64)
-        if arr.ndim == 3:
+    flat = list(itertools.chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    if kinds == {int} and field.d == 1:
+        codes = np.asarray(flat)
+        if codes.dtype.kind == "i":
+            return Matrix(field, codes.reshape(len(rows), -1) % field.p)
+    elif kinds == {list} and len(widths := set(map(len, flat))) == 1:
+        try:
+            arr = np.asarray(list(itertools.chain.from_iterable(flat)))
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is not None and arr.ndim == 1 and arr.dtype.kind in "bi":
+            arr = arr.astype(np.int64).reshape(len(rows), -1, widths.pop())
             if (arr[..., field.d :] % field.p).any():
                 raise ValueError("coefficient vector longer than field degree")
             digits = np.zeros(arr.shape[:2] + (field.d,), dtype=np.int64)
             digits[..., : arr.shape[2]] = arr[..., : field.d]
             return Matrix(field, field.encode_array(digits))
-        if arr.ndim == 2 and field.d == 1:
-            return Matrix(field, arr % field.p)
     return Matrix(field, [[_element_from_json(field, v) for v in row] for row in rows])
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def json_text(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` plus a
+    final newline: the layout of every spec file and report.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
+    This writer walks the payload once, joins each container's members at
+    its indent, and writes a list of plain ints with one join.  Values it
+    has no fast path for (floats, bools inside int lists, str and int
+    subclasses, and anything ``json.dumps`` refuses) go to ``json.dumps``
+    one at a time, so they print, or raise TypeError, as it does.
+    """
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_value(x, nl: str) -> str:
+    """``x`` in ``json_text``'s layout, its closing bracket at the indent
+    that ``nl`` ends in."""
+    kind = type(x)
+    if kind is str:
+        return _escape(x)
+    if kind is int:
+        return int.__repr__(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        items = [_json_key(k) + ": " + _json_value(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        if all(type(v) is int for v in x):
+            body = ("," + inner).join(map(int.__repr__, x))
+        else:
+            body = ("," + inner).join([_json_value(v, inner) for v in x])
+        return "[" + inner + body + nl + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    return json.dumps(x)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a string, with the scalar
+    keys JSON allows turned into their text first."""
+    if isinstance(key, str):
+        return _escape(key)
+    if key is None or isinstance(key, (int, float)):
+        return _escape(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def flow_to_dict(flow: Flow) -> dict:
@@ -729,14 +795,10 @@ def flow_from_dict(spec: dict) -> Flow:
 
 
 def save_flow(flow: Flow, path) -> None:
-    """Write a flow's spec file: sorted keys, indent 2, a final newline.
-
-    The text is built as one string and written at once; the bytes are
-    those of ``json.dump`` with the same options, which streams its chunks
-    through the slower pure-Python encoder.
-    """
+    """Write a flow's spec file in ``json_text``'s layout: sorted keys,
+    indent 2, a final newline, as one string written at once."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(flow_to_dict(flow), indent=2, sort_keys=True) + "\n")
+        fh.write(json_text(flow_to_dict(flow)))
 
 
 def load_flow(path) -> Flow:

@@ -632,3 +632,37 @@ class TestModuleEntry:
         proc = run_python("-m", "flowent.cli", "compute", str(path))
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ")
+
+
+class TestReportsOwnTheirFields:
+    """Fields are shared across flows and calls, so no report may hand out
+    its field's own descriptor: editing one changes no later report."""
+
+    def test_edited_reports_leave_later_reports_alone(self, capsys, tmp_path, gf4):
+        from flowent.entropy import DEFAULT_CONFIG, ent_star, entropy_report
+        from flowent.fields import tower_from_descriptor
+        from flowent.functors import verify_theorem
+        from flowent.model import flow_to_dict, load_flow
+
+        spec = tmp_path / "flow.json"
+        save_flow(random_stencil_flow(gf4, 0), spec)
+        commands = [["compute", str(spec)], ["verify", str(spec), "--identity-n", "4"], ["example", "bernoulli", "--field", "4"]]
+        flow = load_flow(spec)
+        other = make_bernoulli(flow.field, 1)
+        before = [run(capsys, *argv) for argv in commands], json.dumps(flow_to_dict(other))
+
+        tower = tower_from_descriptor(flow.field.descriptor)
+        e_kl = make_extension(flow.field, least_irreducible(flow.field, 2))[1]
+        theorem = verify_theorem(tower.embedding(0, 1), e_kl, flow, DEFAULT_CONFIG, identity_n_max=2)
+        returned = [
+            entropy_report(flow, ent_star(flow), DEFAULT_CONFIG)["field"],
+            flow_to_dict(flow)["field"],
+            *theorem.tower,
+            *theorem.to_dict()["tower"],
+        ]
+        for desc in returned:
+            desc["tower"].append([[1], [0], [1]])
+            desc["tower"][0].append([1])
+            desc["p"] = 3
+
+        assert ([run(capsys, *argv) for argv in commands], json.dumps(flow_to_dict(other))) == before

@@ -1,6 +1,7 @@
 """Field and embedding layer: construction, arithmetic laws, towers."""
 
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowent.errors import Mismatch, NotPrime, Reducible, TooLarge
+from flowent.errors import FlowentError, Mismatch, NotPrime, Reducible, TooLarge
 from flowent.fields import (
     FiniteField,
     _poly_is_irreducible,
@@ -19,6 +20,7 @@ from flowent.fields import (
     least_irreducible,
     make_extension,
     make_prime_field,
+    modulus_codes,
     tower_from_descriptor,
 )
 from flowent.linalg import block_expand, entry_embed, random_matrix
@@ -408,6 +410,97 @@ class TestDescriptors:
     def test_integer_coefficients_accepted(self):
         tower = tower_from_descriptor({"p": 2, "tower": [[1, 1, 1]]})
         assert tower.top.q == 4
+
+
+def _unshared_tower(desc):
+    """The tower ``desc`` names, built step by step with nothing shared."""
+    fields = [make_prime_field(desc["p"])]
+    for coeffs in desc.get("tower", []):
+        fields.append(make_extension(fields[-1], modulus_codes(fields[-1], coeffs))[0])
+    return fields
+
+
+class TestSharedTowers:
+    """``tower_from_descriptor`` builds each tower once per process and
+    shares it; each field's descriptor is a new copy on every read."""
+
+    def test_equal_descriptors_share_one_tower(self, gf16):
+        desc = gf16.descriptor
+        tower = tower_from_descriptor(desc)
+        assert tower_from_descriptor(gf16.descriptor) is tower
+        assert tower_from_descriptor(json.loads(json.dumps(desc))) is tower
+        assert field_from_descriptor(desc) is tower.top
+
+    def test_extension_shares_its_base_tower(self, gf16):
+        base = tower_from_descriptor(gf16.descriptor)
+        desc = gf16.descriptor
+        desc["tower"].append([list(gf16.coords(c)) for c in least_irreducible(gf16, 2)])
+        ext = tower_from_descriptor(desc)
+        assert ext.fields[:-1] == base.fields
+        assert all(a is b for a, b in zip(ext.fields, base.fields))
+        assert ext.steps[:-1] == base.steps and ext.top.q == 256
+
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            ({"p": 2}, {"p": 2, "tower": []}),
+            ({"p": 2, "tower": [[1, 1, 1]]}, {"p": 2, "tower": [[[1], [1], [1]]]}, {"p": 2, "tower": [[3, -1, 1]]}),
+            ({"p": 3, "tower": [[2, 2, 1], [[0, 1], [0], [1]]]}, {"p": 3, "tower": [[[2], [2, 0], [1]], [[0, 1], [0, 0], [1]]]}),
+            ({"p": 2, "tower": [[1, 1, 1]], "label": "x"}, {"p": np.int64(2), "tower": [[np.int64(1), 1, 1]]}),
+        ],
+    )
+    def test_each_form_keeps_its_own_descriptor(self, forms):
+        for desc in forms:
+            want = _unshared_tower(desc)
+            for _ in range(2):
+                tower = tower_from_descriptor(desc)
+                assert list(tower.fields) == want
+                assert [f.descriptor for f in tower.fields] == [f.descriptor for f in want]
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"p": 4},
+            {"p": True},
+            {"p": 2.0},
+            {"p": 2, "tower": [[1, 0, 1]]},
+            {"p": 2, "tower": [[1.0, 1, 1]]},
+            {"p": 2, "tower": [[True, 1, 1], [1, 0, 1]]},
+            {"p": 2, "tower": [["1", 1, 1]]},
+            {"p": 2, "tower": [[[1, 1], 1, 1]]},
+            {"p": 2, "tower": [(1, 1, 1)]},
+            {"p": 2, "tower": [[1, 1, 1], [[1], [1]]]},
+        ],
+    )
+    def test_invalid_descriptors_raise_on_every_call(self, desc):
+        tower_from_descriptor({"p": 2, "tower": [[1, 1, 1]]})
+        for _ in range(2):
+            with pytest.raises((ValueError, FlowentError)):
+                tower_from_descriptor(desc)
+
+    def test_monkeypatched_internals_run_uncached(self, gf4, monkeypatch):
+        """A shared tower does not stand in for ``make_extension``: with the
+        generator search patched to fail, extending GF(4) raises although
+        GF(16) over it is shared already."""
+        from flowent import fields
+
+        modulus = least_irreducible(gf4, 2)
+        desc = gf4.descriptor
+        desc["tower"].append([list(gf4.coords(c)) for c in modulus])
+        tower_from_descriptor(desc)
+        monkeypatch.setattr(fields, "_prime_rank", lambda a, p: 0)
+        with pytest.raises(Reducible):
+            make_extension(gf4, modulus)
+
+    def test_descriptor_reads_are_copies(self, gf16):
+        tower = tower_from_descriptor(gf16.descriptor)
+        before = tower.top.descriptor
+        edited = tower.top.descriptor
+        edited["tower"][0].append([1])
+        edited["tower"].append([])
+        edited["p"] = 3
+        assert tower.top.descriptor == before == gf16.descriptor
+        assert tower.fields[1].descriptor == {"p": 2, "tower": before["tower"][:1]}
 
 
 # Runs the block product's float64 exactness guard one past its bound of

@@ -4,12 +4,19 @@ import copy
 import json
 import pickle
 
+import enum
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from flowent.cli import main
 from flowent.errors import FieldMismatch, WindowTooSmall
 from flowent.fields import least_irreducible, make_extension, make_prime_field
-from flowent.linalg import Matrix
+from flowent.linalg import Matrix, random_invertible
 from flowent.model import (
     EndoSpec,
     Flow,
@@ -19,14 +26,17 @@ from flowent.model import (
     _flow_from_window,
     _matrix_from_json,
     compose_flow,
+    conjugate_flow,
     default_window,
     direct_sum,
     flow_from_dict,
     flow_to_dict,
     good_direct_sum,
+    json_text,
     load_flow,
     make_bernoulli,
     make_identity,
+    power_flow,
     random_stencil_flow,
     save_flow,
     truncate,
@@ -345,6 +355,91 @@ class TestFlowSpecJson:
             want = [[_element_from_json(field, v) for v in row] for row in rows]
             assert _matrix_from_json(field, rows, "prefix") == Matrix(field, want), rows
 
+    # Each input with the codes it reads as, or the ValueError it raises: the
+    # decisions of the nested ``np.asarray`` decode that the flat one replaced.
+    _DECODE_TABLE = [
+        ("ragged", 2, [[1, 0], [1]], "prefix has rows of lengths [1, 2]; every row must have the same length"),
+        ("one-empty-row", 2, [[]], [[]]),
+        ("one-empty-row-ext", 4, [[]], [[]]),
+        ("two-empty-rows", 2, [[], []], [[], []]),
+        ("no-rows", 2, [], []),
+        ("int-and-list", 3, [[1, [2]], [0, 1]], [[1, 2], [0, 1]]),
+        ("float", 3, [[1.0, 2]], "element 1.0 is not a list of prime-field coefficients"),
+        ("float-digit", 9, [[[1.0, 0]]], "coefficients [1.0, 0] must be integers"),
+        ("bools", 2, [[True, False], [False, True]], [[1, 0], [0, 1]]),
+        ("bool-and-int", 3, [[True, 2]], [[1, 2]]),
+        ("bool-digits", 4, [[[True, False]]], [[1]]),
+        ("numeric-string", 3, [["1", 2]], "element '1' is not a list of prime-field coefficients"),
+        ("numeric-string-digits", 9, [[["1", "0"]]], "coefficients ['1', '0'] must be integers"),
+        ("past-int64", 3, [[2**63, 1]], [[2, 1]]),
+        ("past-uint64", 3, [[2**64, -(2**63) - 1]], [[1, 0]]),
+        ("past-int64-digit", 9, [[[2**70, 1]]], [[4]]),
+        ("zero-tails-mixed", 4, [[[1, 0, 0, 0], [0, 1]]], [[1, 2]]),
+        ("zero-tails", 4, [[[1, 0, 0], [0, 1, 0]]], [[1, 2]]),
+        ("nonzero-tail", 4, [[[1, 0, 1], [0, 1, 0]]], "coefficient vector longer than field degree"),
+        ("tail-zero-mod-p", 9, [[[1, 2, 3]]], [[7]]),
+        ("tail-nonzero-mod-p", 9, [[[1, 2, 4]]], "coefficient vector longer than field degree"),
+        ("prime-field-tail", 2, [[[1, 0, 2]]], [[1]]),
+        ("ints-over-ext", 4, [[1, 0], [0, 1]], "elements of a non-prime field must be prime-field coordinate lists"),
+        ("int-over-ext", 9, [[0]], "elements of a non-prime field must be prime-field coordinate lists"),
+        ("null", 2, [[None]], "element None is not a list of prime-field coefficients"),
+        ("too-deep", 2, [[[[1]]]], "coefficients [[1]] must be integers"),
+        ("empty-digits", 4, [[[]]], [[0]]),
+        ("ragged-digits", 4, [[[1], [1, 1]], [[0, 1], []]], [[1, 3], [2, 0]]),
+        ("negative", 2, [[-1, 3], [4, -2]], [[1, 1], [0, 0]]),
+        ("negative-digits", 9, [[[-1, -2], [4, 5]]], [[5, 7]]),
+        ("object", 3, [[{"a": 1}]], "coefficients ['a'] must be integers"),
+    ]
+
+    @pytest.mark.parametrize("q, rows, want", [case[1:] for case in _DECODE_TABLE], ids=[case[0] for case in _DECODE_TABLE])
+    def test_matrix_decode_table(self, q, rows, want):
+        p = 3 if q in (3, 9) else 2
+        base = make_prime_field(p)
+        field = base if q == p else make_extension(base, least_irreducible(base, 2))[0]
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as info:
+                _matrix_from_json(field, rows, "prefix")
+            assert str(info.value) == want
+        else:
+            got = _matrix_from_json(field, rows, "prefix")
+            assert got.field == field
+            assert got.data.shape == (len(want), len(want[0]) if want else 0)
+            assert got.data.tolist() == want
+
+    _ELEMENTS = st.one_of(
+        st.integers(-3, 9),
+        st.integers(),
+        st.booleans(),
+        st.lists(st.integers(-3, 9), max_size=4),
+        st.lists(st.one_of(st.integers(), st.booleans()), min_size=2, max_size=2),
+        st.floats(allow_nan=False),
+        st.sampled_from(["1", None, [[1]], [1.0, 0], []]),
+    )
+
+    @given(
+        q=st.sampled_from([2, 3, 4, 9]),
+        shape=st.tuples(st.integers(1, 3), st.integers(0, 3)),
+        pool=st.lists(_ELEMENTS, min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 2), min_size=9, max_size=9),
+    )
+    def test_matrix_decode_matches_one_by_one(self, q, shape, pool, picks):
+        """The flat decode reads every matrix as ``_element_from_json`` reads
+        its elements, or raises the ValueError that reading them raises."""
+        p = 3 if q in (3, 9) else 2
+        base = make_prime_field(p)
+        field = base if q == p else make_extension(base, least_irreducible(base, 2))[0]
+        r, c = shape
+        rows = [[pool[picks[i * c + j] % len(pool)] for j in range(c)] for i in range(r)]
+        try:
+            want = Matrix(field, [[_element_from_json(field, v) for v in row] for row in rows])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                _matrix_from_json(field, rows, "prefix")
+            assert str(info.value) == str(exc)
+        else:
+            got = _matrix_from_json(field, rows, "prefix")
+            assert got == want and got.data.shape == (r, c)
+
     def test_matrix_rejects_ints_in_extension_fields(self, gf4):
         spec = flow_to_dict(make_bernoulli(gf4, 1))
         spec["prefix"] = [[1, 0], [0, 1]]
@@ -370,3 +465,117 @@ class TestFlowSpecJson:
         flow = direct_sum(make_bernoulli(gf2, 1), make_identity(SpaceShape(gf2, 0)))
         again = flow_from_dict(flow_to_dict(flow))
         assert again.endo.stencil == flow.endo.stencil
+
+
+def _stdlib_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(write, payload):
+    """The text ``write`` makes of ``payload``, or the type of what it raises."""
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class _Code(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+# JSON values, with ints past 2^63 and strings of any code point
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70) | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=30,
+)
+# values json.dumps also writes: tuples, floats, and non-string keys
+_LOOSE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+        | st.dictionaries(st.integers(-5, 5) | st.booleans() | st.none(), inner, max_size=3)
+        | st.dictionaries(st.floats(allow_nan=False), inner, max_size=3)
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """``json_text`` writes what ``json.dumps(x, indent=2, sort_keys=True)``
+    writes, plus a newline, and raises TypeError where it does."""
+
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("golden/*.json")), ids=lambda p: p.name)
+    def test_goldens(self, path):
+        text = path.read_text()
+        assert json_text(json.loads(text)) == _stdlib_text(json.loads(text)) == text
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_derived_flows(self, q):
+        p = 3 if q == 9 else 2
+        base = make_prime_field(p)
+        field = make_extension(base, least_irreducible(base, 2))[0]
+        for s in range(3):
+            f, g = random_stencil_flow(field, s), random_stencil_flow(field, s + 5)
+            a = random_invertible(field, np.random.default_rng(s), f.discrete_dim + 2 + s)
+            for flow in (direct_sum(f, g), conjugate_flow(f, a), power_flow(f, 2)):
+                spec = flow_to_dict(flow)
+                assert json_text(spec) == _stdlib_text(spec), flow.label
+
+    @pytest.mark.parametrize("field", ["2", "9", "16"])
+    @pytest.mark.parametrize("name", ["bernoulli", "identity", "entropy-n", "direct-sum"])
+    def test_example_specs(self, tmp_path, field, name):
+        out = tmp_path / "spec.json"
+        assert main(["example", name, "--field", field, "--dim", "2", "--discrete", "2", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == _stdlib_text(json.loads(text))
+        save_flow(load_flow(out), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
+
+    @given(_JSON)
+    def test_json_payloads(self, payload):
+        text = json_text(payload)
+        assert text == _stdlib_text(payload)
+        assert json.loads(text) == payload
+
+    @given(_LOOSE)
+    def test_loose_payloads(self, payload):
+        assert _outcome(json_text, payload) == _outcome(_stdlib_text, payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, True, False, None, -0],
+            {"a": [True, 1], "b": (2, 3), "c": ()},
+            {"\u00e9\"\\\n\x00\ud800": "\U0001f600\t"},
+            [_Code.ONE, _Text("x"), {_Text("k"): _Code.ONE}, np.float64(0.5), math.inf, -math.inf, math.nan],
+            [{1: "a", -2: "b"}, {2.5: "x", -0.5: "y"}, {True: 1, False: 0}, {None: 1}, {math.inf: 0}],
+            {"\x7f": {}, "": []},
+        ],
+    )
+    def test_special_values(self, payload):
+        assert json_text(payload) == _stdlib_text(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            np.int64(1),
+            [1, np.int64(2)],
+            {"a": {1, 2}},
+            {(1, 2): 1},
+            {1: "a", "b": 2},
+            [object()],
+            b"bytes",
+            {"rows": [[1, 2], [3, np.int32(4)]]},
+        ],
+    )
+    def test_refused_values_raise_type_error(self, payload):
+        assert _outcome(_stdlib_text, payload) is TypeError
+        with pytest.raises(TypeError):
+            json_text(payload)
