@@ -27,7 +27,9 @@ elimination with level exchanges serves every field, one lane operation
 per step: the digits of GF(2^k) rows, packed as they are, in k-bit lanes
 added by XOR, and the rows x^s*r, s < d, of the restriction of a
 GF(p^d) row r to GF(p), built from r by lane shifts, in lanes added mod p
-at once.
+at once.  It runs on any fixed order of a row's positions: from the
+highest set bit down over GF(2^k), from the lowest lane up over odd p.
+The order changes where rows settle, never a rank.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
 tracker has made of them: since ``S_{n+1} = S_1 + phi* S_n``, a row may
@@ -54,6 +56,7 @@ checked on, such as powers and conjugates, are built in ``model``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -153,23 +156,32 @@ class _FlagStack:
     ``counts`` is non-decreasing.  Row j of each inserted block, which has
     at most ``counts[-1]`` rows, has level ``#{c in counts : c <= j}``, and
     ``V_m`` is the F-span of all rows inserted so far at level <= m.  The
-    lead of a row is its first nonzero column.  Each lead has at most one
-    holder, stored with a level, possibly times a unit.  Row w enters at
-    its level l and, while w is nonzero, looks up the holder h of its lead:
+    positions of a row, its columns or in ``_FlagStack2`` its bits, come
+    in a fixed order, and a row's lead key is its first nonzero position
+    in that order: the highest set bit in ``_FlagStack2``, the lowest
+    nonzero column in ``_FlagStackOdd``.  Its lead is the column of that
+    key.  Each lead has at most one holder, stored with a level, possibly
+    times a unit, and zero at every position before its lead key.  Row w
+    enters at its level l and, while w is nonzero, looks up the holder h
+    of its lead:
 
     - none: w becomes the holder, at level l;
     - h at a level <= l: w becomes ``w + e*h``;
     - h at a level above l: w becomes the holder at level l, and the
       displaced h goes on as ``h + e*w`` at its own level;
 
-    each time with the e in F that moves the lead key up: the lead, or in
-    ``_FlagStack2`` the lowest set bit.  The holders of level <= m are a
-    basis of ``V_m`` for every m, so ``ranks[m]`` counts them.  Proof:
-    every step adds to the row it changes a multiple of a row of no higher
-    level, so no ``V_m`` changes except that w joins it for m >= l; each
-    holder of level <= m lies in ``V_m``; and holders have distinct leads,
-    so they are independent.  Each step ends the loop or moves the lead key
-    strictly up, so an insert ends after at most one step per key.
+    each time with the e in F that clears the lead key: both rows are zero
+    before it, so their sum is zero up to it, and the lead key moves
+    strictly on in the order.  The holders of level <= m are a basis of
+    ``V_m`` for every m, so ``ranks[m]`` counts them.  Proof: every step
+    adds to the row it changes a multiple of a row of no higher level, so
+    no ``V_m`` changes except that w joins it for m >= l; each holder of
+    level <= m lies in ``V_m``; and holders have distinct leads, each zero
+    before its own, so they are independent.  Each step ends the loop or
+    moves the lead key strictly on, so an insert ends after at most one
+    step per key.  No step of the proof depends on which order is fixed:
+    the order changes the holders and the placed values, and every rank
+    stays the same.
 
     ``insert`` takes a block of the stream, rows packed as ``_pack_lanes``
     packs them in lanes of ``lane`` bits, and returns, packed, each row's
@@ -177,9 +189,9 @@ class _FlagStack:
     reduces to 0 there: the row plus an F-combination of holders of level
     <= l, which span ``V_l(n-1)`` and the block's earlier rows, so
     ``_constraint_blocks`` may carry it as it is.  A raw row climbs through
-    the holders at low columns at every step; a carried value's image
-    mostly starts past them.  ``ranks`` are in F's units, also when a
-    subclass tracks ``unit`` rows per row.
+    the same holders at every step; a carried value's image mostly starts
+    past them.  ``ranks`` are in F's units, also when a subclass tracks
+    ``unit`` rows per row.
     """
 
     def __init__(self, field, counts: Sequence[int], unit: int = 1):
@@ -276,6 +288,14 @@ def _lane_tops(k: int, width: int) -> int:
     return ((1 << width * k) - 1) // ((1 << k) - 1) << (k - 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _lane_inverses(field) -> list[int]:
+    """c^-1 for each code c of GF(2^k), a lane value, with 0 at 0: one
+    list per field, built when a tracker over it is first made, so that a
+    new holder reads its scale from a list."""
+    return [0] + [field.inv(c) for c in range(1, field.q)]
+
+
 def _lane_times(w: int, c: int, k: int, low: int, tops: int) -> int:
     """c*w, for c in GF(2^k) and a packed row w no wider than ``tops``:
     the XOR of the x^s*w over the set bits s of c.
@@ -301,18 +321,27 @@ class _FlagStack2(_FlagStack):
     them, one bit per digit.  Here column j of the field is lane j, the k
     bits from ``j*k`` on.
 
-    A holder u of lane j has lane value 1, and ``holders`` maps bit
-    ``j*k + t`` to (x^t*u, level) for each t < k.  A row whose lowest set
-    bit is bit t of lane j XORs x^t*u into itself: x^t*u has lane value
-    exactly bit t and is zero in every lane below j, so the XOR clears bit
-    t and nothing lower.  A row w that reaches a lane held at a higher
-    level takes all k bits of it, scaled to ``w/c`` by ``_lane_times``,
-    and the displaced x^t*u goes on XORed with the new x^t*w/c, which
-    clears the lane.  The x^t*u, t < k, are a GF(2)-basis of the
-    GF(2^k)-span of u with distinct lowest bits, so the rows stored for
-    lanes held at level <= m are a GF(2)-basis of a GF(2^k)-space, and
-    ``per_level`` counts lane holders: the GF(2^k) rank.  Each XOR adds a
-    GF(2^k)-multiple of a holder.
+    A row's lead key is its highest set bit, ``packed.bit_length() - 1``.
+    A holder u of lane j is zero above lane j and has lane value 1, and
+    ``holders`` maps bit ``j*k + t`` to (x^t*u, level) for each t < k.  A
+    row whose highest set bit is bit t of lane j XORs x^t*u into itself:
+    multiples act lane by lane, so x^t*u is zero in every lane above j and
+    has lane value exactly bit t, and the XOR clears bit t and moves the
+    lead key strictly down.  A row w that reaches a lane held at a higher
+    level takes all k bits of it, scaled to ``w/c``, c its lane value, by
+    ``_lane_times`` with c^-1 from ``_lane_inverses``, and the displaced
+    x^t*u goes on XORed with the new x^t*w/c, which clears the lane.  The
+    x^t*u, t < k, made by k - 1 doublings x*u inline, are a GF(2)-basis
+    of the GF(2^k)-span of u with distinct highest bits, so the rows
+    stored for lanes held at level <= m are a GF(2)-basis of a
+    GF(2^k)-space, and ``per_level`` counts lane holders: the GF(2^k)
+    rank.  Each XOR adds a GF(2^k)-multiple of a holder.
+
+    The lead keys run from the top down because rows meet fewer holders
+    that way, most of all in a GF(2) restriction: from the lowest set bit
+    up, the GF(2) chains of ``verify`` on 16 flows over GF(4) (the
+    verify-sweep benchmark) looked up holders 119,936 times, and from the
+    highest down 27,351 times.
 
     ``tops`` covers the ``lanes`` lanes of the widest row inserted so far:
     XORs and multiples by ``_lane_times`` stay within the lanes of the
@@ -322,9 +351,11 @@ class _FlagStack2(_FlagStack):
     def __init__(self, field, counts: Sequence[int]):
         super().__init__(field, counts)
         self.low, self.lanes, self.tops = _lane_low(field), 0, 0
+        self.inverses = _lane_inverses(field)
 
     def insert(self, rows: Sequence[int]) -> list[int]:
-        """Insert packed rows; return their placed values, packed."""
+        """Insert packed rows, each reduced from its highest set bit down;
+        return their placed values, packed."""
         holders, per_level, k = self.holders, self.per_level, self.field.d
         if k > 1:
             lanes = -(-max(map(int.bit_length, rows), default=0) // k)
@@ -335,7 +366,7 @@ class _FlagStack2(_FlagStack):
         for packed, level in zip(rows, self.levels):
             own = 0
             while packed:
-                lead = (packed & -packed).bit_length() - 1
+                lead = packed.bit_length() - 1
                 held = holders.get(lead)
                 if held is None:
                     own = own or packed
@@ -362,14 +393,15 @@ class _FlagStack2(_FlagStack):
 
     def _hold(self, w: int, lead: int, level: int, tops: int) -> int:
         """Hold the lane of bit ``lead`` by w/c, c w's lane value; return the multiple under ``lead``."""
-        k, low = self.field.d, self.low
+        k, low, holders = self.field.d, self.low, self.holders
         lane = lead - lead % k
-        u = _lane_times(w, self.field.inv((w >> lane) & ((1 << k) - 1)), k, low, tops)
-        self.holders[lane] = (u, level)
-        for t in range(1, k):
-            u = _lane_times(u, 2, k, low, tops)
-            self.holders[lane + t] = (u, level)
-        return self.holders[lead][0]
+        u = _lane_times(w, self.inverses[(w >> lane) & ((1 << k) - 1)], k, low, tops)
+        holders[lane] = (u, level)
+        for t in range(1, k):  # x*u, as in ``_lane_times``
+            top = u & tops
+            u = ((u ^ top) << 1) ^ ((top >> (k - 1)) * low)
+            holders[lane + t] = (u, level)
+        return holders[lead][0]
 
 
 class _FlagStackOdd(_FlagStack):
@@ -426,6 +458,12 @@ class _FlagStackOdd(_FlagStack):
     A row with lead value c adds k*h, one add per set bit of
     ``k = p - c*a^-1 mod p``: ``c + k*a = 0`` clears the lead.  Placed
     values are as if h were scaled, since ``w - (c/a)*h`` does not change.
+
+    Leads are lowest lanes, the bottom-up order that ``_FlagStack2`` left:
+    measured top-down, ``ent_star`` took 3.7 times as long on the first
+    two ``random_stencil_flow`` flows over GF(9), whose rows enter as d
+    sub-rows each x times where the one before settled, and 1.1 times on
+    the first six over GF(3), which have no sub-rows.
     """
 
     def __init__(self, field, counts: Sequence[int]):

@@ -1123,16 +1123,17 @@ class TestCarriedRows:
         assert stack.ranks == [2, 3]
 
     def test_exchange_returns_the_row_where_it_displaced(self):
-        # level 1 holds e1 + e2 at lead 1; a level-0 row e0 + e1 climbs past
-        # the level-0 holder e0 and displaces it as e1, which is its value;
-        # the displaced e1 + e2 goes on as e2 at level 1
+        # leads are highest set bits: level 1 holds e0 + e1 at lead 1; a
+        # level-0 row e1 + e2 passes the level-0 holder e2 as e1 and
+        # displaces the level-1 holder, so e1 is its value; the displaced
+        # e0 + e1 goes on as e0 at level 1
         bounds = [1, 2]
         stack = _prime_stack(2, bounds)
-        _insert(stack, _level_row(bounds, 1, [0, 1, 1]))
-        _insert(stack, _level_row(bounds, 0, [1, 0, 0]))
-        placed = _placed(stack, np.array([[1, 1, 0], [0, 0, 0]]))
+        _insert(stack, _level_row(bounds, 1, [1, 1, 0]))
+        _insert(stack, _level_row(bounds, 0, [0, 0, 1]))
+        placed = _placed(stack, np.array([[0, 1, 1], [0, 0, 0]]))
         assert placed.tolist() == [[0, 1, 0], [0, 0, 0]]
-        assert {lead: held[1] for lead, held in stack.holders.items()} == {0: 0, 1: 0, 2: 1}
+        assert {lead: held[1] for lead, held in stack.holders.items()} == {2: 0, 1: 0, 0: 1}
         assert stack.ranks == [2, 3]
 
     @staticmethod
@@ -1263,10 +1264,14 @@ class TestCarriedRows:
             carried = supports.copy()  # not the raw rows' tracker's
             raw = _raw_row_run(flow, dead, counts, n_max, window)
             assert [ranks for _, ranks in run] == [ranks for _, ranks in raw], dead
-            # from e_0 the carried rows are e_3, e_1 + e_7, e_2, then e_1
-            # less the holder e_1 + e_7, and then 0; rows 1 and 2 turn
+            # from e_0 the carried rows are e_3, e_1 + e_7 and e_2, then over
+            # GF(2^k), whose leads are highest lanes, e_1, which passes the
+            # holder e_1 + e_7 at lane 7, and over odd p, whose leads are
+            # lowest, e_1 less that holder, e_7; then 0.  Each is carried
+            # narrower than the holder e_1 + e_7; rows 1 and 2 turn
             # dependent by step 3
-            assert carried == [len(dead), 4, 8, 3, 8] + [0] * 5, (dead, carried)
+            fifth = 2 if field.p == 2 else 8
+            assert carried == [len(dead), 4, 8, 3, fifth] + [0] * 5, (dead, carried)
 
     def test_verify_sweep_images_match_raw_rows(self, gf4_pair, gf16_pair, monkeypatch):
         # GF(4) flows with their GF(2) restrictions and GF(16) inductions,
@@ -1285,6 +1290,36 @@ class TestCarriedRows:
                 want = _raw_row_traces(image, dead, counts, 24, traces[0].window)
                 assert [list(t.values) for t in traces] == want, image.label
         assert seen["dependent"] and seen["exchanges"], seen
+
+    def test_restricted_chains_look_up_few_holders(self, gf4_pair, monkeypatch):
+        # GF(2) restrictions of GF(4) flows: with leads taken from the lowest
+        # set bit these chains made 5,802, 1,933 and 14,988 holder lookups;
+        # from the highest set bit each makes fewer, and all three together
+        # at least 3x fewer
+        from flowent.functors import res_flow
+
+        lookups = [0]
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                lookups[0] += 1
+                return dict.get(self, key, default)
+
+        init = _FlagStack2.__init__
+
+        def counted(self, *args):
+            init(self, *args)
+            self.holders = Counted()
+
+        monkeypatch.setattr(_FlagStack2, "__init__", counted)
+        gf4, e24 = gf4_pair
+        bottom_up, top_down = (5802, 1933, 14988), []
+        for seed in range(3):
+            lookups[0] = 0
+            chain_traces(res_flow(e24, random_stencil_flow(gf4, seed)), 64)
+            top_down.append(lookups[0])
+        assert all(a < b for a, b in zip(top_down, bottom_up)), top_down
+        assert 3 * sum(top_down) <= sum(bottom_up), top_down
 
     def test_prefix_shift_reports_unchanged(self, monkeypatch):
         # the reports of prefix-shift[r], wrong ones for r >= 70 included,
