@@ -27,9 +27,11 @@ elimination with level exchanges serves every field, one lane operation
 per step: the digits of GF(2^k) rows, packed as they are, in k-bit lanes
 added by XOR, and the rows x^s*r, s < d, of the restriction of a
 GF(p^d) row r to GF(p), built from r by lane shifts, in lanes added mod p
-at once.  It runs on any fixed order of a row's positions: from the
-highest set bit down over GF(2^k), from the lowest lane up over odd p.
-The order changes where rows settle, never a rank.
+at once.  It runs on either order of a row's positions, from the top
+down or from the bottom up, and each run takes the order that its
+flow's stencil picks (``_top_down``): in the other order the holders a
+row meets may grow with the depth.  The order changes where rows
+settle, never a rank.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
 tracker has made of them: since ``S_{n+1} = S_1 + phi* S_n``, a row may
@@ -158,12 +160,15 @@ class _FlagStack:
     ``V_m`` is the F-span of all rows inserted so far at level <= m.  The
     positions of a row, its columns or in ``_FlagStack2`` its bits, come
     in a fixed order, and a row's lead key is its first nonzero position
-    in that order: the highest set bit in ``_FlagStack2``, the lowest
-    nonzero column in ``_FlagStackOdd``.  Its lead is the column of that
-    key.  Each lead has at most one holder, stored with a level, possibly
-    times a unit, and zero at every position before its lead key.  Row w
-    enters at its level l and, while w is nonzero, looks up the holder h
-    of its lead:
+    in that order: its highest when ``top_down`` is set, else its lowest.
+    Its lead is the column of that key.  ``top_down`` is fixed per
+    tracker: ``cotrajectory_run`` takes it from the flow (``_top_down``),
+    and a tracker built without it, as the identity trackers of
+    ``functors._identity_checks`` are, takes its class's: top-down over
+    GF(2^k), bottom-up over odd p.  Each lead has at most one holder,
+    stored with a level, possibly times a unit, and zero at every
+    position before its lead key.  Row w enters at its level l and,
+    while w is nonzero, looks up the holder h of its lead:
 
     - none: w becomes the holder, at level l;
     - h at a level <= l: w becomes ``w + e*h``;
@@ -194,9 +199,11 @@ class _FlagStack:
     ``unit`` rows per row.
     """
 
-    def __init__(self, field, counts: Sequence[int], unit: int = 1):
+    def __init__(self, field, counts: Sequence[int], top_down: bool | None = None, unit: int = 1):
         self.levels = np.searchsorted(counts, np.arange(counts[-1]), side="right").tolist()
         self.field, self.unit, self.lane = field, unit, _lane_bits(field.p)
+        if top_down is not None:
+            self.top_down = top_down
         self.holders: dict = {}
         self.per_level = [0] * len(counts)
 
@@ -206,8 +213,10 @@ class _FlagStack:
         return ranks if self.unit == 1 else [rank // self.unit for rank in ranks]
 
 
-def _flag_stack(field, counts: Sequence[int]) -> _FlagStack:
-    return (_FlagStack2 if field.p == 2 else _FlagStackOdd)(field, counts)
+def _flag_stack(field, counts: Sequence[int], top_down: bool | None = None) -> _FlagStack:
+    """The tracker over ``field`` for ``counts``, its leads in the order
+    ``top_down`` names, or in its class's order when that is None."""
+    return (_FlagStack2 if field.p == 2 else _FlagStackOdd)(field, counts, top_down)
 
 
 def _lane_bits(p: int) -> int:
@@ -321,14 +330,16 @@ class _FlagStack2(_FlagStack):
     them, one bit per digit.  Here column j of the field is lane j, the k
     bits from ``j*k`` on.
 
-    A row's lead key is its highest set bit, ``packed.bit_length() - 1``.
-    A holder u of lane j is zero above lane j and has lane value 1, and
+    A row's lead key is its highest set bit, ``packed.bit_length() - 1``,
+    top-down, or its lowest, bottom-up.  A holder u of lane j is zero in
+    every lane before lane j in the order and has lane value 1, and
     ``holders`` maps bit ``j*k + t`` to (x^t*u, level) for each t < k.  A
-    row whose highest set bit is bit t of lane j XORs x^t*u into itself:
-    multiples act lane by lane, so x^t*u is zero in every lane above j and
-    has lane value exactly bit t, and the XOR clears bit t and moves the
-    lead key strictly down.  A row w that reaches a lane held at a higher
-    level takes all k bits of it, scaled to ``w/c``, c its lane value, by
+    row whose lead key is bit t of lane j XORs x^t*u into itself:
+    multiples act lane by lane, so x^t*u is zero in every lane before j
+    and has lane value exactly bit t, and the XOR clears bit t, before
+    which both rows are zero, and moves the lead key strictly on.  A row
+    w that reaches a lane held at a higher level takes all k bits of it,
+    scaled to ``w/c``, c its lane value, by
     ``_lane_times`` with c^-1 from ``_lane_inverses``, and the displaced
     x^t*u goes on XORed with the new x^t*w/c, which clears the lane.  The
     x^t*u, t < k, made by k - 1 doublings x*u inline, are a GF(2)-basis
@@ -337,36 +348,37 @@ class _FlagStack2(_FlagStack):
     GF(2^k)-space, and ``per_level`` counts lane holders: the GF(2^k)
     rank.  Each XOR adds a GF(2^k)-multiple of a holder.
 
-    The lead keys run from the top down because rows meet fewer holders
-    that way, most of all in a GF(2) restriction: from the lowest set bit
-    up, the GF(2) chains of ``verify`` on 16 flows over GF(4) (the
-    verify-sweep benchmark) looked up holders 119,936 times, and from the
-    highest down 27,351 times.
+    Over GF(2^k) the tracker's own order is top-down, which the identity
+    trackers keep: in a verify-sweep round they look up holders 13,320
+    times, and from the lowest set bit up 99,485 times.  A chain run takes
+    the order its flow's stencil picks (``_top_down``).
 
     ``tops`` covers the ``lanes`` lanes of the widest row inserted so far:
     XORs and multiples by ``_lane_times`` stay within the lanes of the
     rows they combine, so it covers every value an insert makes.
     """
 
-    def __init__(self, field, counts: Sequence[int]):
-        super().__init__(field, counts)
+    top_down = True
+
+    def __init__(self, field, counts: Sequence[int], top_down: bool | None = None):
+        super().__init__(field, counts, top_down)
         self.low, self.lanes, self.tops = _lane_low(field), 0, 0
         self.inverses = _lane_inverses(field)
 
     def insert(self, rows: Sequence[int]) -> list[int]:
-        """Insert packed rows, each reduced from its highest set bit down;
-        return their placed values, packed."""
+        """Insert packed rows, each reduced from its lead key on in the
+        tracker's order; return their placed values, packed."""
         holders, per_level, k = self.holders, self.per_level, self.field.d
         if k > 1:
             lanes = -(-max(map(int.bit_length, rows), default=0) // k)
             if lanes > self.lanes:
                 self.lanes, self.tops = lanes, _lane_tops(k, lanes)
-        tops = self.tops
+        tops, top_down = self.tops, self.top_down
         placed = []
         for packed, level in zip(rows, self.levels):
             own = 0
             while packed:
-                lead = packed.bit_length() - 1
+                lead = (packed if top_down else packed & -packed).bit_length() - 1
                 held = holders.get(lead)
                 if held is None:
                     own = own or packed
@@ -440,8 +452,9 @@ class _FlagStackOdd(_FlagStack):
     below 2^(d*b), so their product copies each column's lane into the
     column's own lanes t, with no carry: one lane add for each i.
 
-    The lead of a row is the lane of its lowest set bit.  Two rows add
-    lane-wise mod p in one step: ``s = x + y``, then ``s - (((s + bias) &
+    The lead of a row is the lane of its lowest set bit, bottom-up, or of
+    its highest, top-down.  Two rows add lane-wise mod p in one step:
+    ``s = x + y``, then ``s - (((s + bias) &
     tops) >> (b-1)) * p``, where ``bias`` holds 2^(b-1) - p and ``tops``
     holds 2^(b-1) in every lane.  Proof: a lane of s is at most 2p - 2 <
     2^b, since p <= 2^(b-1), and the same lane of ``s + bias`` is at most
@@ -459,15 +472,19 @@ class _FlagStackOdd(_FlagStack):
     ``k = p - c*a^-1 mod p``: ``c + k*a = 0`` clears the lead.  Placed
     values are as if h were scaled, since ``w - (c/a)*h`` does not change.
 
-    Leads are lowest lanes, the bottom-up order that ``_FlagStack2`` left:
-    measured top-down, ``ent_star`` took 3.7 times as long on the first
-    two ``random_stencil_flow`` flows over GF(9), whose rows enter as d
-    sub-rows each x times where the one before settled, and 1.1 times on
-    the first six over GF(3), which have no sub-rows.
+    The holders, their doublings, the sub-rows x*u and the lane masks
+    are the same in either order.  The tracker's own order, which the
+    identity trackers keep, is bottom-up; a chain run takes the order its
+    flow's stencil picks (``_top_down``).  No order is cheaper for every
+    flow: ``ent_star`` on ``random_stencil_flow`` seed 1 over GF(9) took
+    5.3 ms bottom-up and 41 ms top-down, and on seed 2 over GF(3) 10.6
+    ms bottom-up and 5.9 ms top-down.
     """
 
-    def __init__(self, field, counts: Sequence[int]):
-        super().__init__(field, counts, field.d)
+    top_down = False
+
+    def __init__(self, field, counts: Sequence[int], top_down: bool | None = None):
+        super().__init__(field, counts, top_down, field.d)
         p, b = field.p, self.lane
         x_d = [(-c) % p for c in field.modulus[:-1]]  # the digits m_t of x^d
         self.spreads = [
@@ -484,7 +501,7 @@ class _FlagStackOdd(_FlagStack):
             self.lanes, self.tops, self.bias = lanes, ones << (b - 1), ones * ((1 << (b - 1)) - p)
             self.lasts = ((1 << lanes * b) - 1) // ((1 << d * b) - 1) * ((1 << b) - 1) << (d - 1) * b
         tops, bias, lasts, spreads, mask = self.tops, self.bias, self.lasts, self.spreads, (1 << b) - 1
-        bits = p.bit_length()
+        bits, top_down = p.bit_length(), self.top_down
         placed = []
         for w, level in zip(rows, self.levels):
             for s in range(d):
@@ -500,7 +517,7 @@ class _FlagStackOdd(_FlagStack):
                             w = t - (((t + bias) & tops) >> (b - 1)) * p
                 u, at = 0, level
                 while w:
-                    lead = ((w & -w).bit_length() - 1) // b
+                    lead = ((w if top_down else w & -w).bit_length() - 1) // b
                     c = (w >> lead * b) & mask
                     held = holders.get(lead)
                     if held is not None and held[1] <= at:
@@ -833,6 +850,39 @@ class _LaneProduct(NamedTuple):
         return out
 
 
+def _top_down(flow: Flow) -> bool:
+    """Whether a run of the flow takes its tracker's leads from the top
+    down: unless b, the largest stencil offset with a nonzero coefficient
+    in any phase, is 1 or 2 and at most the flow's ``extent``.
+
+    The order changes no rank (``_FlagStack``), only the holders a row
+    meets before it settles.  In the order that suits a flow less, their
+    number may grow with the depth, and a run's work with its square: the
+    chain of ``random_stencil_flow`` seed 2 over GF(3) looks up holders
+    56, 92 and 263 times at steps 8, 32 and 128 bottom-up, and 30 times a
+    step top-down; seed 23 over GF(4) 27, 91 and 347 times top-down, and
+    10 times a step bottom-up.  This rule reads the better order from the
+    stencil.  Of the lookups that the per-field order (top-down over
+    GF(2^k), bottom-up over odd p) makes in ``chain_traces(flow, 64)`` at
+    ``m_max`` 8, it makes 0.55 on ``random_stencil_flow`` seeds 0-29 over
+    GF(4), 0.58 on seeds 0-29 over GF(3), 0.74 on seeds 0-7 over GF(9),
+    0.52 on seeds 0-15 over GF(7), 0.51 on GF(4) seeds 0-15 induced to
+    GF(16), 0.28 on GF(9) seeds 0-7 restricted to GF(3), 1.00 on GF(4)
+    seeds 0-15 restricted to GF(2) and 1.04 on GF(2) seeds 0-19.
+
+    It depends on ``m_max``: at 4 the GF(2) flows rise to 1.26, at 14 the
+    GF(9) flows to 1.22.  The rule "top-down when 3*b is at least the top
+    member" stayed at or below 1.01 at all three, but cut less of the
+    compute-odd benchmark's time: 40 alternating in-process rounds of
+    ``ent_star`` on its eight flows took a median of 40.3 ms in the
+    per-field order, 34.7 ms by that rule and 32.2 ms by this one, which
+    is why this one is kept.  A chain cutoff that lifts the top member
+    past ``m_max`` may call for that rule instead.
+    """
+    b = flow.endo.max_offset
+    return not 0 < b <= min(2, flow.endo.extent)
+
+
 def _check_tracker_cap(field, rows: int, n_max: int, dim: int) -> None:
     """Raise TooLarge when a tracker that takes ``rows`` rows a step for
     ``n_max`` steps over ``dim`` coordinates may hold more than
@@ -855,9 +905,10 @@ def cotrajectory_run(
     """For each step n = 1..n_max, the step's block of constraint rows and
     the ranks of the first ``count`` rows of steps 1..n, for each count in
     ``counts`` (non-decreasing).  The ranks come from one flag tracker over
-    the flow's field, in which row j belongs to the span of count c exactly
-    when ``j < c``, and the next step multiplies out the values it placed
-    as they are: in every characteristic a block is a list of packed rows.
+    the flow's field, its leads in the order ``_top_down`` picks for the
+    flow, in which row j belongs to the span of count c exactly when ``j <
+    c``, and the next step multiplies out the values it placed as they
+    are: in every characteristic a block is a list of packed rows.
 
     The blocks are carried blocks (``_constraint_blocks``): the first
     ``count`` rows of steps 1..n span what the raw rows of those steps
@@ -868,7 +919,7 @@ def cotrajectory_run(
     up to ``rows`` stay valid; those of larger counts are not, past step
     s.
     """
-    stack = _flag_stack(flow.field, counts)
+    stack = _flag_stack(flow.field, counts, _top_down(flow))
     blocks = _constraint_blocks(flow, dead, n_max, window)
     carried = None
     for n in range(1, n_max + 1):

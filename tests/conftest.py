@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import flowent
-from flowent.entropy import _constraint_blocks, _lane_bits, _unpack_lanes
+from flowent.entropy import _constraint_blocks, _FlagStack, _lane_bits, _unpack_lanes
 from flowent.fields import _rref_array, make_extension, make_prime_field
 from flowent.linalg import Matrix, kernel
 from flowent.model import EndoSpec, Flow, SpaceShape
@@ -112,6 +112,24 @@ def raw_forms(flow, dead, n_max, window):
         digits = block_digits(flow.field, block, dim * flow.field.d)
         red, _ = stacked_rref(flow.field, red, code_rows(flow.field, digits))
         yield red
+
+
+_TRACKER_INIT = _FlagStack.__init__
+
+
+def force_lead_order(monkeypatch, top_down):
+    """Make every rank tracker built from now on, ``verify``'s identity
+    trackers included, take its leads from the top down or from the bottom
+    up, whatever order its run or its field would pick; return the set of
+    orders the trackers were built with."""
+    built = set()
+
+    def init(self, field, counts, _order=None, *rest):
+        _TRACKER_INIT(self, field, counts, top_down, *rest)
+        built.add(self.top_down)
+
+    monkeypatch.setattr(_FlagStack, "__init__", init)
+    return built
 
 
 @pytest.fixture(scope="session")

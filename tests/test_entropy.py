@@ -19,6 +19,7 @@ from flowent.entropy import (
     _FlagStack2,
     _FlagStackOdd,
     _flag_stack,
+    _top_down,
     _lane_bits,
     _lane_low,
     _lane_times,
@@ -59,6 +60,7 @@ from conftest import (
     code_rows,
     dense_truncation,
     digit_rows,
+    force_lead_order,
     intersect,
     prefix_shift_flow,
     preimage,
@@ -1243,7 +1245,9 @@ class TestCarriedRows:
     def test_narrowing_rows_keep_widths(self, field, monkeypatch):
         # carried rows that narrow, then vanish, below wider holders: the
         # packed tracker's lane mask keeps its widest row's lanes, so the
-        # holders' values, and over odd p their doublings, still fit
+        # holders' values, and over odd p their doublings, still fit.  The
+        # flow's stencil offset is 0, so its runs take their leads from the
+        # top down; both orders are forced in turn
         tracker, supports = _FlagStack2 if field.p == 2 else _FlagStackOdd, []
         insert, lane = tracker.insert, _lane_bits(field.p)
 
@@ -1258,20 +1262,22 @@ class TestCarriedRows:
         monkeypatch.setattr(tracker, "insert", packed_spy)
         flow, n_max = _narrowing_flow(field), 10
         window = default_window(flow, 3, n_max)
-        for dead, counts in (([0], [1]), ([0, 1, 2], [1, 2, 3])):
-            supports.clear()
-            run = list(cotrajectory_run(flow, dead, counts, n_max, window))
-            carried = supports.copy()  # not the raw rows' tracker's
-            raw = _raw_row_run(flow, dead, counts, n_max, window)
-            assert [ranks for _, ranks in run] == [ranks for _, ranks in raw], dead
-            # from e_0 the carried rows are e_3, e_1 + e_7 and e_2, then over
-            # GF(2^k), whose leads are highest lanes, e_1, which passes the
-            # holder e_1 + e_7 at lane 7, and over odd p, whose leads are
-            # lowest, e_1 less that holder, e_7; then 0.  Each is carried
-            # narrower than the holder e_1 + e_7; rows 1 and 2 turn
-            # dependent by step 3
-            fifth = 2 if field.p == 2 else 8
-            assert carried == [len(dead), 4, 8, 3, fifth] + [0] * 5, (dead, carried)
+        assert _top_down(flow)
+        for top_down in (True, False):
+            force_lead_order(monkeypatch, top_down)
+            for dead, counts in (([0], [1]), ([0, 1, 2], [1, 2, 3])):
+                supports.clear()
+                run = list(cotrajectory_run(flow, dead, counts, n_max, window))
+                carried = supports.copy()  # not the raw rows' tracker's
+                raw = _raw_row_run(flow, dead, counts, n_max, window)
+                assert [ranks for _, ranks in run] == [ranks for _, ranks in raw], dead
+                # from e_0 the carried rows are e_3, e_1 + e_7 and e_2, then,
+                # with leads from the top down, e_1, which passes the holder
+                # e_1 + e_7 at lane 7, and from the bottom up e_1 less that
+                # holder, e_7; then 0.  Each is carried narrower than the
+                # holder e_1 + e_7; rows 1 and 2 turn dependent by step 3
+                fifth = 2 if top_down else 8
+                assert carried == [len(dead), 4, 8, 3, fifth] + [0] * 5, (top_down, dead, carried)
 
     def test_verify_sweep_images_match_raw_rows(self, gf4_pair, gf16_pair, monkeypatch):
         # GF(4) flows with their GF(2) restrictions and GF(16) inductions,
@@ -1291,13 +1297,10 @@ class TestCarriedRows:
                 assert [list(t.values) for t in traces] == want, image.label
         assert seen["dependent"] and seen["exchanges"], seen
 
-    def test_restricted_chains_look_up_few_holders(self, gf4_pair, monkeypatch):
-        # GF(2) restrictions of GF(4) flows: with leads taken from the lowest
-        # set bit these chains made 5,802, 1,933 and 14,988 holder lookups;
-        # from the highest set bit each makes fewer, and all three together
-        # at least 3x fewer
-        from flowent.functors import res_flow
-
+    @staticmethod
+    def count_lookups(monkeypatch):
+        """Counts, in its one entry, the holder lookups of every tracker
+        built from now on."""
         lookups = [0]
 
         class Counted(dict):
@@ -1305,13 +1308,23 @@ class TestCarriedRows:
                 lookups[0] += 1
                 return dict.get(self, key, default)
 
-        init = _FlagStack2.__init__
+        init = _FlagStack.__init__
 
         def counted(self, *args):
             init(self, *args)
             self.holders = Counted()
 
-        monkeypatch.setattr(_FlagStack2, "__init__", counted)
+        monkeypatch.setattr(_FlagStack, "__init__", counted)
+        return lookups
+
+    def test_restricted_chains_look_up_few_holders(self, gf4_pair, monkeypatch):
+        # GF(2) restrictions of GF(4) flows: with leads taken from the lowest
+        # set bit these chains made 5,802, 1,933 and 14,988 holder lookups;
+        # from the highest set bit each makes fewer, and all three together
+        # at least 3x fewer
+        from flowent.functors import res_flow
+
+        lookups = self.count_lookups(monkeypatch)
         gf4, e24 = gf4_pair
         bottom_up, top_down = (5802, 1933, 14988), []
         for seed in range(3):
@@ -1320,6 +1333,18 @@ class TestCarriedRows:
             top_down.append(lookups[0])
         assert all(a < b for a, b in zip(top_down, bottom_up)), top_down
         assert 3 * sum(top_down) <= sum(bottom_up), top_down
+
+    def test_odd_chains_look_up_few_holders(self, gf3, monkeypatch):
+        # the eight flows of the compute-odd benchmark, GF(3) seeds 0-5 and
+        # GF(9) seeds 0-1, to its depth: with every run's leads taken from
+        # the bottom up they made 32,728 holder lookups; with each run's
+        # order picked from its stencil (``_top_down``) at most 3/4 of that
+        lookups = self.count_lookups(monkeypatch)
+        gf9 = make_extension(gf3, least_irreducible(gf3, 2))[0]
+        for field, seeds in ((gf3, range(6)), (gf9, range(2))):
+            for seed in seeds:
+                chain_traces(random_stencil_flow(field, seed), 64)
+        assert 4 * lookups[0] <= 3 * 32728, lookups
 
     def test_prefix_shift_reports_unchanged(self, monkeypatch):
         # the reports of prefix-shift[r], wrong ones for r >= 70 included,
@@ -1360,6 +1385,73 @@ class TestCarriedRows:
     def test_products_in_int64(self, field):
         # int64 digit rows, packed
         _check_products(field)
+
+
+class TestLeadOrder:
+    """Each run takes its trackers' lead order from its flow's stencil
+    (``_top_down``), and no order changes a trace."""
+
+    @pytest.mark.parametrize(
+        "stencil,rows,discrete,top_down",
+        [
+            ({}, 0, 0, True),  # no offset
+            ({0: 1}, 0, 0, True),  # b = 0
+            ({-2: 1, 0: 2}, 2, 0, True),  # b = 0 with negative offsets
+            ({-1: 1}, 1, 0, True),  # b < 0
+            ({1: 1}, 0, 0, True),  # b = 1 past the extent 0
+            ({1: 1}, 1, 0, False),  # b = extent = 1
+            ({-1: 1, 2: 2}, 2, 0, False),  # b = extent = 2
+            ({2: 1}, 0, 2, False),  # b = 2, the extent 2 from the dc block
+            ({2: 1}, 1, 0, True),  # b = 2 past the extent 1
+            ({3: 1}, 4, 0, True),  # b = 3 with extent 4
+            ([{0: 1}, {2: 1}], 2, 0, False),  # b = 2 in the second phase
+            ([{2: 1}, {-1: 1, 3: 2}], 4, 0, True),  # b = 3 in the second phase
+        ],
+    )
+    def test_order_from_stencil(self, gf3, stencil, rows, discrete, top_down):
+        # bottom-up exactly when 0 < b <= min(2, extent), b the largest
+        # offset with a nonzero coefficient in any phase
+        prefix = Matrix(gf3, np.ones((rows, rows + 4), dtype=np.int64)) if rows else None
+        blocks = {"dd": Matrix.zeros(gf3, discrete, discrete), "dc": Matrix.zeros(gf3, discrete, discrete)}
+        flow = Flow(SpaceShape(gf3, discrete), EndoSpec(gf3, stencil, prefix=prefix, **(blocks if discrete else {})))
+        assert _top_down(flow) == top_down
+
+    @pytest.mark.parametrize("rows,top_down", [(0, True), (1, False)])
+    def test_order_of_a_restricted_stencil(self, gf4_pair, rows, top_down):
+        # the GF(2) restriction of the stencil {0: g} over GF(4) has two
+        # phases, offsets {1} and {-1, 0}: b = 1, and the extent is twice
+        # the prefix rows
+        from flowent.functors import res_flow
+
+        gf4, e24 = gf4_pair
+        prefix = Matrix(gf4, np.ones((rows, 2), dtype=np.int64)) if rows else None
+        flow = res_flow(e24, Flow(SpaceShape(gf4, 0), EndoSpec(gf4, {0: gf4.generator}, prefix=prefix)))
+        assert (flow.endo.period, flow.endo.max_offset, flow.endo.extent) == (2, 1, 2 * rows)
+        assert _top_down(flow) == top_down
+
+    def test_orders_give_the_same_traces(self, gf2, gf3, gf4_pair, gf16_pair, monkeypatch):
+        # every tracker forced top-down, then bottom-up: the traces of each
+        # run's own order, over GF(2), GF(4), GF(3), GF(9) and GF(7), GF(4)
+        # and GF(9) restricted to their prime fields and GF(4) induced to
+        # GF(16), and a flow with a discrete part and a negative offset
+        from flowent.functors import ind_flow, res_flow
+
+        (gf4, e24), (_, e416) = gf4_pair, gf16_pair
+        gf9, e39 = make_extension(gf3, least_irreducible(gf3, 2))
+        flows = [random_stencil_flow(f, s) for f in (gf2, gf4, gf3, gf9, make_prime_field(7)) for s in range(4)]
+        flows += [image(e, random_stencil_flow(e.target if image is res_flow else e.source, s))
+                  for image, e in ((res_flow, e24), (res_flow, e39), (ind_flow, e416)) for s in range(2)]
+        rng = np.random.default_rng(7)
+        codes = lambda shape: Matrix(gf3, gf3.random_codes(rng, shape))  # noqa: E731
+        endo = EndoSpec(gf3, {-1: 2, 1: 1, 2: 1}, prefix=codes((2, 5)), dd=codes((2, 2)), cd=codes((2, 3)),
+                        dc=codes((2, 2)))
+        flows.append(Flow(SpaceShape(gf3, 2), endo, label="discrete"))
+        assert {_top_down(flow) for flow in flows} == {True, False}
+        own = [chain_traces(flow, 32) for flow in flows]
+        for top_down in (True, False):
+            built = force_lead_order(monkeypatch, top_down)
+            assert [chain_traces(flow, 32) for flow in flows] == own, top_down
+            assert built == {top_down}
 
 
 def _check_products(field):

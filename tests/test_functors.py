@@ -39,7 +39,7 @@ from flowent.model import (
     truncate,
 )
 
-from conftest import raw_forms
+from conftest import force_lead_order, raw_forms
 
 U = GoodSubspace.principal
 FAST = EngineConfig(n_max=24, m_max=4)
@@ -580,6 +580,24 @@ class TestIdentityChecks:
         assert _shared_cells(*args) == ref
         assert all(map(all, ref.values())) == (side == "plain")
 
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_lead_orders_give_the_same_cells(self, towers, monkeypatch, q):
+        # every tracker, the identity trackers included, forced top-down,
+        # then bottom-up: the cells and estimates of each run's own order,
+        # failing cells of perturbed sides included
+        e_fk, e_kl = towers[q]
+        cases = []
+        for seed in range(4):
+            flow = random_stencil_flow(e_fk.target, seed)
+            flow_f, flow_l = res_flow(e_fk, flow), ind_flow(e_kl, flow)
+            cases += [(flow, flow_f, flow_l), (flow, _perturb(flow_f), flow_l), (flow, flow_f, _perturb(flow_l))]
+        cfg = EngineConfig(n_max=12)
+        own = [_identity_checks(e_fk, e_kl, *case, 16, cfg) for case in cases]
+        for top_down in (True, False):
+            built = force_lead_order(monkeypatch, top_down)
+            assert [_identity_checks(e_fk, e_kl, *case, 16, cfg) for case in cases] == own, top_down
+            assert built == {top_down}
+
     @pytest.mark.parametrize("ms", [(0, 1, 2), tuple(range(6))])
     def test_two_identity_trackers_a_side(self, towers, monkeypatch, ms):
         # one chain tracker per field's run, and two identity trackers a
@@ -590,9 +608,9 @@ class TestIdentityChecks:
         original, runs, checks = entropy._flag_stack, [], []
 
         def spy(built):
-            def build(field, counts):
+            def build(field, counts, *order):
                 built.append((field, len(counts)))
-                return original(field, counts)
+                return original(field, counts, *order)
 
             return build
 

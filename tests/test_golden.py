@@ -68,6 +68,11 @@ CASES = [
         (f"verify-gf{q}-s3-deep.json", partial(_stencil_flow, q, 3), ["verify", "--identity-n", "40", "--max-n", "8"])
         for q in (4, 8, 9, 27)
     ],
+    # depth 128 on the odd flows where a fixed lead order costs most
+    *[
+        (f"compute-gf{q}-s{s}-deep128.json", partial(_stencil_flow, q, s), ["compute", "--max-n", "128"])
+        for q, s in ((3, 1), (3, 2), (9, 1))
+    ],
     # windows of 3,326 and 5,276 coordinates; r = 80 resolves to 1 where 0
     # is due (ROADMAP item 1), so only that item's fix may rewrite its file
     *[(f"compute-prefix-shift-{r}.json", partial(prefix_shift_flow, r), ["compute"]) for r in (50, 80)],
