@@ -25,13 +25,15 @@ inserted once at the level of the smallest member it belongs to, and
 member m's rank is the number of basis rows of level <= m.  One
 elimination with level exchanges serves every field, one lane operation
 per step: the digits of GF(2^k) rows, packed as they are, in k-bit lanes
-added by XOR, and the rows x^s*r, s < d, of the restriction of a
-GF(p^d) row r to GF(p), built from r by lane shifts, in lanes added mod p
-at once.  It runs on either order of a row's positions, from the top
-down or from the bottom up, and each run takes the order that its
-flow's stencil picks (``_top_down``): in the other order the holders a
-row meets may grow with the depth.  The order changes where rows
-settle, never a rank.
+added by XOR, and GF(p^d) rows, p odd, one column of d lanes at a time,
+each step adding to a row the multiple of a holder that clears its lead
+column, as a sum of doublings of the holder's x^s*h, s < d, in lanes
+added mod p at once.  No row is restricted to GF(p) to be tracked, so an
+odd extension pays no d-fold work for it.  It runs on either order of a
+row's positions, from the top down or from the bottom up, and each run
+takes the order that its flow's stencil picks (``_top_down``): in the
+other order the holders a row meets may grow with the depth.  The order
+changes where rows settle, never a rank.
 
 The flow is not applied to the raw rows phi*^(n-1) e_i but to what the
 tracker has made of them: since ``S_{n+1} = S_1 + phi* S_n``, a row may
@@ -61,7 +63,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -164,11 +166,15 @@ class _FlagStack:
     Its lead is the column of that key.  ``top_down`` is fixed per
     tracker: ``cotrajectory_run`` takes it from the flow (``_top_down``),
     and a tracker built without it, as the identity trackers of
-    ``functors._identity_checks`` are, takes its class's: top-down over
-    GF(2^k), bottom-up over odd p.  Each lead has at most one holder,
-    stored with a level, possibly times a unit, and zero at every
-    position before its lead key.  Row w enters at its level l and,
-    while w is nonzero, looks up the holder h of its lead:
+    ``functors._identity_checks`` are, is top-down.  They take the
+    carried blocks of the chain runs, and look up fewer holders top-down
+    in every characteristic: 13,320 times in a verify-sweep round against
+    99,485 bottom-up, and on verify's deep odd checks (``--identity-n
+    150 --max-n 8``, seed 3) 92,575 against 166,732 over GF(9) and
+    205,909 against 354,074 over GF(27).  Each lead has at most one holder,
+    stored with a level, possibly scaled by a nonzero element of F, and
+    zero at every position before its lead key.  Row w enters at its
+    level l and, while w is nonzero, looks up the holder h of its lead:
 
     - none: w becomes the holder, at level l;
     - h at a level <= l: w becomes ``w + e*h``;
@@ -195,13 +201,14 @@ class _FlagStack:
     <= l, which span ``V_l(n-1)`` and the block's earlier rows, so
     ``_constraint_blocks`` may carry it as it is.  A raw row climbs through
     the same holders at every step; a carried value's image mostly starts
-    past them.  ``ranks`` are in F's units, also when a subclass tracks
-    ``unit`` rows per row.
+    past them.  ``per_level`` counts holders by level, one per F-rank.
     """
 
-    def __init__(self, field, counts: Sequence[int], top_down: bool | None = None, unit: int = 1):
+    top_down = True
+
+    def __init__(self, field, counts: Sequence[int], top_down: bool | None = None):
         self.levels = np.searchsorted(counts, np.arange(counts[-1]), side="right").tolist()
-        self.field, self.unit, self.lane = field, unit, _lane_bits(field.p)
+        self.field, self.lane = field, _lane_bits(field.p)
         if top_down is not None:
             self.top_down = top_down
         self.holders: dict = {}
@@ -209,13 +216,12 @@ class _FlagStack:
 
     @property
     def ranks(self) -> list[int]:
-        ranks = list(accumulate(self.per_level))
-        return ranks if self.unit == 1 else [rank // self.unit for rank in ranks]
+        return list(accumulate(self.per_level))
 
 
 def _flag_stack(field, counts: Sequence[int], top_down: bool | None = None) -> _FlagStack:
     """The tracker over ``field`` for ``counts``, its leads in the order
-    ``top_down`` names, or in its class's order when that is None."""
+    ``top_down`` names, or from the top down when that is None."""
     return (_FlagStack2 if field.p == 2 else _FlagStackOdd)(field, counts, top_down)
 
 
@@ -348,17 +354,10 @@ class _FlagStack2(_FlagStack):
     GF(2^k)-space, and ``per_level`` counts lane holders: the GF(2^k)
     rank.  Each XOR adds a GF(2^k)-multiple of a holder.
 
-    Over GF(2^k) the tracker's own order is top-down, which the identity
-    trackers keep: in a verify-sweep round they look up holders 13,320
-    times, and from the lowest set bit up 99,485 times.  A chain run takes
-    the order its flow's stencil picks (``_top_down``).
-
     ``tops`` covers the ``lanes`` lanes of the widest row inserted so far:
     XORs and multiples by ``_lane_times`` stay within the lanes of the
     rows they combine, so it covers every value an insert makes.
     """
-
-    top_down = True
 
     def __init__(self, field, counts: Sequence[int], top_down: bool | None = None):
         super().__init__(field, counts, top_down)
@@ -416,6 +415,28 @@ class _FlagStack2(_FlagStack):
         return holders[lead][0]
 
 
+@functools.lru_cache(maxsize=16)
+def _column_logs(field) -> tuple[dict, list]:
+    """``_FlagStackOdd``'s tables over GF(p^d), d > 1, read from the field's
+    own ``_digits``, ``_log`` and ``_exp``, one pair per field: ``logs``
+    maps each nonzero column value, its d digits packed in lanes of
+    ``_lane_bits(p)`` bits, to its log, and ``picks[j]``, for -(q-1) < j <
+    q-1, lists the multiples of a holder whose sum is e times it, e =
+    -g^j, g the base of the logs: ``s*bits + i`` for each set bit i of
+    each digit e_s of e, bits = ``p.bit_length()``.  -1 is g^((q-1)/2),
+    so ``picks`` is the list of the logs' powers turned by (q-1)/2, and a
+    negative j, as a Python index, reads ``picks[j + q - 1]``.  A row of
+    ``picks`` joins the picks of its digits, which are listed once."""
+    p, d, q, b = field.p, field.d, field.q, _lane_bits(field.p)
+    bits = p.bit_length()
+    packed = (field._digits << (np.arange(d) * b)).sum(axis=1)
+    logs = dict(zip(packed[1:].tolist(), field._log[1:].tolist()))
+    spots = [[tuple(s * bits + i for i in range(bits) if v >> i & 1) for v in range(p)] for s in range(d)]
+    turned = field._exp[(np.arange(q - 1) + (q - 1) // 2) % (q - 1)]  # -g^j
+    picks = [tuple(chain.from_iterable(map(list.__getitem__, spots, e))) for e in field._digits[turned].tolist()]
+    return logs, picks
+
+
 class _FlagStackOdd(_FlagStack):
     """``_FlagStack`` over GF(p^d), p odd, on rows packed as ``_pack_lanes``
     packs them: digit t of column j is lane j*d + t, the b bits from
@@ -424,23 +445,29 @@ class _FlagStackOdd(_FlagStack):
     the lane rule below needs: 3 bits over GF(3) and GF(9), so a row's
     every add and shift runs on as few limbs as the rule allows.
 
-    It eliminates over GF(p): a row r enters as up to d rows that span over
-    GF(p) what r spans over GF(p^d), as its restriction x^s*r, s < d, does
-    (``FiniteField.restrict``, x the field's generator), and
-    ``per_level`` counts d holders per GF(p^d) rank (``unit``).  The first
-    is r, and each next one x times ``u_(s-1)``, the value where the one
-    before settled, which climbs through fewer holders than x^s*r.  Proof:
-    let V be the span of the holders of level <= l when r enters at level
-    l, the GF(p)-span of GF(p^d)-spans of rows, by induction, so closed
-    under x, and let ``S_s = V + <r, x*r, ..., x^s*r>``, ``S_-1 = V``.  If
-    ``u_(s-1)`` lies in ``x^(s-1)*r + S_(s-2)``, then ``x*u_(s-1)`` lies in
-    ``x^s*r + S_(s-1)``, as ``x*S_(s-2)`` lies in ``S_(s-1)``, and so does
-    ``u_s``, which differs from it by holders of level <= l, whose span is
-    ``S_(s-1)``.  So each insert adds x^s*r to the span, which is ``V +
-    GF(p^d)*r`` after the last.  When ``u_s`` is 0, x^s*r lies in
-    ``S_(s-1)``, and so does every later x^t*r, since x maps ``S_(s-1)``
-    into ``S_s = S_(s-1)``: the row's other inserts are skipped.
-    ``insert`` returns ``u_0``, the row's own placed value.
+    It eliminates over GF(p^d) itself, a column of d lanes at a time.  A
+    row's lead is the column of its lowest set bit, bottom-up, or of its
+    highest, top-down, and its lead value c the d digits of that column, a
+    packed element of the field.  A holder h is kept as it settled,
+    unscaled: ``holders`` maps a column to (the multiples ``2^i*x^s*h`` at
+    index ``s*bits + i``, s < d, i < bits = ``p.bit_length()``; its level;
+    a key for its lead value a).  A row w adds e*h, e = -c/a, in one
+    lookup: e*a = -c clears w's lead column, and multiples act column by
+    column, so e*h is zero in every column before it, as h is.  e*h is the
+    sum of ``e_s*x^s*h`` over the digits e_s of e, each the sum of the
+    ``2^i*x^s*h`` over the set bits i of e_s: one lane add per pick, and
+    no row is inserted but the row itself.  Placed values are as if h were
+    scaled, since ``w + e*h`` does not change.  The key and picks:
+
+    - d = 1: the key is a^-1, and the picks are the set bits of ``k = p -
+      c*a^-1 mod p``, so ``c + k*a = 0``;
+    - d > 1: the key is log a, and the picks are ``picks[log c - log a]``
+      of ``_column_logs``, which reads its tables from the field's own.
+
+    A row that reaches a column held at a higher level holds it, and the
+    displaced h goes on at its own level as ``h + e*w``, e = -a/c, added
+    at once from the new holder's multiples, as both characteristic-2
+    paths do, without a second lookup of the column.
 
     ``x*u`` moves each digit of u up one lane within its column and adds
     the top digit c times x^d, whose digit t is m_t = ``-modulus[t]``, to
@@ -452,44 +479,35 @@ class _FlagStackOdd(_FlagStack):
     below 2^(d*b), so their product copies each column's lane into the
     column's own lanes t, with no carry: one lane add for each i.
 
-    The lead of a row is the lane of its lowest set bit, bottom-up, or of
-    its highest, top-down.  Two rows add lane-wise mod p in one step:
-    ``s = x + y``, then ``s - (((s + bias) &
-    tops) >> (b-1)) * p``, where ``bias`` holds 2^(b-1) - p and ``tops``
-    holds 2^(b-1) in every lane.  Proof: a lane of s is at most 2p - 2 <
-    2^b, since p <= 2^(b-1), and the same lane of ``s + bias`` is at most
-    2^(b-1) + p - 2 < 2^b, so neither sum carries from one lane into the
-    next.  That lane of ``s + bias`` is at least 2^(b-1), so has its top
-    bit set, exactly when s >= p.  So the step subtracts p from exactly the
-    lanes where s >= p, without a borrow, and leaves every lane in 0..p-1.
-    ``tops`` and ``bias`` cover the ``lanes`` lanes of the widest row
-    inserted so far, whole columns: sums, multiples by x and holders stay
-    within the columns of the rows they come from.
+    Two rows add lane-wise mod p in one step: ``s = x + y``, then ``s -
+    (((s + bias) & tops) >> (b-1)) * p``, where ``bias`` holds 2^(b-1) -
+    p and ``tops`` holds 2^(b-1) in every lane.  Proof: a lane of s is at
+    most 2p - 2 < 2^b, since p <= 2^(b-1), and the same lane of ``s +
+    bias`` is at most 2^(b-1) + p - 2 < 2^b, so neither sum carries from
+    one lane into the next.  That lane of ``s + bias`` is at least
+    2^(b-1), so has its top bit set, exactly when s >= p.  So the step
+    subtracts p from exactly the lanes where s >= p, without a borrow, and
+    leaves every lane in 0..p-1.  ``tops`` and ``bias`` cover the
+    ``lanes`` lanes of the widest row inserted so far, whole columns: sums
+    and multiples stay within the columns of the rows they come from.
 
-    A holder h is kept as it settled, unscaled: ``holders`` maps a lead to
-    (h, 2h, 4h, ... one per bit of p; level; a^-1 for h's lead value a).
-    A row with lead value c adds k*h, one add per set bit of
-    ``k = p - c*a^-1 mod p``: ``c + k*a = 0`` clears the lead.  Placed
-    values are as if h were scaled, since ``w - (c/a)*h`` does not change.
-
-    The holders, their doublings, the sub-rows x*u and the lane masks
-    are the same in either order.  The tracker's own order, which the
-    identity trackers keep, is bottom-up; a chain run takes the order its
-    flow's stencil picks (``_top_down``).  No order is cheaper for every
-    flow: ``ent_star`` on ``random_stencil_flow`` seed 1 over GF(9) took
-    5.3 ms bottom-up and 41 ms top-down, and on seed 2 over GF(3) 10.6
-    ms bottom-up and 5.9 ms top-down.
+    The holders, their multiples and the lane masks are the same in either
+    order.  A chain run takes the order its flow's stencil picks
+    (``_top_down``); the identity trackers are top-down (``_FlagStack``).
+    No order is cheaper for every flow: ``ent_star`` on
+    ``random_stencil_flow`` seed 1 over GF(9) looks up holders 1,281 times
+    bottom-up and 21,867 times top-down, and on seed 2 over GF(3) 5,376
+    and 1,526 times.
     """
 
-    top_down = False
-
     def __init__(self, field, counts: Sequence[int], top_down: bool | None = None):
-        super().__init__(field, counts, top_down, field.d)
+        super().__init__(field, counts, top_down)
         p, b = field.p, self.lane
         x_d = [(-c) % p for c in field.modulus[:-1]]  # the digits m_t of x^d
         self.spreads = [
             sum(1 << t * b for t, m in enumerate(x_d) if m >> i & 1) for i in range(max(x_d).bit_length())
         ]
+        self.logs, self.picks = _column_logs(field) if field.d > 1 else ({}, [])
         self.lanes = self.tops = self.bias = self.lasts = 0
 
     def insert(self, rows: Sequence[int]) -> list[int]:
@@ -500,49 +518,56 @@ class _FlagStackOdd(_FlagStack):
             ones = ((1 << lanes * b) - 1) // ((1 << b) - 1)  # 1 in every lane
             self.lanes, self.tops, self.bias = lanes, ones << (b - 1), ones * ((1 << (b - 1)) - p)
             self.lasts = ((1 << lanes * b) - 1) // ((1 << d * b) - 1) * ((1 << b) - 1) << (d - 1) * b
-        tops, bias, lasts, spreads, mask = self.tops, self.bias, self.lasts, self.spreads, (1 << b) - 1
-        bits, top_down = p.bit_length(), self.top_down
+        tops, bias, lasts, spreads = self.tops, self.bias, self.lasts, self.spreads
+        logs, picks, top_down = self.logs, self.picks, self.top_down
+        top, span, bits = b - 1, d * b, p.bit_length()
+        mask = (1 << span) - 1
         placed = []
         for w, level in zip(rows, self.levels):
-            for s in range(d):
-                if s:  # x times the value where the row before settled
-                    top = u & lasts
-                    w, c = (u ^ top) << b, top >> (d - 1) * b
-                    for i, spread in enumerate(spreads):
-                        if i:
-                            t = c << 1
-                            c = t - (((t + bias) & tops) >> (b - 1)) * p
-                        if spread:
-                            t = w + c * spread
-                            w = t - (((t + bias) & tops) >> (b - 1)) * p
-                u, at = 0, level
-                while w:
-                    lead = ((w if top_down else w & -w).bit_length() - 1) // b
-                    c = (w >> lead * b) & mask
-                    held = holders.get(lead)
-                    if held is not None and held[1] <= at:
-                        k = p - c * held[2] % p
-                        for double in held[0]:
-                            if k & 1:
-                                t = w + double
-                                w = t - (((t + bias) & tops) >> (b - 1)) * p
-                            k >>= 1
-                        continue
-                    u = u or w
-                    doublings = [w]
-                    for _ in range(1, bits):
-                        t = doublings[-1] << 1
-                        doublings.append(t - (((t + bias) & tops) >> (b - 1)) * p)
-                    holders[lead] = (doublings, at, pow(c, -1, p))
-                    per_level[at] += 1
+            own = 0
+            while w:
+                lead = ((w if top_down else w & -w).bit_length() - 1) // span
+                c = (w >> lead * span) & mask
+                held = holders.get(lead)
+                if held is None or held[1] > level:
+                    own = own or w
+                    multiples, u = [], w
+                    for s in range(d):
+                        if s:  # x*u
+                            last = u & lasts
+                            u, digit = (u ^ last) << b, last >> (d - 1) * b
+                            for i, spread in enumerate(spreads):
+                                if i:
+                                    t = digit << 1
+                                    digit = t - (((t + bias) & tops) >> top) * p
+                                if spread:
+                                    t = u + digit * spread
+                                    u = t - (((t + bias) & tops) >> top) * p
+                        t = u
+                        multiples.append(t)
+                        for _ in range(1, bits):
+                            t <<= 1
+                            t -= (((t + bias) & tops) >> top) * p
+                            multiples.append(t)
+                    holders[lead] = new = (multiples, level, logs[c] if d > 1 else pow(c, -1, p))
+                    per_level[level] += 1
                     if held is None:
                         break
-                    per_level[held[1]] -= 1
-                    w, at = held[0][0], held[1]
-                if not s:
-                    own = u
-                if not u:
-                    break
+                    per_level[held[1]] -= 1  # the displaced holder goes on, its lead cleared by the new one
+                    w, level, held = held[0][0], held[1], new
+                    c = (w >> lead * span) & mask
+                multiples = held[0]
+                if d == 1:
+                    k = p - c * held[2] % p
+                    for double in multiples:
+                        if k & 1:
+                            t = w + double
+                            w = t - (((t + bias) & tops) >> top) * p
+                        k >>= 1
+                else:
+                    for i in picks[logs[c] - held[2]]:
+                        t = w + multiples[i]
+                        w = t - (((t + bias) & tops) >> top) * p
             placed.append(own)
         return placed
 
@@ -859,25 +884,27 @@ def _top_down(flow: Flow) -> bool:
     meets before it settles.  In the order that suits a flow less, their
     number may grow with the depth, and a run's work with its square: the
     chain of ``random_stencil_flow`` seed 2 over GF(3) looks up holders
-    56, 92 and 263 times at steps 8, 32 and 128 bottom-up, and 30 times a
+    45, 81 and 252 times at steps 8, 32 and 128 bottom-up, and 24 times a
     step top-down; seed 23 over GF(4) 27, 91 and 347 times top-down, and
     10 times a step bottom-up.  This rule reads the better order from the
-    stencil.  Of the lookups that the per-field order (top-down over
+    stencil.  Of the lookups that an order fixed per field (top-down over
     GF(2^k), bottom-up over odd p) makes in ``chain_traces(flow, 64)`` at
     ``m_max`` 8, it makes 0.55 on ``random_stencil_flow`` seeds 0-29 over
-    GF(4), 0.58 on seeds 0-29 over GF(3), 0.74 on seeds 0-7 over GF(9),
-    0.52 on seeds 0-15 over GF(7), 0.51 on GF(4) seeds 0-15 induced to
+    GF(4), 0.56 on seeds 0-29 over GF(3), 0.68 on seeds 0-7 over GF(9),
+    0.49 on seeds 0-15 over GF(7), 0.51 on GF(4) seeds 0-15 induced to
     GF(16), 0.28 on GF(9) seeds 0-7 restricted to GF(3), 1.00 on GF(4)
     seeds 0-15 restricted to GF(2) and 1.04 on GF(2) seeds 0-19.
 
     It depends on ``m_max``: at 4 the GF(2) flows rise to 1.26, at 14 the
-    GF(9) flows to 1.22.  The rule "top-down when 3*b is at least the top
-    member" stayed at or below 1.01 at all three, but cut less of the
-    compute-odd benchmark's time: 40 alternating in-process rounds of
-    ``ent_star`` on its eight flows took a median of 40.3 ms in the
-    per-field order, 34.7 ms by that rule and 32.2 ms by this one, which
-    is why this one is kept.  A chain cutoff that lifts the top member
-    past ``m_max`` may call for that rule instead.
+    GF(9) flows to 1.12 and their GF(3) restrictions to 1.08.  The rule
+    "top-down when 3*b is at least the top member" stayed at or below
+    1.01 at all three, but cut less of the compute-odd benchmark's time:
+    40 alternating in-process rounds of ``ent_star`` on its eight flows
+    took a median of 40.3 ms in the per-field order, 34.7 ms by that rule
+    and 32.2 ms by this one, which is why this one is kept.  (That rule's
+    figures were taken while the odd tracker still split each GF(p^d) row
+    into d GF(p) rows.)  A chain cutoff that lifts the top member past
+    ``m_max`` may call for that rule instead.
     """
     b = flow.endo.max_offset
     return not 0 < b <= min(2, flow.endo.extent)
@@ -888,8 +915,9 @@ def _check_tracker_cap(field, rows: int, n_max: int, dim: int) -> None:
     ``n_max`` steps over ``dim`` coordinates may hold more than
     ``_ENTRY_CAP`` entries.  It holds at most ``min(rows * n_max, dim)``
     independent rows, and keeps each as ``field.d`` rows of ``dim``
-    entries' worth: the x^t*u, t < k, over GF(2^k), and the d rows of its
-    restriction, of ``d * dim`` prime-field entries, over odd GF(p^d)."""
+    entries' worth, its multiples x^s*u, s < d: over GF(2^k) one per bit
+    of its lane, and over odd GF(p^d) in one holder, each with its
+    ``p.bit_length()`` doublings."""
     held = field.d * min(rows * n_max, dim) * dim
     if held > _ENTRY_CAP:
         raise TooLarge(
